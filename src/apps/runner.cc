@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "common/timer.h"
@@ -78,86 +77,9 @@ Result<SearchResult> RunSearch(const OperatorList& ops,
   return SearchPlans(ops, popts, sopts, model);
 }
 
-/// One-iteration probe plan of an unrolled iterative program: the step
-/// prefix through the producer of every "#1" SSA version (iteration 1's
-/// state), with the output gathers dropped. NotFound when the program has
-/// no iteration structure.
-Result<Plan> OneIterationProbe(const Plan& full) {
-  std::unordered_map<int, size_t> step_index;
-  for (size_t i = 0; i < full.steps.size(); ++i) {
-    step_index.emplace(full.steps[i].id, i);
-  }
-  ptrdiff_t boundary = -1;
-  for (const PlanNode& node : full.nodes) {
-    const size_t hash = node.matrix.rfind('#');
-    if (hash == std::string::npos ||
-        node.matrix.substr(hash) != "#1") {
-      continue;  // not an iteration-1 version
-    }
-    if (node.producer_step < 0) continue;
-    const auto it = step_index.find(node.producer_step);
-    if (it != step_index.end()) {
-      boundary = std::max(boundary, static_cast<ptrdiff_t>(it->second));
-    }
-  }
-  if (boundary < 0) {
-    return Status::NotFound("program has no iteration structure to probe");
-  }
-  Plan probe;
-  probe.nodes = full.nodes;
-  // Steps are topologically ordered after Finalize(), so the prefix is
-  // closed under dependencies.
-  probe.steps.assign(full.steps.begin(),
-                     full.steps.begin() + boundary + 1);
-  for (const PlanStep& step : probe.steps) {
-    probe.num_stages = std::max(probe.num_stages, step.stage);
-    probe.total_comm_bytes += step.comm_bytes;
-  }
-  return probe;
-}
-
-/// Races the top two finalists for one probe iteration each and returns
-/// the index of the measured winner (0 when racing is not applicable:
-/// fewer than two candidates, a non-iterative program, or failed probes).
-size_t RaceTop2(const SearchResult& sres, const Bindings& bindings,
-                const RunConfig& config, RunSearchInfo* info) {
-  if (sres.candidates.size() < 2) return 0;
-  TraceSpan span(kTraceSearch, "race-top2");
-  Timer timer;
-  double probe_seconds[2];
-  for (size_t i = 0; i < 2; ++i) {
-    Result<Plan> probe = OneIterationProbe(sres.candidates[i].plan);
-    if (!probe.ok()) return 0;  // non-iterative: nothing to race
-    ExecutorOptions eopts;
-    eopts.num_workers = config.num_workers;
-    eopts.threads_per_worker = config.threads_per_worker;
-    eopts.block_size = config.block_size;
-    eopts.local_mode = config.local_mode;
-    eopts.task_scheduling = config.task_scheduling;
-    eopts.seed = config.seed;
-    // Probes measure the steady-state iteration only: no fault injection,
-    // checkpoints, or governance — the real run pays those afterwards.
-    Executor executor(eopts);
-    Timer probe_timer;
-    Result<ExecutionResult> r = executor.Execute(*probe, bindings);
-    if (!r.ok()) return 0;  // a probe that cannot run decides nothing
-    probe_seconds[i] = probe_timer.ElapsedSeconds();
-  }
-  const size_t winner = probe_seconds[1] < probe_seconds[0] ? 1 : 0;
-  info->raced = true;
-  info->race_winner = static_cast<int>(winner);
-  info->race_probe_seconds = timer.ElapsedSeconds();
-  auto& registry = MetricRegistry::Global();
-  static Gauge* winner_gauge = registry.gauge(kMetricPlanRaceWinner);
-  static Gauge* probe_gauge = registry.gauge(kMetricPlanRaceProbeSeconds);
-  winner_gauge->Set(static_cast<double>(winner));
-  probe_gauge->Set(info->race_probe_seconds);
-  return winner;
-}
-
-/// Search + optional race; fills `info` and returns the plan to execute.
-Result<Plan> SearchedPlan(const OperatorList& ops, const Bindings& bindings,
-                          const RunConfig& config, RunSearchInfo* info) {
+/// Runs the search; fills `info` and returns the winning plan.
+Result<Plan> SearchedPlan(const OperatorList& ops, const RunConfig& config,
+                          RunSearchInfo* info) {
   DMAC_ASSIGN_OR_RETURN(SearchResult sres, RunSearch(ops, config));
   info->ran = true;
   info->candidates = static_cast<int64_t>(sres.candidates.size());
@@ -170,14 +92,11 @@ Result<Plan> SearchedPlan(const OperatorList& ops, const Bindings& bindings,
       break;
     }
   }
-  size_t chosen = 0;
-  if (config.race_top2) {
-    chosen = RaceTop2(sres, bindings, config, info);
-  }
-  info->best_seconds = sres.candidates[chosen].cost.seconds();
-  info->best_comm_bytes = sres.candidates[chosen].cost.comm_bytes;
-  info->best_decisions = sres.candidates[chosen].decisions;
-  return std::move(sres.candidates[chosen].plan);
+  PlanCandidate& best = sres.candidates[0];
+  info->best_seconds = best.cost.seconds();
+  info->best_comm_bytes = best.cost.comm_bytes;
+  info->best_decisions = best.decisions;
+  return std::move(best.plan);
 }
 
 }  // namespace
@@ -226,18 +145,12 @@ Result<int64_t> ChooseProgramBlockSize(const Program& program, int workers,
 
 Result<RunOutcome> RunProgram(const Program& program, const Bindings& bindings,
                               const RunConfig& config) {
-  if (config.race_top2 && config.plan_search == PlanSearchMode::kOff) {
-    return Status::Invalid(
-        "race_top2 requires plan_search != off: racing picks between the "
-        "search's top two finalists");
-  }
   Timer plan_timer;
   DMAC_ASSIGN_OR_RETURN(OperatorList ops, TimedDecompose(program));
   RunSearchInfo search_info;
   Plan plan;
   if (config.plan_search != PlanSearchMode::kOff) {
-    DMAC_ASSIGN_OR_RETURN(
-        plan, SearchedPlan(ops, bindings, config, &search_info));
+    DMAC_ASSIGN_OR_RETURN(plan, SearchedPlan(ops, config, &search_info));
   } else {
     DMAC_ASSIGN_OR_RETURN(plan,
                           TimedGeneratePlan(ops, ToPlannerOptions(config)));

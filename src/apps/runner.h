@@ -64,13 +64,9 @@ struct RunConfig {
   /// Kernel-rate calibration file for the cost model (CALIBRATION.json or
   /// BENCH_kernels.json); empty = built-in default rates.
   std::string calibration_path;
-  /// Race the search's top two finalists for one probe iteration and
-  /// execute whichever measured faster (docs/planner.md, "Racing").
-  /// Requires plan_search != kOff.
-  bool race_top2 = false;
 };
 
-/// Search/race summary of one run (RunOutcome::search; all-default when
+/// Search summary of one run (RunOutcome::search; all-default when
 /// RunConfig::plan_search == kOff).
 struct RunSearchInfo {
   bool ran = false;
@@ -82,9 +78,6 @@ struct RunSearchInfo {
   double greedy_seconds = 0;  // greedy plan's estimated seconds
   double greedy_comm_bytes = 0;
   std::string best_decisions;  // winner's decision vector ("greedy" = none)
-  bool raced = false;
-  int race_winner = 0;           // finalist index that measured faster
-  double race_probe_seconds = 0;  // wall time of both probe runs
 };
 
 /// Outcome of a run: results, runtime statistics, and the plan that ran.

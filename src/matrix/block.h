@@ -16,6 +16,11 @@ namespace dmac {
 /// Storage format of a block.
 enum class BlockKind { kDense, kSparse };
 
+/// Density at or above which a block is stored dense, below which CSC: the
+/// one representation switch shared by the engine, the executor, and the
+/// cost model.
+inline constexpr double kDensityThreshold = 0.5;
+
 /// Tagged union of DenseBlock and CscBlock with format-generic accessors.
 class Block {
  public:
@@ -80,7 +85,7 @@ class Block {
 
   /// Re-encodes in the cheaper representation: sparse when the density is
   /// below `density_threshold`, dense otherwise.
-  Block Compacted(double density_threshold = 0.5) const;
+  Block Compacted(double density_threshold = kDensityThreshold) const;
 
  private:
   std::variant<DenseBlock, CscBlock> storage_;

@@ -79,7 +79,7 @@ class LocalMatrix {
   double SumSquares() const;
 
   /// Re-encodes every block in its cheaper representation.
-  LocalMatrix Compacted(double density_threshold = 0.5) const;
+  LocalMatrix Compacted(double density_threshold = kDensityThreshold) const;
 
   /// True when all elements differ by at most `tol`.
   bool ApproxEqual(const LocalMatrix& other, double tol = 1e-3) const;

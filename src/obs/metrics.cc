@@ -118,12 +118,6 @@ const std::vector<MetricSpec>& MetricCatalog() {
       {kMetricPlanEstimateDriftEvents, MetricKind::kCounter, "events",
        "runs whose measured communication diverged more than 4x from the "
        "plan-time estimate (worst-case sparsity pessimism made visible)"},
-      {kMetricPlanRaceWinner, MetricKind::kGauge, "index",
-       "finalist index that won the last top-2 plan race (0 = the "
-       "search's best estimate also measured fastest)"},
-      {kMetricPlanRaceProbeSeconds, MetricKind::kGauge, "seconds",
-       "wall time of the last race's one-iteration probe runs (both "
-       "finalists)"},
       {kMetricFaultInjected, MetricKind::kCounter, "faults",
        "faults injected by the fault framework (crashes, lost blocks, "
        "corruptions, transient failures, stragglers)"},

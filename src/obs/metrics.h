@@ -202,9 +202,6 @@ inline constexpr const char* kMetricPlanEstimateDrift =
     "planner.estimate.drift";
 inline constexpr const char* kMetricPlanEstimateDriftEvents =
     "planner.estimate.drift.events";
-inline constexpr const char* kMetricPlanRaceWinner = "planner.race.winner";
-inline constexpr const char* kMetricPlanRaceProbeSeconds =
-    "planner.race.probe.seconds";
 inline constexpr const char* kMetricFaultInjected = "fault.injected";
 inline constexpr const char* kMetricFaultRetries = "fault.retries";
 inline constexpr const char* kMetricFaultRecomputedBlocks =

@@ -38,7 +38,7 @@ inline constexpr const char* kTraceMembership =
 inline constexpr const char* kTraceCheckpoint =
     "checkpoint";  // durable checkpoint commit / crash-restart resume
 inline constexpr const char* kTraceSearch =
-    "search";  // cost-based plan search / top-2 plan race
+    "search";  // cost-based plan search
 
 /// One completed span. `worker` is -1 for driver-side work.
 struct TraceEvent {

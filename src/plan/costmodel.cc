@@ -8,6 +8,8 @@
 #include <sstream>
 #include <utility>
 
+#include "matrix/block.h"
+
 namespace dmac {
 
 namespace {
@@ -356,7 +358,7 @@ double CostModel::MultiplySeconds(const Plan& plan,
       std::max(2.0 * m * k * n * a.sparsity * b.sparsity, 1.0);
 
   const auto rep = [&](double density) {
-    return density >= options_.density_threshold ? "dense" : "sparse";
+    return density >= kDensityThreshold ? "dense" : "sparse";
   };
   const std::string representation =
       std::string(rep(a.sparsity)) + "_" + rep(b.sparsity);

@@ -105,9 +105,6 @@ struct CostModelOptions {
   /// Block side used to pick the nearest calibration entry. 0 = the
   /// table's entries are matched at 256 (the bench default).
   int64_t block_size = 0;
-  /// Engine representation switch: densities at or above this execute on
-  /// the dense kernels (ExecutorOptions::density_threshold).
-  double density_threshold = 0.5;
   NetworkModel network;
 };
 

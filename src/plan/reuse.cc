@@ -3,25 +3,24 @@
 #include <vector>
 
 #include "lang/op.h"
+#include "matrix/block.h"
 
 namespace dmac {
 
 namespace {
 
-// Estimated-density cutoff below which a node's blocks are stored CSC
-// (ExecutorOptions::density_threshold's default; the engine consults the
-// cache only when both operand blocks actually arrive sparse, so a
-// mis-estimate here costs nothing at runtime — the hint is just ignored).
-constexpr double kSparseStorageThreshold = 0.5;
-
 bool IsMultiply(const PlanStep& step) {
   return step.kind == StepKind::kCompute && step.op_kind == OpKind::kMultiply;
 }
 
+// A node's blocks are stored CSC when its estimated density is below
+// kDensityThreshold. The engine consults the cache only when both operand
+// blocks actually arrive sparse, so a mis-estimate here costs nothing at
+// runtime — the hint is just ignored.
 bool EstimatedSparse(const Plan& plan, int node) {
   if (node < 0 || static_cast<size_t>(node) >= plan.nodes.size()) return false;
   return plan.nodes[static_cast<size_t>(node)].stats.sparsity <
-         kSparseStorageThreshold;
+         kDensityThreshold;
 }
 
 }  // namespace

@@ -119,7 +119,11 @@ class DistMatrix {
     return Get(OwnerOf(bi, bj), bi, bj);
   }
 
-  /// All blocks in `worker`'s store as (bi, bj, block) triples.
+  /// All blocks in `worker`'s store as (bi, bj, block) triples, in
+  /// ascending key order. The store's own iteration order follows the
+  /// order blocks were put, which the engine's threads decide; summing
+  /// over blocks in a canonical order keeps aggregates and reductions
+  /// bit-identical from run to run.
   std::vector<std::tuple<int64_t, int64_t, BlockPtr>> WorkerBlocks(
       int worker) const {
     std::vector<std::tuple<int64_t, int64_t, BlockPtr>> out;
@@ -129,6 +133,7 @@ class DistMatrix {
       out.emplace_back(key / grid_.block_cols(), key % grid_.block_cols(),
                        entry.block);
     }
+    std::sort(out.begin(), out.end());  // (bi, bj) pairs are unique
     return out;
   }
 

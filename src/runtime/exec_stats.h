@@ -41,6 +41,9 @@ struct ExecStats {
   /// Peak tracked block memory over the run (process-wide).
   int64_t peak_memory_bytes = 0;
 
+  int64_t steps_executed = 0;  // plan steps run, excluding resume-skipped
+  int64_t stages = 0;          // barrier stages of the plan; set on completion
+
   // --- Fault tolerance (docs/fault_tolerance.md). All zero in a fault-free
   // run. Recovery work is kept out of the useful-compute and useful-comm
   // totals above so TotalComputeSeconds()/comm_bytes() still measure the
@@ -89,6 +92,7 @@ struct ExecStats {
   bool resumed = false;                  // this run restored a durable snapshot
   int64_t resume_step = -1;              // last step the snapshot covered
   int64_t resume_restored_blocks = 0;    // blocks read back from disk on resume
+  double resume_seconds = 0;             // wall time of the snapshot restore
 
   // --- Plan-estimate drift (docs/planner.md). The §5.1 size estimator is
   // deliberately worst-case (s_C = 1 after every multiply), which makes
@@ -191,6 +195,8 @@ struct ExecStats {
       }
     }
     peak_memory_bytes = std::max(peak_memory_bytes, other.peak_memory_bytes);
+    steps_executed += other.steps_executed;
+    stages += other.stages;
     faults_injected += other.faults_injected;
     retries += other.retries;
     recomputed_blocks += other.recomputed_blocks;
@@ -227,6 +233,7 @@ struct ExecStats {
     // A resume point is a position, not a quantity.
     resume_step = std::max(resume_step, other.resume_step);
     resume_restored_blocks += other.resume_restored_blocks;
+    resume_seconds += other.resume_seconds;
   }
 
  private:

@@ -109,6 +109,103 @@ std::string StepSpanName(const PlanStep& step) {
   return name;
 }
 
+/// One catalog metric fed from ExecStats. ExecStats is the executor's only
+/// ledger; the registry is filled from it once per run, on every exit path.
+/// Counters add the run's totals. Gauges are set only by a completed run,
+/// and only when `ran` (if given) says their layer was built.
+struct StatMetric {
+  const char* name;
+  MetricKind kind;
+  double (*value)(const ExecStats&);
+  bool (*ran)(const ExecStats&) = nullptr;
+};
+
+bool MembershipRan(const ExecStats& s) { return s.membership_epoch > 0; }
+
+using S = ExecStats;  // keeps the table rows short
+using enum MetricKind;
+const StatMetric kStatMetrics[] = {
+    {kMetricShuffleBytes, kCounter,
+     [](const S& s) -> double { return s.shuffle_bytes; }},
+    {kMetricBroadcastBytes, kCounter,
+     [](const S& s) -> double { return s.broadcast_bytes; }},
+    {kMetricShuffleRounds, kCounter,
+     [](const S& s) -> double { return s.shuffle_events; }},
+    {kMetricBroadcastRounds, kCounter,
+     [](const S& s) -> double { return s.broadcast_events; }},
+    {kMetricStepsExecuted, kCounter,
+     [](const S& s) -> double { return s.steps_executed; }},
+    {kMetricStages, kGauge, [](const S& s) -> double { return s.stages; }},
+    {kMetricPeakMemoryBytes, kGauge,
+     [](const S& s) -> double { return s.peak_memory_bytes; }},
+    {kMetricPlanEstimateDrift, kGauge,
+     [](const S& s) -> double { return s.estimate_drift; }},
+    {kMetricPlanEstimateDriftEvents, kCounter,
+     [](const S& s) -> double { return s.estimate_drift > 4.0 ? 1 : 0; }},
+    {kMetricFaultInjected, kCounter,
+     [](const S& s) -> double { return s.faults_injected; }},
+    {kMetricFaultRetries, kCounter,
+     [](const S& s) -> double { return s.retries; }},
+    {kMetricFaultRecomputedBlocks, kCounter,
+     [](const S& s) -> double { return s.recomputed_blocks; }},
+    {kMetricFaultRestoredBlocks, kCounter,
+     [](const S& s) -> double { return s.restored_blocks; }},
+    {kMetricFaultSpeculatedTasks, kCounter,
+     [](const S& s) -> double { return s.speculated_tasks; }},
+    {kMetricFaultCheckpointBytes, kCounter,
+     [](const S& s) -> double { return s.checkpoint_bytes; }},
+    {kMetricFaultRecoverySeconds, kCounter,
+     [](const S& s) -> double { return s.TotalRecoverySeconds(); }},
+    {kMetricFaultCheckpointDurableBytes, kCounter,
+     [](const S& s) -> double { return s.durable_checkpoint_bytes; }},
+    {kMetricFaultCheckpointEpochs, kCounter,
+     [](const S& s) -> double { return s.durable_epochs; }},
+    {kMetricFaultCheckpointFailures, kCounter,
+     [](const S& s) -> double { return s.checkpoint_failures; }},
+    {kMetricFaultResumeRestoredBlocks, kCounter,
+     [](const S& s) -> double { return s.resume_restored_blocks; }},
+    {kMetricFaultResumeSeconds, kCounter,
+     [](const S& s) -> double { return s.resume_seconds; }},
+    {kMetricFaultDiskFaults, kCounter,
+     [](const S& s) -> double { return s.disk_faults_injected; }},
+    {kMetricNetMessages, kCounter,
+     [](const S& s) -> double { return s.net_messages; }},
+    {kMetricNetRetransmits, kCounter,
+     [](const S& s) -> double { return s.net_retransmits; }},
+    {kMetricNetRetransBytes, kCounter,
+     [](const S& s) -> double { return s.net_retrans_bytes; }},
+    {kMetricNetDuplicates, kCounter,
+     [](const S& s) -> double { return s.net_duplicates; }},
+    {kMetricNetReordered, kCounter,
+     [](const S& s) -> double { return s.net_reordered; }},
+    {kMetricNetDelaySeconds, kCounter,
+     [](const S& s) -> double { return s.net_delay_seconds; }},
+    {kMetricNetPartitions, kCounter,
+     [](const S& s) -> double { return s.net_partitions; }},
+    {kMetricNetStaleFenced, kCounter,
+     [](const S& s) -> double { return s.net_stale_fenced; }},
+    {kMetricNetStaleApplied, kCounter,
+     [](const S& s) -> double { return s.net_stale_applied; }},
+    {kMetricMembershipEpoch, kGauge,
+     [](const S& s) -> double { return s.membership_epoch; }, MembershipRan},
+    {kMetricMembershipWorkersDead, kGauge,
+     [](const S& s) -> double { return s.workers_dead; }, MembershipRan},
+    {kMetricMembershipDetectionSeconds, kCounter,
+     [](const S& s) -> double { return s.detection_seconds; }},
+};
+
+void RecordMetrics(const ExecStats& stats, bool completed) {
+  MetricRegistry& registry = MetricRegistry::Global();
+  if (!registry.enabled()) return;
+  for (const StatMetric& m : kStatMetrics) {
+    if (m.kind == kCounter) {
+      registry.counter(m.name)->Add(m.value(stats));
+    } else if (completed && (m.ran == nullptr || m.ran(stats))) {
+      registry.gauge(m.name)->Set(m.value(stats));
+    }
+  }
+}
+
 }  // namespace
 
 class Executor::Impl {
@@ -119,7 +216,7 @@ class Executor::Impl {
         bindings_(bindings),
         pool_(static_cast<size_t>(opts.threads_per_worker)),
         buffers_(static_cast<size_t>(opts.threads_per_worker) * 2),
-        engine_(&pool_, &buffers_, opts.local_mode, opts.density_threshold,
+        engine_(&pool_, &buffers_, opts.local_mode, kDensityThreshold,
                 opts.task_scheduling),
         node_data_(plan.nodes.size()),
         gov_(opts.governor),
@@ -150,7 +247,18 @@ class Executor::Impl {
     engine_.SetFormatCache(format_cache_.get());
   }
 
+  /// Runs the plan, then fills the metric registry from the run's ExecStats
+  /// whether it completed or not.
   Result<ExecutionResult> Run() {
+    Result<ExecutionResult> result = RunPlan();
+    CollectLayerStats();
+    RecordMetrics(stats_, result.ok());
+    if (result.ok()) result->stats = std::move(stats_);
+    return result;
+  }
+
+ private:
+  Result<ExecutionResult> RunPlan() {
     DMAC_RETURN_NOT_OK(CheckCancel());  // a 0 ms deadline fails before work
     DMAC_RETURN_NOT_OK(PickBlockSize());
     DMAC_RETURN_NOT_OK(SetUpFaultTolerance());
@@ -210,20 +318,16 @@ class Executor::Impl {
         DMAC_RETURN_NOT_OK(CheckCancel());
       }
       DMAC_RETURN_NOT_OK(step_status);
-      metric_steps_->Increment();
+      ++stats_.steps_executed;
     }
     stage_span.reset();
-    metric_stages_->Set(plan_.num_stages);
+    stats_.stages = plan_.num_stages;
 
     if (injector_ != nullptr) {
       // Boundary faults injected after the last consumer of a node can
       // linger into the gather; one final recovery sweep repairs them.
       DMAC_RETURN_NOT_OK(RecoverAll());
-      stats_.faults_injected = injector_->faults_drawn();
-      metric_fault_injected_->Add(
-          static_cast<double>(stats_.faults_injected));
     }
-    ExportFaultNetworkStats();
 
     ExecutionResult result;
     for (const PlanOutput& out : plan_.outputs) {
@@ -240,9 +344,7 @@ class Executor::Impl {
     }
     stats_.peak_memory_bytes =
         std::max(MemTracker::Global().peak_bytes(), mem_before_peak);
-    metric_peak_memory_->Set(static_cast<double>(stats_.peak_memory_bytes));
     RecordEstimateDrift();
-    result.stats = std::move(stats_);
     return result;
   }
 
@@ -283,13 +385,8 @@ class Executor::Impl {
     } else if (estimated == measured) {
       stats_.estimate_drift = 1;  // both zero: a comm-free plan, no drift
     }
-    metric_estimate_drift_->Set(stats_.estimate_drift);
-    if (stats_.estimate_drift > 4.0) {
-      metric_estimate_drift_events_->Increment();
-    }
   }
 
- private:
   // ---- setup -------------------------------------------------------------
 
   Status PickBlockSize() {
@@ -340,13 +437,17 @@ class Executor::Impl {
   ///
   /// This is also the task-launch fault-injection point: with an active
   /// injector (and outside recovery) the launch can fail transiently or
-  /// straggle. `idempotent` marks whether running `fn` twice yields the
-  /// same state — true for the sink-writing sites (a second run overwrites
-  /// the same store keys with identical blocks), false for the accumulating
-  /// closures (CPMM phase 1, reduce) — and gates straggler speculation.
+  /// straggle by a simulated delay (nothing sleeps). With speculation the
+  /// backup worker's re-execution of a straggler is the useful copy and the
+  /// straggling attempt is charged to recovery; without it the stage just
+  /// absorbs the delay. `idempotent` marks whether running `fn` twice yields
+  /// the same state — true for the sink-writing sites (a second run
+  /// overwrites the same store keys with identical blocks), false for the
+  /// accumulating closures (CPMM phase 1, reduce) — and gates speculation.
   template <typename Fn>
   Status TimedWorker(const PlanStep& step, int worker, Fn&& fn,
                      bool idempotent = true) {
+    double delay = 0;
     // Recovery attempts are not re-injected — except a permanent fault,
     // which by definition fails every attempt until retries exhaust.
     if (injector_ != nullptr &&
@@ -357,97 +458,62 @@ class Executor::Impl {
                                    std::to_string(worker) + " in step " +
                                    std::to_string(step.id));
       }
-      const double delay = injector_->DrawStragglerDelay();
-      if (delay > 0) {
-        return StraggledWorker(step, worker, std::forward<Fn>(fn), idempotent,
-                               delay);
-      }
+      delay = injector_->DrawStragglerDelay();
     }
     // Logical slot `worker` may be hosted by a survivor after a permanent
     // death; timing and spans attribute to the physical host while the
     // block layout stays keyed by the logical slot (bit identity).
-    const int host = Host(worker);
+    int host = Host(worker);
     TraceSpan span =
-        TraceRecorder::Global().enabled()
-            ? TraceSpan(recovering_ ? kTraceRecovery : kTraceWorker,
+        !TraceRecorder::Global().enabled()
+            ? TraceSpan()
+        : delay > 0
+            ? TraceSpan(kTraceRecovery, "straggler " + StepSpanName(step), host,
+                        TraceArg("delay_s", delay))
+            : TraceSpan(recovering_ ? kTraceRecovery : kTraceWorker,
                         StepSpanName(step), host,
-                        TraceArg("stage", int64_t{step.stage}))
-            : TraceSpan();
+                        TraceArg("stage", int64_t{step.stage}));
     engine_.SetWorkerContext(host);
     Timer timer;
     Status st = fn();
-    if (recovering_) {
-      AddRecoverySeconds(step.stage, timer.ElapsedSeconds());
-    } else {
-      stats_.AddWorkerSeconds(step.stage, host, timer.ElapsedSeconds());
-    }
-    return st;
-  }
-
-  /// Runs a worker task whose launch drew an injected straggler delay
-  /// (simulated seconds — nothing sleeps). With speculation the backup
-  /// worker's re-execution is the useful copy and the straggler attempt is
-  /// charged to recovery; without it the stage just absorbs the delay.
-  template <typename Fn>
-  Status StraggledWorker(const PlanStep& step, int worker, Fn&& fn,
-                         bool idempotent, double delay) {
-    const int host = Host(worker);
-    TraceSpan span =
-        TraceRecorder::Global().enabled()
-            ? TraceSpan(kTraceRecovery, "straggler " + StepSpanName(step),
-                        host, TraceArg("delay_s", delay))
-            : TraceSpan();
-    engine_.SetWorkerContext(host);
-    Timer timer;
-    Status st = fn();
-    const double measured = timer.ElapsedSeconds();
-    if (st.ok() && opts_.fault.speculate && idempotent &&
+    double seconds = timer.ElapsedSeconds() + delay;
+    if (delay > 0 && st.ok() && opts_.fault.speculate && idempotent &&
         opts_.num_workers > 1) {
-      AddRecoverySeconds(step.stage, measured + delay);
+      stats_.AddRecoverySeconds(step.stage, seconds);
       ++stats_.speculated_tasks;
-      metric_fault_speculated_->Increment();
-      const int backup = Host((worker + 1) % opts_.num_workers);
-      engine_.SetWorkerContext(backup);
+      host = Host((worker + 1) % opts_.num_workers);
+      engine_.SetWorkerContext(host);
       Timer backup_timer;
       st = fn();
-      stats_.AddWorkerSeconds(step.stage, backup,
-                              backup_timer.ElapsedSeconds());
-      return st;
+      seconds = backup_timer.ElapsedSeconds();
     }
-    stats_.AddWorkerSeconds(step.stage, host, measured + delay);
+    if (recovering_) {
+      stats_.AddRecoverySeconds(step.stage, seconds);
+    } else {
+      stats_.AddWorkerSeconds(step.stage, host, seconds);
+    }
     return st;
   }
 
-  /// Counts one shuffle round of `bytes` (stats + metrics). Bytes moved by
-  /// recovery work are kept out of the useful-communication totals.
-  void CountShuffle(double bytes) {
+  /// Tail of one communication round (load, partition, broadcast,
+  /// shuffle-and-sum, reduce): counts `bytes` moved in `rounds` rounds,
+  /// labels the round's comm span, and delivers the sends the round queued
+  /// on the network layer. Bytes moved by recovery work are kept out of the
+  /// useful-communication totals.
+  Status EndCommRound(TraceSpan& span, bool broadcast, double bytes,
+                      const char* label, int rounds = 1) {
     if (recovering_) {
       stats_.recovery_bytes += bytes;
-      ++stats_.recovery_events;
-      return;
+      stats_.recovery_events += rounds;
+    } else {
+      (broadcast ? stats_.broadcast_bytes : stats_.shuffle_bytes) += bytes;
+      (broadcast ? stats_.broadcast_events : stats_.shuffle_events) += rounds;
     }
-    stats_.shuffle_bytes += bytes;
-    ++stats_.shuffle_events;
-    metric_shuffle_bytes_->Add(bytes);
-    metric_shuffle_rounds_->Increment();
-  }
-
-  /// Counts one broadcast round of `bytes` (stats + metrics).
-  void CountBroadcast(double bytes) {
-    if (recovering_) {
-      stats_.recovery_bytes += bytes;
-      ++stats_.recovery_events;
-      return;
+    if (span.active()) {
+      span.set_args(TraceArg("bytes", bytes) + "," +
+                    TraceArg("kind", broadcast ? "broadcast" : "shuffle"));
     }
-    stats_.broadcast_bytes += bytes;
-    ++stats_.broadcast_events;
-    metric_broadcast_bytes_->Add(bytes);
-    metric_broadcast_rounds_->Increment();
-  }
-
-  void AddRecoverySeconds(int stage, double seconds) {
-    stats_.AddRecoverySeconds(stage, seconds);
-    metric_fault_recovery_seconds_->Add(seconds);
+    return UseNetwork() ? net_->Flush(label) : Status::Ok();
   }
 
   /// Reads a block for a cross-worker transfer, verifying integrity in
@@ -619,22 +685,16 @@ class Executor::Impl {
     return membership_ != nullptr ? membership_->HostOf(w) : w;
   }
 
-  /// Copies membership and network-fault accounting into ExecStats and the
-  /// metric registry at the end of a run.
-  void ExportFaultNetworkStats() {
+  /// Copies the fault layers' own accounting (injector, disk, membership,
+  /// network) into ExecStats at the end of a run.
+  void CollectLayerStats() {
+    if (injector_ != nullptr) {
+      stats_.faults_injected = injector_->faults_drawn();
+    }
     if (storage_io_ != nullptr) {
       stats_.disk_faults_injected = storage_io_->faults_injected();
-      metric_fault_disk_faults_->Add(
-          static_cast<double>(stats_.disk_faults_injected));
     }
-    if (membership_ != nullptr) {
-      stats_.membership_epoch = membership_->epoch();
-      metric_membership_epoch_->Set(
-          static_cast<double>(membership_->epoch()));
-      metric_membership_dead_->Set(
-          static_cast<double>(membership_->dead_workers()));
-      metric_membership_detection_->Add(stats_.detection_seconds);
-    }
+    if (membership_ != nullptr) stats_.membership_epoch = membership_->epoch();
     if (net_ == nullptr) return;
     const NetFaultStats& ns = net_->stats();
     stats_.net_messages = ns.messages;
@@ -646,15 +706,6 @@ class Executor::Impl {
     stats_.net_partitions = ns.partitions;
     stats_.net_stale_fenced = ns.stale_fenced;
     stats_.net_stale_applied = ns.stale_applied;
-    metric_net_messages_->Add(static_cast<double>(ns.messages));
-    metric_net_retransmits_->Add(static_cast<double>(ns.retransmits));
-    metric_net_retrans_bytes_->Add(ns.retrans_bytes);
-    metric_net_duplicates_->Add(static_cast<double>(ns.duplicates));
-    metric_net_reordered_->Add(static_cast<double>(ns.reordered));
-    metric_net_delay_seconds_->Add(ns.delay_seconds);
-    metric_net_partitions_->Add(static_cast<double>(ns.partitions));
-    metric_net_stale_fenced_->Add(static_cast<double>(ns.stale_fenced));
-    metric_net_stale_applied_->Add(static_cast<double>(ns.stale_applied));
   }
 
   /// Transfers route through the fault-injecting network layer only on the
@@ -723,9 +774,9 @@ class Executor::Impl {
                      TraceArg("step", int64_t{step.id}) + "," +
                          TraceArg("attempt", int64_t{attempt + 1}));
       stats_.AddRetry(step.stage);
-      metric_fault_retries_->Increment();
       // Simulated exponential backoff; transient faults clear with time.
-      AddRecoverySeconds(step.stage, retry_policy_.BackoffSeconds(attempt));
+      stats_.AddRecoverySeconds(step.stage,
+                                retry_policy_.BackoffSeconds(attempt));
       DMAC_RETURN_NOT_OK(RecoverAll());
     }
     DMAC_RETURN_NOT_OK(AfterStepSuccess(step));
@@ -841,7 +892,7 @@ class Executor::Impl {
     if (membership_->IsDead(victim)) return;  // death is permanent
     const double detection = membership_->DeclareDead(victim);
     stats_.detection_seconds += detection;
-    AddRecoverySeconds(stage, detection);
+    stats_.AddRecoverySeconds(stage, detection);
     ++stats_.workers_dead;
     for (auto& dm : node_data_) {
       if (dm != nullptr) dm->ClearWorker(victim);
@@ -908,6 +959,7 @@ class Executor::Impl {
                                 TraceArg("dirty",
                                          static_cast<int64_t>(dirty.size())))
             : TraceSpan();
+    const size_t damaged = dirty.size();
 
     // 1. Checkpoint restore: exact deep copies taken at record time.
     if (dm != nullptr) {
@@ -926,8 +978,6 @@ class Executor::Impl {
           if (found != nullptr) {
             dm->Put(rec.worker, rec.key / bcols, rec.key % bcols,
                     found->block);
-            ++stats_.restored_blocks;
-            metric_fault_restored_->Increment();
           } else {
             remaining.push_back(rec);
           }
@@ -953,8 +1003,6 @@ class Executor::Impl {
           DistMatrix::BlockPtr replica = dm->Get(w, bi, bj);
           if (replica != nullptr && dm->VerifyAt(w, bi, bj).ok()) {
             dm->Put(rec.worker, bi, bj, std::move(replica));
-            ++stats_.restored_blocks;
-            metric_fault_restored_->Increment();
             repaired = true;
           }
         }
@@ -962,6 +1010,8 @@ class Executor::Impl {
       }
       dirty = std::move(remaining);
     }
+
+    stats_.restored_blocks += static_cast<int64_t>(damaged - dirty.size());
 
     // 3. Recompute from lineage: re-run the producer step (deterministic,
     //    so the rebuilt matrix is bit-identical). Inputs were repaired by
@@ -972,7 +1022,6 @@ class Executor::Impl {
       DMAC_RETURN_NOT_OK(ExecuteStep(producer));
       stats_.AddRecomputed(producer.stage,
                            static_cast<int64_t>(dirty.size()));
-      metric_fault_recomputed_->Add(static_cast<double>(dirty.size()));
     }
 
     // Re-stamp and enforce bit-identity with the recorded manifest.
@@ -1050,7 +1099,6 @@ class Executor::Impl {
     checkpoints_.Put(step.output, std::move(blocks));
     const int64_t written = checkpoints_.bytes_written() - before;
     stats_.checkpoint_bytes += written;
-    metric_fault_checkpoint_bytes_->Add(static_cast<double>(written));
     if (durable_store_ == nullptr) return Status::Ok();
     return CommitDurable(step);
   }
@@ -1118,14 +1166,11 @@ class Executor::Impl {
       // by the previous committed epoch.
       if (storage_io_->dead() || st.code() == StatusCode::kInternal) return st;
       ++stats_.checkpoint_failures;
-      metric_fault_checkpoint_failures_->Increment();
       return Status::Ok();
     }
     const int64_t written = durable_store_->bytes_written() - before;
     stats_.durable_checkpoint_bytes += written;
     ++stats_.durable_epochs;
-    metric_fault_durable_bytes_->Add(static_cast<double>(written));
-    metric_fault_epochs_->Increment();
     return Status::Ok();
   }
 
@@ -1222,7 +1267,6 @@ class Executor::Impl {
           DMAC_ASSIGN_OR_RETURN(Block block, durable_store_->ReadBlock(*ref));
           it->second = std::make_shared<const Block>(std::move(block));
           ++stats_.resume_restored_blocks;
-          metric_fault_resume_restored_->Increment();
         }
         dm->Put(ref->worker, bi, bj, it->second);
         lin.blocks.push_back({ref->worker, ref->key, ref->checksum});
@@ -1237,7 +1281,7 @@ class Executor::Impl {
     }
     stats_.resumed = true;
     stats_.resume_step = snap->resume_step;
-    metric_fault_resume_seconds_->Add(timer.ElapsedSeconds());
+    stats_.resume_seconds = timer.ElapsedSeconds();
     return Status::Ok();
   }
 
@@ -1297,58 +1341,37 @@ class Executor::Impl {
         // alive for the duration of Execute().
         DistMatrix::BlockPtr ptr(std::shared_ptr<void>(),
                                  &src.BlockAt(bi, bj));
-        const double block_bytes =
-            static_cast<double>(ptr->MemoryBytes());
-        if (broadcast) {
-          for (int w = 0; w < opts_.num_workers; ++w) dm->Put(w, bi, bj, ptr);
-          bytes += block_bytes * opts_.num_workers;
-        } else {
-          dm->Put(dm->OwnerOf(bi, bj), bi, bj, ptr);
-          bytes += block_bytes;
-        }
+        bytes += static_cast<double>(ptr->MemoryBytes()) *
+                 (broadcast ? opts_.num_workers : 1);
+        dm->Put(dm->OwnerOf(bi, bj), bi, bj, std::move(ptr));
       }
     }
-    if (broadcast) {
-      CountBroadcast(bytes);
-    } else {
-      CountShuffle(bytes);
-    }
-    if (span.active()) {
-      span.set_args(TraceArg("bytes", bytes) + "," +
-                    TraceArg("kind", broadcast ? "broadcast" : "shuffle"));
-    }
-    return Status::Ok();
+    if (broadcast) DMAC_RETURN_NOT_OK(ReplicateFromWorkerZero(dm.get()));
+    return EndCommRound(span, broadcast, bytes, "load");
   }
 
   Status ExecRandom(const PlanStep& step) {
     auto dm = NewData(step.output, step.decl_shape);
     const BlockGrid& grid = dm->grid();
-
     // Deterministic per-block seeds make every replica identical, so a
     // Broadcast-scheme random matrix costs no communication.
-    const bool broadcast = dm->scheme() == Scheme::kBroadcast;
     for (int64_t bi = 0; bi < grid.block_rows(); ++bi) {
       for (int64_t bj = 0; bj < grid.block_cols(); ++bj) {
         const uint64_t seed =
             RandomBlockSeed(opts_.seed, step.source, bi, bj);
         const Shape s = grid.BlockShape(bi, bj);
-        const int owner = broadcast ? 0 : dm->OwnerOf(bi, bj);
-        Status st = TimedWorker(step, owner, [&] {
-          auto ptr = std::make_shared<const Block>(
-              RandomDenseBlock(s.rows, s.cols, seed));
-          if (broadcast) {
-            for (int w = 0; w < opts_.num_workers; ++w) {
-              dm->Put(w, bi, bj, ptr);
-            }
-          } else {
-            dm->Put(owner, bi, bj, ptr);
-          }
+        const int owner = dm->OwnerOf(bi, bj);
+        DMAC_RETURN_NOT_OK(TimedWorker(step, owner, [&] {
+          dm->Put(owner, bi, bj,
+                  std::make_shared<const Block>(
+                      RandomDenseBlock(s.rows, s.cols, seed)));
           return Status::Ok();
-        });
-        DMAC_RETURN_NOT_OK(st);
+        }));
       }
     }
-    return Status::Ok();
+    return dm->scheme() == Scheme::kBroadcast
+               ? ReplicateFromWorkerZero(dm.get())
+               : Status::Ok();
   }
 
   Status ExecPartition(const PlanStep& step) {
@@ -1387,13 +1410,7 @@ class Executor::Impl {
         }
       }
     }
-    CountShuffle(bytes);
-    if (span.active()) {
-      span.set_args(TraceArg("bytes", bytes) + "," +
-                    TraceArg("kind", "shuffle"));
-    }
-    if (UseNetwork()) DMAC_RETURN_NOT_OK(net_->Flush("partition"));
-    return Status::Ok();
+    return EndCommRound(span, /*broadcast=*/false, bytes, "partition");
   }
 
   Status ExecBroadcast(const PlanStep& step) {
@@ -1421,54 +1438,16 @@ class Executor::Impl {
         }
       }
     }
-    CountBroadcast(bytes);
-    if (span.active()) {
-      span.set_args(TraceArg("bytes", bytes) + "," +
-                    TraceArg("kind", "broadcast"));
-    }
-    if (UseNetwork()) DMAC_RETURN_NOT_OK(net_->Flush("broadcast"));
-    return Status::Ok();
+    return EndCommRound(span, /*broadcast=*/true, bytes, "broadcast");
   }
 
   Status ExecTranspose(const PlanStep& step) {
     const DistMatrix& src = Data(step.inputs[0]);
     auto dst = NewData(step.output, src.grid().matrix.Transposed());
-    const bool broadcast = src.scheme() == Scheme::kBroadcast;
-    const int workers = broadcast ? 1 : opts_.num_workers;
-    for (int w = 0; w < workers; ++w) {
-      auto blocks = src.WorkerBlocks(w);
-      StoreSink sink(dst.get(), w);
-      Status st = TimedWorker(step, w, [&] {
-        std::vector<std::function<Status()>> tasks;
-        tasks.reserve(blocks.size());
-        for (auto& [bi, bj, ptr] : blocks) {
-          const int64_t tbi = bj;
-          const int64_t tbj = bi;
-          const Block* block = ptr.get();
-          tasks.push_back([&sink, tbi, tbj, block] {
-            sink(tbi, tbj, block->Transposed());
-            return Status::Ok();
-          });
-        }
-        return engine_.RunTasks(tasks, TaskKind::kTranspose);
-      });
-      DMAC_RETURN_NOT_OK(st);
-    }
-    if (broadcast) {
-      // Replicas are identical: share worker 0's transposed blocks.
-      for (int64_t bi = 0; bi < dst->grid().block_rows(); ++bi) {
-        for (int64_t bj = 0; bj < dst->grid().block_cols(); ++bj) {
-          auto ptr = dst->Get(0, bi, bj);
-          if (ptr == nullptr) {
-            return Status::Internal("transpose: missing block");
-          }
-          for (int w = 1; w < opts_.num_workers; ++w) {
-            dst->Put(w, bi, bj, ptr);
-          }
-        }
-      }
-    }
-    return Status::Ok();
+    return MapBlocks(step, src, dst.get(), TaskKind::kTranspose,
+                     [](int, int64_t, int64_t, const Block& block) {
+                       return Result<Block>(block.Transposed());
+                     });
   }
 
   Status ExecExtract(const PlanStep& step) {
@@ -1539,144 +1518,138 @@ class Executor::Impl {
     const int64_t kb = ta ? a.grid().block_rows() : a.grid().block_cols();
 
     switch (step.mult_algo) {
-      case MultAlgo::kRMM1: {
-        // A broadcast, B column-partitioned: worker w computes the output
-        // block-columns it owns.
-        DMAC_CHECK(a.scheme() == Scheme::kBroadcast);
-        DMAC_CHECK(b.scheme() == (tb ? Scheme::kRow : Scheme::kCol));
-        for (int w = 0; w < opts_.num_workers; ++w) {
-          std::vector<MultiplyTask> tasks;
-          int64_t lo, hi;
-          OwnedRange(w, out_grid.block_cols(), opts_.num_workers, &lo, &hi);
-          for (int64_t bj = lo; bj < hi; ++bj) {
-            for (int64_t bi = 0; bi < out_grid.block_rows(); ++bi) {
-              tasks.push_back({bi, bj, 0, kb});
-            }
-          }
-          DMAC_RETURN_NOT_OK(RunMultiplyOnWorker(step, w, out_grid, tasks,
-                                                 a, b, c.get()));
-        }
-        return Status::Ok();
-      }
+      case MultAlgo::kRMM1:
       case MultAlgo::kRMM2: {
-        DMAC_CHECK(a.scheme() == (ta ? Scheme::kCol : Scheme::kRow));
-        DMAC_CHECK(b.scheme() == Scheme::kBroadcast);
+        // RMM1: A broadcast, B column-partitioned; worker w computes the
+        // output block-columns it owns. RMM2 mirrors it over block-rows.
+        const bool rmm1 = step.mult_algo == MultAlgo::kRMM1;
+        const Scheme a_rows = ta ? Scheme::kCol : Scheme::kRow;
+        const Scheme b_cols = tb ? Scheme::kRow : Scheme::kCol;
+        DMAC_CHECK(a.scheme() == (rmm1 ? Scheme::kBroadcast : a_rows));
+        DMAC_CHECK(b.scheme() == (rmm1 ? b_cols : Scheme::kBroadcast));
+        const int64_t owned =
+            rmm1 ? out_grid.block_cols() : out_grid.block_rows();
+        const int64_t other =
+            rmm1 ? out_grid.block_rows() : out_grid.block_cols();
         for (int w = 0; w < opts_.num_workers; ++w) {
-          std::vector<MultiplyTask> tasks;
           int64_t lo, hi;
-          OwnedRange(w, out_grid.block_rows(), opts_.num_workers, &lo, &hi);
-          for (int64_t bi = lo; bi < hi; ++bi) {
-            for (int64_t bj = 0; bj < out_grid.block_cols(); ++bj) {
-              tasks.push_back({bi, bj, 0, kb});
+          OwnedRange(w, owned, opts_.num_workers, &lo, &hi);
+          std::vector<MultiplyTask> tasks;
+          for (int64_t o = lo; o < hi; ++o) {
+            for (int64_t i = 0; i < other; ++i) {
+              tasks.push_back(rmm1 ? MultiplyTask{i, o, 0, kb}
+                                   : MultiplyTask{o, i, 0, kb});
             }
           }
-          DMAC_RETURN_NOT_OK(RunMultiplyOnWorker(step, w, out_grid, tasks,
-                                                 a, b, c.get()));
+          StoreSink sink(c.get(), w);
+          DMAC_RETURN_NOT_OK(MultiplyOnWorker(
+              step, w, out_grid, tasks, a, b,
+              [&sink](int64_t bi, int64_t bj, Block blk) {
+                sink(bi, bj, std::move(blk));
+              }));
         }
         return Status::Ok();
       }
-      case MultAlgo::kCPMM:
-        return ExecCpmm(step, a, b, c.get());
+      case MultAlgo::kCPMM: {
+        // Every worker forms its partial C over its own k-range; the
+        // partials are then shuffled to their owners and summed.
+        DMAC_CHECK(a.scheme() == (ta ? Scheme::kRow : Scheme::kCol));
+        DMAC_CHECK(b.scheme() == (tb ? Scheme::kCol : Scheme::kRow));
+        return ShuffleAndSum(
+            step, c.get(), "cpmm-shuffle",
+            [&](int w, std::vector<Partial>* out) {
+              int64_t klo, khi;
+              OwnedRange(w, kb, opts_.num_workers, &klo, &khi);
+              if (klo >= khi) return Status::Ok();
+              std::vector<MultiplyTask> tasks;
+              for (int64_t bi = 0; bi < out_grid.block_rows(); ++bi) {
+                for (int64_t bj = 0; bj < out_grid.block_cols(); ++bj) {
+                  tasks.push_back({bi, bj, klo, khi});
+                }
+              }
+              Mutex mu;  // guards *out while the engine's tasks run
+              return MultiplyOnWorker(
+                  step, w, out_grid, tasks, a, b,
+                  [&](int64_t bi, int64_t bj, Block blk) {
+                    if (blk.nnz() == 0) return;  // nothing to ship
+                    auto ptr = std::make_shared<const Block>(std::move(blk));
+                    MutexLock lock(&mu);
+                    out->push_back({bi, bj, std::move(ptr), w});
+                  },
+                  /*idempotent=*/false);  // a rerun would duplicate *out
+            });
+      }
       case MultAlgo::kNone:
         break;
     }
     return Status::Internal("multiply step without an algorithm");
   }
 
-  Status RunMultiplyOnWorker(const PlanStep& step, int worker,
-                             const BlockGrid& out_grid,
-                             const std::vector<MultiplyTask>& tasks,
-                             const DistMatrix& a, const DistMatrix& b,
-                             DistMatrix* c) {
-    StoreSink sink(c, worker);
+  /// Runs multiply `tasks` on `worker` over its stored operand blocks
+  /// (transpose-fused operands are read at their stored indices).
+  Status MultiplyOnWorker(const PlanStep& step, int worker,
+                          const BlockGrid& out_grid,
+                          const std::vector<MultiplyTask>& tasks,
+                          const DistMatrix& a, const DistMatrix& b,
+                          const LocalEngine::SinkFn& sink,
+                          bool idempotent = true) {
     const bool ta = step.trans_a;
     const bool tb = step.trans_b;
-    const MultiplyOptions mopts{ta, tb, step.cache_csr_b};
-    return TimedWorker(step, worker, [&] {
-      return engine_.MultiplyBlocks(
-          out_grid, tasks,
-          [&a, worker, ta](int64_t bi, int64_t k) {
-            return ta ? a.Get(worker, k, bi) : a.Get(worker, bi, k);
-          },
-          [&b, worker, tb](int64_t k, int64_t bj) {
-            return tb ? b.Get(worker, bj, k) : b.Get(worker, k, bj);
-          },
-          [&sink](int64_t bi, int64_t bj, Block blk) {
-            sink(bi, bj, std::move(blk));
-          },
-          mopts);
-    });
+    return TimedWorker(
+        step, worker,
+        [&] {
+          return engine_.MultiplyBlocks(
+              out_grid, tasks,
+              [&a, worker, ta](int64_t bi, int64_t k) {
+                return ta ? a.Get(worker, k, bi) : a.Get(worker, bi, k);
+              },
+              [&b, worker, tb](int64_t k, int64_t bj) {
+                return tb ? b.Get(worker, bj, k) : b.Get(worker, k, bj);
+              },
+              sink, MultiplyOptions{ta, tb, step.cache_csr_b});
+        },
+        idempotent);
   }
 
-  Status ExecCpmm(const PlanStep& step, const DistMatrix& a,
-                  const DistMatrix& b, DistMatrix* c) {
-    const bool ta = step.trans_a;
-    const bool tb = step.trans_b;
-    DMAC_CHECK(a.scheme() == (ta ? Scheme::kRow : Scheme::kCol));
-    DMAC_CHECK(b.scheme() == (tb ? Scheme::kCol : Scheme::kRow));
-    const BlockGrid& out_grid = c->grid();
-    const int64_t kb = ta ? a.grid().block_rows() : a.grid().block_cols();
+  /// A partial block of output block (bi, bj), computed by worker `from`.
+  struct Partial {
+    int64_t bi;
+    int64_t bj;
+    DistMatrix::BlockPtr block;
+    int from;
+  };
 
-    // Phase 1: every worker forms its partial C over its own k-range.
-    // Phase 2: partial blocks are shuffled to their final owner and summed
-    // (the cross-product aggregation whose cost is N·|C|, §4.1).
-    struct Partial {
-      int64_t bi;
-      int64_t bj;
-      DistMatrix::BlockPtr block;
-      int from;
+  /// Shuffle-and-sum, the cross-product aggregation of CPMM and crossed
+  /// row/col sums (cost N·|C|, §4.1). Worker by worker, `partials_of(w,
+  /// &out)` computes worker w's partial blocks of `c`, timing its own work,
+  /// and the partials are sent to the owners of their output blocks. Each
+  /// owner then sums every block's partials in sender order. Output blocks
+  /// no worker contributed to are zero blocks.
+  template <typename PartialsOf>
+  Status ShuffleAndSum(const PlanStep& step, DistMatrix* c, const char* round,
+                       const PartialsOf& partials_of) {
+    const BlockGrid& grid = c->grid();
+    const auto key = [&grid](const Partial& p) {
+      return p.bi * grid.block_cols() + p.bj;
     };
     std::vector<std::vector<Partial>> incoming(
         static_cast<size_t>(opts_.num_workers));
     double bytes = 0;
-
     for (int w = 0; w < opts_.num_workers; ++w) {
-      int64_t klo, khi;
-      OwnedRange(w, kb, opts_.num_workers, &klo, &khi);
-      if (klo >= khi) continue;
-      std::vector<MultiplyTask> tasks;
-      for (int64_t bi = 0; bi < out_grid.block_rows(); ++bi) {
-        for (int64_t bj = 0; bj < out_grid.block_cols(); ++bj) {
-          tasks.push_back({bi, bj, klo, khi});
-        }
-      }
-      Mutex mu;
-      std::vector<Partial> local;  // guarded by mu while workers run
-      Status st = TimedWorker(step, w, [&] {
-        return engine_.MultiplyBlocks(
-            out_grid, tasks,
-            [&a, w, ta](int64_t bi, int64_t k) {
-              return ta ? a.Get(w, k, bi) : a.Get(w, bi, k);
-            },
-            [&b, w, tb](int64_t k, int64_t bj) {
-              return tb ? b.Get(w, bj, k) : b.Get(w, k, bj);
-            },
-            [&](int64_t bi, int64_t bj, Block blk) {
-              if (blk.nnz() == 0) return;  // nothing to ship
-              auto ptr = std::make_shared<const Block>(std::move(blk));
-              MutexLock lock(&mu);
-              local.push_back({bi, bj, std::move(ptr), w});
-            },
-            MultiplyOptions{ta, tb, step.cache_csr_b});
-      },
-      /*idempotent=*/false);  // a second run would duplicate `local`
-      DMAC_RETURN_NOT_OK(st);
+      std::vector<Partial> local;
+      DMAC_RETURN_NOT_OK(partials_of(w, &local));
       // Pool threads complete tasks in nondeterministic order; sort by
       // output block so the send order — and with it the network layer's
       // fault-draw schedule — is a pure function of the plan and seed.
       std::sort(local.begin(), local.end(),
-                [&out_grid](const Partial& x, const Partial& y) {
-                  return x.bi * out_grid.block_cols() + x.bj <
-                         y.bi * out_grid.block_cols() + y.bj;
+                [&key](const Partial& x, const Partial& y) {
+                  return key(x) < key(y);
                 });
       for (Partial& p : local) {
         const int dst = c->OwnerOf(p.bi, p.bj);
-        if (Host(dst) != Host(p.from)) {
-          bytes += static_cast<double>(p.block->MemoryBytes());
-        }
+        const double block_bytes = static_cast<double>(p.block->MemoryBytes());
+        if (Host(dst) != Host(p.from)) bytes += block_bytes;
         if (UseNetwork() && dst != p.from) {
-          const double block_bytes =
-              static_cast<double>(p.block->MemoryBytes());
           auto carried = std::make_shared<Partial>(std::move(p));
           net_->Send(carried->from, dst, block_bytes,
                      [&incoming, dst, carried] {
@@ -1688,75 +1661,65 @@ class Executor::Impl {
         }
       }
     }
-    CountShuffle(bytes);
-    if (TraceRecorder::Global().enabled()) {
-      TraceSpan span(kTraceComm, "cpmm-shuffle");
-      span.set_args(TraceArg("bytes", bytes) + "," +
-                    TraceArg("kind", "shuffle"));
-    }
     // Comm-round boundary: partials are in flight. A death forced here
     // (death_in_flight) bumps the epoch while the victim's sends sit
-    // queued, so the flush below fences them — the stale-epoch path the
-    // degraded-mode tests audit.
+    // queued, so the flush fences them — the stale-epoch path the
+    // degraded-mode tests audit. It is also the cheapest place to notice a
+    // mid-round cancel.
     if (membership_ != nullptr && opts_.fault.death_in_flight &&
         opts_.fault.death_step == step.id && !forced_death_applied_ &&
         !recovering_) {
       forced_death_applied_ = true;
       ApplyDeath(opts_.fault.death_worker, step.stage);
     }
-    // Comm-round boundary: the cheapest place to notice a mid-CPMM cancel.
     DMAC_RETURN_NOT_OK(CheckCancel());
-    if (UseNetwork()) DMAC_RETURN_NOT_OK(net_->Flush("cpmm-shuffle"));
+    {
+      TraceSpan span(kTraceComm, round);
+      DMAC_RETURN_NOT_OK(EndCommRound(span, /*broadcast=*/false, bytes, round));
+    }
 
-    // Phase 2: aggregation at the owners (next stage's beginning; we account
-    // its compute into the step's stage for simplicity).
     for (int w = 0; w < opts_.num_workers; ++w) {
-      auto& parts = incoming[static_cast<size_t>(w)];
-      if (parts.empty()) continue;
+      if (incoming[static_cast<size_t>(w)].empty()) continue;
       std::unordered_map<int64_t, std::vector<Partial>> grouped;
-      for (Partial& p : parts) {
-        grouped[p.bi * out_grid.block_cols() + p.bj].push_back(std::move(p));
+      for (Partial& p : incoming[static_cast<size_t>(w)]) {
+        grouped[key(p)].push_back(std::move(p));
       }
       // Sum each output block's partials in sender order, regardless of
       // arrival order: locally-kept and network-delivered partials may
       // interleave differently, and floating-point addition is not
       // associative — the summation order must be canonical for the run to
       // stay bit-identical under reordering faults.
-      for (auto& [key, blocks] : grouped) {
-        std::sort(blocks.begin(), blocks.end(),
+      for (auto& [k, parts] : grouped) {
+        std::sort(parts.begin(), parts.end(),
                   [](const Partial& x, const Partial& y) {
                     return x.from < y.from;
                   });
       }
       StoreSink sink(c, w);
-      Status st = TimedWorker(step, w, [&] {
+      DMAC_RETURN_NOT_OK(TimedWorker(step, w, [&] {
         std::vector<std::function<Status()>> tasks;
         tasks.reserve(grouped.size());
-        for (auto& [key, blocks] : grouped) {
-          const int64_t bi = key / out_grid.block_cols();
-          const int64_t bj = key % out_grid.block_cols();
-          auto* blocks_ptr = &blocks;
-          tasks.push_back([this, &sink, bi, bj, blocks_ptr] {
-            std::vector<const Block*> parts;
-            parts.reserve(blocks_ptr->size());
-            for (const auto& p : *blocks_ptr) parts.push_back(p.block.get());
-            auto result = SumBlocks(parts, opts_.density_threshold);
-            if (!result.ok()) return result.status();
-            sink(bi, bj, std::move(*result));
+        for (const auto& [k, parts] : grouped) {
+          tasks.push_back([&sink, &grid, k = k, parts = &parts]() -> Status {
+            std::vector<const Block*> blocks;
+            blocks.reserve(parts->size());
+            for (const Partial& p : *parts) blocks.push_back(p.block.get());
+            DMAC_ASSIGN_OR_RETURN(Block sum,
+                                  SumBlocks(blocks, kDensityThreshold));
+            sink(k / grid.block_cols(), k % grid.block_cols(),
+                 std::move(sum));
             return Status::Ok();
           });
         }
         return engine_.RunTasks(tasks, TaskKind::kAggregate);
-      });
-      DMAC_RETURN_NOT_OK(st);
+      }));
     }
 
-    // Output blocks with no partials anywhere are zero blocks.
-    for (int64_t bi = 0; bi < out_grid.block_rows(); ++bi) {
-      for (int64_t bj = 0; bj < out_grid.block_cols(); ++bj) {
+    for (int64_t bi = 0; bi < grid.block_rows(); ++bi) {
+      for (int64_t bj = 0; bj < grid.block_cols(); ++bj) {
         const int w = c->OwnerOf(bi, bj);
         if (c->Get(w, bi, bj) == nullptr) {
-          const Shape shape = out_grid.BlockShape(bi, bj);
+          const Shape shape = grid.BlockShape(bi, bj);
           c->Put(w, bi, bj,
                  std::make_shared<const Block>(
                      CscBlock(shape.rows, shape.cols)));
@@ -1764,6 +1727,40 @@ class Executor::Impl {
       }
     }
     return Status::Ok();
+  }
+
+  /// Block map behind the transpose, cell-wise, scalar and unary steps:
+  /// every worker turns each block (bi, bj) of `src` it holds into block
+  /// fn(worker, bi, bj, block) of `dst` (at (bj, bi) for a transpose), one
+  /// engine task per block. A Broadcast input is mapped once, on worker 0,
+  /// and the other replicas share the result.
+  template <typename Fn>
+  Status MapBlocks(const PlanStep& step, const DistMatrix& src,
+                   DistMatrix* dst, TaskKind kind, const Fn& fn) {
+    const bool broadcast = src.scheme() == Scheme::kBroadcast;
+    const bool transpose = kind == TaskKind::kTranspose;
+    for (int w = 0; w < (broadcast ? 1 : opts_.num_workers); ++w) {
+      auto blocks = src.WorkerBlocks(w);
+      StoreSink sink(dst, w);
+      DMAC_RETURN_NOT_OK(TimedWorker(step, w, [&] {
+        std::vector<std::function<Status()>> tasks;
+        tasks.reserve(blocks.size());
+        for (const auto& [bi, bj, ptr] : blocks) {
+          tasks.push_back([&fn, &sink, w, transpose, bi = bi, bj = bj,
+                           block = ptr.get()]() -> Status {
+            DMAC_ASSIGN_OR_RETURN(Block out, fn(w, bi, bj, *block));
+            if (transpose) {
+              sink(bj, bi, std::move(out));
+            } else {
+              sink(bi, bj, std::move(out));
+            }
+            return Status::Ok();
+          });
+        }
+        return engine_.RunTasks(tasks, kind);
+      }));
+    }
+    return broadcast ? ReplicateFromWorkerZero(dst) : Status::Ok();
   }
 
   Status ExecCellwise(const PlanStep& step) {
@@ -1777,47 +1774,27 @@ class Executor::Impl {
     DMAC_CHECK(a.scheme() == b.scheme());
     auto c = NewData(step.output, a.grid().matrix);
     const OpKind kind = step.op_kind;
-
-    const bool broadcast = a.scheme() == Scheme::kBroadcast;
-    const int workers = broadcast ? 1 : opts_.num_workers;
-    for (int w = 0; w < workers; ++w) {
-      auto blocks = a.WorkerBlocks(w);
-      StoreSink sink(c.get(), w);
-      Status st = TimedWorker(step, w, [&] {
-        std::vector<std::function<Status()>> tasks;
-        tasks.reserve(blocks.size());
-        for (auto& [bi, bj, aptr] : blocks) {
+    return MapBlocks(
+        step, a, c.get(), TaskKind::kElementwise,
+        [&b, kind](int w, int64_t bi, int64_t bj,
+                   const Block& ablk) -> Result<Block> {
           auto bptr = b.Get(w, bi, bj);
           if (bptr == nullptr) {
             return Status::Internal("cell-wise op: operand block missing");
           }
-          tasks.push_back([&sink, kind, bi = bi, bj = bj, ablk = aptr,
-                           bblk = std::move(bptr)] {
-            Result<Block> res = [&]() -> Result<Block> {
-              switch (kind) {
-                case OpKind::kAdd:
-                  return Add(*ablk, *bblk);
-                case OpKind::kSubtract:
-                  return Subtract(*ablk, *bblk);
-                case OpKind::kCellMultiply:
-                  return CellMultiply(*ablk, *bblk);
-                case OpKind::kCellDivide:
-                  return CellDivide(*ablk, *bblk);
-                default:
-                  return Status::Internal("bad cell-wise kind");
-              }
-            }();
-            if (!res.ok()) return res.status();
-            sink(bi, bj, std::move(*res));
-            return Status::Ok();
-          });
-        }
-        return engine_.RunTasks(tasks, TaskKind::kElementwise);
-      });
-      DMAC_RETURN_NOT_OK(st);
-    }
-    if (broadcast) DMAC_RETURN_NOT_OK(ReplicateFromWorkerZero(c.get()));
-    return Status::Ok();
+          switch (kind) {
+            case OpKind::kAdd:
+              return Add(ablk, *bptr);
+            case OpKind::kSubtract:
+              return Subtract(ablk, *bptr);
+            case OpKind::kCellMultiply:
+              return CellMultiply(ablk, *bptr);
+            case OpKind::kCellDivide:
+              return CellDivide(ablk, *bptr);
+            default:
+              return Status::Internal("bad cell-wise kind");
+          }
+        });
   }
 
   Status ExecScalarOp(const PlanStep& step) {
@@ -1825,63 +1802,28 @@ class Executor::Impl {
     DMAC_ASSIGN_OR_RETURN(double scalar, EvalScalar(step.scalar, scalars_));
     auto c = NewData(step.output, a.grid().matrix);
     const bool add = step.op_kind == OpKind::kScalarAdd;
-
-    const bool broadcast = a.scheme() == Scheme::kBroadcast;
-    const int workers = broadcast ? 1 : opts_.num_workers;
-    for (int w = 0; w < workers; ++w) {
-      auto blocks = a.WorkerBlocks(w);
-      StoreSink sink(c.get(), w);
-      Status st = TimedWorker(step, w, [&] {
-        std::vector<std::function<Status()>> tasks;
-        tasks.reserve(blocks.size());
-        for (auto& [bi, bj, ptr] : blocks) {
-          tasks.push_back([&sink, add, scalar, bi = bi, bj = bj, blk = ptr] {
-            sink(bi, bj,
-                 add ? ScalarAdd(*blk, static_cast<Scalar>(scalar))
-                     : ScalarMultiply(*blk, static_cast<Scalar>(scalar)));
-            return Status::Ok();
-          });
-        }
-        return engine_.RunTasks(tasks, TaskKind::kElementwise);
-      });
-      DMAC_RETURN_NOT_OK(st);
-    }
-    if (broadcast) DMAC_RETURN_NOT_OK(ReplicateFromWorkerZero(c.get()));
-    return Status::Ok();
+    const Scalar s = static_cast<Scalar>(scalar);
+    return MapBlocks(step, a, c.get(), TaskKind::kElementwise,
+                     [add, s](int, int64_t, int64_t, const Block& block) {
+                       return Result<Block>(add ? ScalarAdd(block, s)
+                                                : ScalarMultiply(block, s));
+                     });
   }
 
   Status ExecCellUnary(const PlanStep& step) {
     const DistMatrix& a = Data(step.inputs[0]);
     auto c = NewData(step.output, a.grid().matrix);
     const UnaryFnKind fn = step.unary_fn;
-
-    const bool broadcast = a.scheme() == Scheme::kBroadcast;
-    const int workers = broadcast ? 1 : opts_.num_workers;
-    for (int w = 0; w < workers; ++w) {
-      auto blocks = a.WorkerBlocks(w);
-      StoreSink sink(c.get(), w);
-      Status st = TimedWorker(step, w, [&] {
-        std::vector<std::function<Status()>> tasks;
-        tasks.reserve(blocks.size());
-        for (auto& [bi, bj, ptr] : blocks) {
-          tasks.push_back([&sink, fn, bi = bi, bj = bj, blk = ptr] {
-            sink(bi, bj, CellUnary(*blk, fn));
-            return Status::Ok();
-          });
-        }
-        return engine_.RunTasks(tasks, TaskKind::kElementwise);
-      });
-      DMAC_RETURN_NOT_OK(st);
-    }
-    if (broadcast) DMAC_RETURN_NOT_OK(ReplicateFromWorkerZero(c.get()));
-    return Status::Ok();
+    return MapBlocks(step, a, c.get(), TaskKind::kElementwise,
+                     [fn](int, int64_t, int64_t, const Block& block) {
+                       return Result<Block>(CellUnary(block, fn));
+                     });
   }
 
-  /// Row/column sums. Three layouts (mirroring the strategy set): summing
-  /// along the partitioned axis is per-worker local; a Broadcast input is
-  /// reduced once and re-shared; summing across the partitioned axis leaves
-  /// per-worker partial vectors that are shuffled to their owners and added
-  /// (the aggregation whose plan cost is N·|out|).
+  /// Row/column sums. Summing along the partitioned axis is worker-local,
+  /// and a Broadcast input is summed once on worker 0 and shared; summing
+  /// across the partitioned axis leaves per-worker partial vectors that
+  /// shuffle-and-sum adds up at their owners (plan cost N·|out|).
   Status ExecAggregate(const PlanStep& step) {
     const DistMatrix& a = Data(step.inputs[0]);
     const bool rows = step.op_kind == OpKind::kRowSums;
@@ -1890,160 +1832,53 @@ class Executor::Impl {
     auto c = NewData(step.output, out_shape);
     const BlockGrid& out_grid = c->grid();
 
-    // Sums one worker's blocks into per-output-block dense accumulators.
-    auto local_partials =
-        [&](int w) -> std::unordered_map<int64_t, DenseBlock> {
+    // Sums worker w's blocks into one partial per output block.
+    auto partial_sums = [&](int w) {
       std::unordered_map<int64_t, DenseBlock> acc;
       for (auto& [bi, bj, ptr] : a.WorkerBlocks(w)) {
-        const int64_t out_idx = rows ? bi : bj;
-        auto it = acc.find(out_idx);
+        const int64_t idx = rows ? bi : bj;
+        auto it = acc.find(idx);
         if (it == acc.end()) {
-          const Shape s = rows ? out_grid.BlockShape(out_idx, 0)
-                               : out_grid.BlockShape(0, out_idx);
-          it = acc.emplace(out_idx, DenseBlock(s.rows, s.cols)).first;
+          const Shape s = rows ? out_grid.BlockShape(idx, 0)
+                               : out_grid.BlockShape(0, idx);
+          it = acc.emplace(idx, DenseBlock(s.rows, s.cols)).first;
         }
         const DenseBlock partial = rows ? RowSums(*ptr) : ColSums(*ptr);
         Status st = AddAccumulate(Block(partial), &it->second);
         DMAC_CHECK(st.ok()) << st;
       }
-      return acc;
+      std::vector<Partial> out;
+      out.reserve(acc.size());
+      for (const auto& [idx, sum] : acc) {
+        out.push_back({rows ? idx : 0, rows ? 0 : idx,
+                       std::make_shared<const Block>(
+                           CompactFromDense(sum, kDensityThreshold)),
+                       w});
+      }
+      return out;
     };
 
-    const Scheme aligned = rows ? Scheme::kRow : Scheme::kCol;
-    if (a.scheme() == aligned) {
-      // Local: the worker owning a row (column) range owns every block that
+    const bool broadcast = a.scheme() == Scheme::kBroadcast;
+    if (broadcast || a.scheme() == (rows ? Scheme::kRow : Scheme::kCol)) {
+      // The worker owning a row (column) range holds every block that
       // contributes to its slice of the result.
-      for (int w = 0; w < opts_.num_workers; ++w) {
-        Status st = TimedWorker(step, w, [&] {
-          for (auto& [idx, acc] : local_partials(w)) {
-            auto block = std::make_shared<const Block>(
-                CompactFromDense(acc, opts_.density_threshold));
-            if (rows) {
-              c->Put(w, idx, 0, std::move(block));
-            } else {
-              c->Put(w, 0, idx, std::move(block));
-            }
+      for (int w = 0; w < (broadcast ? 1 : opts_.num_workers); ++w) {
+        DMAC_RETURN_NOT_OK(TimedWorker(step, w, [&] {
+          for (Partial& p : partial_sums(w)) {
+            c->Put(w, p.bi, p.bj, std::move(p.block));
           }
           return Status::Ok();
-        });
-        DMAC_RETURN_NOT_OK(st);
+        }));
       }
-      return Status::Ok();
+      return broadcast ? ReplicateFromWorkerZero(c.get()) : Status::Ok();
     }
-
-    if (a.scheme() == Scheme::kBroadcast) {
-      Status st = TimedWorker(step, 0, [&] {
-        for (auto& [idx, acc] : local_partials(0)) {
-          auto block = std::make_shared<const Block>(
-              CompactFromDense(acc, opts_.density_threshold));
-          if (rows) {
-            c->Put(0, idx, 0, std::move(block));
-          } else {
-            c->Put(0, 0, idx, std::move(block));
-          }
-        }
-        return Status::Ok();
-      });
-      DMAC_RETURN_NOT_OK(st);
-      return ReplicateFromWorkerZero(c.get());
-    }
-
-    // Crossed: every worker holds a partial over the full output; shuffle
-    // partials to their owners and sum.
-    struct Partial {
-      int64_t idx;
-      DistMatrix::BlockPtr block;
-      int from;
-    };
-    std::vector<std::vector<Partial>> incoming(
-        static_cast<size_t>(opts_.num_workers));
-    double bytes = 0;
-    for (int w = 0; w < opts_.num_workers; ++w) {
-      std::unordered_map<int64_t, DenseBlock> partials;
-      Status st = TimedWorker(step, w, [&] {
-        partials = local_partials(w);
-        return Status::Ok();
-      });
-      DMAC_RETURN_NOT_OK(st);
-      // Send in ascending output-index order: the hash map's iteration
-      // order is unspecified, and the network layer's fault-draw schedule
-      // must be a pure function of the plan and seed.
-      std::vector<int64_t> idxs;
-      idxs.reserve(partials.size());
-      for (const auto& [idx, acc] : partials) idxs.push_back(idx);
-      std::sort(idxs.begin(), idxs.end());
-      for (int64_t idx : idxs) {
-        auto block = std::make_shared<const Block>(CompactFromDense(
-            partials.at(idx), opts_.density_threshold));
-        const int dst = rows ? c->OwnerOf(idx, 0) : c->OwnerOf(0, idx);
-        if (Host(dst) != Host(w)) {
-          bytes += static_cast<double>(block->MemoryBytes());
-        }
-        if (UseNetwork() && dst != w) {
-          const double block_bytes =
-              static_cast<double>(block->MemoryBytes());
-          net_->Send(w, dst, block_bytes,
-                     [&incoming, dst, idx, block, w] {
-                       incoming[static_cast<size_t>(dst)].push_back(
-                           {idx, block, w});
-                     });
-        } else {
-          incoming[static_cast<size_t>(dst)].push_back(
-              {idx, std::move(block), w});
-        }
-      }
-    }
-    CountShuffle(bytes);
-    if (TraceRecorder::Global().enabled()) {
-      TraceSpan span(kTraceComm, "aggregate-shuffle");
-      span.set_args(TraceArg("bytes", bytes) + "," +
-                    TraceArg("kind", "shuffle"));
-    }
-    if (UseNetwork()) DMAC_RETURN_NOT_OK(net_->Flush("aggregate-shuffle"));
-
-    for (int w = 0; w < opts_.num_workers; ++w) {
-      std::unordered_map<int64_t, std::vector<Partial>> grouped;
-      for (Partial& p : incoming[static_cast<size_t>(w)]) {
-        grouped[p.idx].push_back(std::move(p));
-      }
-      // Canonical sender-order summation, as in ExecCpmm phase 2.
-      for (auto& [idx, ps] : grouped) {
-        std::sort(ps.begin(), ps.end(),
-                  [](const Partial& x, const Partial& y) {
-                    return x.from < y.from;
-                  });
-      }
-      Status st = TimedWorker(step, w, [&] {
-        for (auto& [idx, ps] : grouped) {
-          std::vector<const Block*> parts;
-          parts.reserve(ps.size());
-          for (const auto& p : ps) parts.push_back(p.block.get());
-          auto sum = SumBlocks(parts, opts_.density_threshold);
-          if (!sum.ok()) return sum.status();
-          auto block = std::make_shared<const Block>(std::move(*sum));
-          if (rows) {
-            c->Put(w, idx, 0, std::move(block));
-          } else {
-            c->Put(w, 0, idx, std::move(block));
-          }
-        }
-        return Status::Ok();
-      });
-      DMAC_RETURN_NOT_OK(st);
-    }
-    // Contributions exist for every output block (inputs cover the grid),
-    // but guard against fully-empty worker shares.
-    for (int64_t bi = 0; bi < out_grid.block_rows(); ++bi) {
-      for (int64_t bj = 0; bj < out_grid.block_cols(); ++bj) {
-        const int w = c->OwnerOf(bi, bj);
-        if (c->Get(w, bi, bj) == nullptr) {
-          const Shape s = out_grid.BlockShape(bi, bj);
-          c->Put(w, bi, bj,
-                 std::make_shared<const Block>(CscBlock(s.rows, s.cols)));
-        }
-      }
-    }
-    return Status::Ok();
+    return ShuffleAndSum(step, c.get(), "aggregate-shuffle",
+                         [&](int w, std::vector<Partial>* out) {
+                           return TimedWorker(step, w, [&] {
+                             *out = partial_sums(w);
+                             return Status::Ok();
+                           });
+                         });
   }
 
   /// Shares worker 0's blocks with every other replica of a Broadcast
@@ -2083,18 +1918,9 @@ class Executor::Impl {
     scalars_[step.scalar_out] = total;
     // Driver aggregation: N partial doubles cross the network (bytes only,
     // no extra round — the reduce piggybacks on the stage boundary).
-    if (recovering_) {
-      stats_.recovery_bytes += 8.0 * opts_.num_workers;
-    } else {
-      stats_.shuffle_bytes += 8.0 * opts_.num_workers;
-      metric_shuffle_bytes_->Add(8.0 * opts_.num_workers);
-    }
-    if (TraceRecorder::Global().enabled()) {
-      TraceSpan span(kTraceComm, "reduce");
-      span.set_args(TraceArg("bytes", 8.0 * opts_.num_workers) + "," +
-                    TraceArg("kind", "shuffle"));
-    }
-    return Status::Ok();
+    TraceSpan span(kTraceComm, "reduce");
+    return EndCommRound(span, /*broadcast=*/false, 8.0 * opts_.num_workers,
+                        "reduce", /*rounds=*/0);
   }
 
   // ---- gather -------------------------------------------------------------
@@ -2180,75 +2006,6 @@ class Executor::Impl {
   std::vector<int> host_map_;  // cached HostMap; applied to new matrices
   bool forced_death_applied_ = false;
   int min_workers_ = 1;
-
-  // Cached metric instruments (stable pointers; no-ops while the registry
-  // is disabled).
-  Counter* metric_shuffle_bytes_ =
-      MetricRegistry::Global().counter(kMetricShuffleBytes);
-  Counter* metric_broadcast_bytes_ =
-      MetricRegistry::Global().counter(kMetricBroadcastBytes);
-  Counter* metric_shuffle_rounds_ =
-      MetricRegistry::Global().counter(kMetricShuffleRounds);
-  Counter* metric_broadcast_rounds_ =
-      MetricRegistry::Global().counter(kMetricBroadcastRounds);
-  Counter* metric_steps_ = MetricRegistry::Global().counter(kMetricStepsExecuted);
-  Gauge* metric_stages_ = MetricRegistry::Global().gauge(kMetricStages);
-  Gauge* metric_peak_memory_ =
-      MetricRegistry::Global().gauge(kMetricPeakMemoryBytes);
-  Gauge* metric_estimate_drift_ =
-      MetricRegistry::Global().gauge(kMetricPlanEstimateDrift);
-  Counter* metric_estimate_drift_events_ =
-      MetricRegistry::Global().counter(kMetricPlanEstimateDriftEvents);
-  Counter* metric_fault_injected_ =
-      MetricRegistry::Global().counter(kMetricFaultInjected);
-  Counter* metric_fault_retries_ =
-      MetricRegistry::Global().counter(kMetricFaultRetries);
-  Counter* metric_fault_recomputed_ =
-      MetricRegistry::Global().counter(kMetricFaultRecomputedBlocks);
-  Counter* metric_fault_restored_ =
-      MetricRegistry::Global().counter(kMetricFaultRestoredBlocks);
-  Counter* metric_fault_speculated_ =
-      MetricRegistry::Global().counter(kMetricFaultSpeculatedTasks);
-  Counter* metric_fault_checkpoint_bytes_ =
-      MetricRegistry::Global().counter(kMetricFaultCheckpointBytes);
-  Counter* metric_fault_recovery_seconds_ =
-      MetricRegistry::Global().counter(kMetricFaultRecoverySeconds);
-  Counter* metric_fault_durable_bytes_ =
-      MetricRegistry::Global().counter(kMetricFaultCheckpointDurableBytes);
-  Counter* metric_fault_epochs_ =
-      MetricRegistry::Global().counter(kMetricFaultCheckpointEpochs);
-  Counter* metric_fault_checkpoint_failures_ =
-      MetricRegistry::Global().counter(kMetricFaultCheckpointFailures);
-  Counter* metric_fault_resume_restored_ =
-      MetricRegistry::Global().counter(kMetricFaultResumeRestoredBlocks);
-  Counter* metric_fault_resume_seconds_ =
-      MetricRegistry::Global().counter(kMetricFaultResumeSeconds);
-  Counter* metric_fault_disk_faults_ =
-      MetricRegistry::Global().counter(kMetricFaultDiskFaults);
-  Counter* metric_net_messages_ =
-      MetricRegistry::Global().counter(kMetricNetMessages);
-  Counter* metric_net_retransmits_ =
-      MetricRegistry::Global().counter(kMetricNetRetransmits);
-  Counter* metric_net_retrans_bytes_ =
-      MetricRegistry::Global().counter(kMetricNetRetransBytes);
-  Counter* metric_net_duplicates_ =
-      MetricRegistry::Global().counter(kMetricNetDuplicates);
-  Counter* metric_net_reordered_ =
-      MetricRegistry::Global().counter(kMetricNetReordered);
-  Counter* metric_net_delay_seconds_ =
-      MetricRegistry::Global().counter(kMetricNetDelaySeconds);
-  Counter* metric_net_partitions_ =
-      MetricRegistry::Global().counter(kMetricNetPartitions);
-  Counter* metric_net_stale_fenced_ =
-      MetricRegistry::Global().counter(kMetricNetStaleFenced);
-  Counter* metric_net_stale_applied_ =
-      MetricRegistry::Global().counter(kMetricNetStaleApplied);
-  Gauge* metric_membership_epoch_ =
-      MetricRegistry::Global().gauge(kMetricMembershipEpoch);
-  Gauge* metric_membership_dead_ =
-      MetricRegistry::Global().gauge(kMetricMembershipWorkersDead);
-  Counter* metric_membership_detection_ =
-      MetricRegistry::Global().counter(kMetricMembershipDetectionSeconds);
 };
 
 Executor::Executor(ExecutorOptions options) : options_(options) {}

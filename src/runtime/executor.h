@@ -41,8 +41,6 @@ struct ExecutorOptions {
   LocalMode local_mode = LocalMode::kInPlace;
   /// Shared task queue (Fig. 4) or static per-thread chunks (ablation).
   TaskScheduling task_scheduling = TaskScheduling::kQueue;
-  /// Blocks denser than this are stored dense.
-  double density_threshold = 0.5;
   /// Seed for `random` leaves.
   uint64_t seed = 42;
   /// Fault injection and recovery (docs/fault_tolerance.md). While

@@ -100,6 +100,42 @@ TEST(DegradedRunTest, InFlightDeathDuringCpmmShuffleIsEpochFenced) {
   EXPECT_EQ(stats.net_stale_applied, 0);
 }
 
+TEST(DegradedRunTest, InFlightDeathDuringAggregateShuffleIsEpochFenced) {
+  // Crossed colSums shares CPMM's shuffle-and-sum round, so a death there
+  // must be fenced the same way.
+  const FaultAppCase app = MakeSmallColSums();
+  const Bindings bindings = app.MakeBindings();
+  const RunConfig clean = BaseConfig(4);
+  const auto baseline = RunProgram(app.program, bindings, clean);
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+
+  auto plan = PlanProgram(app.program, clean);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  int aggregate_step = -1;
+  for (const PlanStep& step : plan->steps) {
+    if (step.op_kind == OpKind::kColSums && step.comm_bytes > 0) {
+      aggregate_step = step.id;  // crossed: the sums shuffle
+      break;
+    }
+  }
+  ASSERT_GE(aggregate_step, 0) << "plan has no crossed colSums step";
+  RunConfig config = clean;
+  config.fault.enabled = true;
+  config.fault.death_step = aggregate_step;
+  // Worker 1 holds W's block-rows, so its partial vectors are in flight to
+  // their owner (worker 0) when it dies.
+  config.fault.death_worker = 1;
+  config.fault.death_in_flight = true;
+  const auto outcome = RunProgram(app.program, bindings, config);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  ExpectBitIdentical(baseline->result, outcome->result, "colsums/in-flight");
+
+  const ExecStats& stats = outcome->result.stats;
+  EXPECT_EQ(stats.workers_dead, 1);
+  EXPECT_GT(stats.net_stale_fenced, 0);
+  EXPECT_EQ(stats.net_stale_applied, 0);
+}
+
 TEST(DegradedRunTest, BelowQuorumFailsCleanWithUnavailable) {
   const FaultAppCase app = MakeSmallGnmf();
   const Bindings bindings = app.MakeBindings();

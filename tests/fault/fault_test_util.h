@@ -14,6 +14,7 @@
 #include "data/graph_gen.h"
 #include "data/synthetic.h"
 #include "fault/checksum.h"
+#include "lang/parser.h"
 
 namespace dmac {
 
@@ -48,6 +49,26 @@ inline FaultAppCase MakeSmallPageRank() {
   c.inputs.emplace_back(
       "D", ConstantMatrix({1, spec.nodes}, kFaultBs,
                           1.0f / static_cast<Scalar>(spec.nodes)));
+  return c;
+}
+
+/// colSums of a row-partitioned product, three iterations: the crossed
+/// aggregate, whose per-worker partial vectors go through shuffle-and-sum.
+inline FaultAppCase MakeSmallColSums() {
+  auto program = ParseProgram(
+      "A = load(\"A\", 96, 64, 0.3)\n"
+      "H = random(64, 40)\n"
+      "for i in 0:3 {\n"
+      "  W = A %*% H\n"
+      "  c = colsums(W)\n"
+      "  total = value(rowsums(c))\n"
+      "  H = H / total\n"
+      "}\n"
+      "output(W)\n"
+      "output(c)\n");
+  EXPECT_TRUE(program.ok()) << program.status();
+  FaultAppCase c{"colsums", *program, {}};
+  c.inputs.emplace_back("A", SyntheticSparse(96, 64, 0.3, kFaultBs, 17));
   return c;
 }
 

@@ -160,7 +160,14 @@ RunConfig BaseConfig() {
 class NetFaultIdentityTest : public ::testing::TestWithParam<int> {
  protected:
   static FaultAppCase MakeCase(int index) {
-    return index == 0 ? MakeSmallGnmf() : MakeSmallPageRank();
+    switch (index) {
+      case 0:
+        return MakeSmallGnmf();
+      case 1:
+        return MakeSmallPageRank();
+      default:
+        return MakeSmallColSums();
+    }
   }
 };
 
@@ -196,10 +203,12 @@ TEST_P(NetFaultIdentityTest, NetworkFaultsNeverChangeResults) {
   EXPECT_GT(total_perturbations, 0) << app.name;
 }
 
-INSTANTIATE_TEST_SUITE_P(Apps, NetFaultIdentityTest, ::testing::Values(0, 1),
+INSTANTIATE_TEST_SUITE_P(Apps, NetFaultIdentityTest,
+                         ::testing::Values(0, 1, 2),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return info.param == 0 ? std::string("gnmf")
-                                                  : std::string("pagerank");
+                           return std::string(info.param == 0   ? "gnmf"
+                                              : info.param == 1 ? "pagerank"
+                                                                : "colsums");
                          });
 
 }  // namespace
