@@ -157,20 +157,7 @@ Result<RunOutcome> RunProgram(const Program& program, const Bindings& bindings,
   }
   const double plan_seconds = plan_timer.ElapsedSeconds();
 
-  ExecutorOptions eopts;
-  eopts.num_workers = config.num_workers;
-  eopts.threads_per_worker = config.threads_per_worker;
-  eopts.block_size = config.block_size;
-  eopts.local_mode = config.local_mode;
-  eopts.task_scheduling = config.task_scheduling;
-  eopts.seed = config.seed;
-  eopts.fault = config.fault;
-  eopts.checkpoint_every = config.checkpoint_every;
-  eopts.checkpoint_dir = config.checkpoint_dir;
-  eopts.resume = config.resume;
-  eopts.min_workers = config.min_workers;
-  eopts.governor = config.governor;
-  Executor executor(eopts);
+  Executor executor(config);
 
   Timer exec_timer;
   DMAC_ASSIGN_OR_RETURN(ExecutionResult result,

@@ -13,12 +13,10 @@
 
 namespace dmac {
 
-/// Configuration of a full program run.
-struct RunConfig {
-  int num_workers = 4;
-  int threads_per_worker = 2;
-  /// 0 = adopt the block size of the first binding.
-  int64_t block_size = 0;
+/// Configuration of a full program run: the executor's options (worker
+/// count, threads, block size, seed, faults, checkpoints, quorum,
+/// governance) plus the planner's.
+struct RunConfig : ExecutorOptions {
   /// true = DMac planner; false = SystemML-S baseline planner.
   bool exploit_dependencies = true;
   /// Planner heuristics (for ablations).
@@ -27,35 +25,9 @@ struct RunConfig {
   /// Fold zero-comm transposes feeding multiplies into kernel flags
   /// (docs/kernels.md); off re-materializes every transpose.
   bool fuse_transposes = true;
-  /// In-place vs buffered local multiplication (Fig. 7 ablation).
-  LocalMode local_mode = LocalMode::kInPlace;
-  /// Task-queue vs static local scheduling (Fig. 4 ablation).
-  TaskScheduling task_scheduling = TaskScheduling::kQueue;
   /// Run the static plan verifier (src/analysis) after planning; planning
   /// fails on any error diagnostic. Defaults on in debug builds.
   bool verify_plan = kVerifyPlanDefault;
-  uint64_t seed = 42;
-  /// Fault injection and lineage recovery (docs/fault_tolerance.md).
-  /// Disabled by default: the fault machinery then costs one branch per
-  /// step and results are unchanged.
-  FaultSpec fault;
-  /// Checkpoint hinted matrices every K producing steps (0 = never).
-  int checkpoint_every = 0;
-  /// Durable checkpoint directory (docs/fault_tolerance.md, "Durability &
-  /// restart"). Non-empty = every in-memory checkpoint is also committed to
-  /// disk as a crash-consistent epoch; an unset `checkpoint_every` then
-  /// defaults to 1.
-  std::string checkpoint_dir;
-  /// Restore the last committed snapshot from `checkpoint_dir` before
-  /// executing; the resumed run is bit-identical to an uninterrupted one.
-  bool resume = false;
-  /// Degraded-mode quorum: fail clean with kUnavailable once permanent
-  /// worker deaths leave fewer than this many survivors (clamped to
-  /// [1, num_workers]).
-  int min_workers = 1;
-  /// Resource governance (docs/governance.md): deadline/cancel token,
-  /// memory budget and spill store. Default = ungoverned.
-  GovernorContext governor;
   /// Cost-based plan search (plan/search.h, docs/planner.md). kOff = the
   /// greedy Algorithm 1 plan, exactly as before.
   PlanSearchMode plan_search = PlanSearchMode::kOff;

@@ -238,7 +238,7 @@ Status DurableCheckpointStore::Commit(
     int resume_step, int64_t checkpoint_counter,
     const std::vector<std::pair<std::string, double>>& scalars,
     const std::vector<int>& reload_nodes,
-    const std::vector<PendingDurableBlock>& blocks) {
+    const std::vector<NodeBlockRecord>& blocks) {
   DurableSnapshot snap;
   snap.epoch = next_epoch_;
   snap.resume_step = resume_step;
@@ -263,12 +263,12 @@ Status DurableCheckpointStore::Commit(
   std::unordered_map<const Block*, std::string> file_of;
   int64_t pending_bytes = 0;
   int seq = 0;
-  for (const PendingDurableBlock& pb : blocks) {
-    auto [it, inserted] = file_of.try_emplace(pb.block.get());
+  for (const auto& [node_id, rec] : blocks) {
+    auto [it, inserted] = file_of.try_emplace(rec.payload.get());
     if (inserted) {
       it->second = "blk-" + std::to_string(snap.epoch) + "-" +
                    std::to_string(seq++) + ".bin";
-      const std::string data = SerializeBlock(*pb.block);
+      const std::string data = SerializeBlock(*rec.payload);
       const Status st = io_->WriteFileAtomic(PathFor(it->second), data);
       if (!st.ok()) {
         rollback();
@@ -278,7 +278,7 @@ Status DurableCheckpointStore::Commit(
       pending_bytes += static_cast<int64_t>(data.size());
     }
     snap.blocks.push_back(
-        DurableBlock{pb.node_id, pb.worker, pb.key, pb.checksum, it->second});
+        DurableBlock{node_id, rec.worker, rec.key, rec.checksum, it->second});
   }
   const std::string manifest = BuildManifest(snap);
   const Status st = io_->WriteFileAtomic(

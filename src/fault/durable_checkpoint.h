@@ -30,6 +30,7 @@
 
 #include "common/result.h"
 #include "fault/durable_io.h"
+#include "fault/lineage.h"
 #include "matrix/block.h"
 
 namespace dmac {
@@ -63,15 +64,11 @@ struct DurableSnapshot {
   std::vector<DurableBlock> blocks;
 };
 
-/// A block queued for Commit(): the cluster position plus a reference to
-/// the (immutable) payload. Entries sharing a payload pointer share one
-/// block file.
-struct PendingDurableBlock {
+/// A block queued for Commit(): a lineage block record, payload set, tagged
+/// with its node. Records sharing a payload pointer share one block file.
+struct NodeBlockRecord {
   int node_id = -1;
-  int worker = 0;
-  int64_t key = 0;
-  uint64_t checksum = 0;
-  std::shared_ptr<const Block> block;
+  LineageBlockRecord block;
 };
 
 /// Driver-side durable checkpoint store. Not thread-safe: only the driver
@@ -104,7 +101,7 @@ class DurableCheckpointStore {
       int resume_step, int64_t checkpoint_counter,
       const std::vector<std::pair<std::string, double>>& scalars,
       const std::vector<int>& reload_nodes,
-      const std::vector<PendingDurableBlock>& blocks);
+      const std::vector<NodeBlockRecord>& blocks);
 
   /// Bytes successfully committed (block files + manifests) so far.
   int64_t bytes_written() const { return bytes_written_; }

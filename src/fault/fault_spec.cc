@@ -1,8 +1,10 @@
 #include "fault/fault_spec.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 namespace dmac {
 
@@ -43,6 +45,24 @@ Status ParseDouble(const std::string& key, const std::string& value,
   const double v = std::strtod(value.c_str(), &end);
   if (end == value.c_str() || *end != '\0') {
     return Status::Invalid(key + ": expected a number, got '" + value + "'");
+  }
+  *out = v;
+  return Status::Ok();
+}
+
+/// Parses a base-10 integer that fits `Int`, rejecting trailing characters
+/// (`3x`) and out-of-range values instead of truncating them.
+template <typename Int>
+Status ParseInt(const std::string& key, const std::string& value, Int* out) {
+  Int v{};
+  const char* last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, v);
+  if (ec == std::errc::result_out_of_range) {
+    return Status::Invalid(key + ": integer out of range: '" + value + "'");
+  }
+  if (ec != std::errc() || end != last) {
+    return Status::Invalid(key + ": expected an integer, got '" + value +
+                           "'");
   }
   *out = v;
   return Status::Ok();
@@ -123,8 +143,7 @@ Result<FaultSpec> ParseFaultSpec(const std::string& text) {
     if (key == "enabled") {
       DMAC_RETURN_NOT_OK(ParseBool(key, value, &spec.enabled));
     } else if (key == "seed") {
-      spec.seed = static_cast<uint64_t>(std::strtoull(value.c_str(),
-                                                      nullptr, 10));
+      DMAC_RETURN_NOT_OK(ParseInt(key, value, &spec.seed));
     } else if (key == "crash_prob") {
       DMAC_RETURN_NOT_OK(ParseDouble(key, value, &spec.crash_prob));
     } else if (key == "lost_block_prob") {
@@ -141,17 +160,17 @@ Result<FaultSpec> ParseFaultSpec(const std::string& text) {
     } else if (key == "speculate") {
       DMAC_RETURN_NOT_OK(ParseBool(key, value, &spec.speculate));
     } else if (key == "max_retries") {
-      spec.max_retries = std::atoi(value.c_str());
+      DMAC_RETURN_NOT_OK(ParseInt(key, value, &spec.max_retries));
     } else if (key == "backoff_base_seconds") {
       DMAC_RETURN_NOT_OK(ParseDouble(key, value, &spec.backoff_base_seconds));
     } else if (key == "permanent_fail_step") {
-      spec.permanent_fail_step = std::atoi(value.c_str());
+      DMAC_RETURN_NOT_OK(ParseInt(key, value, &spec.permanent_fail_step));
     } else if (key == "death_prob") {
       DMAC_RETURN_NOT_OK(ParseDouble(key, value, &spec.death_prob));
     } else if (key == "death_step") {
-      spec.death_step = std::atoi(value.c_str());
+      DMAC_RETURN_NOT_OK(ParseInt(key, value, &spec.death_step));
     } else if (key == "death_worker") {
-      spec.death_worker = std::atoi(value.c_str());
+      DMAC_RETURN_NOT_OK(ParseInt(key, value, &spec.death_worker));
     } else if (key == "death_in_flight") {
       DMAC_RETURN_NOT_OK(ParseBool(key, value, &spec.death_in_flight));
     } else if (key == "net_drop_prob") {
@@ -167,7 +186,7 @@ Result<FaultSpec> ParseFaultSpec(const std::string& text) {
     } else if (key == "net_partition_prob") {
       DMAC_RETURN_NOT_OK(ParseDouble(key, value, &spec.net.partition_prob));
     } else if (key == "net_partition_drops") {
-      spec.net.partition_drops = std::atoi(value.c_str());
+      DMAC_RETURN_NOT_OK(ParseInt(key, value, &spec.net.partition_drops));
     } else if (key == "disk_short_write_prob") {
       DMAC_RETURN_NOT_OK(ParseDouble(key, value, &spec.disk.short_write_prob));
     } else if (key == "disk_read_flip_prob") {
@@ -177,7 +196,7 @@ Result<FaultSpec> ParseFaultSpec(const std::string& text) {
     } else if (key == "disk_fsync_fail_prob") {
       DMAC_RETURN_NOT_OK(ParseDouble(key, value, &spec.disk.fsync_fail_prob));
     } else if (key == "crash_at") {
-      spec.disk.crash_at = std::atoi(value.c_str());
+      DMAC_RETURN_NOT_OK(ParseInt(key, value, &spec.disk.crash_at));
     } else if (key == "crash_soft") {
       DMAC_RETURN_NOT_OK(ParseBool(key, value, &spec.disk.crash_soft));
     } else {

@@ -4,20 +4,20 @@
 
 namespace dmac {
 
-void LineageTracker::Record(NodeLineage lineage) {
+NodeLineage& LineageTracker::Record(NodeLineage lineage) {
   std::sort(lineage.blocks.begin(), lineage.blocks.end(),
             [](const LineageBlockRecord& a, const LineageBlockRecord& b) {
               return a.worker != b.worker ? a.worker < b.worker
                                           : a.key < b.key;
             });
-  records_[lineage.node_id] = std::move(lineage);
+  NodeLineage& slot = records_[lineage.node_id];
+  slot = std::move(lineage);
+  return slot;
 }
 
 const NodeLineage* LineageTracker::Find(int node_id) const {
   auto it = records_.find(node_id);
   return it == records_.end() ? nullptr : &it->second;
 }
-
-void LineageTracker::Forget(int node_id) { records_.erase(node_id); }
 
 }  // namespace dmac

@@ -1,19 +1,23 @@
-// Per-node lineage manifests for lost-partition recovery
+// Per-node lineage records for lost-partition recovery
 // (docs/fault_tolerance.md).
 //
 // After each successful producing step the executor records, per plan node,
 // which step produced it, which nodes it consumed, and the exact (worker,
-// block key, checksum) layout of its partition store. The manifest is the
+// block key, checksum) layout of its partition store. The record is the
 // ground truth the recovery path compares the cluster against: a store
-// entry that is missing or hashes differently from its manifest record is
-// damage, and the producer-step chain recorded here is the recipe for
-// rebuilding it.
+// entry that is missing or hashes differently from its record is damage.
+// Damage is repaired from the record itself when the node was checkpointed
+// (each block record then carries an immutable deep copy of its payload),
+// and otherwise by re-running the producer-step chain recorded here.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
+
+#include "matrix/block.h"
 
 namespace dmac {
 
@@ -22,9 +26,12 @@ struct LineageBlockRecord {
   int worker = 0;
   int64_t key = 0;
   uint64_t checksum = 0;
+  /// Checkpointed deep copy of the block, or null while the node has not
+  /// been checkpointed. Replicas of a Broadcast matrix share one copy.
+  std::shared_ptr<const Block> payload;
 };
 
-/// A node's recorded provenance and healthy store layout.
+/// A node's recorded provenance, healthy store layout and checkpoint.
 struct NodeLineage {
   int node_id = -1;
   /// Plan step whose re-execution rebuilds this node.
@@ -36,18 +43,15 @@ struct NodeLineage {
 };
 
 /// Driver-side registry of NodeLineage records, keyed by node id. Recording
-/// a node again (an iterative app rebinding a variable, or a recovery
-/// rebuild) replaces the previous manifest.
+/// a node again replaces the previous record, checkpoint payloads included.
 class LineageTracker {
  public:
-  /// Records (or replaces) a node's manifest. `blocks` is sorted here.
-  void Record(NodeLineage lineage);
+  /// Records (or replaces) a node's record, sorting `blocks`. Returns the
+  /// stored record, to which a checkpoint attaches its payloads.
+  NodeLineage& Record(NodeLineage lineage);
 
-  /// The manifest for `node_id`, or nullptr if never recorded.
+  /// The record for `node_id`, or nullptr if never recorded.
   const NodeLineage* Find(int node_id) const;
-
-  /// Drops the manifest for `node_id` (node freed by the executor).
-  void Forget(int node_id);
 
   size_t size() const { return records_.size(); }
 

@@ -3,32 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/rng.h"
-
 namespace dmac {
 
 double RetryPolicy::BackoffSeconds(int attempt) const {
   if (attempt < 0) attempt = 0;
   // Clamp the exponent so a pathological retry budget cannot overflow the
   // simulated clock (2^40 · base is already ~35 years at the default base).
-  const int exponent = std::min(attempt, 40);
-  double backoff;
-  if (multiplier == 2.0) {
-    // Exact power-of-two scaling — the legacy executor arithmetic.
-    backoff = base_seconds * std::ldexp(1.0, exponent);
-  } else {
-    backoff = base_seconds * std::pow(multiplier, exponent);
-  }
-  if (cap_seconds > 0) backoff = std::min(backoff, cap_seconds);
-  if (jitter_fraction > 0) {
-    // One SplitMix64 evaluation keyed on (seed, attempt): deterministic,
-    // stateless, and independent across attempts.
-    uint64_t state = jitter_seed + 0x9e3779b97f4a7c15ULL *
-                                       (static_cast<uint64_t>(attempt) + 1);
-    const double unit = (SplitMix64(state) >> 11) * 0x1.0p-53;  // [0, 1)
-    backoff += jitter_fraction * backoff * unit;
-  }
-  return backoff;
+  return base_seconds * std::ldexp(1.0, std::min(attempt, 40));
 }
 
 }  // namespace dmac

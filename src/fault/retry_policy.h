@@ -1,49 +1,25 @@
 // Reusable retry/backoff policy (docs/fault_tolerance.md).
 //
-// Extracted from the executor's inline retry loop so that task retries and
-// transfer retries share one arithmetic: capped exponential backoff with
-// optional deterministic jitter. All delays are *simulated* seconds charged
+// Task retries and transfer retries share one arithmetic: exponential
+// backoff doubling per attempt. All delays are *simulated* seconds charged
 // to recovery accounting — nothing here sleeps.
 #pragma once
-
-#include <cstdint>
 
 #include "common/status.h"
 
 namespace dmac {
 
 /// Backoff schedule + retryability predicate for a bounded retry loop.
-///
-/// The zero-jitter, zero-cap, multiplier-2 configuration reproduces the
-/// legacy executor arithmetic bit for bit:
-/// `base_seconds * 2^min(attempt, 40)` — the exponent clamp keeps the
-/// simulated delay finite for pathological retry budgets.
 struct RetryPolicy {
   /// Attempts beyond the first before the caller gives up.
   int max_retries = 4;
   /// Backoff before retry 0 (simulated seconds).
   double base_seconds = 0.01;
-  /// Per-attempt growth factor.
-  double multiplier = 2.0;
-  /// Upper bound on a single backoff; 0 = uncapped.
-  double cap_seconds = 0;
-  /// Additive jitter as a fraction of the (capped) backoff: the delay for
-  /// attempt `a` gains a deterministic value in [0, jitter_fraction · b).
-  /// 0 disables jitter entirely (and draws nothing).
-  double jitter_fraction = 0;
-  /// Seed of the jitter hash. Two policies with equal seeds produce equal
-  /// jitter for equal attempts — determinism is what makes bit-identity
-  /// sweeps possible with jitter on.
-  uint64_t jitter_seed = 0;
 
-  /// Simulated delay before retry `attempt` (0-based).
+  /// Simulated delay before retry `attempt` (0-based):
+  /// `base_seconds * 2^min(attempt, 40)` — the exponent clamp keeps the
+  /// delay finite for pathological retry budgets.
   [[nodiscard]] double BackoffSeconds(int attempt) const;
-
-  /// True when `attempt` (0-based, counting retries already spent) is still
-  /// within budget for a retryable status.
-  [[nodiscard]] bool ShouldRetry(const Status& st, int attempt) const {
-    return attempt < max_retries && Retryable(st);
-  }
 
   /// The retryable set: transient unavailability and detected data loss
   /// (both recoverable through lineage). Everything else is terminal.

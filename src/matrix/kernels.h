@@ -58,12 +58,6 @@ struct GemmStats {
   double flops = 0;         // 2*m*n*k per dense GEMM, 2 per sparse madd
   double pack_seconds = 0;  // wall time spent packing/staging/converting
   double tasks = 0;         // parallel tile tasks run (0 on the serial path)
-
-  void Merge(const GemmStats& o) {
-    flops += o.flops;
-    pack_seconds += o.pack_seconds;
-    tasks += o.tasks;
-  }
 };
 
 /// Intra-kernel parallelism context for the dense GEMM macro-kernel.

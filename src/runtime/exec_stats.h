@@ -182,60 +182,6 @@ struct ExecStats {
     return ComputeWallSeconds() + CommSeconds(net);
   }
 
-  /// Merges another run's statistics (for accumulating over iterations).
-  void Merge(const ExecStats& other) {
-    shuffle_bytes += other.shuffle_bytes;
-    broadcast_bytes += other.broadcast_bytes;
-    shuffle_events += other.shuffle_events;
-    broadcast_events += other.broadcast_events;
-    for (size_t s = 0; s < other.stage_worker_seconds.size(); ++s) {
-      for (size_t w = 0; w < other.stage_worker_seconds[s].size(); ++w) {
-        AddWorkerSeconds(static_cast<int>(s) + 1, static_cast<int>(w),
-                         other.stage_worker_seconds[s][w]);
-      }
-    }
-    peak_memory_bytes = std::max(peak_memory_bytes, other.peak_memory_bytes);
-    steps_executed += other.steps_executed;
-    stages += other.stages;
-    faults_injected += other.faults_injected;
-    retries += other.retries;
-    recomputed_blocks += other.recomputed_blocks;
-    restored_blocks += other.restored_blocks;
-    speculated_tasks += other.speculated_tasks;
-    checkpoint_bytes += other.checkpoint_bytes;
-    recovery_bytes += other.recovery_bytes;
-    recovery_events += other.recovery_events;
-    MergeStage(&stage_recovery_seconds, other.stage_recovery_seconds);
-    MergeStage(&stage_retries, other.stage_retries);
-    MergeStage(&stage_recomputed_blocks, other.stage_recomputed_blocks);
-    workers_dead += other.workers_dead;
-    // Epochs are monotone counters, not additive quantities.
-    membership_epoch = std::max(membership_epoch, other.membership_epoch);
-    detection_seconds += other.detection_seconds;
-    net_messages += other.net_messages;
-    net_retransmits += other.net_retransmits;
-    net_retrans_bytes += other.net_retrans_bytes;
-    net_duplicates += other.net_duplicates;
-    net_reordered += other.net_reordered;
-    net_delay_seconds += other.net_delay_seconds;
-    net_partitions += other.net_partitions;
-    net_stale_fenced += other.net_stale_fenced;
-    net_stale_applied += other.net_stale_applied;
-    durable_checkpoint_bytes += other.durable_checkpoint_bytes;
-    durable_epochs += other.durable_epochs;
-    checkpoint_failures += other.checkpoint_failures;
-    disk_faults_injected += other.disk_faults_injected;
-    for (const auto& [name, nnz] : other.matrix_nnz) matrix_nnz[name] = nnz;
-    estimated_comm_bytes += other.estimated_comm_bytes;
-    // Drift is a ratio, not an additive quantity; keep the worst seen.
-    estimate_drift = std::max(estimate_drift, other.estimate_drift);
-    resumed = resumed || other.resumed;
-    // A resume point is a position, not a quantity.
-    resume_step = std::max(resume_step, other.resume_step);
-    resume_restored_blocks += other.resume_restored_blocks;
-    resume_seconds += other.resume_seconds;
-  }
-
  private:
   /// Element for 1-based stage number `stage`, growing the vector as needed.
   template <typename T>
@@ -245,13 +191,6 @@ struct ExecStats {
       v->resize(static_cast<size_t>(stage), T(0));
     }
     return (*v)[static_cast<size_t>(stage - 1)];
-  }
-
-  template <typename T>
-  static void MergeStage(std::vector<T>* into, const std::vector<T>& from) {
-    for (size_t s = 0; s < from.size(); ++s) {
-      GrowStage(into, static_cast<int>(s) + 1) += from[s];
-    }
   }
 };
 

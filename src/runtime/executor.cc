@@ -15,7 +15,6 @@
 #include "common/sync.h"
 #include "common/timer.h"
 #include "common/thread_pool.h"
-#include "fault/checkpoint.h"
 #include "fault/durable_checkpoint.h"
 #include "fault/durable_io.h"
 #include "fault/injector.h"
@@ -659,11 +658,16 @@ class Executor::Impl {
     }
     if (!ft_) return Status::Ok();
     retry_policy_ = RetryPolicy{opts_.fault.max_retries,
-                                opts_.fault.backoff_base_seconds,
-                                /*multiplier=*/2.0, /*cap_seconds=*/0,
-                                /*jitter_fraction=*/0, opts_.fault.seed};
+                                opts_.fault.backoff_base_seconds};
     if (opts_.fault.enabled) {
       DMAC_RETURN_NOT_OK(opts_.fault.Validate());
+      if (opts_.fault.death_step >= 0 &&
+          opts_.fault.death_worker >= opts_.num_workers) {
+        return Status::Invalid(
+            "death_worker " + std::to_string(opts_.fault.death_worker) +
+            " is out of range for " + std::to_string(opts_.num_workers) +
+            " workers");
+      }
       injector_ = std::make_unique<FaultInjector>(opts_.fault);
       const bool death_possible =
           opts_.fault.death_prob > 0 || opts_.fault.death_step >= 0;
@@ -718,7 +722,7 @@ class Executor::Impl {
   /// Unavailable, detected DataLoss) triggers exponential backoff and full
   /// lineage recovery before the next attempt; retried attempts run as
   /// recovery work so the useful-compute totals stay clean. On success the
-  /// output's lineage manifest is recorded and checkpointing may trigger.
+  /// output's lineage is recorded and checkpointing may trigger.
   Status RunStepWithRecovery(const PlanStep& step) {
     if (injector_ != nullptr) InjectBoundaryFaults(step);
     // Below quorum the run fails clean — no retries burned, no recovery
@@ -797,7 +801,7 @@ class Executor::Impl {
     return st;
   }
 
-  /// Verifies every input node of `step` against its lineage manifest:
+  /// Verifies every input node of `step` against its lineage record:
   /// all recorded blocks present and hashing to their recorded checksums.
   Status PreflightStepInputs(const PlanStep& step) {
     for (int input : step.inputs) {
@@ -888,7 +892,6 @@ class Executor::Impl {
   /// (checkpoint → replica → recompute) on the next recovery sweep. Below
   /// quorum this arms `quorum_status_` instead of attempting recovery.
   void ApplyDeath(int victim, int stage) {
-    if (victim < 0 || victim >= opts_.num_workers) return;
     if (membership_->IsDead(victim)) return;  // death is permanent
     const double detection = membership_->DeclareDead(victim);
     stats_.detection_seconds += detection;
@@ -916,7 +919,7 @@ class Executor::Impl {
   /// then a surviving Broadcast replica, then recomputation by re-running
   /// the lineage producer step. Walks nodes in producer-step order, so a
   /// recomputed step always reads already-repaired inputs. All repaired
-  /// state is re-verified against the lineage manifests — recovery is only
+  /// state is re-verified against the lineage records — recovery is only
   /// allowed to reproduce the run bit-identically.
   [[nodiscard]] Status RecoverAll() {
     TraceSpan span(kTraceRecovery, "recover-all");
@@ -961,29 +964,18 @@ class Executor::Impl {
             : TraceSpan();
     const size_t damaged = dirty.size();
 
-    // 1. Checkpoint restore: exact deep copies taken at record time.
+    // 1. Checkpoint restore: the record's own deep copy, when it has one.
     if (dm != nullptr) {
-      if (const auto* snap = checkpoints_.Find(node_id)) {
-        std::vector<LineageBlockRecord> remaining;
-        const int64_t bcols = dm->grid().block_cols();
-        for (const LineageBlockRecord& rec : dirty) {
-          const CheckpointBlock* found = nullptr;
-          for (const CheckpointBlock& cb : *snap) {
-            if (cb.worker == rec.worker && cb.key == rec.key &&
-                cb.checksum == rec.checksum) {
-              found = &cb;
-              break;
-            }
-          }
-          if (found != nullptr) {
-            dm->Put(rec.worker, rec.key / bcols, rec.key % bcols,
-                    found->block);
-          } else {
-            remaining.push_back(rec);
-          }
+      std::vector<LineageBlockRecord> remaining;
+      const int64_t bcols = dm->grid().block_cols();
+      for (LineageBlockRecord& rec : dirty) {
+        if (rec.payload != nullptr) {
+          dm->Put(rec.worker, rec.key / bcols, rec.key % bcols, rec.payload);
+        } else {
+          remaining.push_back(std::move(rec));
         }
-        dirty = std::move(remaining);
       }
+      dirty = std::move(remaining);
     }
 
     // 2. Broadcast replica repair: copy a surviving, verifying replica.
@@ -1024,7 +1016,7 @@ class Executor::Impl {
                            static_cast<int64_t>(dirty.size()));
     }
 
-    // Re-stamp and enforce bit-identity with the recorded manifest.
+    // Re-stamp and enforce bit-identity with the lineage record.
     auto& repaired = node_data_[static_cast<size_t>(node_id)];
     if (repaired == nullptr) {
       return Status::Internal("recovery left node " +
@@ -1046,15 +1038,14 @@ class Executor::Impl {
   }
 
   /// Post-success bookkeeping of a fault-tolerant step: stamp checksums,
-  /// record the output's lineage manifest, and checkpoint when due.
+  /// record the output's lineage, and checkpoint when due.
   Status AfterStepSuccess(const PlanStep& step) {
     if (step.output < 0) return Status::Ok();
-    RecordLineage(step);
-    return MaybeCheckpoint(step);
+    return MaybeCheckpoint(step, RecordLineage(step));
   }
 
-  /// Stamps the output's checksums and records its lineage manifest.
-  void RecordLineage(const PlanStep& step) {
+  /// Stamps the output's checksums and records its lineage (no payloads).
+  NodeLineage& RecordLineage(const PlanStep& step) {
     DistMatrix& dm = Data(step.output);
     dm.SetChecksums();
     NodeLineage lin;
@@ -1065,13 +1056,16 @@ class Executor::Impl {
     for (int w = 0; w < opts_.num_workers; ++w) {
       for (int64_t key : dm.SortedWorkerKeys(w)) {
         lin.blocks.push_back(
-            {w, key, dm.ChecksumAt(w, key / bcols, key % bcols)});
+            {w, key, dm.ChecksumAt(w, key / bcols, key % bcols), nullptr});
       }
     }
-    lineage_.Record(std::move(lin));
+    return lineage_.Record(std::move(lin));
   }
 
-  [[nodiscard]] Status MaybeCheckpoint(const PlanStep& step) {
+  /// Every `effective_checkpoint_every_`-th producing step, deep-copies the
+  /// output's blocks into its lineage record `lin`.
+  [[nodiscard]] Status MaybeCheckpoint(const PlanStep& step,
+                                       NodeLineage& lin) {
     if (effective_checkpoint_every_ <= 0) return Status::Ok();
     const PlanNode& node = NodeOf(step.output);
     if (plan_has_hints_ && !node.checkpoint_hint) return Status::Ok();
@@ -1085,20 +1079,15 @@ class Executor::Impl {
     // Deep copies, deduplicated per payload so Broadcast replicas (shared
     // pointers) are copied — and billed — once.
     std::unordered_map<const Block*, std::shared_ptr<const Block>> copies;
-    std::vector<CheckpointBlock> blocks;
-    for (int w = 0; w < opts_.num_workers; ++w) {
-      for (int64_t key : dm.SortedWorkerKeys(w)) {
-        auto ptr = dm.Get(w, key / bcols, key % bcols);
-        auto [it, inserted] = copies.try_emplace(ptr.get(), nullptr);
-        if (inserted) it->second = std::make_shared<const Block>(*ptr);
-        blocks.push_back({w, key, dm.ChecksumAt(w, key / bcols, key % bcols),
-                          it->second});
+    for (LineageBlockRecord& rec : lin.blocks) {
+      auto ptr = dm.Get(rec.worker, rec.key / bcols, rec.key % bcols);
+      auto [it, inserted] = copies.try_emplace(ptr.get(), nullptr);
+      if (inserted) {
+        it->second = std::make_shared<const Block>(*ptr);
+        stats_.checkpoint_bytes += it->second->MemoryBytes();
       }
+      rec.payload = it->second;
     }
-    const int64_t before = checkpoints_.bytes_written();
-    checkpoints_.Put(step.output, std::move(blocks));
-    const int64_t written = checkpoints_.bytes_written() - before;
-    stats_.checkpoint_bytes += written;
     if (durable_store_ == nullptr) return Status::Ok();
     return CommitDurable(step);
   }
@@ -1120,7 +1109,7 @@ class Executor::Impl {
     for (const PlanOutput& out : plan_.outputs) live.insert(out.node);
 
     std::vector<int> reload_nodes;
-    std::vector<PendingDurableBlock> pending;
+    std::vector<NodeBlockRecord> pending;
     for (const int node_id : live) {
       auto& dm = node_data_[static_cast<size_t>(node_id)];
       if (dm == nullptr) continue;  // not produced yet
@@ -1144,9 +1133,10 @@ class Executor::Impl {
         for (int64_t key : dm->SortedWorkerKeys(w)) {
           auto ptr = dm->Get(w, key / bcols, key % bcols);
           if (ptr == nullptr) continue;
-          pending.push_back(PendingDurableBlock{
-              node_id, w, key, dm->ChecksumAt(w, key / bcols, key % bcols),
-              std::move(ptr)});
+          pending.push_back(
+              {node_id,
+               {w, key, dm->ChecksumAt(w, key / bcols, key % bcols),
+                std::move(ptr)}});
         }
       }
     }
@@ -1176,11 +1166,12 @@ class Executor::Impl {
 
   /// Restores the last committed durable snapshot when `--resume` asked for
   /// it: scalars bit-exactly, every snapshotted node's blocks (checksum-
-  /// verified), lineage manifests, and the in-memory checkpoint cache (hot
-  /// in-process recovery never re-reads disk). Steps the snapshot covers
-  /// are skipped by the main loop, except the kLoad steps of reload-marked
-  /// nodes, which re-execute against the caller's bindings. A fresh store
-  /// (no committed epoch) resumes from nothing — a plain full run.
+  /// verified), and one lineage record per node whose blocks carry the
+  /// restored payloads as their checkpoint (hot in-process recovery never
+  /// re-reads disk). Steps the snapshot covers are skipped by the main
+  /// loop, except the kLoad steps of reload-marked nodes, which re-execute
+  /// against the caller's bindings. A fresh store (no committed epoch)
+  /// resumes from nothing — a plain full run.
   Status MaybeResume() {
     if (!opts_.resume || durable_store_ == nullptr) return Status::Ok();
     const DurableSnapshot* snap = durable_store_->committed();
@@ -1251,7 +1242,6 @@ class Executor::Impl {
         lin.inputs =
             plan_.steps[static_cast<size_t>(node.producer_step)].inputs;
       }
-      std::vector<CheckpointBlock> cache_blocks;
       // One read per distinct file: Broadcast replicas share a payload on
       // disk exactly as they do in memory.
       std::unordered_map<std::string, std::shared_ptr<const Block>> loaded;
@@ -1269,15 +1259,11 @@ class Executor::Impl {
           ++stats_.resume_restored_blocks;
         }
         dm->Put(ref->worker, bi, bj, it->second);
-        lin.blocks.push_back({ref->worker, ref->key, ref->checksum});
-        cache_blocks.push_back(
+        lin.blocks.push_back(
             {ref->worker, ref->key, ref->checksum, it->second});
       }
       dm->SetChecksums();
       lineage_.Record(std::move(lin));
-      // Write-through cache hydration: post-resume in-process recovery hits
-      // memory first, like it would in an uninterrupted run.
-      checkpoints_.Put(node_id, std::move(cache_blocks));
     }
     stats_.resumed = true;
     stats_.resume_step = snap->resume_step;
@@ -1980,7 +1966,6 @@ class Executor::Impl {
   int64_t checkpoint_counter_ = 0;
   std::unique_ptr<FaultInjector> injector_;
   LineageTracker lineage_;
-  CheckpointStore checkpoints_;
 
   // Durable checkpoints & crash restart (docs/fault_tolerance.md,
   // "Durability & restart"). Both pointers are null without a

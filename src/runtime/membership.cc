@@ -1,65 +1,29 @@
 #include "runtime/membership.h"
 
+#include <algorithm>
 #include <cstddef>
 
 namespace dmac {
 
-ClusterMembership::ClusterMembership(int num_workers, MembershipOptions opts)
-    : opts_(opts),
-      states_(static_cast<size_t>(num_workers), WorkerState::kAlive),
-      missed_(static_cast<size_t>(num_workers), 0) {
-  if (opts_.suspect_after_missed < 1) opts_.suspect_after_missed = 1;
-  if (opts_.dead_after_missed < opts_.suspect_after_missed) {
-    opts_.dead_after_missed = opts_.suspect_after_missed;
-  }
-}
+namespace {
+
+/// The simulated heartbeat failure detector declares a worker that stops
+/// reporting dead after 4 missed 0.1 s heartbeats, moving it through
+/// suspect to dead: one epoch each.
+constexpr double kDetectionSeconds = 0.4;
+constexpr int64_t kEpochsPerDeath = 2;
+
+}  // namespace
 
 int ClusterMembership::live_workers() const {
-  int live = 0;
-  for (WorkerState s : states_) {
-    if (s != WorkerState::kDead) ++live;
-  }
-  return live;
-}
-
-void ClusterMembership::Heartbeat(int w) {
-  const size_t i = static_cast<size_t>(w);
-  if (states_[i] == WorkerState::kDead) return;  // death is permanent
-  missed_[i] = 0;
-  if (states_[i] == WorkerState::kSuspect) {
-    states_[i] = WorkerState::kAlive;
-    Bump();
-  }
-}
-
-bool ClusterMembership::MissHeartbeat(int w) {
-  const size_t i = static_cast<size_t>(w);
-  if (states_[i] == WorkerState::kDead) return false;
-  ++missed_[i];
-  if (states_[i] == WorkerState::kAlive &&
-      missed_[i] >= opts_.suspect_after_missed) {
-    states_[i] = WorkerState::kSuspect;
-    Bump();
-    return true;
-  }
-  if (states_[i] == WorkerState::kSuspect &&
-      missed_[i] >= opts_.dead_after_missed) {
-    states_[i] = WorkerState::kDead;
-    Bump();
-    return true;
-  }
-  return false;
+  return static_cast<int>(std::count(dead_.begin(), dead_.end(), false));
 }
 
 double ClusterMembership::DeclareDead(int w) {
-  const size_t i = static_cast<size_t>(w);
-  if (states_[i] == WorkerState::kDead) return 0.0;
-  int intervals = 0;
-  while (states_[i] != WorkerState::kDead) {
-    MissHeartbeat(w);
-    ++intervals;
-  }
-  return intervals * opts_.heartbeat_interval_seconds;
+  if (IsDead(w)) return 0.0;
+  dead_[static_cast<size_t>(w)] = true;
+  epoch_ += kEpochsPerDeath;
+  return kDetectionSeconds;
 }
 
 int ClusterMembership::HostOf(int w) const {

@@ -1,8 +1,7 @@
 // Epoch-based cluster membership for the simulated cluster
 // (docs/fault_tolerance.md).
 //
-// Tracks per-worker liveness (alive / suspect / dead) behind a simulated
-// heartbeat failure detector, and stamps every membership change with a
+// Tracks which workers have died and stamps every death with a
 // monotonically increasing epoch. Transfers carry the sender's epoch at
 // send time; the executor fences any arrival from a worker that has since
 // been declared dead — the classic zombie-straggler double-write.
@@ -24,57 +23,25 @@
 
 namespace dmac {
 
-/// Liveness of one simulated worker.
-///
-/// alive --(suspect_after_missed misses)--> suspect
-/// suspect --(heartbeat)--> alive
-/// suspect --(dead_after_missed misses)--> dead      [terminal]
-enum class WorkerState { kAlive, kSuspect, kDead };
-
-/// Failure-detector tuning. All time is simulated seconds.
-struct MembershipOptions {
-  /// Interval between expected heartbeats; detection latency is
-  /// `missed · heartbeat_interval_seconds`.
-  double heartbeat_interval_seconds = 0.1;
-  /// Consecutive missed heartbeats before alive -> suspect.
-  int suspect_after_missed = 2;
-  /// Consecutive missed heartbeats before -> dead (>= suspect_after_missed).
-  int dead_after_missed = 4;
-};
-
 class ClusterMembership {
  public:
-  explicit ClusterMembership(int num_workers,
-                             MembershipOptions opts = MembershipOptions{});
+  explicit ClusterMembership(int num_workers)
+      : dead_(static_cast<size_t>(num_workers), false) {}
 
-  int num_workers() const { return static_cast<int>(states_.size()); }
+  int num_workers() const { return static_cast<int>(dead_.size()); }
 
-  /// Current membership epoch. Starts at 1 and bumps on *every* state
-  /// transition, in either direction — an epoch comparison is therefore a
-  /// complete staleness test for anything stamped with one.
+  /// Current membership epoch. Starts at 1 and advances by 2 on every
+  /// death — an epoch comparison is therefore a complete staleness test
+  /// for anything stamped with one.
   int64_t epoch() const { return epoch_; }
 
-  WorkerState state(int w) const { return states_[static_cast<size_t>(w)]; }
-  bool IsDead(int w) const { return state(w) == WorkerState::kDead; }
+  bool IsDead(int w) const { return dead_[static_cast<size_t>(w)]; }
 
-  /// Workers not declared dead. Suspects count as live: quorum decisions
-  /// must not flap on a single missed heartbeat.
+  /// Workers not declared dead.
   int live_workers() const;
-  int dead_workers() const { return num_workers() - live_workers(); }
 
-  /// A heartbeat arrived from `w`: reset its missed count; a suspect
-  /// recovers to alive (epoch bump). Dead workers stay dead — a heartbeat
-  /// from one is the zombie case the epoch fence exists for.
-  void Heartbeat(int w);
-
-  /// One heartbeat interval elapsed without `w` reporting. Returns true
-  /// when the state changed (and the epoch bumped).
-  bool MissHeartbeat(int w);
-
-  /// Drives the detector for `w` straight to dead (permanent loss), missing
-  /// heartbeats until the threshold trips. Returns the simulated detection
-  /// latency: missed intervals × heartbeat_interval_seconds. No-op (0.0)
-  /// when already dead.
+  /// Declares `w` permanently dead and returns the simulated detection
+  /// latency, 0.4 s. No-op (0.0) when already dead.
   double DeclareDead(int w);
 
   /// The worker that hosts logical slot `w`: `w` itself while it lives,
@@ -88,11 +55,7 @@ class ClusterMembership {
   std::vector<int> HostMap() const;
 
  private:
-  void Bump() { ++epoch_; }
-
-  MembershipOptions opts_;
-  std::vector<WorkerState> states_;
-  std::vector<int> missed_;
+  std::vector<bool> dead_;
   int64_t epoch_ = 1;
 };
 

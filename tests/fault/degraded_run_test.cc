@@ -151,6 +151,23 @@ TEST(DegradedRunTest, BelowQuorumFailsCleanWithUnavailable) {
       << outcome.status();
 }
 
+TEST(DegradedRunTest, OutOfRangeDeathWorkerIsInvalid) {
+  // A spec that asks for a death of a worker the cluster does not have must
+  // fail at setup, not run clean.
+  const FaultAppCase app = MakeSmallGnmf();
+  RunConfig config = BaseConfig(3);
+  config.fault.enabled = true;
+  config.fault.death_step = 0;
+  config.fault.death_worker = config.num_workers;
+  const auto outcome = RunProgram(app.program, app.MakeBindings(), config);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument)
+      << outcome.status();
+  EXPECT_NE(outcome.status().message().find("death_worker"),
+            std::string::npos)
+      << outcome.status();
+}
+
 class DeathSweepTest : public ::testing::TestWithParam<int> {
  protected:
   static FaultAppCase MakeCase(int index) {

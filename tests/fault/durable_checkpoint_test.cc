@@ -49,15 +49,10 @@ std::unique_ptr<DurableCheckpointStore> MustOpen(
   return std::move(*store);
 }
 
-PendingDurableBlock Pending(int node, int worker, int64_t key,
-                            std::shared_ptr<const Block> block) {
-  PendingDurableBlock pb;
-  pb.node_id = node;
-  pb.worker = worker;
-  pb.key = key;
-  pb.checksum = BlockChecksum(*block);
-  pb.block = std::move(block);
-  return pb;
+NodeBlockRecord Pending(int node, int worker, int64_t key,
+                        std::shared_ptr<const Block> block) {
+  const uint64_t checksum = BlockChecksum(*block);
+  return {node, {worker, key, checksum, std::move(block)}};
 }
 
 std::set<std::string> FileNames(const std::string& dir) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace dmac {
 namespace {
 
@@ -91,6 +93,52 @@ TEST(FaultSpecTest, RejectsMalformedLinesAndValues) {
   EXPECT_FALSE(ParseFaultSpec("speculate = maybe\n").ok());
   // Parse runs Validate: a well-formed but out-of-range spec is rejected.
   EXPECT_FALSE(ParseFaultSpec("crash_prob = 2.0\n").ok());
+}
+
+// The integer keys parse strictly, like the doubles: no silent atoi
+// truncation to a prefix, to 0, or to a wrapped value.
+const char* const kIntegerKeys[] = {
+    "seed",        "max_retries",  "permanent_fail_step", "death_step",
+    "death_worker", "net_partition_drops", "crash_at"};
+
+TEST(FaultSpecTest, RejectsNonNumericIntegerValues) {
+  for (const char* key : kIntegerKeys) {
+    auto spec = ParseFaultSpec(std::string(key) + " = abc\n");
+    ASSERT_FALSE(spec.ok()) << key;
+    EXPECT_NE(spec.status().ToString().find("expected an integer"),
+              std::string::npos)
+        << spec.status();
+  }
+}
+
+TEST(FaultSpecTest, RejectsTrailingCharactersInIntegerValues) {
+  for (const char* key : kIntegerKeys) {
+    auto spec = ParseFaultSpec(std::string(key) + " = 3x\n");
+    ASSERT_FALSE(spec.ok()) << key;
+    EXPECT_NE(spec.status().ToString().find("expected an integer"),
+              std::string::npos)
+        << spec.status();
+  }
+  // A plain value, negative where the key allows it, still parses.
+  auto spec = ParseFaultSpec("death_step = 3\ncrash_at = -1\n");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  EXPECT_EQ(spec->death_step, 3);
+  EXPECT_EQ(spec->disk.crash_at, -1);
+}
+
+TEST(FaultSpecTest, RejectsOutOfRangeIntegerValues) {
+  for (const char* key : kIntegerKeys) {
+    auto spec =
+        ParseFaultSpec(std::string(key) + " = 99999999999999999999999\n");
+    ASSERT_FALSE(spec.ok()) << key;
+    EXPECT_NE(spec.status().ToString().find("out of range"),
+              std::string::npos)
+        << spec.status();
+  }
+  // int keys reject what does not fit an int; the seed rejects negatives
+  // instead of wrapping them.
+  EXPECT_FALSE(ParseFaultSpec("death_worker = 2147483648\n").ok());
+  EXPECT_FALSE(ParseFaultSpec("seed = -1\n").ok());
 }
 
 TEST(FaultSpecTest, ParsesDeathAndNetworkKeys) {

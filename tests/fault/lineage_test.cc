@@ -1,4 +1,4 @@
-// LineageTracker manifests and the driver-side CheckpointStore.
+// LineageTracker records: layout, provenance, and checkpoint payloads.
 #include "fault/lineage.h"
 
 #include <gtest/gtest.h>
@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "fault/checkpoint.h"
 #include "fault/checksum.h"
 #include "matrix/block.h"
 
@@ -18,11 +17,13 @@ NodeLineage MakeLineage(int node_id) {
   lin.node_id = node_id;
   lin.producer_step = 3;
   lin.inputs = {0, 1};
-  lin.blocks = {{1, 7, 0xbeef}, {0, 2, 0xcafe}, {0, 5, 0xfeed}};
+  lin.blocks = {{1, 7, 0xbeef, nullptr},
+                {0, 2, 0xcafe, nullptr},
+                {0, 5, 0xfeed, nullptr}};
   return lin;
 }
 
-TEST(LineageTrackerTest, RecordFindForgetRoundTrip) {
+TEST(LineageTrackerTest, RecordFindRoundTrip) {
   LineageTracker tracker;
   EXPECT_EQ(tracker.Find(4), nullptr);
   tracker.Record(MakeLineage(4));
@@ -31,9 +32,7 @@ TEST(LineageTrackerTest, RecordFindForgetRoundTrip) {
   EXPECT_EQ(found->producer_step, 3);
   EXPECT_EQ(found->inputs, (std::vector<int>{0, 1}));
   EXPECT_EQ(tracker.size(), 1u);
-  tracker.Forget(4);
-  EXPECT_EQ(tracker.Find(4), nullptr);
-  EXPECT_EQ(tracker.size(), 0u);
+  EXPECT_EQ(tracker.Find(5), nullptr);
 }
 
 TEST(LineageTrackerTest, BlocksAreSortedForDeterministicComparison) {
@@ -64,41 +63,61 @@ TEST(LineageTrackerTest, ReRecordingReplacesTheManifest) {
   EXPECT_EQ(tracker.size(), 1u);
 }
 
-// ---- checkpoint store ---------------------------------------------------
+// ---- checkpoint payloads -----------------------------------------------
 
-std::vector<CheckpointBlock> Snapshot(uint64_t seed) {
-  std::vector<CheckpointBlock> blocks;
-  auto block = std::make_shared<const Block>(RandomDenseBlock(4, 4, seed));
-  blocks.push_back({0, 0, BlockChecksum(*block), block});
-  return blocks;
+std::shared_ptr<const Block> Payload(uint64_t seed) {
+  return std::make_shared<const Block>(RandomDenseBlock(4, 4, seed));
 }
 
-TEST(CheckpointStoreTest, PutFindForgetRoundTrip) {
-  CheckpointStore store;
-  EXPECT_EQ(store.Find(2), nullptr);
-  store.Put(2, Snapshot(1));
-  const auto* snap = store.Find(2);
-  ASSERT_NE(snap, nullptr);
-  ASSERT_EQ(snap->size(), 1u);
-  EXPECT_EQ((*snap)[0].checksum, BlockChecksum(*(*snap)[0].block));
-  EXPECT_EQ(store.size(), 1u);
-  store.Forget(2);
-  EXPECT_EQ(store.Find(2), nullptr);
-  EXPECT_EQ(store.total_bytes(), 0);
+/// A one-block record of node `node_id` checkpointed with `payload`.
+NodeLineage Checkpointed(int node_id, std::shared_ptr<const Block> payload) {
+  NodeLineage lin;
+  lin.node_id = node_id;
+  lin.blocks.push_back({0, 0, BlockChecksum(*payload), std::move(payload)});
+  return lin;
 }
 
-TEST(CheckpointStoreTest, ReplacementKeepsTotalButGrowsWritten) {
-  CheckpointStore store;
-  store.Put(2, Snapshot(1));
-  const int64_t bytes = store.total_bytes();
-  ASSERT_GT(bytes, 0);
-  EXPECT_EQ(store.bytes_written(), bytes);
-  // A later iteration re-checkpoints the same node: the live footprint is
-  // one snapshot, the lifetime-written metric keeps accumulating.
-  store.Put(2, Snapshot(2));
-  EXPECT_EQ(store.total_bytes(), bytes);
-  EXPECT_EQ(store.bytes_written(), 2 * bytes);
-  EXPECT_EQ(store.size(), 1u);
+TEST(LineageTrackerTest, CheckpointPayloadRoundTrip) {
+  LineageTracker tracker;
+  // A freshly recorded node has no checkpoint until one is attached.
+  NodeLineage& recorded = tracker.Record(MakeLineage(2));
+  for (const LineageBlockRecord& rec : recorded.blocks) {
+    EXPECT_EQ(rec.payload, nullptr);
+  }
+  const auto payload = Payload(1);
+  recorded.blocks[0].payload = payload;
+  const NodeLineage* found = tracker.Find(2);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->blocks[0].payload, payload);
+  EXPECT_EQ(found->blocks[1].payload, nullptr);
+
+  tracker.Record(Checkpointed(3, Payload(2)));
+  found = tracker.Find(3);
+  ASSERT_NE(found, nullptr);
+  ASSERT_EQ(found->blocks.size(), 1u);
+  ASSERT_NE(found->blocks[0].payload, nullptr);
+  EXPECT_EQ(found->blocks[0].checksum,
+            BlockChecksum(*found->blocks[0].payload));
+}
+
+TEST(LineageTrackerTest, ReRecordingReplacesThePayload) {
+  LineageTracker tracker;
+  const auto first = Payload(1);
+  const auto second = Payload(2);
+  tracker.Record(Checkpointed(2, first));
+  // A later recording of the same node replaces its checkpoint ...
+  tracker.Record(Checkpointed(2, second));
+  const NodeLineage* found = tracker.Find(2);
+  ASSERT_NE(found, nullptr);
+  ASSERT_EQ(found->blocks.size(), 1u);
+  EXPECT_EQ(found->blocks[0].payload, second);
+  EXPECT_EQ(found->blocks[0].checksum, BlockChecksum(*second));
+  EXPECT_EQ(tracker.size(), 1u);
+  // ... and a recording without payloads drops it.
+  tracker.Record(MakeLineage(2));
+  for (const LineageBlockRecord& rec : tracker.Find(2)->blocks) {
+    EXPECT_EQ(rec.payload, nullptr);
+  }
 }
 
 }  // namespace

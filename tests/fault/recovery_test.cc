@@ -119,6 +119,34 @@ TEST(RecoveryTest, CheckpointingIsTransparent) {
   ExpectBitIdentical(baseline->result, outcome->result, "checkpoint");
 }
 
+TEST(RecoveryTest, CheckpointsServeRecoveryInsteadOfRecompute) {
+  // The same fixed-seed crash schedule over an iterative program, with and
+  // without checkpoints: checkpointed nodes are restored from their lineage
+  // records instead of re-running their producers, and the results agree.
+  const FaultAppCase app = MakeSmallGnmf();
+  RunConfig config = BaseConfig();
+  config.fault.enabled = true;
+  config.fault.seed = 7;
+  config.fault.crash_prob = 0.2;
+  const auto lineage_only =
+      RunProgram(app.program, app.MakeBindings(), config);
+  ASSERT_TRUE(lineage_only.ok()) << lineage_only.status();
+  config.checkpoint_every = 1;
+  const auto checkpointed =
+      RunProgram(app.program, app.MakeBindings(), config);
+  ASSERT_TRUE(checkpointed.ok()) << checkpointed.status();
+
+  const ExecStats& without = lineage_only->result.stats;
+  const ExecStats& with = checkpointed->result.stats;
+  ASSERT_GT(with.faults_injected, 0);
+  EXPECT_EQ(with.faults_injected, without.faults_injected);
+  EXPECT_GT(with.checkpoint_bytes, 0);
+  EXPECT_GT(with.restored_blocks, without.restored_blocks);
+  EXPECT_LT(with.recomputed_blocks, without.recomputed_blocks);
+  ExpectBitIdentical(lineage_only->result, checkpointed->result,
+                     "checkpointed recovery");
+}
+
 TEST(RecoveryTest, DisabledFaultPathLeavesCountersZero) {
   const FaultAppCase app = MakeSmallPageRank();
   const auto outcome =

@@ -1,6 +1,4 @@
-// RetryPolicy unit tests: backoff arithmetic (including the legacy
-// executor-compatible configuration), the cap, deterministic jitter, and
-// budget exhaustion semantics.
+// RetryPolicy unit tests: backoff arithmetic and the retryable set.
 #include "fault/retry_policy.h"
 
 #include <gtest/gtest.h>
@@ -24,70 +22,12 @@ TEST(RetryPolicyTest, DefaultConfigMatchesLegacyExecutorArithmetic) {
   EXPECT_DOUBLE_EQ(p.BackoffSeconds(-3), 0.01);
 }
 
-TEST(RetryPolicyTest, NonPowerOfTwoMultiplier) {
-  RetryPolicy p;
-  p.base_seconds = 1.0;
-  p.multiplier = 3.0;
-  EXPECT_DOUBLE_EQ(p.BackoffSeconds(0), 1.0);
-  EXPECT_DOUBLE_EQ(p.BackoffSeconds(2), 9.0);
-}
-
-TEST(RetryPolicyTest, CapBoundsEveryDelay) {
-  RetryPolicy p;
-  p.base_seconds = 0.5;
-  p.cap_seconds = 2.0;
-  EXPECT_DOUBLE_EQ(p.BackoffSeconds(0), 0.5);
-  EXPECT_DOUBLE_EQ(p.BackoffSeconds(1), 1.0);
-  EXPECT_DOUBLE_EQ(p.BackoffSeconds(2), 2.0);  // capped
-  EXPECT_DOUBLE_EQ(p.BackoffSeconds(30), 2.0);
-}
-
-TEST(RetryPolicyTest, JitterIsDeterministicAndBounded) {
-  RetryPolicy a;
-  a.base_seconds = 1.0;
-  a.jitter_fraction = 0.25;
-  a.jitter_seed = 7;
-  RetryPolicy b = a;
-  bool any_jitter = false;
-  for (int attempt = 0; attempt < 10; ++attempt) {
-    const double base = std::ldexp(1.0, attempt);
-    const double da = a.BackoffSeconds(attempt);
-    // Same seed, same attempt -> bit-equal delay (the property the
-    // bit-identity sweeps rely on).
-    EXPECT_EQ(da, b.BackoffSeconds(attempt)) << "attempt " << attempt;
-    EXPECT_GE(da, base);
-    EXPECT_LT(da, base * 1.25);
-    if (da != base) any_jitter = true;
-  }
-  EXPECT_TRUE(any_jitter);
-  // A different seed perturbs the schedule.
-  RetryPolicy c = a;
-  c.jitter_seed = 8;
-  bool any_diff = false;
-  for (int attempt = 0; attempt < 10; ++attempt) {
-    if (c.BackoffSeconds(attempt) != a.BackoffSeconds(attempt)) {
-      any_diff = true;
-    }
-  }
-  EXPECT_TRUE(any_diff);
-}
-
 TEST(RetryPolicyTest, RetryableSetIsUnavailableAndDataLoss) {
   EXPECT_TRUE(RetryPolicy::Retryable(Status::Unavailable("x")));
   EXPECT_TRUE(RetryPolicy::Retryable(Status::DataLoss("x")));
   EXPECT_FALSE(RetryPolicy::Retryable(Status::Internal("x")));
   EXPECT_FALSE(RetryPolicy::Retryable(Status::Invalid("x")));
   EXPECT_FALSE(RetryPolicy::Retryable(Status::Ok()));
-}
-
-TEST(RetryPolicyTest, ShouldRetryExhaustsTheBudget) {
-  RetryPolicy p;
-  p.max_retries = 2;
-  const Status transient = Status::Unavailable("flaky");
-  EXPECT_TRUE(p.ShouldRetry(transient, 0));
-  EXPECT_TRUE(p.ShouldRetry(transient, 1));
-  EXPECT_FALSE(p.ShouldRetry(transient, 2));  // budget spent -> kUnavailable
-  EXPECT_FALSE(p.ShouldRetry(Status::Internal("fatal"), 0));
 }
 
 }  // namespace

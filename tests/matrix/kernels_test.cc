@@ -267,14 +267,6 @@ TEST(KernelStatsTest, DenseFlopsAreTwoMNK) {
   EXPECT_GE(stats.pack_seconds, 0.0);
 }
 
-TEST(KernelStatsTest, MergeAccumulates) {
-  GemmStats a{100.0, 0.25};
-  const GemmStats b{50.0, 0.5};
-  a.Merge(b);
-  EXPECT_DOUBLE_EQ(a.flops, 150.0);
-  EXPECT_DOUBLE_EQ(a.pack_seconds, 0.75);
-}
-
 // ---- vector primitives ---------------------------------------------------
 
 TEST(VecPrimitiveTest, SumAndSumSquaresMatchSequentialAccumulation) {

@@ -53,29 +53,6 @@ TEST(ExecStatsTest, CommSecondsFollowsNetworkModel) {
                    stats.ComputeWallSeconds() + 4.5);
 }
 
-TEST(ExecStatsTest, MergeAccumulatesEverything) {
-  ExecStats a;
-  a.shuffle_bytes = 100;
-  a.broadcast_events = 1;
-  a.AddWorkerSeconds(1, 0, 0.5);
-  a.peak_memory_bytes = 500;
-
-  ExecStats b;
-  b.shuffle_bytes = 50;
-  b.shuffle_events = 2;
-  b.AddWorkerSeconds(1, 0, 0.25);
-  b.AddWorkerSeconds(2, 1, 1.0);
-  b.peak_memory_bytes = 400;
-
-  a.Merge(b);
-  EXPECT_DOUBLE_EQ(a.shuffle_bytes, 150);
-  EXPECT_EQ(a.shuffle_events, 2);
-  EXPECT_EQ(a.broadcast_events, 1);
-  EXPECT_DOUBLE_EQ(a.stage_worker_seconds[0][0], 0.75);
-  EXPECT_DOUBLE_EQ(a.stage_worker_seconds[1][1], 1.0);
-  EXPECT_EQ(a.peak_memory_bytes, 500);  // max, not sum
-}
-
 TEST(ExecStatsTest, RecoveryAccountingIsSeparateFromUsefulCompute) {
   ExecStats stats;
   stats.AddWorkerSeconds(1, 0, 2.0);
@@ -84,89 +61,29 @@ TEST(ExecStatsTest, RecoveryAccountingIsSeparateFromUsefulCompute) {
   stats.AddRetry(3);
   stats.AddRetry(3);
   stats.AddRecomputed(3, 4);
+  // Charges to earlier stages land in their own slots of the grown vectors.
+  stats.AddRetry(1);
+  stats.AddRecomputed(2, 5);
+  stats.AddRecoverySeconds(1, 0.125);
 
   // Recovered work never inflates the useful-compute totals.
   EXPECT_DOUBLE_EQ(stats.TotalComputeSeconds(), 2.0);
   EXPECT_DOUBLE_EQ(stats.ComputeWallSeconds(), 2.0);
-  EXPECT_DOUBLE_EQ(stats.TotalRecoverySeconds(), 0.75);
-  EXPECT_EQ(stats.retries, 2);
-  EXPECT_EQ(stats.recomputed_blocks, 4);
+  EXPECT_DOUBLE_EQ(stats.TotalRecoverySeconds(), 0.875);
+  EXPECT_EQ(stats.retries, 3);
+  EXPECT_EQ(stats.recomputed_blocks, 9);
   ASSERT_EQ(stats.stage_retries.size(), 3u);
+  EXPECT_EQ(stats.stage_retries[0], 1);
+  EXPECT_EQ(stats.stage_retries[1], 0);
   EXPECT_EQ(stats.stage_retries[2], 2);
   ASSERT_EQ(stats.stage_recomputed_blocks.size(), 3u);
+  EXPECT_EQ(stats.stage_recomputed_blocks[0], 0);
+  EXPECT_EQ(stats.stage_recomputed_blocks[1], 5);
   EXPECT_EQ(stats.stage_recomputed_blocks[2], 4);
   ASSERT_EQ(stats.stage_recovery_seconds.size(), 3u);
-  EXPECT_DOUBLE_EQ(stats.stage_recovery_seconds[0], 0.5);
+  EXPECT_DOUBLE_EQ(stats.stage_recovery_seconds[0], 0.625);
+  EXPECT_DOUBLE_EQ(stats.stage_recovery_seconds[1], 0);
   EXPECT_DOUBLE_EQ(stats.stage_recovery_seconds[2], 0.25);
-}
-
-TEST(ExecStatsTest, MergeAccumulatesFaultCounters) {
-  ExecStats a;
-  a.faults_injected = 1;
-  a.restored_blocks = 2;
-  a.checkpoint_bytes = 100;
-  a.AddRetry(1);
-  a.AddRecoverySeconds(1, 0.5);
-
-  ExecStats b;
-  b.faults_injected = 3;
-  b.speculated_tasks = 1;
-  b.recovery_bytes = 64;
-  b.recovery_events = 2;
-  b.AddRetry(1);
-  b.AddRetry(2);
-  b.AddRecomputed(2, 5);
-  b.AddRecoverySeconds(2, 0.25);
-
-  a.Merge(b);
-  EXPECT_EQ(a.faults_injected, 4);
-  EXPECT_EQ(a.retries, 3);
-  EXPECT_EQ(a.recomputed_blocks, 5);
-  EXPECT_EQ(a.restored_blocks, 2);
-  EXPECT_EQ(a.speculated_tasks, 1);
-  EXPECT_EQ(a.checkpoint_bytes, 100);
-  EXPECT_DOUBLE_EQ(a.recovery_bytes, 64);
-  EXPECT_EQ(a.recovery_events, 2);
-  ASSERT_EQ(a.stage_retries.size(), 2u);
-  EXPECT_EQ(a.stage_retries[0], 2);
-  EXPECT_EQ(a.stage_retries[1], 1);
-  EXPECT_DOUBLE_EQ(a.TotalRecoverySeconds(), 0.75);
-}
-
-TEST(ExecStatsTest, MergeAccumulatesMembershipAndNetworkCounters) {
-  ExecStats a;
-  a.workers_dead = 1;
-  a.membership_epoch = 3;
-  a.detection_seconds = 0.4;
-  a.net_messages = 10;
-  a.net_retransmits = 2;
-  a.net_retrans_bytes = 128;
-  a.net_duplicates = 1;
-
-  ExecStats b;
-  b.workers_dead = 2;
-  b.membership_epoch = 2;
-  b.detection_seconds = 0.2;
-  b.net_messages = 5;
-  b.net_reordered = 3;
-  b.net_delay_seconds = 0.05;
-  b.net_partitions = 1;
-  b.net_stale_fenced = 4;
-  b.net_stale_applied = 0;
-
-  a.Merge(b);
-  EXPECT_EQ(a.workers_dead, 3);
-  EXPECT_EQ(a.membership_epoch, 3);  // max, not sum: epochs don't add
-  EXPECT_DOUBLE_EQ(a.detection_seconds, 0.6);
-  EXPECT_EQ(a.net_messages, 15);
-  EXPECT_EQ(a.net_retransmits, 2);
-  EXPECT_DOUBLE_EQ(a.net_retrans_bytes, 128);
-  EXPECT_EQ(a.net_duplicates, 1);
-  EXPECT_EQ(a.net_reordered, 3);
-  EXPECT_DOUBLE_EQ(a.net_delay_seconds, 0.05);
-  EXPECT_EQ(a.net_partitions, 1);
-  EXPECT_EQ(a.net_stale_fenced, 4);
-  EXPECT_EQ(a.net_stale_applied, 0);
 }
 
 TEST(ExecStatsTest, EmptyStatsAreZero) {

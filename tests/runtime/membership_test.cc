@@ -1,6 +1,6 @@
 // Epoch-based membership unit tests (docs/fault_tolerance.md): the
-// alive → suspect → dead state machine, epoch monotonicity, and the
-// deterministic HostOf rebalance used by degraded mode.
+// death-only failure detector, epoch monotonicity, and the deterministic
+// HostOf rebalance used by degraded mode.
 #include "runtime/membership.h"
 
 #include <gtest/gtest.h>
@@ -13,71 +13,37 @@ TEST(MembershipTest, StartsAliveAtEpochOne) {
   EXPECT_EQ(m.num_workers(), 4);
   EXPECT_EQ(m.epoch(), 1);
   EXPECT_EQ(m.live_workers(), 4);
-  EXPECT_EQ(m.dead_workers(), 0);
   for (int w = 0; w < 4; ++w) {
-    EXPECT_EQ(m.state(w), WorkerState::kAlive);
     EXPECT_FALSE(m.IsDead(w));
     EXPECT_EQ(m.HostOf(w), w);
   }
-}
-
-TEST(MembershipTest, MissedHeartbeatsWalkTheStateMachine) {
-  MembershipOptions opts;
-  opts.suspect_after_missed = 2;
-  opts.dead_after_missed = 4;
-  ClusterMembership m(2, opts);
-
-  EXPECT_FALSE(m.MissHeartbeat(1));  // 1 miss: still alive
-  EXPECT_EQ(m.state(1), WorkerState::kAlive);
-  EXPECT_TRUE(m.MissHeartbeat(1));  // 2 misses: suspect
-  EXPECT_EQ(m.state(1), WorkerState::kSuspect);
-  EXPECT_EQ(m.epoch(), 2);
-  // Suspects still count toward quorum: no flapping on one missed beat.
-  EXPECT_EQ(m.live_workers(), 2);
-
-  EXPECT_FALSE(m.MissHeartbeat(1));  // 3 misses: still suspect
-  EXPECT_TRUE(m.MissHeartbeat(1));   // 4 misses: dead
-  EXPECT_EQ(m.state(1), WorkerState::kDead);
-  EXPECT_EQ(m.epoch(), 3);
-  EXPECT_EQ(m.live_workers(), 1);
-}
-
-TEST(MembershipTest, HeartbeatRecoversASuspectAndBumpsTheEpoch) {
-  MembershipOptions opts;
-  opts.suspect_after_missed = 1;
-  opts.dead_after_missed = 3;
-  ClusterMembership m(2, opts);
-  ASSERT_TRUE(m.MissHeartbeat(0));
-  ASSERT_EQ(m.state(0), WorkerState::kSuspect);
-  const int64_t epoch_before = m.epoch();
-  m.Heartbeat(0);
-  EXPECT_EQ(m.state(0), WorkerState::kAlive);
-  EXPECT_GT(m.epoch(), epoch_before);
 }
 
 TEST(MembershipTest, DeathIsPermanent) {
   ClusterMembership m(3);
   ASSERT_GT(m.DeclareDead(2), 0.0);
   const int64_t epoch = m.epoch();
-  m.Heartbeat(2);  // the zombie heartbeat the epoch fence exists for
   EXPECT_TRUE(m.IsDead(2));
-  EXPECT_EQ(m.epoch(), epoch);           // no transition, no bump
-  EXPECT_EQ(m.DeclareDead(2), 0.0);      // idempotent
-  EXPECT_FALSE(m.MissHeartbeat(2));      // nothing left to miss
+  EXPECT_EQ(m.live_workers(), 2);
+  EXPECT_EQ(m.DeclareDead(2), 0.0);  // idempotent
+  EXPECT_EQ(m.epoch(), epoch);       // no transition, no bump
+  EXPECT_TRUE(m.IsDead(2));
 }
 
 TEST(MembershipTest, DeclareDeadReportsDetectionLatency) {
-  MembershipOptions opts;
-  opts.heartbeat_interval_seconds = 0.1;
-  opts.suspect_after_missed = 2;
-  opts.dead_after_missed = 4;
-  ClusterMembership m(2, opts);
-  // A fresh worker needs dead_after_missed intervals to be detected.
+  ClusterMembership m(2);
+  // Four missed 0.1 s heartbeats.
   EXPECT_DOUBLE_EQ(m.DeclareDead(0), 0.4);
-  // A worker already under suspicion is detected faster.
-  m.MissHeartbeat(1);
-  m.MissHeartbeat(1);
-  EXPECT_DOUBLE_EQ(m.DeclareDead(1), 0.2);
+  EXPECT_DOUBLE_EQ(m.DeclareDead(1), 0.4);
+}
+
+TEST(MembershipTest, EachDeathAdvancesTheEpochByTwo) {
+  ClusterMembership m(3);
+  for (int w = 0; w < 3; ++w) {
+    m.DeclareDead(w);  // alive -> suspect -> dead
+    EXPECT_EQ(m.epoch(), 1 + 2 * (w + 1));
+    EXPECT_EQ(m.live_workers(), 2 - w);
+  }
 }
 
 TEST(MembershipTest, HostOfScansToTheNextLiveWorker) {
@@ -105,21 +71,6 @@ TEST(MembershipTest, HostOfIsIdentityWhenEveryWorkerIsDead) {
   m.DeclareDead(1);
   EXPECT_EQ(m.HostOf(0), 0);
   EXPECT_EQ(m.HostOf(1), 1);
-}
-
-TEST(MembershipTest, EveryTransitionBumpsTheEpochExactlyOnce) {
-  MembershipOptions opts;
-  opts.suspect_after_missed = 1;
-  opts.dead_after_missed = 2;
-  ClusterMembership m(3, opts);
-  int64_t epoch = m.epoch();
-  for (int w = 0; w < 3; ++w) {
-    m.MissHeartbeat(w);  // alive -> suspect
-    EXPECT_EQ(m.epoch(), epoch + 1);
-    m.MissHeartbeat(w);  // suspect -> dead
-    EXPECT_EQ(m.epoch(), epoch + 2);
-    epoch = m.epoch();
-  }
 }
 
 }  // namespace
