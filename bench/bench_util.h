@@ -6,7 +6,7 @@
 #include <string>
 
 #include "obs/session.h"
-#include "runtime/exec_stats.h"
+#include "obs/exec_stats.h"
 
 namespace dmac {
 namespace bench {

@@ -16,7 +16,7 @@
 
 #include "common/result.h"
 #include "matrix/local_matrix.h"
-#include "runtime/exec_stats.h"
+#include "obs/exec_stats.h"
 
 namespace dmac {
 

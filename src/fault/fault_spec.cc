@@ -1,22 +1,24 @@
 #include "fault/fault_spec.h"
 
-#include <charconv>
-#include <cstdlib>
+#include <cmath>
 #include <fstream>
 #include <sstream>
-#include <system_error>
+
+#include "common/parse.h"
 
 namespace dmac {
 
 namespace {
 
 Status CheckProb(const char* name, double v) {
-  if (v < 0 || v > 1) {
+  if (!(v >= 0 && v <= 1)) {  // also rejects NaN
     return Status::Invalid(std::string(name) + " must be in [0, 1], got " +
                            std::to_string(v));
   }
   return Status::Ok();
 }
+
+bool IsFiniteNonNegative(double v) { return std::isfinite(v) && v >= 0; }
 
 /// Trims ASCII whitespace from both ends.
 std::string Trim(const std::string& s) {
@@ -39,35 +41,6 @@ Status ParseBool(const std::string& key, const std::string& value,
   return Status::Invalid(key + ": expected true/false, got '" + value + "'");
 }
 
-Status ParseDouble(const std::string& key, const std::string& value,
-                   double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    return Status::Invalid(key + ": expected a number, got '" + value + "'");
-  }
-  *out = v;
-  return Status::Ok();
-}
-
-/// Parses a base-10 integer that fits `Int`, rejecting trailing characters
-/// (`3x`) and out-of-range values instead of truncating them.
-template <typename Int>
-Status ParseInt(const std::string& key, const std::string& value, Int* out) {
-  Int v{};
-  const char* last = value.data() + value.size();
-  const auto [end, ec] = std::from_chars(value.data(), last, v);
-  if (ec == std::errc::result_out_of_range) {
-    return Status::Invalid(key + ": integer out of range: '" + value + "'");
-  }
-  if (ec != std::errc() || end != last) {
-    return Status::Invalid(key + ": expected an integer, got '" + value +
-                           "'");
-  }
-  *out = v;
-  return Status::Ok();
-}
-
 }  // namespace
 
 Status NetFaultSpec::Validate() const {
@@ -76,8 +49,8 @@ Status NetFaultSpec::Validate() const {
   DMAC_RETURN_NOT_OK(CheckProb("net_reorder_prob", reorder_prob));
   DMAC_RETURN_NOT_OK(CheckProb("net_delay_prob", delay_prob));
   DMAC_RETURN_NOT_OK(CheckProb("net_partition_prob", partition_prob));
-  if (delay_seconds < 0) {
-    return Status::Invalid("net_delay_seconds must be >= 0");
+  if (!IsFiniteNonNegative(delay_seconds)) {
+    return Status::Invalid("net_delay_seconds must be finite and >= 0");
   }
   if (partition_drops < 1) {
     return Status::Invalid("net_partition_drops must be >= 1");
@@ -104,14 +77,14 @@ Status FaultSpec::Validate() const {
   DMAC_RETURN_NOT_OK(CheckProb("corrupt_prob", corrupt_prob));
   DMAC_RETURN_NOT_OK(CheckProb("transient_prob", transient_prob));
   DMAC_RETURN_NOT_OK(CheckProb("straggler_prob", straggler_prob));
-  if (straggler_delay_seconds < 0) {
-    return Status::Invalid("straggler_delay_seconds must be >= 0");
+  if (!IsFiniteNonNegative(straggler_delay_seconds)) {
+    return Status::Invalid("straggler_delay_seconds must be finite and >= 0");
   }
   if (max_retries < 0) {
     return Status::Invalid("max_retries must be >= 0");
   }
-  if (backoff_base_seconds < 0) {
-    return Status::Invalid("backoff_base_seconds must be >= 0");
+  if (!IsFiniteNonNegative(backoff_base_seconds)) {
+    return Status::Invalid("backoff_base_seconds must be finite and >= 0");
   }
   DMAC_RETURN_NOT_OK(CheckProb("death_prob", death_prob));
   if (death_step >= 0 && death_worker < 0) {

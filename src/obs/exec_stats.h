@@ -4,6 +4,9 @@
 // this is the metric of the paper's Fig. 6(b). Wall-clock time on a real
 // cluster is modeled as measured compute (max over workers per stage, since
 // stages are barriers) plus simulated network transfer time.
+//
+// Every field exported as a metric has exactly one row in MetricCatalog()
+// (obs/metrics.cc) that names it and says how to read it from here.
 #pragma once
 
 #include <algorithm>
@@ -22,6 +25,24 @@ struct NetworkModel {
   /// Fixed startup cost per communication event (one shuffle or broadcast
   /// round — roughly a Spark stage boundary).
   double latency_sec = 0.01;
+};
+
+/// Counters the simulated network layer (runtime/network.h) accumulates
+/// across a run. None of them perturb the useful-comm totals: drop /
+/// duplicate / reorder / delay only ever add recovery-side accounting.
+struct NetFaultStats {
+  int64_t messages = 0;      ///< transfers routed through the layer
+  int64_t retransmits = 0;   ///< dropped sends that were retried
+  double retrans_bytes = 0;  ///< bytes moved again by retransmits
+  int64_t duplicates = 0;    ///< duplicate deliveries absorbed by dedup
+  int64_t reordered = 0;     ///< out-of-order arrivals absorbed by sorting
+  double delay_seconds = 0;  ///< simulated latency added by delays/backoff
+  int64_t partitions = 0;    ///< transient partitions opened
+  int64_t stale_fenced = 0;  ///< dead-sender transfers fenced by epoch
+  /// Audit counter: dead-sender transfers *applied* anyway. Structurally
+  /// zero — DeclareDead bumps the epoch past anything the victim sent —
+  /// and asserted zero by the degraded-mode tests.
+  int64_t stale_applied = 0;
 };
 
 /// Statistics of one plan execution.
@@ -54,34 +75,19 @@ struct ExecStats {
   int64_t recomputed_blocks = 0;  // rebuilt by re-running lineage producers
   int64_t restored_blocks = 0;    // restored from checkpoint / replica
   int64_t speculated_tasks = 0;   // straggler tasks re-run on a backup
-  int64_t checkpoint_bytes = 0;   // deep-copied into the checkpoint store
+  int64_t checkpoint_bytes = 0;   // deep-copied into lineage-record payloads
   double recovery_bytes = 0;      // comm bytes moved by retried/recovery work
-  int64_t recovery_events = 0;    // comm rounds of retried/recovery work
-  /// Worker busy seconds attributed to recovery per stage (1-based stages
-  /// stored 0-indexed like stage_worker_seconds, but summed over workers).
-  std::vector<double> stage_recovery_seconds;
-  /// Step attempts repeated, per stage (same indexing).
-  std::vector<int64_t> stage_retries;
-  /// Blocks rebuilt from lineage, per stage (same indexing).
-  std::vector<int64_t> stage_recomputed_blocks;
+  /// Worker busy seconds spent on recovery instead of useful compute
+  /// (retried attempts, backoff waits, abandoned straggler attempts).
+  double recovery_seconds = 0;
 
   // --- Membership / permanent worker loss (docs/fault_tolerance.md).
   int64_t workers_dead = 0;        // permanent deaths over the run
   int64_t membership_epoch = 0;    // final epoch (0 = membership not built)
   double detection_seconds = 0;    // simulated failure-detection latency
 
-  // --- Message-level network faults. All zero when the network layer is
-  // off; none of them perturb the useful-comm totals above — drop /
-  // duplicate / reorder / delay only ever add *recovery-side* accounting.
-  int64_t net_messages = 0;      // transfers routed through the layer
-  int64_t net_retransmits = 0;   // dropped sends retried to delivery
-  double net_retrans_bytes = 0;  // bytes moved again by retransmits
-  int64_t net_duplicates = 0;    // duplicate deliveries absorbed
-  int64_t net_reordered = 0;     // out-of-order arrivals absorbed
-  double net_delay_seconds = 0;  // simulated latency from delays + backoff
-  int64_t net_partitions = 0;    // transient partitions opened
-  int64_t net_stale_fenced = 0;  // dead-sender transfers fenced by epoch
-  int64_t net_stale_applied = 0;  // audit: fenced-class transfers applied
+  /// Message-level network faults; all zero when the layer is off.
+  NetFaultStats net;
 
   // --- Durable checkpoints & crash restart (docs/fault_tolerance.md,
   // "Durability & restart"). All zero without --checkpoint-dir.
@@ -147,30 +153,6 @@ struct ExecStats {
     return total;
   }
 
-  /// Adds recovery-attributed busy time in stage number `stage` (1-based).
-  void AddRecoverySeconds(int stage, double seconds) {
-    GrowStage(&stage_recovery_seconds, stage) += seconds;
-  }
-
-  /// Counts one repeated attempt of a step in stage number `stage`.
-  void AddRetry(int stage) {
-    ++retries;
-    ++GrowStage(&stage_retries, stage);
-  }
-
-  /// Counts blocks rebuilt from lineage while recovering in `stage`.
-  void AddRecomputed(int stage, int64_t blocks) {
-    recomputed_blocks += blocks;
-    GrowStage(&stage_recomputed_blocks, stage) += blocks;
-  }
-
-  /// Aggregate worker time spent on recovery instead of useful compute.
-  double TotalRecoverySeconds() const {
-    double total = 0;
-    for (double s : stage_recovery_seconds) total += s;
-    return total;
-  }
-
   /// Modeled network transfer time under `net`.
   double CommSeconds(const NetworkModel& net) const {
     return comm_bytes() / net.bandwidth_bytes_per_sec +
@@ -180,17 +162,6 @@ struct ExecStats {
   /// Modeled end-to-end time: compute + network.
   double SimulatedSeconds(const NetworkModel& net) const {
     return ComputeWallSeconds() + CommSeconds(net);
-  }
-
- private:
-  /// Element for 1-based stage number `stage`, growing the vector as needed.
-  template <typename T>
-  static T& GrowStage(std::vector<T>* v, int stage) {
-    if (stage < 1) stage = 1;
-    if (static_cast<size_t>(stage) > v->size()) {
-      v->resize(static_cast<size_t>(stage), T(0));
-    }
-    return (*v)[static_cast<size_t>(stage - 1)];
   }
 };
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "common/logging.h"
+#include "obs/exec_stats.h"
 
 namespace dmac {
 
@@ -45,165 +46,207 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
+bool MembershipRan(const ExecStats& s) { return s.membership_epoch > 0; }
+
 }  // namespace
+
+using S = ExecStats;  // keeps the catalog rows short
+using enum MetricKind;
 
 const std::vector<MetricSpec>& MetricCatalog() {
   static const std::vector<MetricSpec>* catalog = new std::vector<MetricSpec>{
-      {kMetricShuffleBytes, MetricKind::kCounter, "bytes",
+      {"exec.shuffle.bytes", kCounter, "bytes",
        "bytes moved between distinct workers by shuffles (partition, CPMM "
-       "aggregation, crossed row/col sums, reduce)"},
-      {kMetricBroadcastBytes, MetricKind::kCounter, "bytes",
+       "aggregation, crossed row/col sums, reduce)",
+       [](const S& s) -> double { return s.shuffle_bytes; }},
+      {"exec.broadcast.bytes", kCounter, "bytes",
        "bytes replicated to all workers by broadcasts (incl. broadcast "
-       "loads)"},
-      {kMetricShuffleRounds, MetricKind::kCounter, "rounds",
-       "shuffle communication rounds (one per shuffling step)"},
-      {kMetricBroadcastRounds, MetricKind::kCounter, "rounds",
-       "broadcast communication rounds"},
-      {kMetricStepsExecuted, MetricKind::kCounter, "steps",
-       "plan steps executed"},
-      {kMetricStages, MetricKind::kGauge, "stages",
-       "barrier stages of the last executed plan"},
-      {kMetricPeakMemoryBytes, MetricKind::kGauge, "bytes",
-       "peak tracked block memory over the last execution"},
-      {kMetricEngineTasks, MetricKind::kCounter, "tasks",
+       "loads)",
+       [](const S& s) -> double { return s.broadcast_bytes; }},
+      {"exec.shuffle.rounds", kCounter, "rounds",
+       "shuffle communication rounds (one per shuffling step)",
+       [](const S& s) -> double { return s.shuffle_events; }},
+      {"exec.broadcast.rounds", kCounter, "rounds",
+       "broadcast communication rounds",
+       [](const S& s) -> double { return s.broadcast_events; }},
+      {"exec.steps", kCounter, "steps", "plan steps executed",
+       [](const S& s) -> double { return s.steps_executed; }},
+      {"exec.stages", kGauge, "stages",
+       "barrier stages of the last executed plan",
+       [](const S& s) -> double { return s.stages; }},
+      {"exec.peak_memory.bytes", kGauge, "bytes",
+       "peak tracked block memory over the last execution",
+       [](const S& s) -> double { return s.peak_memory_bytes; }},
+      {kMetricEngineTasks, kCounter, "tasks",
        "block tasks run by the worker-local engine"},
-      {kMetricQueueWaitSeconds, MetricKind::kHistogram, "seconds",
+      {kMetricQueueWaitSeconds, kHistogram, "seconds",
        "time a block task waited in the worker task queue before a thread "
        "picked it up"},
-      {kMetricTaskSecondsMultiply, MetricKind::kHistogram, "seconds",
+      {kMetricTaskSecondsMultiply, kHistogram, "seconds",
        "per-task kernel time of block-multiply tasks"},
-      {kMetricTaskSecondsTranspose, MetricKind::kHistogram, "seconds",
+      {kMetricTaskSecondsTranspose, kHistogram, "seconds",
        "per-task kernel time of block-transpose tasks"},
-      {kMetricTaskSecondsElementwise, MetricKind::kHistogram, "seconds",
+      {kMetricTaskSecondsElementwise, kHistogram, "seconds",
        "per-task kernel time of cell-wise, scalar, and unary tasks"},
-      {kMetricTaskSecondsAggregate, MetricKind::kHistogram, "seconds",
+      {kMetricTaskSecondsAggregate, kHistogram, "seconds",
        "per-task kernel time of partial-sum aggregation tasks (CPMM phase "
        "2, row/col-sum merges)"},
-      {kMetricGemmFlops, MetricKind::kCounter, "flops",
+      {kMetricGemmFlops, kCounter, "flops",
        "floating-point operations executed by the multiply kernels (2mnk "
        "per dense GEMM, 2 per sparse multiply-add)"},
-      {kMetricGemmPackSeconds, MetricKind::kHistogram, "seconds",
+      {kMetricGemmPackSeconds, kHistogram, "seconds",
        "per-multiply-task time spent packing/staging GEMM operand panels "
        "and converting sparse formats (the pack-vs-compute split of "
        "docs/kernels.md)"},
-      {kMetricGemmTasks, MetricKind::kCounter, "tasks",
+      {kMetricGemmTasks, kCounter, "tasks",
        "parallel GEMM tile tasks run by the threaded dense macro-kernel "
        "(0 while every multiply takes the serial path)"},
-      {kMetricPoolAcquires, MetricKind::kCounter, "blocks",
+      {kMetricPoolAcquires, kCounter, "blocks",
        "dense accumulator blocks acquired from the result buffer pool"},
-      {kMetricPoolReuses, MetricKind::kCounter, "blocks",
+      {kMetricPoolReuses, kCounter, "blocks",
        "acquires satisfied by a recycled block instead of an allocation"},
-      {kMetricPoolDiscards, MetricKind::kCounter, "blocks",
+      {kMetricPoolDiscards, kCounter, "blocks",
        "released blocks dropped because the shape's idle slot was full"},
-      {kMetricPlanDecomposeSeconds, MetricKind::kGauge, "seconds",
+      {kMetricPlanDecomposeSeconds, kGauge, "seconds",
        "driver time of the last program decomposition"},
-      {kMetricPlanGenerateSeconds, MetricKind::kGauge, "seconds",
+      {kMetricPlanGenerateSeconds, kGauge, "seconds",
        "driver time of the last plan generation (Algorithm 1, incl. the "
        "verifier when enabled)"},
-      {kMetricPlanVerifySeconds, MetricKind::kGauge, "seconds",
+      {kMetricPlanVerifySeconds, kGauge, "seconds",
        "driver time of the last static plan verification (all analysis "
        "passes)"},
-      {kMetricPlanSearchCandidates, MetricKind::kCounter, "plans",
+      {kMetricPlanSearchCandidates, kCounter, "plans",
        "complete candidate plans costed and ranked by the plan search"},
-      {kMetricPlanSearchPlanned, MetricKind::kCounter, "plans",
+      {kMetricPlanSearchPlanned, kCounter, "plans",
        "GeneratePlan invocations made by the plan search (window scoring "
        "plus full-program finalists)"},
-      {kMetricPlanSearchRejected, MetricKind::kCounter, "plans",
+      {kMetricPlanSearchRejected, kCounter, "plans",
        "search candidates dropped by a planning or verification failure"},
-      {kMetricPlanSearchSeconds, MetricKind::kGauge, "seconds",
+      {kMetricPlanSearchSeconds, kGauge, "seconds",
        "driver time of the last cost-based plan search"},
-      {kMetricPlanEstimateDrift, MetricKind::kGauge, "ratio",
+      {"planner.estimate.drift", kGauge, "ratio",
        "estimated-vs-measured communication ratio of the last run "
-       "(max/min, so always >= 1; 1 = perfect estimate)"},
-      {kMetricPlanEstimateDriftEvents, MetricKind::kCounter, "events",
+       "(max/min, so always >= 1; 1 = perfect estimate)",
+       [](const S& s) -> double { return s.estimate_drift; }},
+      {"planner.estimate.drift.events", kCounter, "events",
        "runs whose measured communication diverged more than 4x from the "
-       "plan-time estimate (worst-case sparsity pessimism made visible)"},
-      {kMetricFaultInjected, MetricKind::kCounter, "faults",
+       "plan-time estimate (worst-case sparsity pessimism made visible)",
+       [](const S& s) -> double {
+         return s.estimate_drift > 4.0 ? 1 : 0;
+       }},
+      {"fault.injected", kCounter, "faults",
        "faults injected by the fault framework (crashes, lost blocks, "
-       "corruptions, transient failures, stragglers)"},
-      {kMetricFaultRetries, MetricKind::kCounter, "retries",
-       "plan-step attempts repeated after a retryable failure"},
-      {kMetricFaultRecomputedBlocks, MetricKind::kCounter, "blocks",
-       "damaged blocks rebuilt by re-running their lineage producer steps"},
-      {kMetricFaultRestoredBlocks, MetricKind::kCounter, "blocks",
+       "corruptions, transient failures, stragglers)",
+       [](const S& s) -> double { return s.faults_injected; }},
+      {"fault.retries", kCounter, "retries",
+       "plan-step attempts repeated after a retryable failure",
+       [](const S& s) -> double { return s.retries; }},
+      {"fault.recomputed.blocks", kCounter, "blocks",
+       "damaged blocks rebuilt by re-running their lineage producer steps",
+       [](const S& s) -> double { return s.recomputed_blocks; }},
+      {"fault.restored.blocks", kCounter, "blocks",
        "damaged blocks restored from a checkpoint or a surviving broadcast "
-       "replica instead of recomputation"},
-      {kMetricFaultSpeculatedTasks, MetricKind::kCounter, "tasks",
+       "replica instead of recomputation",
+       [](const S& s) -> double { return s.restored_blocks; }},
+      {"fault.speculated.tasks", kCounter, "tasks",
        "straggler worker tasks re-executed speculatively on a backup "
-       "worker"},
-      {kMetricFaultCheckpointBytes, MetricKind::kCounter, "bytes",
-       "block payload bytes deep-copied into the driver checkpoint store"},
-      {kMetricFaultRecoverySeconds, MetricKind::kCounter, "seconds",
+       "worker",
+       [](const S& s) -> double { return s.speculated_tasks; }},
+      {"fault.checkpoint.bytes", kCounter, "bytes",
+       "block payload bytes deep-copied into checkpoints on lineage records",
+       [](const S& s) -> double { return s.checkpoint_bytes; }},
+      {"fault.recovery.seconds", kCounter, "seconds",
        "simulated worker time spent on recovery instead of useful compute "
-       "(retried attempts, backoff waits, abandoned straggler attempts)"},
-      {kMetricFaultCheckpointDurableBytes, MetricKind::kCounter, "bytes",
+       "(retried attempts, backoff waits, abandoned straggler attempts)",
+       [](const S& s) -> double { return s.recovery_seconds; }},
+      {"fault.checkpoint.durable.bytes", kCounter, "bytes",
        "bytes committed to durable checkpoint storage (block files plus "
-       "manifests)"},
-      {kMetricFaultCheckpointEpochs, MetricKind::kCounter, "epochs",
-       "durable checkpoint epochs committed (manifest atomically renamed)"},
-      {kMetricFaultCheckpointFailures, MetricKind::kCounter, "failures",
+       "manifests)",
+       [](const S& s) -> double { return s.durable_checkpoint_bytes; }},
+      {"fault.checkpoint.epochs", kCounter, "epochs",
+       "durable checkpoint epochs committed (manifest atomically renamed)",
+       [](const S& s) -> double { return s.durable_epochs; }},
+      {"fault.checkpoint.failures", kCounter, "failures",
        "durable checkpoint commits that failed on a disk fault (the run "
-       "continued on the previous epoch)"},
-      {kMetricFaultResumeRestoredBlocks, MetricKind::kCounter, "blocks",
-       "blocks read back from a durable checkpoint on crash-restart resume"},
-      {kMetricFaultResumeSeconds, MetricKind::kCounter, "seconds",
-       "wall time spent restoring a durable snapshot on resume"},
-      {kMetricFaultDiskFaults, MetricKind::kCounter, "faults",
+       "continued on the previous epoch)",
+       [](const S& s) -> double { return s.checkpoint_failures; }},
+      {"fault.resume.restored.blocks", kCounter, "blocks",
+       "blocks read back from a durable checkpoint on crash-restart resume",
+       [](const S& s) -> double { return s.resume_restored_blocks; }},
+      {"fault.resume.seconds", kCounter, "seconds",
+       "wall time spent restoring a durable snapshot on resume",
+       [](const S& s) -> double { return s.resume_seconds; }},
+      {"fault.disk.faults", kCounter, "faults",
        "disk faults drawn by the StorageIO layer (short writes, bit flips, "
-       "ENOSPC, fsync failures)"},
-      {kMetricPoolOutstanding, MetricKind::kGauge, "blocks",
+       "ENOSPC, fsync failures)",
+       [](const S& s) -> double { return s.disk_faults_injected; }},
+      {kMetricPoolOutstanding, kGauge, "blocks",
        "buffer-pool blocks currently acquired and not yet released, across "
        "all live pools (must drain to zero after every query)"},
-      {kMetricPoolPeakBytes, MetricKind::kGauge, "bytes",
+      {kMetricPoolPeakBytes, kGauge, "bytes",
        "high-water mark of bytes held by buffer pools (outstanding plus "
        "idle blocks) since the last reset"},
-      {kMetricGovernorSpillBytes, MetricKind::kCounter, "bytes",
+      {kMetricGovernorSpillBytes, kCounter, "bytes",
        "block payload bytes written to spill files under memory pressure"},
-      {kMetricGovernorSpillBlocks, MetricKind::kCounter, "blocks",
+      {kMetricGovernorSpillBlocks, kCounter, "blocks",
        "blocks spilled to disk under memory pressure"},
-      {kMetricGovernorRestoreBytes, MetricKind::kCounter, "bytes",
+      {kMetricGovernorRestoreBytes, kCounter, "bytes",
        "block payload bytes read back (checksum-verified) from spill files"},
-      {kMetricGovernorRestoreBlocks, MetricKind::kCounter, "blocks",
+      {kMetricGovernorRestoreBlocks, kCounter, "blocks",
        "blocks restored from spill files"},
-      {kMetricGovernorBudgetPeakBytes, MetricKind::kGauge, "bytes",
+      {kMetricGovernorBudgetPeakBytes, kGauge, "bytes",
        "peak bytes charged against the last query's memory budget (stores "
        "plus pool accumulators)"},
-      {kMetricGovernorAdmitted, MetricKind::kCounter, "queries",
+      {kMetricGovernorAdmitted, kCounter, "queries",
        "queries admitted by the session's admission controller"},
-      {kMetricGovernorRejected, MetricKind::kCounter, "queries",
+      {kMetricGovernorRejected, kCounter, "queries",
        "queries rejected at admission (estimate over quota or queue full)"},
-      {kMetricGovernorQueueDepth, MetricKind::kGauge, "queries",
+      {kMetricGovernorQueueDepth, kGauge, "queries",
        "queries waiting in the admission queue right now"},
-      {kMetricGovernorCancelLatencySeconds, MetricKind::kHistogram, "seconds",
+      {kMetricGovernorCancelLatencySeconds, kHistogram, "seconds",
        "wall time from a cancel/deadline firing to the query's terminal "
        "status"},
-      {kMetricNetMessages, MetricKind::kCounter, "messages",
-       "transfers routed through the fault-injecting network layer"},
-      {kMetricNetRetransmits, MetricKind::kCounter, "messages",
-       "dropped transfers retransmitted until delivered"},
-      {kMetricNetRetransBytes, MetricKind::kCounter, "bytes",
+      {"fault.net.messages", kCounter, "messages",
+       "transfers routed through the fault-injecting network layer",
+       [](const S& s) -> double { return s.net.messages; }},
+      {"fault.net.retransmits", kCounter, "messages",
+       "dropped transfers retransmitted until delivered",
+       [](const S& s) -> double { return s.net.retransmits; }},
+      {"fault.net.retrans.bytes", kCounter, "bytes",
        "bytes moved again by network retransmits (recovery-side, never in "
-       "the useful-comm totals)"},
-      {kMetricNetDuplicates, MetricKind::kCounter, "messages",
-       "duplicate deliveries absorbed by sequence-number dedup"},
-      {kMetricNetReordered, MetricKind::kCounter, "messages",
+       "the useful-comm totals)",
+       [](const S& s) -> double { return s.net.retrans_bytes; }},
+      {"fault.net.duplicates", kCounter, "messages",
+       "duplicate deliveries absorbed by sequence-number dedup",
+       [](const S& s) -> double { return s.net.duplicates; }},
+      {"fault.net.reordered", kCounter, "messages",
        "out-of-order arrivals absorbed by sorted (sender, sequence) "
-       "delivery"},
-      {kMetricNetDelaySeconds, MetricKind::kCounter, "seconds",
-       "simulated latency added by injected delays and retransmit backoff"},
-      {kMetricNetPartitions, MetricKind::kCounter, "partitions",
-       "transient bidirectional network partitions opened"},
-      {kMetricNetStaleFenced, MetricKind::kCounter, "messages",
+       "delivery",
+       [](const S& s) -> double { return s.net.reordered; }},
+      {"fault.net.delay.seconds", kCounter, "seconds",
+       "simulated latency added by injected delays and retransmit backoff",
+       [](const S& s) -> double { return s.net.delay_seconds; }},
+      {"fault.net.partitions", kCounter, "partitions",
+       "transient bidirectional network partitions opened",
+       [](const S& s) -> double { return s.net.partitions; }},
+      {"fault.net.stale.fenced", kCounter, "messages",
        "dead-sender transfers fenced by the membership epoch (the "
-       "zombie-straggler double-write, prevented)"},
-      {kMetricNetStaleApplied, MetricKind::kCounter, "messages",
-       "audit counter: dead-sender transfers applied anyway (must stay 0)"},
-      {kMetricMembershipEpoch, MetricKind::kGauge, "epoch",
-       "membership epoch after the last run (1 = no membership changes)"},
-      {kMetricMembershipWorkersDead, MetricKind::kGauge, "workers",
-       "workers permanently dead at the end of the last run"},
-      {kMetricMembershipDetectionSeconds, MetricKind::kCounter, "seconds",
-       "simulated heartbeat-detector latency from death to declaration"},
+       "zombie-straggler double-write, prevented)",
+       [](const S& s) -> double { return s.net.stale_fenced; }},
+      {"fault.net.stale.applied", kCounter, "messages",
+       "audit counter: dead-sender transfers applied anyway (must stay 0)",
+       [](const S& s) -> double { return s.net.stale_applied; }},
+      {"membership.epoch", kGauge, "epoch",
+       "membership epoch after the last run (1 = no membership changes)",
+       [](const S& s) -> double { return s.membership_epoch; },
+       MembershipRan},
+      {"membership.workers.dead", kGauge, "workers",
+       "workers permanently dead at the end of the last run",
+       [](const S& s) -> double { return s.workers_dead; },
+       MembershipRan},
+      {"membership.detection.seconds", kCounter, "seconds",
+       "simulated heartbeat-detector latency from death to declaration",
+       [](const S& s) -> double { return s.detection_seconds; }},
   };
   return *catalog;
 }
@@ -324,6 +367,19 @@ void MetricRegistry::Reset() {
       case MetricKind::kHistogram:
         inst->histogram->Reset();
         break;
+    }
+  }
+}
+
+void MetricRegistry::Record(const ExecStats& stats, bool completed) {
+  if (!enabled()) return;
+  for (Instrument* inst : instruments_) {
+    const MetricSpec& spec = *inst->spec;
+    if (spec.read == nullptr) continue;
+    if (spec.kind == kCounter) {
+      inst->counter->Add(spec.read(stats));
+    } else if (completed && (spec.ran == nullptr || spec.ran(stats))) {
+      inst->gauge->Set(spec.read(stats));
     }
   }
 }

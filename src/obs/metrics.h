@@ -22,12 +22,21 @@ namespace dmac {
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
-/// Catalog entry: the single source of truth for a metric's identity.
+struct ExecStats;
+
+/// Catalog entry: the single source of truth for a metric's identity. A
+/// metric fed from a run's ExecStats also says how to read it there, so
+/// exporting a new ExecStats field takes one row here and one docs row.
 struct MetricSpec {
   const char* name;  // dotted, e.g. "exec.shuffle.bytes"
   MetricKind kind;
   const char* unit;  // "bytes", "rounds", "seconds", "tasks", "blocks"
   const char* help;  // one-line meaning, mirrored in the docs
+  /// The run's value of an ExecStats-fed metric; null for metrics other
+  /// layers update directly.
+  double (*read)(const ExecStats&) = nullptr;
+  /// Gauges only: whether the metric's layer ran at all (null = always).
+  bool (*ran)(const ExecStats&) = nullptr;
 };
 
 /// Every metric this build can emit, in dump order.
@@ -134,6 +143,11 @@ class MetricRegistry {
   /// Zeroes every instrument (pointers stay valid).
   void Reset();
 
+  /// Feeds one run's ExecStats into every catalog metric that reads it.
+  /// Counters add the run's totals on every exit path; gauges are set only
+  /// by a `completed` run, and only when their layer ran.
+  void Record(const ExecStats& stats, bool completed);
+
   /// Snapshot of every instrument with a non-zero footprint (counters with
   /// value 0 and never-observed histograms are skipped so dumps only show
   /// what the run actually touched). Catalog order.
@@ -156,15 +170,9 @@ class MetricRegistry {
 };
 
 // ---- catalog names -------------------------------------------------------
-// Use these constants at call sites; each must appear in MetricCatalog().
+// Names of the metrics other layers update directly; each must appear in
+// MetricCatalog(). ExecStats-fed metrics are named only by their row.
 
-inline constexpr const char* kMetricShuffleBytes = "exec.shuffle.bytes";
-inline constexpr const char* kMetricBroadcastBytes = "exec.broadcast.bytes";
-inline constexpr const char* kMetricShuffleRounds = "exec.shuffle.rounds";
-inline constexpr const char* kMetricBroadcastRounds = "exec.broadcast.rounds";
-inline constexpr const char* kMetricStepsExecuted = "exec.steps";
-inline constexpr const char* kMetricStages = "exec.stages";
-inline constexpr const char* kMetricPeakMemoryBytes = "exec.peak_memory.bytes";
 inline constexpr const char* kMetricEngineTasks = "engine.tasks";
 inline constexpr const char* kMetricQueueWaitSeconds =
     "engine.queue_wait.seconds";
@@ -198,50 +206,6 @@ inline constexpr const char* kMetricPlanSearchRejected =
     "planner.search.rejected";
 inline constexpr const char* kMetricPlanSearchSeconds =
     "planner.search.seconds";
-inline constexpr const char* kMetricPlanEstimateDrift =
-    "planner.estimate.drift";
-inline constexpr const char* kMetricPlanEstimateDriftEvents =
-    "planner.estimate.drift.events";
-inline constexpr const char* kMetricFaultInjected = "fault.injected";
-inline constexpr const char* kMetricFaultRetries = "fault.retries";
-inline constexpr const char* kMetricFaultRecomputedBlocks =
-    "fault.recomputed.blocks";
-inline constexpr const char* kMetricFaultRestoredBlocks =
-    "fault.restored.blocks";
-inline constexpr const char* kMetricFaultSpeculatedTasks =
-    "fault.speculated.tasks";
-inline constexpr const char* kMetricFaultCheckpointBytes =
-    "fault.checkpoint.bytes";
-inline constexpr const char* kMetricFaultRecoverySeconds =
-    "fault.recovery.seconds";
-inline constexpr const char* kMetricFaultCheckpointDurableBytes =
-    "fault.checkpoint.durable.bytes";
-inline constexpr const char* kMetricFaultCheckpointEpochs =
-    "fault.checkpoint.epochs";
-inline constexpr const char* kMetricFaultCheckpointFailures =
-    "fault.checkpoint.failures";
-inline constexpr const char* kMetricFaultResumeRestoredBlocks =
-    "fault.resume.restored.blocks";
-inline constexpr const char* kMetricFaultResumeSeconds =
-    "fault.resume.seconds";
-inline constexpr const char* kMetricFaultDiskFaults = "fault.disk.faults";
-inline constexpr const char* kMetricNetMessages = "fault.net.messages";
-inline constexpr const char* kMetricNetRetransmits = "fault.net.retransmits";
-inline constexpr const char* kMetricNetRetransBytes =
-    "fault.net.retrans.bytes";
-inline constexpr const char* kMetricNetDuplicates = "fault.net.duplicates";
-inline constexpr const char* kMetricNetReordered = "fault.net.reordered";
-inline constexpr const char* kMetricNetDelaySeconds =
-    "fault.net.delay.seconds";
-inline constexpr const char* kMetricNetPartitions = "fault.net.partitions";
-inline constexpr const char* kMetricNetStaleFenced = "fault.net.stale.fenced";
-inline constexpr const char* kMetricNetStaleApplied =
-    "fault.net.stale.applied";
-inline constexpr const char* kMetricMembershipEpoch = "membership.epoch";
-inline constexpr const char* kMetricMembershipWorkersDead =
-    "membership.workers.dead";
-inline constexpr const char* kMetricMembershipDetectionSeconds =
-    "membership.detection.seconds";
 inline constexpr const char* kMetricGovernorSpillBytes = "governor.spill.bytes";
 inline constexpr const char* kMetricGovernorSpillBlocks =
     "governor.spill.blocks";

@@ -21,7 +21,7 @@
 
 #include "common/result.h"
 #include "plan/plan.h"
-#include "runtime/exec_stats.h"
+#include "obs/exec_stats.h"
 
 namespace dmac {
 

@@ -108,103 +108,6 @@ std::string StepSpanName(const PlanStep& step) {
   return name;
 }
 
-/// One catalog metric fed from ExecStats. ExecStats is the executor's only
-/// ledger; the registry is filled from it once per run, on every exit path.
-/// Counters add the run's totals. Gauges are set only by a completed run,
-/// and only when `ran` (if given) says their layer was built.
-struct StatMetric {
-  const char* name;
-  MetricKind kind;
-  double (*value)(const ExecStats&);
-  bool (*ran)(const ExecStats&) = nullptr;
-};
-
-bool MembershipRan(const ExecStats& s) { return s.membership_epoch > 0; }
-
-using S = ExecStats;  // keeps the table rows short
-using enum MetricKind;
-const StatMetric kStatMetrics[] = {
-    {kMetricShuffleBytes, kCounter,
-     [](const S& s) -> double { return s.shuffle_bytes; }},
-    {kMetricBroadcastBytes, kCounter,
-     [](const S& s) -> double { return s.broadcast_bytes; }},
-    {kMetricShuffleRounds, kCounter,
-     [](const S& s) -> double { return s.shuffle_events; }},
-    {kMetricBroadcastRounds, kCounter,
-     [](const S& s) -> double { return s.broadcast_events; }},
-    {kMetricStepsExecuted, kCounter,
-     [](const S& s) -> double { return s.steps_executed; }},
-    {kMetricStages, kGauge, [](const S& s) -> double { return s.stages; }},
-    {kMetricPeakMemoryBytes, kGauge,
-     [](const S& s) -> double { return s.peak_memory_bytes; }},
-    {kMetricPlanEstimateDrift, kGauge,
-     [](const S& s) -> double { return s.estimate_drift; }},
-    {kMetricPlanEstimateDriftEvents, kCounter,
-     [](const S& s) -> double { return s.estimate_drift > 4.0 ? 1 : 0; }},
-    {kMetricFaultInjected, kCounter,
-     [](const S& s) -> double { return s.faults_injected; }},
-    {kMetricFaultRetries, kCounter,
-     [](const S& s) -> double { return s.retries; }},
-    {kMetricFaultRecomputedBlocks, kCounter,
-     [](const S& s) -> double { return s.recomputed_blocks; }},
-    {kMetricFaultRestoredBlocks, kCounter,
-     [](const S& s) -> double { return s.restored_blocks; }},
-    {kMetricFaultSpeculatedTasks, kCounter,
-     [](const S& s) -> double { return s.speculated_tasks; }},
-    {kMetricFaultCheckpointBytes, kCounter,
-     [](const S& s) -> double { return s.checkpoint_bytes; }},
-    {kMetricFaultRecoverySeconds, kCounter,
-     [](const S& s) -> double { return s.TotalRecoverySeconds(); }},
-    {kMetricFaultCheckpointDurableBytes, kCounter,
-     [](const S& s) -> double { return s.durable_checkpoint_bytes; }},
-    {kMetricFaultCheckpointEpochs, kCounter,
-     [](const S& s) -> double { return s.durable_epochs; }},
-    {kMetricFaultCheckpointFailures, kCounter,
-     [](const S& s) -> double { return s.checkpoint_failures; }},
-    {kMetricFaultResumeRestoredBlocks, kCounter,
-     [](const S& s) -> double { return s.resume_restored_blocks; }},
-    {kMetricFaultResumeSeconds, kCounter,
-     [](const S& s) -> double { return s.resume_seconds; }},
-    {kMetricFaultDiskFaults, kCounter,
-     [](const S& s) -> double { return s.disk_faults_injected; }},
-    {kMetricNetMessages, kCounter,
-     [](const S& s) -> double { return s.net_messages; }},
-    {kMetricNetRetransmits, kCounter,
-     [](const S& s) -> double { return s.net_retransmits; }},
-    {kMetricNetRetransBytes, kCounter,
-     [](const S& s) -> double { return s.net_retrans_bytes; }},
-    {kMetricNetDuplicates, kCounter,
-     [](const S& s) -> double { return s.net_duplicates; }},
-    {kMetricNetReordered, kCounter,
-     [](const S& s) -> double { return s.net_reordered; }},
-    {kMetricNetDelaySeconds, kCounter,
-     [](const S& s) -> double { return s.net_delay_seconds; }},
-    {kMetricNetPartitions, kCounter,
-     [](const S& s) -> double { return s.net_partitions; }},
-    {kMetricNetStaleFenced, kCounter,
-     [](const S& s) -> double { return s.net_stale_fenced; }},
-    {kMetricNetStaleApplied, kCounter,
-     [](const S& s) -> double { return s.net_stale_applied; }},
-    {kMetricMembershipEpoch, kGauge,
-     [](const S& s) -> double { return s.membership_epoch; }, MembershipRan},
-    {kMetricMembershipWorkersDead, kGauge,
-     [](const S& s) -> double { return s.workers_dead; }, MembershipRan},
-    {kMetricMembershipDetectionSeconds, kCounter,
-     [](const S& s) -> double { return s.detection_seconds; }},
-};
-
-void RecordMetrics(const ExecStats& stats, bool completed) {
-  MetricRegistry& registry = MetricRegistry::Global();
-  if (!registry.enabled()) return;
-  for (const StatMetric& m : kStatMetrics) {
-    if (m.kind == kCounter) {
-      registry.counter(m.name)->Add(m.value(stats));
-    } else if (completed && (m.ran == nullptr || m.ran(stats))) {
-      registry.gauge(m.name)->Set(m.value(stats));
-    }
-  }
-}
-
 }  // namespace
 
 class Executor::Impl {
@@ -251,7 +154,7 @@ class Executor::Impl {
   Result<ExecutionResult> Run() {
     Result<ExecutionResult> result = RunPlan();
     CollectLayerStats();
-    RecordMetrics(stats_, result.ok());
+    MetricRegistry::Global().Record(stats_, result.ok());
     if (result.ok()) result->stats = std::move(stats_);
     return result;
   }
@@ -478,7 +381,7 @@ class Executor::Impl {
     double seconds = timer.ElapsedSeconds() + delay;
     if (delay > 0 && st.ok() && opts_.fault.speculate && idempotent &&
         opts_.num_workers > 1) {
-      stats_.AddRecoverySeconds(step.stage, seconds);
+      stats_.recovery_seconds += seconds;
       ++stats_.speculated_tasks;
       host = Host((worker + 1) % opts_.num_workers);
       engine_.SetWorkerContext(host);
@@ -487,7 +390,7 @@ class Executor::Impl {
       seconds = backup_timer.ElapsedSeconds();
     }
     if (recovering_) {
-      stats_.AddRecoverySeconds(step.stage, seconds);
+      stats_.recovery_seconds += seconds;
     } else {
       stats_.AddWorkerSeconds(step.stage, host, seconds);
     }
@@ -503,7 +406,6 @@ class Executor::Impl {
                       const char* label, int rounds = 1) {
     if (recovering_) {
       stats_.recovery_bytes += bytes;
-      stats_.recovery_events += rounds;
     } else {
       (broadcast ? stats_.broadcast_bytes : stats_.shuffle_bytes) += bytes;
       (broadcast ? stats_.broadcast_events : stats_.shuffle_events) += rounds;
@@ -699,17 +601,7 @@ class Executor::Impl {
       stats_.disk_faults_injected = storage_io_->faults_injected();
     }
     if (membership_ != nullptr) stats_.membership_epoch = membership_->epoch();
-    if (net_ == nullptr) return;
-    const NetFaultStats& ns = net_->stats();
-    stats_.net_messages = ns.messages;
-    stats_.net_retransmits = ns.retransmits;
-    stats_.net_retrans_bytes = ns.retrans_bytes;
-    stats_.net_duplicates = ns.duplicates;
-    stats_.net_reordered = ns.reordered;
-    stats_.net_delay_seconds = ns.delay_seconds;
-    stats_.net_partitions = ns.partitions;
-    stats_.net_stale_fenced = ns.stale_fenced;
-    stats_.net_stale_applied = ns.stale_applied;
+    if (net_ != nullptr) stats_.net = net_->stats();
   }
 
   /// Transfers route through the fault-injecting network layer only on the
@@ -777,10 +669,9 @@ class Executor::Impl {
       TraceSpan span(kTraceRecovery, "retry " + StepSpanName(step), -1,
                      TraceArg("step", int64_t{step.id}) + "," +
                          TraceArg("attempt", int64_t{attempt + 1}));
-      stats_.AddRetry(step.stage);
+      ++stats_.retries;
       // Simulated exponential backoff; transient faults clear with time.
-      stats_.AddRecoverySeconds(step.stage,
-                                retry_policy_.BackoffSeconds(attempt));
+      stats_.recovery_seconds += retry_policy_.BackoffSeconds(attempt);
       DMAC_RETURN_NOT_OK(RecoverAll());
     }
     DMAC_RETURN_NOT_OK(AfterStepSuccess(step));
@@ -839,7 +730,7 @@ class Executor::Impl {
       if (opts_.fault.death_step == step.id && !opts_.fault.death_in_flight &&
           !forced_death_applied_) {
         forced_death_applied_ = true;
-        ApplyDeath(opts_.fault.death_worker, step.stage);
+        ApplyDeath(opts_.fault.death_worker);
       }
       // Probabilistic deaths are quorum-budgeted: once one more death would
       // drop the cluster below min_workers, no further draw is consumed —
@@ -852,7 +743,7 @@ class Executor::Impl {
         for (int w = 0; w < opts_.num_workers; ++w) {
           if (membership_->IsDead(w)) continue;
           if (seen++ == k) {
-            ApplyDeath(w, step.stage);
+            ApplyDeath(w);
             break;
           }
         }
@@ -891,11 +782,11 @@ class Executor::Impl {
   /// lost blocks are re-derived through the ordinary lineage machinery
   /// (checkpoint → replica → recompute) on the next recovery sweep. Below
   /// quorum this arms `quorum_status_` instead of attempting recovery.
-  void ApplyDeath(int victim, int stage) {
+  void ApplyDeath(int victim) {
     if (membership_->IsDead(victim)) return;  // death is permanent
     const double detection = membership_->DeclareDead(victim);
     stats_.detection_seconds += detection;
-    stats_.AddRecoverySeconds(stage, detection);
+    stats_.recovery_seconds += detection;
     ++stats_.workers_dead;
     for (auto& dm : node_data_) {
       if (dm != nullptr) dm->ClearWorker(victim);
@@ -1012,8 +903,7 @@ class Executor::Impl {
       const PlanStep& producer =
           plan_.steps[static_cast<size_t>(lin.producer_step)];
       DMAC_RETURN_NOT_OK(ExecuteStep(producer));
-      stats_.AddRecomputed(producer.stage,
-                           static_cast<int64_t>(dirty.size()));
+      stats_.recomputed_blocks += static_cast<int64_t>(dirty.size());
     }
 
     // Re-stamp and enforce bit-identity with the lineage record.
@@ -1656,7 +1546,7 @@ class Executor::Impl {
         opts_.fault.death_step == step.id && !forced_death_applied_ &&
         !recovering_) {
       forced_death_applied_ = true;
-      ApplyDeath(opts_.fault.death_worker, step.stage);
+      ApplyDeath(opts_.fault.death_worker);
     }
     DMAC_RETURN_NOT_OK(CheckCancel());
     {
@@ -1997,6 +1887,15 @@ Executor::Executor(ExecutorOptions options) : options_(options) {}
 
 Result<ExecutionResult> Executor::Execute(const Plan& plan,
                                           const Bindings& bindings) {
+  if (options_.num_workers < 1 || options_.threads_per_worker < 1 ||
+      options_.block_size < 0) {
+    return Status::Invalid(
+        "invalid cluster options: num_workers " +
+        std::to_string(options_.num_workers) + ", threads_per_worker " +
+        std::to_string(options_.threads_per_worker) + ", block_size " +
+        std::to_string(options_.block_size) +
+        " (need workers >= 1, threads >= 1, block size >= 0)");
+  }
   Result<ExecutionResult> result = [&] {
     Impl impl(options_, plan, bindings);
     return impl.Run();

@@ -20,7 +20,7 @@
 #include "matrix/local_matrix.h"
 #include "plan/plan.h"
 #include "runtime/dist_matrix.h"
-#include "runtime/exec_stats.h"
+#include "obs/exec_stats.h"
 #include "runtime/local_engine.h"
 
 namespace dmac {

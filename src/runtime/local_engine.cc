@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <unordered_map>
+#include <vector>
 
 #include "common/sync.h"
 #include "common/timer.h"
@@ -138,54 +139,32 @@ void LocalEngine::Dispatch(size_t num_tasks,
   const std::atomic<bool>* abandon =
       cancel_ != nullptr ? cancel_->fired_flag() : nullptr;
 
-  // Disabled path: identical to the uninstrumented engine — one relaxed
-  // load per batch decides which dispatch body runs.
-  const bool observe = TraceRecorder::Global().enabled() ||
-                       MetricRegistry::Global().enabled();
-  if (!observe) {
-    if (scheduling_ == TaskScheduling::kQueue) {
-      // Fig. 4: one entry per task in the shared queue; idle threads pull.
-      for (size_t i = 0; i < num_tasks; ++i) {
-        pool_->Submit(abandon, [&run_task, i] { run_task(i); });
-      }
-    } else {
-      // Static ablation: contiguous chunks, no rebalancing.
-      const size_t threads = pool_->num_threads();
-      const size_t chunk = (num_tasks + threads - 1) / threads;
-      for (size_t t = 0; t < threads; ++t) {
-        const size_t lo = t * chunk;
-        const size_t hi = std::min(num_tasks, lo + chunk);
-        if (lo >= hi) break;
-        pool_->Submit(abandon, [&run_task, abandon, lo, hi] {
-          for (size_t i = lo; i < hi; ++i) {
-            if (abandon != nullptr &&
-                abandon->load(std::memory_order_acquire)) {
-              return;
-            }
-            run_task(i);
-          }
-        });
-      }
-    }
-    pool_->WaitIdle();
-    return;
-  }
-
-  // Observed path: each task records its queue wait (submit -> first
-  // instruction), a worker-attributed trace span, and its kernel time.
+  // Observation is decided once per batch. An observed task records its
+  // queue wait (submit -> first instruction), a worker-attributed trace
+  // span, and its kernel time; with observation off each task costs one
+  // extra well-predicted branch where it is submitted and one where it runs.
   // Under kStatic the whole chunk shares one submit time, so later tasks in
   // a chunk report growing waits — exactly the skew the ablation shows.
-  Histogram* wait_hist =
+  const bool observe = TraceRecorder::Global().enabled() ||
+                       MetricRegistry::Global().enabled();
+  static Histogram* wait_hist =
       MetricRegistry::Global().histogram(kMetricQueueWaitSeconds);
-  Histogram* task_hist = TaskHistogram(kind);
   static Counter* task_counter =
       MetricRegistry::Global().counter(kMetricEngineTasks);
+  Histogram* task_hist = TaskHistogram(kind);
   const char* name = TaskKindName(kind);
   const int worker = trace_worker_;
-  auto observed = [&run_task, wait_hist, task_hist, name, worker](
-                      size_t i, int64_t submit_ns) {
+  // Per-task submit times, written before Submit hands the task over. Kept
+  // out of the task closures so a queued closure stays small enough for
+  // std::function's inline storage.
+  std::vector<int64_t> submit_ns(observe ? num_tasks : 0);
+  auto run = [&](size_t i) {
+    if (!observe) {
+      run_task(i);
+      return;
+    }
     const int64_t start_ns = TraceRecorder::Global().NowNs();
-    wait_hist->Observe(static_cast<double>(start_ns - submit_ns) * 1e-9);
+    wait_hist->Observe(static_cast<double>(start_ns - submit_ns[i]) * 1e-9);
     TraceSpan span(kTraceTask, name, worker);
     Timer timer;
     run_task(i);
@@ -194,26 +173,31 @@ void LocalEngine::Dispatch(size_t num_tasks,
   };
 
   if (scheduling_ == TaskScheduling::kQueue) {
+    // Fig. 4: one entry per task in the shared queue; idle threads pull.
     for (size_t i = 0; i < num_tasks; ++i) {
-      const int64_t submit_ns = TraceRecorder::Global().NowNs();
-      pool_->Submit(abandon,
-                    [&observed, i, submit_ns] { observed(i, submit_ns); });
+      if (observe) submit_ns[i] = TraceRecorder::Global().NowNs();
+      pool_->Submit(abandon, [&run, i] { run(i); });
     }
   } else {
+    // Static ablation: contiguous chunks, no rebalancing.
     const size_t threads = pool_->num_threads();
     const size_t chunk = (num_tasks + threads - 1) / threads;
     for (size_t t = 0; t < threads; ++t) {
       const size_t lo = t * chunk;
       const size_t hi = std::min(num_tasks, lo + chunk);
       if (lo >= hi) break;
-      const int64_t submit_ns = TraceRecorder::Global().NowNs();
-      pool_->Submit(abandon, [&observed, abandon, lo, hi, submit_ns] {
+      if (observe) {
+        std::fill(submit_ns.begin() + static_cast<ptrdiff_t>(lo),
+                  submit_ns.begin() + static_cast<ptrdiff_t>(hi),
+                  TraceRecorder::Global().NowNs());
+      }
+      pool_->Submit(abandon, [&run, abandon, lo, hi] {
         for (size_t i = lo; i < hi; ++i) {
           if (abandon != nullptr &&
               abandon->load(std::memory_order_acquire)) {
             return;
           }
-          observed(i, submit_ns);
+          run(i);
         }
       });
     }

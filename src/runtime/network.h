@@ -32,26 +32,10 @@
 #include "common/status.h"
 #include "fault/injector.h"
 #include "fault/retry_policy.h"
+#include "obs/exec_stats.h"
 #include "runtime/membership.h"
 
 namespace dmac {
-
-/// Counters the network layer accumulates across a run; exported into
-/// ExecStats and the fault.net.* metrics after execution.
-struct NetFaultStats {
-  int64_t messages = 0;      ///< transfers routed through the layer
-  int64_t retransmits = 0;   ///< dropped sends that were retried
-  double retrans_bytes = 0;  ///< bytes moved again by retransmits
-  int64_t duplicates = 0;    ///< duplicate deliveries absorbed by dedup
-  int64_t reordered = 0;     ///< out-of-order arrivals absorbed by sorting
-  double delay_seconds = 0;  ///< simulated latency added by delays/backoff
-  int64_t partitions = 0;    ///< transient partitions opened
-  int64_t stale_fenced = 0;  ///< dead-sender transfers fenced by epoch
-  /// Audit counter: dead-sender transfers *applied* anyway. Structurally
-  /// zero — DeclareDead bumps the epoch past anything the victim sent —
-  /// and asserted zero by the degraded-mode tests.
-  int64_t stale_applied = 0;
-};
 
 /// The simulated fault-injecting message layer. Null injector/membership
 /// are allowed (no faults drawn / no fencing); the executor only

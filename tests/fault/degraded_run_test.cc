@@ -66,7 +66,7 @@ TEST(DegradedRunTest, GnmfLosingOneOfFourWorkersIsBitIdentical) {
   EXPECT_EQ(stats.workers_dead, 1);
   EXPECT_GT(stats.membership_epoch, 1);
   EXPECT_GT(stats.detection_seconds, 0.0);
-  EXPECT_EQ(stats.net_stale_applied, 0);  // the audit counter
+  EXPECT_EQ(stats.net.stale_applied, 0);  // the audit counter
 }
 
 TEST(DegradedRunTest, InFlightDeathDuringCpmmShuffleIsEpochFenced) {
@@ -96,8 +96,8 @@ TEST(DegradedRunTest, InFlightDeathDuringCpmmShuffleIsEpochFenced) {
   EXPECT_EQ(stats.workers_dead, 1);
   // The victim's partials were in flight when the epoch moved: they must
   // have been fenced, never applied.
-  EXPECT_GT(stats.net_stale_fenced, 0);
-  EXPECT_EQ(stats.net_stale_applied, 0);
+  EXPECT_GT(stats.net.stale_fenced, 0);
+  EXPECT_EQ(stats.net.stale_applied, 0);
 }
 
 TEST(DegradedRunTest, InFlightDeathDuringAggregateShuffleIsEpochFenced) {
@@ -132,8 +132,8 @@ TEST(DegradedRunTest, InFlightDeathDuringAggregateShuffleIsEpochFenced) {
 
   const ExecStats& stats = outcome->result.stats;
   EXPECT_EQ(stats.workers_dead, 1);
-  EXPECT_GT(stats.net_stale_fenced, 0);
-  EXPECT_EQ(stats.net_stale_applied, 0);
+  EXPECT_GT(stats.net.stale_fenced, 0);
+  EXPECT_EQ(stats.net.stale_applied, 0);
 }
 
 TEST(DegradedRunTest, BelowQuorumFailsCleanWithUnavailable) {
@@ -198,7 +198,7 @@ TEST_P(DeathSweepTest, QuorumBudgetedDeathsStayBitIdenticalAcrossSeeds) {
     // The death budget stops at the quorum: never more than
     // num_workers - min_workers deaths, and never a failed run.
     EXPECT_LE(stats.workers_dead, 1) << context;
-    EXPECT_EQ(stats.net_stale_applied, 0) << context;
+    EXPECT_EQ(stats.net.stale_applied, 0) << context;
     total_deaths += stats.workers_dead;
   }
   // The sweep must actually kill workers, not pass vacuously.

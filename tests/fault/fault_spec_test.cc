@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 namespace dmac {
@@ -139,6 +140,39 @@ TEST(FaultSpecTest, RejectsOutOfRangeIntegerValues) {
   // instead of wrapping them.
   EXPECT_FALSE(ParseFaultSpec("death_worker = 2147483648\n").ok());
   EXPECT_FALSE(ParseFaultSpec("seed = -1\n").ok());
+}
+
+TEST(FaultSpecTest, RejectsNonFiniteValues) {
+  for (const char* line :
+       {"crash_prob = nan\n", "backoff_base_seconds = nan\n",
+        "net_delay_seconds = -nan\n", "straggler_delay_seconds = inf\n",
+        "net_drop_prob = -infinity\n"}) {
+    auto spec = ParseFaultSpec(line);
+    ASSERT_FALSE(spec.ok()) << line;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(spec.status().ToString().find("finite"), std::string::npos)
+        << spec.status();
+  }
+}
+
+TEST(FaultSpecTest, ValidateRejectsNonFiniteKnobs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  FaultSpec spec;
+  spec.crash_prob = nan;
+  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
+  spec = FaultSpec{};
+  spec.backoff_base_seconds = nan;
+  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
+  spec = FaultSpec{};
+  spec.straggler_delay_seconds = inf;
+  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
+  spec = FaultSpec{};
+  spec.net.delay_seconds = -nan;
+  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
+  spec = FaultSpec{};
+  spec.disk.enospc_prob = nan;
+  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(FaultSpecTest, ParsesDeathAndNetworkKeys) {

@@ -190,12 +190,12 @@ TEST_P(NetFaultIdentityTest, NetworkFaultsNeverChangeResults) {
       ASSERT_TRUE(outcome.ok()) << context << ": " << outcome.status();
       ExpectBitIdentical(baseline->result, outcome->result, context);
       const ExecStats& stats = outcome->result.stats;
-      total_messages += stats.net_messages;
-      total_perturbations += stats.net_retransmits + stats.net_duplicates +
-                             stats.net_reordered + stats.net_partitions;
+      total_messages += stats.net.messages;
+      total_perturbations += stats.net.retransmits + stats.net.duplicates +
+                             stats.net.reordered + stats.net.partitions;
       // The audit counter: a dead-sender transfer must never be applied
       // (nothing dies in this sweep, so even fencing stays silent).
-      EXPECT_EQ(stats.net_stale_applied, 0) << context;
+      EXPECT_EQ(stats.net.stale_applied, 0) << context;
     }
   }
   // The sweep must exercise the network layer, not pass vacuously.

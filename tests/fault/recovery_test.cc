@@ -79,7 +79,7 @@ TEST(RecoveryTest, TransientFaultsResolveWithinTheRetryBudget) {
   // fixed schedule certainly fired.
   EXPECT_GT(outcome->result.stats.faults_injected, 0);
   EXPECT_GT(outcome->result.stats.retries, 0);
-  EXPECT_GT(outcome->result.stats.TotalRecoverySeconds(), 0);
+  EXPECT_GT(outcome->result.stats.recovery_seconds, 0);
   ExpectBitIdentical(baseline->result, outcome->result, "transient");
   // Recovery work must not inflate the useful-compute account.
   EXPECT_NEAR(outcome->result.stats.TotalComputeSeconds(),
@@ -160,7 +160,7 @@ TEST(RecoveryTest, DisabledFaultPathLeavesCountersZero) {
   EXPECT_EQ(stats.speculated_tasks, 0);
   EXPECT_EQ(stats.checkpoint_bytes, 0);
   EXPECT_DOUBLE_EQ(stats.recovery_bytes, 0);
-  EXPECT_DOUBLE_EQ(stats.TotalRecoverySeconds(), 0);
+  EXPECT_DOUBLE_EQ(stats.recovery_seconds, 0);
 }
 
 TEST(RecoveryTest, EnabledButQuietSpecChangesNothing) {

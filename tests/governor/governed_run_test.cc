@@ -144,7 +144,7 @@ class CancelRetryTest : public ::testing::Test {
   }
 
   double Retries() {
-    return MetricRegistry::Global().counter(kMetricFaultRetries)->value();
+    return MetricRegistry::Global().counter("fault.retries")->value();
   }
 };
 

@@ -35,8 +35,22 @@ TEST_F(MetricsTest, CatalogNamesAreUniqueAndDotted) {
   }
 }
 
+TEST_F(MetricsTest, ExecStatsRowsAreCountersOrGauges) {
+  // Record() feeds a row through its counter or gauge; a histogram cannot
+  // be read from ExecStats, and only a gauge may be gated on its layer.
+  for (const MetricSpec& spec : MetricCatalog()) {
+    if (spec.read != nullptr) {
+      EXPECT_NE(spec.kind, MetricKind::kHistogram) << spec.name;
+    }
+    if (spec.ran != nullptr) {
+      EXPECT_NE(spec.read, nullptr) << spec.name;
+      EXPECT_EQ(spec.kind, MetricKind::kGauge) << spec.name;
+    }
+  }
+}
+
 TEST_F(MetricsTest, CounterAccumulates) {
-  Counter* c = MetricRegistry::Global().counter(kMetricShuffleBytes);
+  Counter* c = MetricRegistry::Global().counter("exec.shuffle.bytes");
   c->Add(100.0);
   c->Add(28.0);
   c->Increment();
@@ -44,7 +58,7 @@ TEST_F(MetricsTest, CounterAccumulates) {
 }
 
 TEST_F(MetricsTest, GaugeKeepsLastValue) {
-  Gauge* g = MetricRegistry::Global().gauge(kMetricStages);
+  Gauge* g = MetricRegistry::Global().gauge("exec.stages");
   g->Set(5);
   g->Set(12);
   EXPECT_DOUBLE_EQ(g->value(), 12.0);
@@ -78,7 +92,7 @@ TEST_F(MetricsTest, InstrumentPointersSurviveReset) {
 
 TEST_F(MetricsTest, DisabledUpdatesAreDropped) {
   Counter* c = MetricRegistry::Global().counter(kMetricPoolAcquires);
-  Gauge* g = MetricRegistry::Global().gauge(kMetricPeakMemoryBytes);
+  Gauge* g = MetricRegistry::Global().gauge("exec.peak_memory.bytes");
   Histogram* h =
       MetricRegistry::Global().histogram(kMetricTaskSecondsMultiply);
   MetricRegistry::Global().SetEnabled(false);
@@ -91,18 +105,18 @@ TEST_F(MetricsTest, DisabledUpdatesAreDropped) {
 }
 
 TEST_F(MetricsTest, CollectSkipsUntouchedInstrumentsAndKeepsCatalogOrder) {
-  MetricRegistry::Global().counter(kMetricShuffleBytes)->Add(64);
-  MetricRegistry::Global().gauge(kMetricStages)->Set(2);
+  MetricRegistry::Global().counter("exec.shuffle.bytes")->Add(64);
+  MetricRegistry::Global().gauge("exec.stages")->Set(2);
   std::vector<MetricValue> values = MetricRegistry::Global().Collect();
   ASSERT_EQ(values.size(), 2u);
   // Catalog lists exec.shuffle.bytes before exec.stages.
-  EXPECT_EQ(values[0].name, kMetricShuffleBytes);
+  EXPECT_EQ(values[0].name, "exec.shuffle.bytes");
   EXPECT_DOUBLE_EQ(values[0].value, 64.0);
-  EXPECT_EQ(values[1].name, kMetricStages);
+  EXPECT_EQ(values[1].name, "exec.stages");
 }
 
 TEST_F(MetricsTest, JsonAndCsvDumpsContainTouchedMetrics) {
-  MetricRegistry::Global().counter(kMetricBroadcastRounds)->Increment();
+  MetricRegistry::Global().counter("exec.broadcast.rounds")->Increment();
   MetricRegistry::Global()
       .histogram(kMetricTaskSecondsAggregate)
       ->Observe(0.25);
@@ -123,7 +137,7 @@ TEST_F(MetricsTest, ConcurrentRecordingIsRaceFreeAndLosesNothing) {
   // histogram totals must come out exact (CAS loops, not racy +=).
   Counter* c = MetricRegistry::Global().counter(kMetricEngineTasks);
   Histogram* h = MetricRegistry::Global().histogram(kMetricQueueWaitSeconds);
-  Gauge* g = MetricRegistry::Global().gauge(kMetricStages);
+  Gauge* g = MetricRegistry::Global().gauge("exec.stages");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> threads;
@@ -152,7 +166,7 @@ TEST_F(MetricsDeathTest, UnknownNameAborts) {
 
 TEST_F(MetricsDeathTest, KindMismatchAborts) {
   // exec.stages is a gauge; asking for a counter of that name is a bug.
-  EXPECT_DEATH(MetricRegistry::Global().counter(kMetricStages),
+  EXPECT_DEATH(MetricRegistry::Global().counter("exec.stages"),
                "requested as");
 }
 

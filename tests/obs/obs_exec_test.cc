@@ -76,12 +76,12 @@ TEST(ObsExecTest, EnabledRunProducesAllSpanCategoriesAndMetrics) {
   // Metrics: the executed-plan instruments and the engine instruments all
   // saw traffic, and the dump carries them.
   auto& reg = MetricRegistry::Global();
-  EXPECT_GT(reg.counter(kMetricStepsExecuted)->value(), 0);
-  EXPECT_GT(reg.counter(kMetricShuffleBytes)->value() +
-                reg.counter(kMetricBroadcastBytes)->value(),
+  EXPECT_GT(reg.counter("exec.steps")->value(), 0);
+  EXPECT_GT(reg.counter("exec.shuffle.bytes")->value() +
+                reg.counter("exec.broadcast.bytes")->value(),
             0);
   EXPECT_GT(reg.counter(kMetricEngineTasks)->value(), 0);
-  EXPECT_GT(reg.gauge(kMetricStages)->value(), 0);
+  EXPECT_GT(reg.gauge("exec.stages")->value(), 0);
   EXPECT_GT(reg.gauge(kMetricPlanGenerateSeconds)->value(), 0);
   EXPECT_GT(reg.histogram(kMetricTaskSecondsMultiply)->count(), 0);
   // Kernel accounting (docs/kernels.md): every multiply task contributes
@@ -98,8 +98,8 @@ TEST(ObsExecTest, EnabledRunProducesAllSpanCategoriesAndMetrics) {
 
   // Trace comm spans match the metric round counters (one span per round).
   EXPECT_DOUBLE_EQ(static_cast<double>(summary->comm_spans),
-                   reg.counter(kMetricShuffleRounds)->value() +
-                       reg.counter(kMetricBroadcastRounds)->value());
+                   reg.counter("exec.shuffle.rounds")->value() +
+                       reg.counter("exec.broadcast.rounds")->value());
 
   TraceRecorder::Global().Clear();
   reg.Reset();

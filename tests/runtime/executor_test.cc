@@ -369,6 +369,33 @@ TEST(ExecutorTest, MismatchedBindingBlockSizeReported) {
   EXPECT_FALSE(outcome.ok());
 }
 
+TEST(ExecutorTest, InvalidClusterOptionsAreRejectedBeforeAnyWork) {
+  ProgramBuilder pb;
+  Mat a = pb.Load("A", {8, 8}, 1.0);
+  Mat c = pb.Var("C");
+  pb.Assign(c, a.mm(a));
+  pb.Output(c);
+  RunConfig config;
+  config.block_size = 8;
+  auto plan = PlanProgram(pb.Build(), config);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  LocalMatrix adata = SyntheticDense(8, 8, 8, 1);
+  Bindings bindings{{"A", &adata}};
+  for (auto [workers, threads, block] :
+       {std::tuple{0, 2, int64_t{8}}, std::tuple{-2, 2, int64_t{8}},
+        std::tuple{4, 0, int64_t{8}}, std::tuple{4, -1, int64_t{8}},
+        std::tuple{4, 2, int64_t{-5}}}) {
+    ExecutorOptions opts;
+    opts.num_workers = workers;
+    opts.threads_per_worker = threads;
+    opts.block_size = block;
+    auto result = Executor(opts).Execute(*plan, bindings);
+    ASSERT_FALSE(result.ok()) << workers << " " << threads << " " << block;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status();
+  }
+}
+
 TEST(ExecutorTest, NetworkModelTimeIsMonotoneInBytes) {
   ExecStats fast, slow;
   fast.shuffle_bytes = 1e6;

@@ -59,15 +59,16 @@
 //   dmac_run scripts/gnmf.dmac --bind V=ratings.mtx --workers 8
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/runner.h"
+#include "common/parse.h"
 #include "data/matrix_market.h"
 #include "data/synthetic.h"
 #include "governor/query_session.h"
@@ -138,6 +139,12 @@ void PrintUsage(std::FILE* out, const char* argv0) {
                argv0);
 }
 
+/// Reports a flag-value parse failure; true when `st` is OK.
+bool Parsed(const Status& st) {
+  if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  return st.ok();
+}
+
 int Usage(const char* argv0) {
   PrintUsage(stderr, argv0);
   return 2;
@@ -201,6 +208,18 @@ int main(int argc, char** argv) {
       }
       return false;
     };
+    // Numeric flags parse with the fault-spec rule (common/parse.h): a
+    // malformed, out-of-range, or below-`min` value is bad usage.
+    auto int_flag = [&](auto* out, int64_t min) -> bool {
+      const char* v = next_value();
+      if (v == nullptr || !Parsed(ParseInt(arg, v, out))) return false;
+      if (std::cmp_less(*out, min)) {
+        std::fprintf(stderr, "%s must be >= %lld\n", arg.c_str(),
+                     static_cast<long long>(min));
+        return false;
+      }
+      return true;
+    };
     if (path_flag("--trace-out", &trace_out)) {
       if (trace_out.empty()) return Usage(argv[0]);
     } else if (path_flag("--metrics-out", &metrics_out)) {
@@ -208,57 +227,36 @@ int main(int argc, char** argv) {
     } else if (path_flag("--fault-spec", &fault_spec_path)) {
       if (fault_spec_path.empty()) return Usage(argv[0]);
     } else if (arg == "--min-workers") {
-      const char* v = next_value();
-      if (!v) return Usage(argv[0]);
-      config.min_workers = std::atoi(v);
-      if (config.min_workers < 1) return Usage(argv[0]);
+      if (!int_flag(&config.min_workers, 1)) return Usage(argv[0]);
     } else if (arg == "--checkpoint-every") {
-      const char* v = next_value();
-      if (!v) return Usage(argv[0]);
-      config.checkpoint_every = std::atoi(v);
+      if (!int_flag(&config.checkpoint_every, 0)) return Usage(argv[0]);
     } else if (path_flag("--checkpoint-dir", &config.checkpoint_dir)) {
       if (config.checkpoint_dir.empty()) return Usage(argv[0]);
     } else if (arg == "--resume") {
       config.resume = true;
     } else if (arg == "--crash-at") {
-      const char* v = next_value();
-      if (!v) return Usage(argv[0]);
-      crash_at = std::atoi(v);
-      if (crash_at < 1) return Usage(argv[0]);
+      if (!int_flag(&crash_at, 1)) return Usage(argv[0]);
     } else if (arg == "--deadline-ms") {
       const char* v = next_value();
-      if (!v) return Usage(argv[0]);
-      deadline_ms = std::atof(v);
-      if (deadline_ms < 0) return Usage(argv[0]);
+      if (!v || !Parsed(ParseDouble(arg, v, &deadline_ms)) ||
+          deadline_ms < 0) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--mem-budget-mb") {
-      const char* v = next_value();
-      if (!v) return Usage(argv[0]);
-      mem_budget_mb = std::atoll(v);
-      if (mem_budget_mb <= 0) return Usage(argv[0]);
+      if (!int_flag(&mem_budget_mb, 1)) return Usage(argv[0]);
     } else if (arg == "--concurrency") {
-      const char* v = next_value();
-      if (!v) return Usage(argv[0]);
-      concurrency = std::atoi(v);
-      if (concurrency < 1) return Usage(argv[0]);
+      if (!int_flag(&concurrency, 1)) return Usage(argv[0]);
     } else if (arg == "--help") {
       PrintUsage(stdout, argv[0]);
       return 0;
     } else if (arg == "--workers") {
-      const char* v = next_value();
-      if (!v) return Usage(argv[0]);
-      config.num_workers = std::atoi(v);
+      if (!int_flag(&config.num_workers, 1)) return Usage(argv[0]);
     } else if (arg == "--threads") {
-      const char* v = next_value();
-      if (!v) return Usage(argv[0]);
-      config.threads_per_worker = std::atoi(v);
+      if (!int_flag(&config.threads_per_worker, 1)) return Usage(argv[0]);
     } else if (arg == "--block") {
-      const char* v = next_value();
-      if (!v) return Usage(argv[0]);
-      config.block_size = std::atoll(v);
+      if (!int_flag(&config.block_size, 0)) return Usage(argv[0]);
     } else if (arg == "--seed") {
-      const char* v = next_value();
-      if (!v) return Usage(argv[0]);
-      config.seed = static_cast<uint64_t>(std::atoll(v));
+      if (!int_flag(&config.seed, 0)) return Usage(argv[0]);
     } else if (path_flag("--calibration", &config.calibration_path)) {
       if (config.calibration_path.empty()) return Usage(argv[0]);
     } else if (arg == "--plan-search" ||
@@ -278,10 +276,7 @@ int main(int argc, char** argv) {
       }
       config.plan_search = *parsed;
     } else if (arg == "--beam-width") {
-      const char* v = next_value();
-      if (!v) return Usage(argv[0]);
-      config.beam_width = std::atoi(v);
-      if (config.beam_width < 1) return Usage(argv[0]);
+      if (!int_flag(&config.beam_width, 1)) return Usage(argv[0]);
     } else if (arg == "--baseline") {
       config.exploit_dependencies = false;
     } else if (arg == "--verify-plan") {
@@ -534,7 +529,7 @@ int main(int argc, char** argv) {
         static_cast<long long>(stats.restored_blocks),
         static_cast<long long>(stats.speculated_tasks),
         static_cast<double>(stats.checkpoint_bytes) / 1e6,
-        stats.TotalRecoverySeconds(), stats.recovery_bytes / 1e6);
+        stats.recovery_seconds, stats.recovery_bytes / 1e6);
   }
   if (!config.checkpoint_dir.empty()) {
     std::string resumed;
@@ -561,20 +556,20 @@ int main(int argc, char** argv) {
         config.num_workers - static_cast<int>(stats.workers_dead),
         config.num_workers, config.min_workers);
   }
-  if (stats.net_messages > 0) {
+  if (stats.net.messages > 0) {
     std::printf(
         "[fault.net] %lld messages, %lld retransmits (%.2f MB), %lld dups, "
         "%lld reordered, %lld partitions, delay %.3fs, stale fenced %lld / "
         "applied %lld\n",
-        static_cast<long long>(stats.net_messages),
-        static_cast<long long>(stats.net_retransmits),
-        stats.net_retrans_bytes / 1e6,
-        static_cast<long long>(stats.net_duplicates),
-        static_cast<long long>(stats.net_reordered),
-        static_cast<long long>(stats.net_partitions),
-        stats.net_delay_seconds,
-        static_cast<long long>(stats.net_stale_fenced),
-        static_cast<long long>(stats.net_stale_applied));
+        static_cast<long long>(stats.net.messages),
+        static_cast<long long>(stats.net.retransmits),
+        stats.net.retrans_bytes / 1e6,
+        static_cast<long long>(stats.net.duplicates),
+        static_cast<long long>(stats.net.reordered),
+        static_cast<long long>(stats.net.partitions),
+        stats.net.delay_seconds,
+        static_cast<long long>(stats.net.stale_fenced),
+        static_cast<long long>(stats.net.stale_applied));
   }
   if (config.governor.budgeted()) {
     std::printf(
