@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -104,9 +103,6 @@ struct ExecStats {
   // deliberately worst-case (s_C = 1 after every multiply), which makes
   // chained-multiply estimates wildly pessimistic; these fields record what
   // actually happened so the planner.estimate.drift metric can surface it.
-  /// Measured nonzeros of every plan matrix still resident when the run
-  /// finished, keyed by its plan rendering ("W#3", "V^T", ...).
-  std::map<std::string, int64_t> matrix_nnz;
   /// The §4.1 communication estimate the executed plan carried.
   double estimated_comm_bytes = 0;
   /// max(estimated, measured) / min(estimated, measured) communication

@@ -37,6 +37,13 @@
 
 namespace dmac {
 
+/// Allocates a stored block. The Block is created non-const, so a holder of
+/// the last reference may move it out (the executor's gather does).
+inline std::shared_ptr<const Block> NewBlockPtr(Block block) {
+  return std::shared_ptr<const Block>(
+      std::make_shared<Block>(std::move(block)));
+}
+
 /// One matrix materialized on the cluster under a partition scheme.
 class DistMatrix {
  public:
@@ -210,7 +217,7 @@ class DistMatrix {
         if (entry.spill_handle == SpillStore::kNoHandle) continue;
         DMAC_ASSIGN_OR_RETURN(Block block,
                               spill_->Restore(entry.spill_handle));
-        entry.block = std::make_shared<const Block>(std::move(block));
+        entry.block = NewBlockPtr(std::move(block));
         entry.spill_handle = SpillStore::kNoHandle;
         if (budget_) budget_->Charge(entry.owned_bytes);
         restored += entry.owned_bytes;

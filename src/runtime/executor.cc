@@ -81,7 +81,7 @@ class StoreSink {
   StoreSink(DistMatrix* target, int worker) : target_(target), worker_(worker) {}
 
   void operator()(int64_t bi, int64_t bj, Block block) DMAC_EXCLUDES(mu_) {
-    auto ptr = std::make_shared<const Block>(std::move(block));
+    auto ptr = NewBlockPtr(std::move(block));
     MutexLock lock(&mu_);
     target_->Put(worker_, bi, bj, std::move(ptr));
   }
@@ -108,6 +108,19 @@ std::string StepSpanName(const PlanStep& step) {
   return name;
 }
 
+/// For every plan node, the id of the last step that reads it (-1 when none
+/// does). Plan outputs map past the last step: they live until gathered.
+std::vector<int> LastConsumers(const Plan& plan) {
+  std::vector<int> last(plan.nodes.size(), -1);
+  for (const PlanStep& step : plan.steps) {  // ids ascend with position
+    for (int input : step.inputs) last[static_cast<size_t>(input)] = step.id;
+  }
+  for (const PlanOutput& out : plan.outputs) {
+    last[static_cast<size_t>(out.node)] = static_cast<int>(plan.steps.size());
+  }
+  return last;
+}
+
 }  // namespace
 
 class Executor::Impl {
@@ -121,6 +134,7 @@ class Executor::Impl {
         engine_(&pool_, &buffers_, opts.local_mode, kDensityThreshold,
                 opts.task_scheduling),
         node_data_(plan.nodes.size()),
+        last_consumer_(LastConsumers(plan)),
         gov_(opts.governor),
         node_last_use_(plan.nodes.size(), -1) {
     if (gov_.token.active()) engine_.SetCancelToken(&gov_.token);
@@ -221,6 +235,7 @@ class Executor::Impl {
       }
       DMAC_RETURN_NOT_OK(step_status);
       ++stats_.steps_executed;
+      if (!ft_) FreeDeadInputs(step);
     }
     stage_span.reset();
     stats_.stages = plan_.num_stages;
@@ -232,10 +247,14 @@ class Executor::Impl {
     }
 
     ExecutionResult result;
-    for (const PlanOutput& out : plan_.outputs) {
-      DMAC_ASSIGN_OR_RETURN(LocalMatrix m, Gather(out.node));
-      if (out.transposed) m = m.Transposed();
-      result.matrices.emplace(out.variable, std::move(m));
+    for (auto out = plan_.outputs.begin(); out != plan_.outputs.end(); ++out) {
+      const bool last_gather = std::none_of(
+          out + 1, plan_.outputs.end(),
+          [&](const PlanOutput& o) { return o.node == out->node; });
+      DMAC_ASSIGN_OR_RETURN(LocalMatrix m,
+                            Gather(out->node, /*move=*/!ft_ && last_gather));
+      if (out->transposed) m = m.Transposed();
+      result.matrices.emplace(out->variable, std::move(m));
     }
     for (const auto& [var, ssa] : plan_.scalar_outputs) {
       auto it = scalars_.find(ssa);
@@ -250,34 +269,12 @@ class Executor::Impl {
     return result;
   }
 
-  /// Fills ExecStats::matrix_nnz from the nodes still resident and compares
-  /// the plan's §4.1 communication estimate against what actually moved.
-  /// The §5.1 worst-case sparsity rule (s_C = 1 after every multiply) can
-  /// overestimate chained-multiply traffic by orders of magnitude; the
-  /// planner.estimate.drift gauge makes that visible, and the .events
-  /// counter fires when the divergence exceeds 4x (docs/planner.md).
+  /// Compares the plan's §4.1 communication estimate against what actually
+  /// moved. The §5.1 worst-case sparsity rule (s_C = 1 after every
+  /// multiply) can overestimate chained-multiply traffic by orders of
+  /// magnitude; the planner.estimate.drift gauge makes that visible, and the
+  /// .events counter fires when the divergence exceeds 4x (docs/planner.md).
   void RecordEstimateDrift() {
-    for (size_t i = 0; i < node_data_.size(); ++i) {
-      const auto& dm = node_data_[i];
-      if (dm == nullptr) continue;
-      int64_t nnz = 0;
-      bool complete = true;
-      for (int64_t bi = 0; complete && bi < dm->grid().block_rows(); ++bi) {
-        for (int64_t bj = 0; bj < dm->grid().block_cols(); ++bj) {
-          const auto block = dm->GetOwned(bi, bj);
-          if (block == nullptr) {  // spilled or dropped; don't guess
-            complete = false;
-            break;
-          }
-          nnz += block->nnz();
-        }
-      }
-      if (complete) {
-        const PlanNode& node = plan_.nodes[i];
-        stats_.matrix_nnz[node.transposed ? node.matrix + "^T"
-                                          : node.matrix] = nnz;
-      }
-    }
     stats_.estimated_comm_bytes = plan_.total_comm_bytes;
     const double estimated = plan_.total_comm_bytes;
     const double measured = stats_.comm_bytes();
@@ -319,6 +316,18 @@ class Executor::Impl {
     DMAC_CHECK(node_data_[static_cast<size_t>(node_id)] != nullptr)
         << "node " << node_id << " has no materialized data";
     return *node_data_[static_cast<size_t>(node_id)];
+  }
+
+  /// Drops every input of `step` that no later step reads, so a clean run
+  /// holds only live intermediates (paper §5.2). Fault-tolerant runs keep
+  /// them: lineage recompute re-reads inputs, and recovery treats a null
+  /// node as fully lost.
+  void FreeDeadInputs(const PlanStep& step) {
+    for (int input : step.inputs) {
+      if (last_consumer_[static_cast<size_t>(input)] == step.id) {
+        node_data_[static_cast<size_t>(input)] = nullptr;
+      }
+    }
   }
 
   std::shared_ptr<DistMatrix> NewData(int node_id, Shape shape) {
@@ -766,9 +775,9 @@ class Executor::Impl {
           if (injector_->DrawCorruptBlock()) {
             auto ptr = dm->Get(w, bi, bj);
             if (ptr == nullptr) continue;  // spilled: no payload in memory
-            dm->ReplacePayload(w, bi, bj,
-                               std::make_shared<const Block>(CorruptedCopy(
-                                   *ptr, injector_->DrawSeed())));
+            dm->ReplacePayload(
+                w, bi, bj,
+                NewBlockPtr(CorruptedCopy(*ptr, injector_->DrawSeed())));
           }
         }
       }
@@ -973,7 +982,7 @@ class Executor::Impl {
       auto ptr = dm.Get(rec.worker, rec.key / bcols, rec.key % bcols);
       auto [it, inserted] = copies.try_emplace(ptr.get(), nullptr);
       if (inserted) {
-        it->second = std::make_shared<const Block>(*ptr);
+        it->second = NewBlockPtr(*ptr);
         stats_.checkpoint_bytes += it->second->MemoryBytes();
       }
       rec.payload = it->second;
@@ -991,16 +1000,12 @@ class Executor::Impl {
     TraceSpan span(kTraceCheckpoint,
                    "commit epoch after step " + std::to_string(step.id), -1,
                    TraceArg("step", int64_t{step.id}));
-    std::set<int> live;  // ordered: the manifest layout is deterministic
-    for (const PlanStep& later : plan_.steps) {
-      if (later.id <= step.id) continue;
-      for (int input : later.inputs) live.insert(input);
-    }
-    for (const PlanOutput& out : plan_.outputs) live.insert(out.node);
-
     std::vector<int> reload_nodes;
     std::vector<NodeBlockRecord> pending;
-    for (const int node_id : live) {
+    // Nodes ascending, so the manifest layout is deterministic.
+    for (int node_id = 0; node_id < static_cast<int>(node_data_.size());
+         ++node_id) {
+      if (last_consumer_[static_cast<size_t>(node_id)] <= step.id) continue;
       auto& dm = node_data_[static_cast<size_t>(node_id)];
       if (dm == nullptr) continue;  // not produced yet
       const PlanNode& node = NodeOf(node_id);
@@ -1145,7 +1150,7 @@ class Executor::Impl {
         auto [it, inserted] = loaded.try_emplace(ref->file);
         if (inserted) {
           DMAC_ASSIGN_OR_RETURN(Block block, durable_store_->ReadBlock(*ref));
-          it->second = std::make_shared<const Block>(std::move(block));
+          it->second = NewBlockPtr(std::move(block));
           ++stats_.resume_restored_blocks;
         }
         dm->Put(ref->worker, bi, bj, it->second);
@@ -1239,8 +1244,7 @@ class Executor::Impl {
         const int owner = dm->OwnerOf(bi, bj);
         DMAC_RETURN_NOT_OK(TimedWorker(step, owner, [&] {
           dm->Put(owner, bi, bj,
-                  std::make_shared<const Block>(
-                      RandomDenseBlock(s.rows, s.cols, seed)));
+                  NewBlockPtr(RandomDenseBlock(s.rows, s.cols, seed)));
           return Status::Ok();
         }));
       }
@@ -1448,7 +1452,7 @@ class Executor::Impl {
                   step, w, out_grid, tasks, a, b,
                   [&](int64_t bi, int64_t bj, Block blk) {
                     if (blk.nnz() == 0) return;  // nothing to ship
-                    auto ptr = std::make_shared<const Block>(std::move(blk));
+                    auto ptr = NewBlockPtr(std::move(blk));
                     MutexLock lock(&mu);
                     out->push_back({bi, bj, std::move(ptr), w});
                   },
@@ -1596,9 +1600,7 @@ class Executor::Impl {
         const int w = c->OwnerOf(bi, bj);
         if (c->Get(w, bi, bj) == nullptr) {
           const Shape shape = grid.BlockShape(bi, bj);
-          c->Put(w, bi, bj,
-                 std::make_shared<const Block>(
-                     CscBlock(shape.rows, shape.cols)));
+          c->Put(w, bi, bj, NewBlockPtr(CscBlock(shape.rows, shape.cols)));
         }
       }
     }
@@ -1727,8 +1729,7 @@ class Executor::Impl {
       out.reserve(acc.size());
       for (const auto& [idx, sum] : acc) {
         out.push_back({rows ? idx : 0, rows ? 0 : idx,
-                       std::make_shared<const Block>(
-                           CompactFromDense(sum, kDensityThreshold)),
+                       NewBlockPtr(CompactFromDense(sum, kDensityThreshold)),
                        w});
       }
       return out;
@@ -1801,16 +1802,20 @@ class Executor::Impl {
 
   // ---- gather -------------------------------------------------------------
 
-  Result<LocalMatrix> Gather(int node_id) {
+  /// Collects output node `node_id` into a LocalMatrix. With `move` the
+  /// node is dropped first and every block nothing else references is moved
+  /// out; shared blocks and load-step aliases of the caller's bindings
+  /// (use_count 0) are copied.
+  Result<LocalMatrix> Gather(int node_id, bool move) {
     DistMatrix& dm = Data(node_id);
     if (gov_.spill != nullptr && dm.SpilledEntries() > 0) {
       TraceSpan span(kTraceSpill, "restore node " + std::to_string(node_id),
                      -1, TraceArg("node", int64_t{node_id}));
       DMAC_RETURN_NOT_OK(dm.EnsureResident().status());
     }
-    const BlockGrid& grid = dm.grid();
-    std::vector<Block> blocks;
-    blocks.reserve(static_cast<size_t>(grid.num_blocks()));
+    const BlockGrid grid = dm.grid();
+    std::vector<DistMatrix::BlockPtr> ptrs;
+    ptrs.reserve(static_cast<size_t>(grid.num_blocks()));
     for (int64_t bi = 0; bi < grid.block_rows(); ++bi) {
       for (int64_t bj = 0; bj < grid.block_cols(); ++bj) {
         auto ptr = dm.GetOwned(bi, bj);
@@ -1819,8 +1824,20 @@ class Executor::Impl {
                                   std::to_string(bi) + "," +
                                   std::to_string(bj) + ")");
         }
+        ptrs.push_back(std::move(ptr));
+      }
+    }
+    if (move) node_data_[static_cast<size_t>(node_id)] = nullptr;
+    std::vector<Block> blocks;
+    blocks.reserve(ptrs.size());
+    for (DistMatrix::BlockPtr& ptr : ptrs) {
+      if (move && ptr.use_count() == 1) {
+        // NewBlockPtr allocated the Block non-const: moving from it is safe.
+        blocks.push_back(std::move(const_cast<Block&>(*ptr)));
+      } else {
         blocks.push_back(*ptr);
       }
+      ptr.reset();
     }
     return LocalMatrix::FromBlocks(grid.matrix, grid.block_size,
                                    std::move(blocks));
@@ -1834,6 +1851,7 @@ class Executor::Impl {
   LocalEngine engine_;
   int64_t block_size_ = 0;
   std::vector<std::shared_ptr<DistMatrix>> node_data_;
+  std::vector<int> last_consumer_;  // LastConsumers(plan_)
   std::unordered_map<std::string, double> scalars_;
   ExecStats stats_;
 

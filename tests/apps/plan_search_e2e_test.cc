@@ -101,9 +101,9 @@ TEST(PlanSearchE2eTest, PageRankSearchedMatchesGreedyBitwise) {
 }
 
 TEST(PlanSearchE2eTest, GnmfRecordsEstimateDrift) {
-  // Every run records measured nnz and the estimated-vs-measured comm
-  // ratio; GNMF's plans communicate, so both sides are nonzero and the
-  // ratio is well defined (>= 1).
+  // Every run records the estimated-vs-measured comm ratio; GNMF's plans
+  // communicate, so both sides are nonzero and the ratio is well defined
+  // (>= 1).
   GnmfConfig config{64, 48, 0.2, 6, 3};
   LocalMatrix v = SyntheticSparse(64, 48, 0.2, kBs, 31);
   Bindings bindings{{"V", &v}};
@@ -114,7 +114,6 @@ TEST(PlanSearchE2eTest, GnmfRecordsEstimateDrift) {
   const ExecStats& stats = out->result.stats;
   EXPECT_GT(stats.estimated_comm_bytes, 0.0);
   EXPECT_GE(stats.estimate_drift, 1.0);
-  EXPECT_FALSE(stats.matrix_nnz.empty());
 }
 
 TEST(PlanSearchE2eTest, WorstCaseSparsityDriftIsFlagged) {

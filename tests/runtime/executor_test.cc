@@ -5,12 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <tuple>
 
 #include "apps/local_interpreter.h"
 #include "apps/runner.h"
 #include "data/synthetic.h"
+#include "fault/checksum.h"
+#include "governor/memory_budget.h"
 #include "lang/program.h"
+#include "matrix/mem_tracker.h"
 
 namespace dmac {
 namespace {
@@ -394,6 +399,185 @@ TEST(ExecutorTest, InvalidClusterOptionsAreRejectedBeforeAnyWork) {
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
         << result.status();
   }
+}
+
+// ---- block lifetime ------------------------------------------------------
+
+/// Expects `got` to hold exactly the bits of `want`, block for block.
+void ExpectSameBits(const LocalMatrix& want, const LocalMatrix& got,
+                    const std::string& name) {
+  ASSERT_EQ(want.rows(), got.rows()) << name;
+  ASSERT_EQ(want.cols(), got.cols()) << name;
+  ASSERT_EQ(want.block_size(), got.block_size()) << name;
+  for (int64_t bi = 0; bi < want.grid().block_rows(); ++bi) {
+    for (int64_t bj = 0; bj < want.grid().block_cols(); ++bj) {
+      EXPECT_EQ(BlockChecksum(want.BlockAt(bi, bj)),
+                BlockChecksum(got.BlockAt(bi, bj)))
+          << name << " block (" << bi << "," << bj << ")";
+    }
+  }
+}
+
+constexpr int kChainProducts = 5;
+constexpr int64_t kChainSide = 64;
+/// Bytes of one dense kChainSide x kChainSide product.
+constexpr int64_t kChainMatrixBytes =
+    kChainSide * kChainSide * static_cast<int64_t>(sizeof(Scalar));
+
+/// B1 = A·A, then B(i+1) = B(i)·A: dense products, each but the last an
+/// intermediate whose only consumer is the next multiply.
+Program MultiplyChainProgram() {
+  ProgramBuilder pb;
+  Mat a = pb.Load("A", {kChainSide, kChainSide}, 1.0);
+  Mat prev = a;
+  for (int i = 1; i <= kChainProducts; ++i) {
+    Mat b = pb.Var("B" + std::to_string(i));
+    pb.Assign(b, prev.mm(a));
+    prev = b;
+  }
+  pb.Output(prev);
+  return pb.Build();
+}
+
+RunConfig ChainConfig() {
+  RunConfig config;
+  config.num_workers = 2;
+  config.block_size = kBs;
+  return config;
+}
+
+TEST(ExecutorTest, CleanRunFreesEachIntermediateAfterItsLastConsumer) {
+  const Program p = MultiplyChainProgram();
+  LocalMatrix adata = SyntheticDense(kChainSide, kChainSide, kBs, 7);
+  Bindings bindings{{"A", &adata}};
+  const int64_t intermediates = (kChainProducts - 1) * kChainMatrixBytes;
+
+  int64_t baseline = MemTracker::Global().current_bytes();
+  auto clean = RunProgram(p, bindings, ChainConfig());
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  EXPECT_LT(clean->result.stats.peak_memory_bytes - baseline, intermediates);
+
+  // Fault tolerance keeps every intermediate for lineage recovery; with no
+  // fault drawn the outputs are the same bits.
+  RunConfig retained = ChainConfig();
+  retained.fault.enabled = true;
+  baseline = MemTracker::Global().current_bytes();
+  auto kept = RunProgram(p, bindings, retained);
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_GE(kept->result.stats.peak_memory_bytes - baseline, intermediates);
+  const std::string out = "B" + std::to_string(kChainProducts);
+  ExpectSameBits(kept->result.matrices.at(out),
+                 clean->result.matrices.at(out), out);
+}
+
+TEST(ExecutorTest, LoadedInputOutputIsCopiedAndBindingUntouched) {
+  // A is both a plan output and a multiply operand; its load step aliases
+  // the caller's binding, so the gather must copy, never move.
+  ProgramBuilder pb;
+  Mat a = pb.Load("A", {48, 32}, 0.4);
+  Mat c = pb.Var("C");
+  pb.Assign(c, a.t().mm(a));
+  pb.Output(a);
+  pb.Output(c);
+  LocalMatrix adata = SyntheticSparse(48, 32, 0.4, kBs, 19);
+  const LocalMatrix before = adata;
+  Bindings bindings{{"A", &adata}};
+  RunConfig config;
+  config.num_workers = 3;
+  config.block_size = kBs;
+  auto outcome = RunProgram(pb.Build(), bindings, config);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  ExpectSameBits(before, adata, "binding");
+  ExpectSameBits(before, outcome->result.matrices.at("A"), "A");
+}
+
+TEST(ExecutorTest, SharedTransposedAndBroadcastOutputsGather) {
+  // P feeds two outputs (P and its transpose T); S is rebound to its
+  // Broadcast-scheme node, whose replicas all share one block pointer.
+  ProgramBuilder pb;
+  Mat a = pb.Load("A", {96, 40}, 0.5);
+  Mat w = pb.Load("W", {40, 24}, 1.0);
+  Mat s = pb.Var("S");
+  pb.Assign(s, w * 2.0);
+  Mat pm = pb.Var("P");
+  pb.Assign(pm, a.mm(s));
+  Mat t = pb.Var("T");
+  pb.Assign(t, pm.t());
+  pb.Output(pm);
+  pb.Output(t);
+  pb.Output(s);
+  const Program program = pb.Build();
+  LocalMatrix adata = SyntheticSparse(96, 40, 0.5, kBs, 29);
+  LocalMatrix wdata = SyntheticDense(40, 24, kBs, 31);
+  Bindings bindings{{"A", &adata}, {"W", &wdata}};
+  RunConfig config;
+  config.num_workers = 3;
+  config.block_size = kBs;
+
+  auto plan = PlanProgram(program, config);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  bool rebound = false;
+  for (PlanOutput& out : plan->outputs) {
+    if (out.variable != "S") continue;
+    const std::string& matrix = plan->nodes[out.node].matrix;
+    for (const PlanNode& node : plan->nodes) {
+      if (node.matrix == matrix && !node.transposed &&
+          node.scheme() == Scheme::kBroadcast) {
+        out.node = node.id;
+        rebound = true;
+      }
+    }
+  }
+  ASSERT_TRUE(rebound) << plan->ToString();
+
+  auto clean = Executor(config).Execute(*plan, bindings);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  RunConfig retained = config;
+  retained.fault.enabled = true;  // gathers by copy
+  auto copied = Executor(retained).Execute(*plan, bindings);
+  ASSERT_TRUE(copied.ok()) << copied.status();
+  for (const char* name : {"P", "T", "S"}) {
+    ExpectSameBits(copied->matrices.at(name), clean->matrices.at(name), name);
+  }
+  ExpectSameBits(clean->matrices.at("P").Transposed(), clean->matrices.at("T"),
+                 "T");
+  auto local = InterpretLocally(program, bindings, kBs, config.seed);
+  ASSERT_TRUE(local.ok()) << local.status();
+  for (const char* name : {"P", "T", "S"}) {
+    EXPECT_TRUE(
+        clean->matrices.at(name).ApproxEqual(local->matrices.at(name), 1e-3))
+        << name;
+  }
+}
+
+TEST(ExecutorTest, FreedNodesReturnTheirBudgetCharge) {
+  const Program p = MultiplyChainProgram();
+  LocalMatrix adata = SyntheticDense(kChainSide, kChainSide, kBs, 7);
+  Bindings bindings{{"A", &adata}};
+
+  // An unlimited budget only observes: the clean run's governed peak.
+  RunConfig probe = ChainConfig();
+  probe.governor.budget = std::make_shared<MemoryBudget>();
+  ASSERT_TRUE(RunProgram(p, bindings, probe).ok());
+  const int64_t live_peak = probe.governor.budget->peak_bytes();
+  ASSERT_GT(live_peak, 0);
+  EXPECT_EQ(probe.governor.budget->used_bytes(), 0);
+
+  // With no spill store, a budget of exactly that peak holds the clean run
+  // only because each dead node's charge is released before the next step.
+  RunConfig tight = ChainConfig();
+  tight.governor.budget = std::make_shared<MemoryBudget>(live_peak);
+  auto fits = RunProgram(p, bindings, tight);
+  EXPECT_TRUE(fits.ok()) << fits.status();
+
+  // Retaining every intermediate (fault tolerance on) overruns it.
+  RunConfig retained = tight;
+  retained.fault.enabled = true;
+  retained.governor.budget = std::make_shared<MemoryBudget>(live_peak);
+  auto overruns = RunProgram(p, bindings, retained);
+  ASSERT_FALSE(overruns.ok());
+  EXPECT_EQ(overruns.status().code(), StatusCode::kResourceExhausted)
+      << overruns.status();
 }
 
 TEST(ExecutorTest, NetworkModelTimeIsMonotoneInBytes) {
