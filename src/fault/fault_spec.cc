@@ -130,8 +130,6 @@ Result<FaultSpec> ParseFaultSpec(const std::string& text) {
     } else if (key == "straggler_delay_seconds") {
       DMAC_RETURN_NOT_OK(
           ParseDouble(key, value, &spec.straggler_delay_seconds));
-    } else if (key == "speculate") {
-      DMAC_RETURN_NOT_OK(ParseBool(key, value, &spec.speculate));
     } else if (key == "max_retries") {
       DMAC_RETURN_NOT_OK(ParseInt(key, value, &spec.max_retries));
     } else if (key == "backoff_base_seconds") {

@@ -95,9 +95,9 @@ struct DiskFaultSpec {
 ///    for the rest of the query), lost blocks (one store entry dropped),
 ///    corrupted blocks (one store entry silently replaced by a bit-flipped
 ///    copy);
-///  * worker task launches — transient execution failures (retried with
-///    exponential backoff) and stragglers (injected extra latency, subject
-///    to speculative re-execution);
+///  * worker task launches, one per worker per local phase of a step —
+///    transient execution failures (retried with exponential backoff) and
+///    stragglers (injected extra latency);
 ///  * message sends — the NetFaultSpec drop/duplicate/reorder/delay/
 ///    partition knobs, applied inside the accounting network layer.
 struct FaultSpec {
@@ -126,12 +126,9 @@ struct FaultSpec {
 
   /// Per worker task launch: probability the worker straggles.
   double straggler_prob = 0;
-  /// Injected extra latency of a straggler (simulated seconds).
+  /// Injected extra latency of a straggler (simulated seconds), charged to
+  /// the worker's stage seconds.
   double straggler_delay_seconds = 0.05;
-  /// Re-execute straggler work on a backup worker and take the faster copy
-  /// (Spark-style speculation). The abandoned attempt is accounted as
-  /// recovery work, not useful compute.
-  bool speculate = true;
 
   /// Attempts per step beyond the first before the executor gives up and
   /// surfaces a clean error.

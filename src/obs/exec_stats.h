@@ -73,11 +73,10 @@ struct ExecStats {
   int64_t retries = 0;            // step attempts repeated after a failure
   int64_t recomputed_blocks = 0;  // rebuilt by re-running lineage producers
   int64_t restored_blocks = 0;    // restored from checkpoint / replica
-  int64_t speculated_tasks = 0;   // straggler tasks re-run on a backup
   int64_t checkpoint_bytes = 0;   // deep-copied into lineage-record payloads
   double recovery_bytes = 0;      // comm bytes moved by retried/recovery work
   /// Worker busy seconds spent on recovery instead of useful compute
-  /// (retried attempts, backoff waits, abandoned straggler attempts).
+  /// (retried attempts, backoff waits).
   double recovery_seconds = 0;
 
   // --- Membership / permanent worker loss (docs/fault_tolerance.md).

@@ -148,16 +148,12 @@ const std::vector<MetricSpec>& MetricCatalog() {
        "damaged blocks restored from a checkpoint or a surviving broadcast "
        "replica instead of recomputation",
        [](const S& s) -> double { return s.restored_blocks; }},
-      {"fault.speculated.tasks", kCounter, "tasks",
-       "straggler worker tasks re-executed speculatively on a backup "
-       "worker",
-       [](const S& s) -> double { return s.speculated_tasks; }},
       {"fault.checkpoint.bytes", kCounter, "bytes",
        "block payload bytes deep-copied into checkpoints on lineage records",
        [](const S& s) -> double { return s.checkpoint_bytes; }},
       {"fault.recovery.seconds", kCounter, "seconds",
        "simulated worker time spent on recovery instead of useful compute "
-       "(retried attempts, backoff waits, abandoned straggler attempts)",
+       "(retried attempts, backoff waits)",
        [](const S& s) -> double { return s.recovery_seconds; }},
       {"fault.checkpoint.durable.bytes", kCounter, "bytes",
        "bytes committed to durable checkpoint storage (block files plus "

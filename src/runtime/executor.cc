@@ -193,13 +193,7 @@ class Executor::Impl {
         // way an uninterrupted run would (spill ordering parity), then
         // either skip it or — for the load steps of reload-marked nodes —
         // re-execute it against the caller's bindings.
-        ++step_clock_;
-        for (int input : step.inputs) {
-          node_last_use_[static_cast<size_t>(input)] = step_clock_;
-        }
-        if (step.output >= 0) {
-          node_last_use_[static_cast<size_t>(step.output)] = step_clock_;
-        }
+        TouchStepNodes(step);
         if (reload_step_ids_.count(step.id) != 0) {
           DMAC_RETURN_NOT_OK(ExecuteStep(step));
           // Lineage only: the snapshot's checkpoint counter already
@@ -228,9 +222,7 @@ class Executor::Impl {
       if (!step_status.ok() && gov_.token.active() && gov_.token.Fired()) {
         // The engine observed the token mid-kernel; surface the governance
         // status (and its one cancel span), not the kernel's unwind error.
-        if (step.output >= 0) {
-          node_data_[static_cast<size_t>(step.output)] = nullptr;
-        }
+        DropOutput(step);
         DMAC_RETURN_NOT_OK(CheckCancel());
       }
       DMAC_RETURN_NOT_OK(step_status);
@@ -330,6 +322,26 @@ class Executor::Impl {
     }
   }
 
+  /// Drops whatever `step` produced so far: a failed or cancelled step
+  /// leaves no partial output in the stores.
+  void DropOutput(const PlanStep& step) {
+    if (step.output >= 0) {
+      node_data_[static_cast<size_t>(step.output)] = nullptr;
+    }
+  }
+
+  /// Advances the LRU clock and stamps `step`'s inputs and output with it
+  /// (the spill order of RebalanceBudget).
+  void TouchStepNodes(const PlanStep& step) {
+    ++step_clock_;
+    for (int input : step.inputs) {
+      node_last_use_[static_cast<size_t>(input)] = step_clock_;
+    }
+    if (step.output >= 0) {
+      node_last_use_[static_cast<size_t>(step.output)] = step_clock_;
+    }
+  }
+
   std::shared_ptr<DistMatrix> NewData(int node_id, Shape shape) {
     const PlanNode& node = NodeOf(node_id);
     auto dm = std::make_shared<DistMatrix>(BlockGrid{shape, block_size_},
@@ -342,68 +354,72 @@ class Executor::Impl {
     return dm;
   }
 
-  /// Times `fn` and attributes the elapsed seconds to (step.stage, worker),
-  /// both in ExecStats and as a worker-attributed trace span. Block tasks
-  /// the engine runs inside `fn` inherit the worker id for their spans.
+  /// The one place a step's worker-local work is launched (paper §5, Fig. 4:
+  /// a stage is a barrier in which every worker runs its local tasks). Runs
+  /// fn(w) for w in [0, workers) in ascending order, timing each call and
+  /// attributing the seconds to (step.stage, host of w), both in ExecStats
+  /// and as a worker-attributed trace span; block tasks the engine runs
+  /// inside fn(w) inherit the host id for their spans. Retried and recovery
+  /// work is charged to recovery_seconds instead.
   ///
-  /// This is also the task-launch fault-injection point: with an active
-  /// injector (and outside recovery) the launch can fail transiently or
-  /// straggle by a simulated delay (nothing sleeps). With speculation the
-  /// backup worker's re-execution of a straggler is the useful copy and the
-  /// straggling attempt is charged to recovery; without it the stage just
-  /// absorbs the delay. `idempotent` marks whether running `fn` twice yields
-  /// the same state — true for the sink-writing sites (a second run
-  /// overwrites the same store keys with identical blocks), false for the
-  /// accumulating closures (CPMM phase 1, reduce) — and gates speculation.
+  /// Each launch is also the task-launch fault-injection point: with an
+  /// active injector (and outside recovery) it can fail transiently, which
+  /// ends the step, or straggle by a simulated delay (nothing sleeps) that
+  /// is charged to the worker's stage seconds.
+  ///
+  /// Closure invariant: fn(w) writes only through a StoreSink or into its
+  /// own per-worker slot (index w of a vector the caller sized). It never
+  /// touches stats_, scalars_, net_ or the injector; sums across workers
+  /// happen after ForEachWorker returns, in worker order. So the launches
+  /// could run together without changing a result bit.
   template <typename Fn>
-  Status TimedWorker(const PlanStep& step, int worker, Fn&& fn,
-                     bool idempotent = true) {
-    double delay = 0;
+  Status ForEachWorker(const PlanStep& step, int workers, const Fn& fn) {
     // Recovery attempts are not re-injected — except a permanent fault,
     // which by definition fails every attempt until retries exhaust.
-    if (injector_ != nullptr &&
-        (!recovering_ ||
-         step.id == injector_->spec().permanent_fail_step)) {
-      if (injector_->DrawTransientFailure(step.id)) {
-        return Status::Unavailable("injected transient failure on worker " +
-                                   std::to_string(worker) + " in step " +
-                                   std::to_string(step.id));
+    const bool inject =
+        injector_ != nullptr &&
+        (!recovering_ || step.id == injector_->spec().permanent_fail_step);
+    for (int w = 0; w < workers; ++w) {
+      double delay = 0;
+      if (inject) {
+        if (injector_->DrawTransientFailure(step.id)) {
+          return Status::Unavailable("injected transient failure on worker " +
+                                     std::to_string(w) + " in step " +
+                                     std::to_string(step.id));
+        }
+        delay = injector_->DrawStragglerDelay();
       }
-      delay = injector_->DrawStragglerDelay();
-    }
-    // Logical slot `worker` may be hosted by a survivor after a permanent
-    // death; timing and spans attribute to the physical host while the
-    // block layout stays keyed by the logical slot (bit identity).
-    int host = Host(worker);
-    TraceSpan span =
-        !TraceRecorder::Global().enabled()
-            ? TraceSpan()
-        : delay > 0
-            ? TraceSpan(kTraceRecovery, "straggler " + StepSpanName(step), host,
-                        TraceArg("delay_s", delay))
-            : TraceSpan(recovering_ ? kTraceRecovery : kTraceWorker,
-                        StepSpanName(step), host,
-                        TraceArg("stage", int64_t{step.stage}));
-    engine_.SetWorkerContext(host);
-    Timer timer;
-    Status st = fn();
-    double seconds = timer.ElapsedSeconds() + delay;
-    if (delay > 0 && st.ok() && opts_.fault.speculate && idempotent &&
-        opts_.num_workers > 1) {
-      stats_.recovery_seconds += seconds;
-      ++stats_.speculated_tasks;
-      host = Host((worker + 1) % opts_.num_workers);
+      // Logical slot `w` may be hosted by a survivor after a permanent
+      // death; timing and spans attribute to the physical host while the
+      // block layout stays keyed by the logical slot (bit identity).
+      const int host = Host(w);
+      TraceSpan span =
+          !TraceRecorder::Global().enabled()
+              ? TraceSpan()
+          : delay > 0
+              ? TraceSpan(kTraceRecovery, "straggler " + StepSpanName(step),
+                          host, TraceArg("delay_s", delay))
+              : TraceSpan(recovering_ ? kTraceRecovery : kTraceWorker,
+                          StepSpanName(step), host,
+                          TraceArg("stage", int64_t{step.stage}));
       engine_.SetWorkerContext(host);
-      Timer backup_timer;
-      st = fn();
-      seconds = backup_timer.ElapsedSeconds();
+      Timer timer;
+      const Status st = fn(w);
+      const double seconds = timer.ElapsedSeconds() + delay;
+      if (recovering_) {
+        stats_.recovery_seconds += seconds;
+      } else {
+        stats_.AddWorkerSeconds(step.stage, host, seconds);
+      }
+      DMAC_RETURN_NOT_OK(st);
     }
-    if (recovering_) {
-      stats_.recovery_seconds += seconds;
-    } else {
-      stats_.AddWorkerSeconds(step.stage, host, seconds);
-    }
-    return st;
+    return Status::Ok();
+  }
+
+  /// Workers a step over `src` launches: a Broadcast source is computed
+  /// once, on worker 0, and the other replicas share the result.
+  int LaunchWorkers(const DistMatrix& src) const {
+    return src.scheme() == Scheme::kBroadcast ? 1 : opts_.num_workers;
   }
 
   /// Tail of one communication round (load, partition, broadcast,
@@ -463,13 +479,7 @@ class Executor::Impl {
   /// under the budget for the step's working set.
   Status GovernStep(const PlanStep& step) {
     DMAC_RETURN_NOT_OK(CheckCancel());
-    ++step_clock_;
-    for (int input : step.inputs) {
-      node_last_use_[static_cast<size_t>(input)] = step_clock_;
-    }
-    if (step.output >= 0) {
-      node_last_use_[static_cast<size_t>(step.output)] = step_clock_;
-    }
+    TouchStepNodes(step);
     if (!gov_.budgeted()) return Status::Ok();
     return RebalanceBudget(step);
   }
@@ -629,9 +639,7 @@ class Executor::Impl {
     // Below quorum the run fails clean — no retries burned, no recovery
     // attempted, no partial output left behind.
     if (!quorum_status_.ok()) {
-      if (step.output >= 0) {
-        node_data_[static_cast<size_t>(step.output)] = nullptr;
-      }
+      DropOutput(step);
       return quorum_status_;
     }
     Status st;
@@ -641,9 +649,7 @@ class Executor::Impl {
       // An in-flight death during the attempt may have dropped the cluster
       // below quorum; give up before the retry machinery spends anything.
       if (!quorum_status_.ok()) {
-        if (step.output >= 0) {
-          node_data_[static_cast<size_t>(step.output)] = nullptr;
-        }
+        DropOutput(step);
         return quorum_status_;
       }
       // A fired token preempts the retry path: the query exits promptly —
@@ -652,18 +658,14 @@ class Executor::Impl {
       if (gov_.token.active()) {
         Status cancelled = gov_.token.Check();
         if (!cancelled.ok()) {
-          if (step.output >= 0) {
-            node_data_[static_cast<size_t>(step.output)] = nullptr;
-          }
+          DropOutput(step);
           DMAC_RETURN_NOT_OK(CheckCancel());  // emits the cancel span
         }
       }
       const bool retryable = RetryPolicy::Retryable(st);
       if (!retryable || attempt >= retry_policy_.max_retries) {
         // Give up cleanly: no partial output may survive in the stores.
-        if (step.output >= 0) {
-          node_data_[static_cast<size_t>(step.output)] = nullptr;
-        }
+        DropOutput(step);
         if (retryable) {
           const std::string msg = "step " + std::to_string(step.id) +
                                   " failed after " +
@@ -1236,19 +1238,19 @@ class Executor::Impl {
     const BlockGrid& grid = dm->grid();
     // Deterministic per-block seeds make every replica identical, so a
     // Broadcast-scheme random matrix costs no communication.
-    for (int64_t bi = 0; bi < grid.block_rows(); ++bi) {
-      for (int64_t bj = 0; bj < grid.block_cols(); ++bj) {
-        const uint64_t seed =
-            RandomBlockSeed(opts_.seed, step.source, bi, bj);
-        const Shape s = grid.BlockShape(bi, bj);
-        const int owner = dm->OwnerOf(bi, bj);
-        DMAC_RETURN_NOT_OK(TimedWorker(step, owner, [&] {
-          dm->Put(owner, bi, bj,
-                  NewBlockPtr(RandomDenseBlock(s.rows, s.cols, seed)));
-          return Status::Ok();
-        }));
+    DMAC_RETURN_NOT_OK(ForEachWorker(step, LaunchWorkers(*dm), [&](int w) {
+      StoreSink sink(dm.get(), w);
+      for (int64_t bi = 0; bi < grid.block_rows(); ++bi) {
+        for (int64_t bj = 0; bj < grid.block_cols(); ++bj) {
+          if (dm->OwnerOf(bi, bj) != w) continue;
+          const uint64_t seed =
+              RandomBlockSeed(opts_.seed, step.source, bi, bj);
+          const Shape s = grid.BlockShape(bi, bj);
+          sink(bi, bj, RandomDenseBlock(s.rows, s.cols, seed));
+        }
       }
-    }
+      return Status::Ok();
+    }));
     return dm->scheme() == Scheme::kBroadcast
                ? ReplicateFromWorkerZero(dm.get())
                : Status::Ok();
@@ -1411,7 +1413,7 @@ class Executor::Impl {
             rmm1 ? out_grid.block_cols() : out_grid.block_rows();
         const int64_t other =
             rmm1 ? out_grid.block_rows() : out_grid.block_cols();
-        for (int w = 0; w < opts_.num_workers; ++w) {
+        return ForEachWorker(step, opts_.num_workers, [&](int w) {
           int64_t lo, hi;
           OwnedRange(w, owned, opts_.num_workers, &lo, &hi);
           std::vector<MultiplyTask> tasks;
@@ -1422,13 +1424,11 @@ class Executor::Impl {
             }
           }
           StoreSink sink(c.get(), w);
-          DMAC_RETURN_NOT_OK(MultiplyOnWorker(
-              step, w, out_grid, tasks, a, b,
-              [&sink](int64_t bi, int64_t bj, Block blk) {
-                sink(bi, bj, std::move(blk));
-              }));
-        }
-        return Status::Ok();
+          return MultiplyOnWorker(step, w, out_grid, tasks, a, b,
+                                  [&sink](int64_t bi, int64_t bj, Block blk) {
+                                    sink(bi, bj, std::move(blk));
+                                  });
+        });
       }
       case MultAlgo::kCPMM: {
         // Every worker forms its partial C over its own k-range; the
@@ -1455,8 +1455,7 @@ class Executor::Impl {
                     auto ptr = NewBlockPtr(std::move(blk));
                     MutexLock lock(&mu);
                     out->push_back({bi, bj, std::move(ptr), w});
-                  },
-                  /*idempotent=*/false);  // a rerun would duplicate *out
+                  });
             });
       }
       case MultAlgo::kNone:
@@ -1471,24 +1470,18 @@ class Executor::Impl {
                           const BlockGrid& out_grid,
                           const std::vector<MultiplyTask>& tasks,
                           const DistMatrix& a, const DistMatrix& b,
-                          const LocalEngine::SinkFn& sink,
-                          bool idempotent = true) {
+                          const LocalEngine::SinkFn& sink) {
     const bool ta = step.trans_a;
     const bool tb = step.trans_b;
-    return TimedWorker(
-        step, worker,
-        [&] {
-          return engine_.MultiplyBlocks(
-              out_grid, tasks,
-              [&a, worker, ta](int64_t bi, int64_t k) {
-                return ta ? a.Get(worker, k, bi) : a.Get(worker, bi, k);
-              },
-              [&b, worker, tb](int64_t k, int64_t bj) {
-                return tb ? b.Get(worker, bj, k) : b.Get(worker, k, bj);
-              },
-              sink, MultiplyOptions{ta, tb, step.cache_csr_b});
+    return engine_.MultiplyBlocks(
+        out_grid, tasks,
+        [&a, worker, ta](int64_t bi, int64_t k) {
+          return ta ? a.Get(worker, k, bi) : a.Get(worker, bi, k);
         },
-        idempotent);
+        [&b, worker, tb](int64_t k, int64_t bj) {
+          return tb ? b.Get(worker, bj, k) : b.Get(worker, k, bj);
+        },
+        sink, MultiplyOptions{ta, tb, step.cache_csr_b});
   }
 
   /// A partial block of output block (bi, bj), computed by worker `from`.
@@ -1500,10 +1493,10 @@ class Executor::Impl {
   };
 
   /// Shuffle-and-sum, the cross-product aggregation of CPMM and crossed
-  /// row/col sums (cost N·|C|, §4.1). Worker by worker, `partials_of(w,
-  /// &out)` computes worker w's partial blocks of `c`, timing its own work,
-  /// and the partials are sent to the owners of their output blocks. Each
-  /// owner then sums every block's partials in sender order. Output blocks
+  /// row/col sums (cost N·|C|, §4.1). Every worker computes its partial
+  /// blocks of `c` with `partials_of(w, &out)`; the partials are then sent,
+  /// in (worker, block key) order, to the owners of their output blocks.
+  /// Each owner sums every block's partials in sender order. Output blocks
   /// no worker contributed to are zero blocks.
   template <typename PartialsOf>
   Status ShuffleAndSum(const PlanStep& step, DistMatrix* c, const char* round,
@@ -1512,12 +1505,15 @@ class Executor::Impl {
     const auto key = [&grid](const Partial& p) {
       return p.bi * grid.block_cols() + p.bj;
     };
+    std::vector<std::vector<Partial>> partials(
+        static_cast<size_t>(opts_.num_workers));
+    DMAC_RETURN_NOT_OK(ForEachWorker(step, opts_.num_workers, [&](int w) {
+      return partials_of(w, &partials[static_cast<size_t>(w)]);
+    }));
     std::vector<std::vector<Partial>> incoming(
         static_cast<size_t>(opts_.num_workers));
     double bytes = 0;
-    for (int w = 0; w < opts_.num_workers; ++w) {
-      std::vector<Partial> local;
-      DMAC_RETURN_NOT_OK(partials_of(w, &local));
+    for (std::vector<Partial>& local : partials) {
       // Pool threads complete tasks in nondeterministic order; sort by
       // output block so the send order — and with it the network layer's
       // fault-draw schedule — is a pure function of the plan and seed.
@@ -1558,8 +1554,7 @@ class Executor::Impl {
       DMAC_RETURN_NOT_OK(EndCommRound(span, /*broadcast=*/false, bytes, round));
     }
 
-    for (int w = 0; w < opts_.num_workers; ++w) {
-      if (incoming[static_cast<size_t>(w)].empty()) continue;
+    DMAC_RETURN_NOT_OK(ForEachWorker(step, opts_.num_workers, [&](int w) {
       std::unordered_map<int64_t, std::vector<Partial>> grouped;
       for (Partial& p : incoming[static_cast<size_t>(w)]) {
         grouped[key(p)].push_back(std::move(p));
@@ -1576,24 +1571,21 @@ class Executor::Impl {
                   });
       }
       StoreSink sink(c, w);
-      DMAC_RETURN_NOT_OK(TimedWorker(step, w, [&] {
-        std::vector<std::function<Status()>> tasks;
-        tasks.reserve(grouped.size());
-        for (const auto& [k, parts] : grouped) {
-          tasks.push_back([&sink, &grid, k = k, parts = &parts]() -> Status {
-            std::vector<const Block*> blocks;
-            blocks.reserve(parts->size());
-            for (const Partial& p : *parts) blocks.push_back(p.block.get());
-            DMAC_ASSIGN_OR_RETURN(Block sum,
-                                  SumBlocks(blocks, kDensityThreshold));
-            sink(k / grid.block_cols(), k % grid.block_cols(),
-                 std::move(sum));
-            return Status::Ok();
-          });
-        }
-        return engine_.RunTasks(tasks, TaskKind::kAggregate);
-      }));
-    }
+      std::vector<std::function<Status()>> tasks;
+      tasks.reserve(grouped.size());
+      for (const auto& [k, parts] : grouped) {
+        tasks.push_back([&sink, &grid, k = k, parts = &parts]() -> Status {
+          std::vector<const Block*> blocks;
+          blocks.reserve(parts->size());
+          for (const Partial& p : *parts) blocks.push_back(p.block.get());
+          DMAC_ASSIGN_OR_RETURN(Block sum,
+                                SumBlocks(blocks, kDensityThreshold));
+          sink(k / grid.block_cols(), k % grid.block_cols(), std::move(sum));
+          return Status::Ok();
+        });
+      }
+      return engine_.RunTasks(tasks, TaskKind::kAggregate);
+    }));
 
     for (int64_t bi = 0; bi < grid.block_rows(); ++bi) {
       for (int64_t bj = 0; bj < grid.block_cols(); ++bj) {
@@ -1615,30 +1607,28 @@ class Executor::Impl {
   template <typename Fn>
   Status MapBlocks(const PlanStep& step, const DistMatrix& src,
                    DistMatrix* dst, TaskKind kind, const Fn& fn) {
-    const bool broadcast = src.scheme() == Scheme::kBroadcast;
     const bool transpose = kind == TaskKind::kTranspose;
-    for (int w = 0; w < (broadcast ? 1 : opts_.num_workers); ++w) {
+    DMAC_RETURN_NOT_OK(ForEachWorker(step, LaunchWorkers(src), [&](int w) {
       auto blocks = src.WorkerBlocks(w);
       StoreSink sink(dst, w);
-      DMAC_RETURN_NOT_OK(TimedWorker(step, w, [&] {
-        std::vector<std::function<Status()>> tasks;
-        tasks.reserve(blocks.size());
-        for (const auto& [bi, bj, ptr] : blocks) {
-          tasks.push_back([&fn, &sink, w, transpose, bi = bi, bj = bj,
-                           block = ptr.get()]() -> Status {
-            DMAC_ASSIGN_OR_RETURN(Block out, fn(w, bi, bj, *block));
-            if (transpose) {
-              sink(bj, bi, std::move(out));
-            } else {
-              sink(bi, bj, std::move(out));
-            }
-            return Status::Ok();
-          });
-        }
-        return engine_.RunTasks(tasks, kind);
-      }));
-    }
-    return broadcast ? ReplicateFromWorkerZero(dst) : Status::Ok();
+      std::vector<std::function<Status()>> tasks;
+      tasks.reserve(blocks.size());
+      for (const auto& [bi, bj, ptr] : blocks) {
+        tasks.push_back([&fn, &sink, w, transpose, bi = bi, bj = bj,
+                         block = ptr.get()]() -> Status {
+          DMAC_ASSIGN_OR_RETURN(Block out, fn(w, bi, bj, *block));
+          if (transpose) {
+            sink(bj, bi, std::move(out));
+          } else {
+            sink(bi, bj, std::move(out));
+          }
+          return Status::Ok();
+        });
+      }
+      return engine_.RunTasks(tasks, kind);
+    }));
+    return src.scheme() == Scheme::kBroadcast ? ReplicateFromWorkerZero(dst)
+                                              : Status::Ok();
   }
 
   Status ExecCellwise(const PlanStep& step) {
@@ -1710,8 +1700,9 @@ class Executor::Impl {
     auto c = NewData(step.output, out_shape);
     const BlockGrid& out_grid = c->grid();
 
-    // Sums worker w's blocks into one partial per output block.
-    auto partial_sums = [&](int w) {
+    // Sums worker w's blocks into one partial per output block and hands
+    // each to emit(bi, bj, partial).
+    auto partial_sums = [&](int w, auto&& emit) {
       std::unordered_map<int64_t, DenseBlock> acc;
       for (auto& [bi, bj, ptr] : a.WorkerBlocks(w)) {
         const int64_t idx = rows ? bi : bj;
@@ -1725,37 +1716,31 @@ class Executor::Impl {
         Status st = AddAccumulate(Block(partial), &it->second);
         DMAC_CHECK(st.ok()) << st;
       }
-      std::vector<Partial> out;
-      out.reserve(acc.size());
       for (const auto& [idx, sum] : acc) {
-        out.push_back({rows ? idx : 0, rows ? 0 : idx,
-                       NewBlockPtr(CompactFromDense(sum, kDensityThreshold)),
-                       w});
+        emit(rows ? idx : 0, rows ? 0 : idx,
+             CompactFromDense(sum, kDensityThreshold));
       }
-      return out;
     };
 
     const bool broadcast = a.scheme() == Scheme::kBroadcast;
     if (broadcast || a.scheme() == (rows ? Scheme::kRow : Scheme::kCol)) {
       // The worker owning a row (column) range holds every block that
       // contributes to its slice of the result.
-      for (int w = 0; w < (broadcast ? 1 : opts_.num_workers); ++w) {
-        DMAC_RETURN_NOT_OK(TimedWorker(step, w, [&] {
-          for (Partial& p : partial_sums(w)) {
-            c->Put(w, p.bi, p.bj, std::move(p.block));
-          }
-          return Status::Ok();
-        }));
-      }
+      DMAC_RETURN_NOT_OK(ForEachWorker(step, LaunchWorkers(a), [&](int w) {
+        StoreSink sink(c.get(), w);
+        partial_sums(w, sink);
+        return Status::Ok();
+      }));
       return broadcast ? ReplicateFromWorkerZero(c.get()) : Status::Ok();
     }
-    return ShuffleAndSum(step, c.get(), "aggregate-shuffle",
-                         [&](int w, std::vector<Partial>* out) {
-                           return TimedWorker(step, w, [&] {
-                             *out = partial_sums(w);
-                             return Status::Ok();
-                           });
-                         });
+    return ShuffleAndSum(
+        step, c.get(), "aggregate-shuffle",
+        [&](int w, std::vector<Partial>* out) {
+          partial_sums(w, [out, w](int64_t bi, int64_t bj, Block partial) {
+            out->push_back({bi, bj, NewBlockPtr(std::move(partial)), w});
+          });
+          return Status::Ok();
+        });
   }
 
   /// Shares worker 0's blocks with every other replica of a Broadcast
@@ -1775,22 +1760,18 @@ class Executor::Impl {
 
   Status ExecReduce(const PlanStep& step) {
     const DistMatrix& a = Data(step.inputs[0]);
-    const bool broadcast = a.scheme() == Scheme::kBroadcast;
-    const int workers = broadcast ? 1 : opts_.num_workers;
+    const int workers = LaunchWorkers(a);
+    std::vector<double> partials(static_cast<size_t>(workers), 0.0);
+    DMAC_RETURN_NOT_OK(ForEachWorker(step, workers, [&](int w) {
+      double& partial = partials[static_cast<size_t>(w)];
+      for (auto& [bi, bj, ptr] : a.WorkerBlocks(w)) {
+        partial += step.reduce == ReduceKind::kNorm2 ? SumSquares(*ptr)
+                                                     : Sum(*ptr);
+      }
+      return Status::Ok();
+    }));
     double total = 0;
-    for (int w = 0; w < workers; ++w) {
-      double partial = 0;
-      Status st = TimedWorker(step, w, [&] {
-        for (auto& [bi, bj, ptr] : a.WorkerBlocks(w)) {
-          partial += step.reduce == ReduceKind::kNorm2 ? SumSquares(*ptr)
-                                                       : Sum(*ptr);
-        }
-        return Status::Ok();
-      },
-      /*idempotent=*/false);  // a second run would double `partial`
-      DMAC_RETURN_NOT_OK(st);
-      total += partial;
-    }
+    for (double partial : partials) total += partial;
     if (step.reduce == ReduceKind::kNorm2) total = std::sqrt(total);
     scalars_[step.scalar_out] = total;
     // Driver aggregation: N partial doubles cross the network (bytes only,

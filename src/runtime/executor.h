@@ -8,6 +8,12 @@
 // shared thread pool (L threads, the paper's local parallelism), and each
 // worker's busy time is recorded per stage so that cluster wall time can be
 // derived as Σ_stage max_worker(compute) + network model.
+//
+// Every step launches its worker-local work through one seam,
+// ForEachWorker, which times each worker and draws its task-launch faults.
+// A worker's closure writes only through a store sink or into its own
+// per-worker slot; sums across workers happen after the seam returns, in
+// worker order (docs/runtime.md).
 #pragma once
 
 #include <memory>

@@ -12,8 +12,8 @@
 //  * drops are retransmitted under a RetryPolicy until delivered
 //    (ack + timeout, simulated), charging backoff to fault accounting;
 //  * duplicates share the original's sequence number and are deduped at
-//    delivery — required, because commit callbacks push into the executor's
-//    non-idempotent CPMM/reduce accumulation sites;
+//    delivery — required, because commit callbacks append partials to the
+//    executor's shuffle-and-sum inboxes, where a copy would be summed twice;
 //  * reorders are absorbed by sorted (sender, sequence) delivery, which
 //    also pins the floating-point summation order to the direct path's;
 //  * a stale-epoch arrival from a dead sender is fenced (never committed)

@@ -55,7 +55,6 @@ TEST(FaultSpecTest, ParsesKeysCommentsAndBlanks) {
       "transient_prob = 0.01\n"
       "straggler_prob = 0.1\n"
       "straggler_delay_seconds = 0.25\n"
-      "speculate = false\n"
       "max_retries = 6\n"
       "backoff_base_seconds = 0.5\n"
       "permanent_fail_step = 9\n");
@@ -69,7 +68,6 @@ TEST(FaultSpecTest, ParsesKeysCommentsAndBlanks) {
   EXPECT_DOUBLE_EQ(spec->transient_prob, 0.01);
   EXPECT_DOUBLE_EQ(spec->straggler_prob, 0.1);
   EXPECT_DOUBLE_EQ(spec->straggler_delay_seconds, 0.25);
-  EXPECT_FALSE(spec->speculate);
   EXPECT_EQ(spec->max_retries, 6);
   EXPECT_DOUBLE_EQ(spec->backoff_base_seconds, 0.5);
   EXPECT_EQ(spec->permanent_fail_step, 9);
@@ -86,12 +84,17 @@ TEST(FaultSpecTest, RejectsUnknownKeys) {
   ASSERT_FALSE(spec.ok());
   EXPECT_NE(spec.status().ToString().find("unknown key"), std::string::npos)
       << spec.status();
+  // `speculate` is not a fault-spec key.
+  spec = ParseFaultSpec("speculate = true\n");
+  ASSERT_FALSE(spec.ok());
+  EXPECT_NE(spec.status().ToString().find("unknown key"), std::string::npos)
+      << spec.status();
 }
 
 TEST(FaultSpecTest, RejectsMalformedLinesAndValues) {
   EXPECT_FALSE(ParseFaultSpec("crash_prob\n").ok());
   EXPECT_FALSE(ParseFaultSpec("crash_prob = lots\n").ok());
-  EXPECT_FALSE(ParseFaultSpec("speculate = maybe\n").ok());
+  EXPECT_FALSE(ParseFaultSpec("death_in_flight = maybe\n").ok());
   // Parse runs Validate: a well-formed but out-of-range spec is rejected.
   EXPECT_FALSE(ParseFaultSpec("crash_prob = 2.0\n").ok());
 }

@@ -87,7 +87,7 @@ TEST(RecoveryTest, TransientFaultsResolveWithinTheRetryBudget) {
               0.5 * baseline->result.stats.TotalComputeSeconds() + 0.05);
 }
 
-TEST(RecoveryTest, StragglersAreSpeculatedAndHarmless) {
+TEST(RecoveryTest, StragglersAreHarmless) {
   const FaultAppCase app = MakeSmallPageRank();
   const auto baseline =
       RunProgram(app.program, app.MakeBindings(), BaseConfig());
@@ -100,8 +100,29 @@ TEST(RecoveryTest, StragglersAreSpeculatedAndHarmless) {
   config.fault.straggler_delay_seconds = 0.02;
   const auto outcome = RunProgram(app.program, app.MakeBindings(), config);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
-  EXPECT_GT(outcome->result.stats.faults_injected, 0);
+  const ExecStats& stats = outcome->result.stats;
+  EXPECT_GT(stats.faults_injected, 0);
   ExpectBitIdentical(baseline->result, outcome->result, "straggler");
+  // Every injected fault is a straggler, and its delay is charged to the
+  // worker's stage seconds, not to recovery.
+  EXPECT_DOUBLE_EQ(stats.recovery_seconds, 0);
+  EXPECT_GE(stats.TotalComputeSeconds(),
+            config.fault.straggler_delay_seconds *
+                static_cast<double>(stats.faults_injected));
+}
+
+TEST(RecoveryTest, RandomOutputDrawsOneLaunchFaultPerWorker) {
+  // Each worker generates all of its blocks of a random matrix in one task
+  // launch, so a certain straggler fires once per worker, not per block.
+  auto program = ParseProgram("R = random(256, 256)\noutput(R)\n");
+  ASSERT_TRUE(program.ok()) << program.status();
+  RunConfig config = BaseConfig();
+  config.block_size = kFaultBs;  // a 16 x 16 block grid
+  config.fault.enabled = true;
+  config.fault.straggler_prob = 1;
+  const auto outcome = RunProgram(*program, Bindings{}, config);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  EXPECT_EQ(outcome->result.stats.faults_injected, config.num_workers);
 }
 
 TEST(RecoveryTest, CheckpointingIsTransparent) {
@@ -157,7 +178,6 @@ TEST(RecoveryTest, DisabledFaultPathLeavesCountersZero) {
   EXPECT_EQ(stats.retries, 0);
   EXPECT_EQ(stats.recomputed_blocks, 0);
   EXPECT_EQ(stats.restored_blocks, 0);
-  EXPECT_EQ(stats.speculated_tasks, 0);
   EXPECT_EQ(stats.checkpoint_bytes, 0);
   EXPECT_DOUBLE_EQ(stats.recovery_bytes, 0);
   EXPECT_DOUBLE_EQ(stats.recovery_seconds, 0);

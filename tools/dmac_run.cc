@@ -521,13 +521,12 @@ int main(int argc, char** argv) {
   if (config.fault.enabled || config.checkpoint_every > 0) {
     std::printf(
         "[fault] %lld injected, %lld retries, %lld recomputed / %lld "
-        "restored blocks, %lld speculated tasks, checkpoint %.2f MB, "
+        "restored blocks, checkpoint %.2f MB, "
         "recovery %.3fs (+%.2f MB moved)\n",
         static_cast<long long>(stats.faults_injected),
         static_cast<long long>(stats.retries),
         static_cast<long long>(stats.recomputed_blocks),
         static_cast<long long>(stats.restored_blocks),
-        static_cast<long long>(stats.speculated_tasks),
         static_cast<double>(stats.checkpoint_bytes) / 1e6,
         stats.recovery_seconds, stats.recovery_bytes / 1e6);
   }
