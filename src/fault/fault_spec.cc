@@ -83,9 +83,6 @@ Status FaultSpec::Validate() const {
   if (max_retries < 0) {
     return Status::Invalid("max_retries must be >= 0");
   }
-  if (!IsFiniteNonNegative(backoff_base_seconds)) {
-    return Status::Invalid("backoff_base_seconds must be finite and >= 0");
-  }
   DMAC_RETURN_NOT_OK(CheckProb("death_prob", death_prob));
   if (death_step >= 0 && death_worker < 0) {
     return Status::Invalid("death_worker must be >= 0");
@@ -132,8 +129,6 @@ Result<FaultSpec> ParseFaultSpec(const std::string& text) {
           ParseDouble(key, value, &spec.straggler_delay_seconds));
     } else if (key == "max_retries") {
       DMAC_RETURN_NOT_OK(ParseInt(key, value, &spec.max_retries));
-    } else if (key == "backoff_base_seconds") {
-      DMAC_RETURN_NOT_OK(ParseDouble(key, value, &spec.backoff_base_seconds));
     } else if (key == "permanent_fail_step") {
       DMAC_RETURN_NOT_OK(ParseInt(key, value, &spec.permanent_fail_step));
     } else if (key == "death_prob") {

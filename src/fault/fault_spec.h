@@ -131,10 +131,9 @@ struct FaultSpec {
   double straggler_delay_seconds = 0.05;
 
   /// Attempts per step beyond the first before the executor gives up and
-  /// surfaces a clean error.
+  /// surfaces a clean error. Retry r first backs off a simulated
+  /// 0.01 s · 2^r (RetryPolicy).
   int max_retries = 4;
-  /// Simulated backoff before retry r is `backoff_base_seconds * 2^r`.
-  double backoff_base_seconds = 0.01;
 
   /// Test hook: a step id that fails on every attempt (a *permanent*
   /// fault), regardless of `transient_prob` and the injector's budget.

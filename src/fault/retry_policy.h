@@ -13,7 +13,7 @@ namespace dmac {
 struct RetryPolicy {
   /// Attempts beyond the first before the caller gives up.
   int max_retries = 4;
-  /// Backoff before retry 0 (simulated seconds).
+  /// Backoff before retry 0 (simulated seconds). No option sets it.
   double base_seconds = 0.01;
 
   /// Simulated delay before retry `attempt` (0-based):

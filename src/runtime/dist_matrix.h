@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -32,6 +33,7 @@
 #include "governor/memory_budget.h"
 #include "governor/spill_store.h"
 #include "matrix/block.h"
+#include "obs/trace.h"
 #include "plan/scheme.h"
 #include "runtime/owner.h"
 
@@ -331,26 +333,6 @@ class DistMatrix {
     return true;
   }
 
-  // --- Degraded mode (permanent worker loss) -------------------------------
-
-  /// Installs the deterministic rebalance map after a membership change:
-  /// `map[w]` is the surviving worker that physically hosts virtual slot
-  /// `w` (ClusterMembership::HostMap()). The *logical* layout — OwnerOf,
-  /// store keys, and therefore the floating-point summation order — stays
-  /// frozen at the original worker count; only timing attribution and
-  /// byte accounting follow the map (a transfer between two slots hosted
-  /// on the same survivor moves no bytes).
-  void SetRebalanceMap(std::vector<int> map) { rebalance_ = std::move(map); }
-
-  /// The worker physically hosting virtual slot `w` (identity until a
-  /// rebalance map is installed).
-  int HostOf(int w) const {
-    return rebalance_.empty() || w < 0 ||
-                   static_cast<size_t>(w) >= rebalance_.size()
-               ? w
-               : rebalance_[static_cast<size_t>(w)];
-  }
-
  private:
   struct Entry {
     BlockPtr block;
@@ -382,8 +364,15 @@ class DistMatrix {
   std::shared_ptr<MemoryBudget> budget_;
   std::shared_ptr<SpillStore> spill_;
   int64_t spilled_entries_ = 0;
-  /// Virtual slot -> hosting survivor; empty = identity (no deaths).
-  std::vector<int> rebalance_;
 };
+
+/// Restores every spilled block of plan node `node_id`'s matrix `dm` (null
+/// or unspilled: no-op) under one `restore node` spill span.
+inline Status RestoreSpilled(int node_id, DistMatrix* dm) {
+  if (dm == nullptr || dm->SpilledEntries() == 0) return Status::Ok();
+  TraceSpan span(kTraceSpill, "restore node " + std::to_string(node_id), -1,
+                 TraceArg("node", int64_t{node_id}));
+  return dm->EnsureResident().status();
+}
 
 }  // namespace dmac

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
-#include <map>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -15,17 +12,11 @@
 #include "common/sync.h"
 #include "common/timer.h"
 #include "common/thread_pool.h"
-#include "fault/durable_checkpoint.h"
-#include "fault/durable_io.h"
-#include "fault/injector.h"
-#include "fault/lineage.h"
-#include "fault/retry_policy.h"
 #include "matrix/mem_tracker.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/buffer_pool.h"
-#include "runtime/membership.h"
-#include "runtime/network.h"
+#include "runtime/fault_layer.h"
 
 namespace dmac {
 
@@ -92,7 +83,8 @@ class StoreSink {
   int worker_;
 };
 
-/// Trace-span name of a step: "compute[multiply:RMM1]", "broadcast", ...
+}  // namespace
+
 std::string StepSpanName(const PlanStep& step) {
   std::string name = StepKindName(step.kind);
   if (step.kind == StepKind::kCompute) {
@@ -107,6 +99,8 @@ std::string StepSpanName(const PlanStep& step) {
   if (!step.source.empty()) name += " " + step.source;
   return name;
 }
+
+namespace {
 
 /// For every plan node, the id of the last step that reads it (-1 when none
 /// does). Plan outputs map past the last step: they live until gathered.
@@ -123,7 +117,7 @@ std::vector<int> LastConsumers(const Plan& plan) {
 
 }  // namespace
 
-class Executor::Impl {
+class Executor::Impl final : public StepRunner {
  public:
   Impl(const ExecutorOptions& opts, const Plan& plan, const Bindings& bindings)
       : opts_(opts),
@@ -135,8 +129,7 @@ class Executor::Impl {
                 opts.task_scheduling),
         node_data_(plan.nodes.size()),
         last_consumer_(LastConsumers(plan)),
-        gov_(opts.governor),
-        node_last_use_(plan.nodes.size(), -1) {
+        gov_(opts.governor) {
     if (gov_.token.active()) engine_.SetCancelToken(&gov_.token);
     if (gov_.budget != nullptr) buffers_.SetBudget(gov_.budget);
     // CSC→CSR conversion cache for plan steps marked by MarkOperandReuse
@@ -167,7 +160,7 @@ class Executor::Impl {
   /// whether it completed or not.
   Result<ExecutionResult> Run() {
     Result<ExecutionResult> result = RunPlan();
-    CollectLayerStats();
+    if (fault_) fault_->ExportStats();
     MetricRegistry::Global().Record(stats_, result.ok());
     if (result.ok()) result->stats = std::move(stats_);
     return result;
@@ -177,8 +170,10 @@ class Executor::Impl {
   Result<ExecutionResult> RunPlan() {
     DMAC_RETURN_NOT_OK(CheckCancel());  // a 0 ms deadline fails before work
     DMAC_RETURN_NOT_OK(PickBlockSize());
-    DMAC_RETURN_NOT_OK(SetUpFaultTolerance());
-    DMAC_RETURN_NOT_OK(MaybeResume());
+    DMAC_ASSIGN_OR_RETURN(
+        fault_, FaultLayer::Create(opts_, plan_, this, &node_data_,
+                                   &last_consumer_, &scalars_, &stats_));
+    if (fault_) DMAC_RETURN_NOT_OK(fault_->Resume());
     MemTracker::Global().ResetPeak();
     const int64_t mem_before_peak = MemTracker::Global().peak_bytes();
 
@@ -188,19 +183,10 @@ class Executor::Impl {
     int current_stage = std::numeric_limits<int>::min();
     std::optional<TraceSpan> stage_span;
     for (const PlanStep& step : plan_.steps) {
-      if (step.id <= resume_skip_step_) {
-        // The restored snapshot covers this step. Bump the LRU clock the
-        // way an uninterrupted run would (spill ordering parity), then
-        // either skip it or — for the load steps of reload-marked nodes —
-        // re-execute it against the caller's bindings.
-        TouchStepNodes(step);
-        if (reload_step_ids_.count(step.id) != 0) {
-          DMAC_RETURN_NOT_OK(ExecuteStep(step));
-          // Lineage only: the snapshot's checkpoint counter already
-          // includes this step's contribution from the original run.
-          RecordLineage(step);
-        }
-        continue;
+      if (fault_) {
+        DMAC_ASSIGN_OR_RETURN(const bool covered,
+                              fault_->CoveredByResume(step));
+        if (covered) continue;
       }
       const bool tracing = TraceRecorder::Global().enabled();
       if (step.stage != current_stage) {
@@ -218,25 +204,30 @@ class Executor::Impl {
                                   TraceArg("step", int64_t{step.id}))
                   : TraceSpan();
       DMAC_RETURN_NOT_OK(GovernStep(step));
-      Status step_status = ft_ ? RunStepWithRecovery(step) : ExecuteStep(step);
-      if (!step_status.ok() && gov_.token.active() && gov_.token.Fired()) {
-        // The engine observed the token mid-kernel; surface the governance
-        // status (and its one cancel span), not the kernel's unwind error.
-        DropOutput(step);
+      Status step_status = fault_ ? fault_->RunStep(step) : ExecuteStep(step);
+      if (!step_status.ok()) {
+        // A failed or cancelled step leaves no partial output in the
+        // stores. When the engine observed the token mid-kernel, surface
+        // the governance status (and its one cancel span), not the
+        // kernel's unwind error.
+        if (step.output >= 0) {
+          node_data_[static_cast<size_t>(step.output)] = nullptr;
+        }
         DMAC_RETURN_NOT_OK(CheckCancel());
+        return step_status;
       }
-      DMAC_RETURN_NOT_OK(step_status);
       ++stats_.steps_executed;
-      if (!ft_) FreeDeadInputs(step);
+      // A clean run frees inputs no later step reads (paper §5.2); lineage
+      // recovery needs them, so fault-tolerant runs keep them.
+      for (int input : step.inputs) {
+        if (!fault_ && last_consumer_[static_cast<size_t>(input)] == step.id) {
+          node_data_[static_cast<size_t>(input)] = nullptr;
+        }
+      }
     }
     stage_span.reset();
     stats_.stages = plan_.num_stages;
-
-    if (injector_ != nullptr) {
-      // Boundary faults injected after the last consumer of a node can
-      // linger into the gather; one final recovery sweep repairs them.
-      DMAC_RETURN_NOT_OK(RecoverAll());
-    }
+    if (fault_) DMAC_RETURN_NOT_OK(fault_->Finish());
 
     ExecutionResult result;
     for (auto out = plan_.outputs.begin(); out != plan_.outputs.end(); ++out) {
@@ -244,7 +235,7 @@ class Executor::Impl {
           out + 1, plan_.outputs.end(),
           [&](const PlanOutput& o) { return o.node == out->node; });
       DMAC_ASSIGN_OR_RETURN(LocalMatrix m,
-                            Gather(out->node, /*move=*/!ft_ && last_gather));
+                            Gather(out->node, /*move=*/!fault_ && last_gather));
       if (out->transposed) m = m.Transposed();
       result.matrices.emplace(out->variable, std::move(m));
     }
@@ -300,56 +291,19 @@ class Executor::Impl {
     return Status::Ok();
   }
 
-  const PlanNode& NodeOf(int id) const {
-    return plan_.nodes[static_cast<size_t>(id)];
-  }
-
   DistMatrix& Data(int node_id) {
     DMAC_CHECK(node_data_[static_cast<size_t>(node_id)] != nullptr)
         << "node " << node_id << " has no materialized data";
     return *node_data_[static_cast<size_t>(node_id)];
   }
 
-  /// Drops every input of `step` that no later step reads, so a clean run
-  /// holds only live intermediates (paper §5.2). Fault-tolerant runs keep
-  /// them: lineage recompute re-reads inputs, and recovery treats a null
-  /// node as fully lost.
-  void FreeDeadInputs(const PlanStep& step) {
-    for (int input : step.inputs) {
-      if (last_consumer_[static_cast<size_t>(input)] == step.id) {
-        node_data_[static_cast<size_t>(input)] = nullptr;
-      }
-    }
-  }
-
-  /// Drops whatever `step` produced so far: a failed or cancelled step
-  /// leaves no partial output in the stores.
-  void DropOutput(const PlanStep& step) {
-    if (step.output >= 0) {
-      node_data_[static_cast<size_t>(step.output)] = nullptr;
-    }
-  }
-
-  /// Advances the LRU clock and stamps `step`'s inputs and output with it
-  /// (the spill order of RebalanceBudget).
-  void TouchStepNodes(const PlanStep& step) {
-    ++step_clock_;
-    for (int input : step.inputs) {
-      node_last_use_[static_cast<size_t>(input)] = step_clock_;
-    }
-    if (step.output >= 0) {
-      node_last_use_[static_cast<size_t>(step.output)] = step_clock_;
-    }
-  }
-
-  std::shared_ptr<DistMatrix> NewData(int node_id, Shape shape) {
-    const PlanNode& node = NodeOf(node_id);
+  std::shared_ptr<DistMatrix> NewData(int node_id, Shape shape) override {
+    const PlanNode& node = plan_.nodes[static_cast<size_t>(node_id)];
     auto dm = std::make_shared<DistMatrix>(BlockGrid{shape, block_size_},
                                            node.scheme(), opts_.num_workers);
     if (gov_.budget != nullptr || gov_.spill != nullptr) {
       dm->SetGovernor(gov_.budget, gov_.spill);
     }
-    if (!host_map_.empty()) dm->SetRebalanceMap(host_map_);
     node_data_[static_cast<size_t>(node_id)] = dm;
     return dm;
   }
@@ -362,32 +316,22 @@ class Executor::Impl {
   /// inside fn(w) inherit the host id for their spans. Retried and recovery
   /// work is charged to recovery_seconds instead.
   ///
-  /// Each launch is also the task-launch fault-injection point: with an
-  /// active injector (and outside recovery) it can fail transiently, which
-  /// ends the step, or straggle by a simulated delay (nothing sleeps) that
-  /// is charged to the worker's stage seconds.
+  /// Each launch is also the fault layer's task-launch injection point: it
+  /// can fail transiently, which ends the step, or straggle by a simulated
+  /// delay (nothing sleeps) that is charged to the worker's stage seconds.
   ///
   /// Closure invariant: fn(w) writes only through a StoreSink or into its
   /// own per-worker slot (index w of a vector the caller sized). It never
-  /// touches stats_, scalars_, net_ or the injector; sums across workers
+  /// touches stats_, scalars_ or the fault layer; sums across workers
   /// happen after ForEachWorker returns, in worker order. So the launches
   /// could run together without changing a result bit.
   template <typename Fn>
   Status ForEachWorker(const PlanStep& step, int workers, const Fn& fn) {
-    // Recovery attempts are not re-injected — except a permanent fault,
-    // which by definition fails every attempt until retries exhaust.
-    const bool inject =
-        injector_ != nullptr &&
-        (!recovering_ || step.id == injector_->spec().permanent_fail_step);
+    const bool recovering = Recovering();
     for (int w = 0; w < workers; ++w) {
       double delay = 0;
-      if (inject) {
-        if (injector_->DrawTransientFailure(step.id)) {
-          return Status::Unavailable("injected transient failure on worker " +
-                                     std::to_string(w) + " in step " +
-                                     std::to_string(step.id));
-        }
-        delay = injector_->DrawStragglerDelay();
+      if (fault_) {
+        DMAC_ASSIGN_OR_RETURN(delay, fault_->OnLaunch(step, w));
       }
       // Logical slot `w` may be hosted by a survivor after a permanent
       // death; timing and spans attribute to the physical host while the
@@ -399,14 +343,14 @@ class Executor::Impl {
           : delay > 0
               ? TraceSpan(kTraceRecovery, "straggler " + StepSpanName(step),
                           host, TraceArg("delay_s", delay))
-              : TraceSpan(recovering_ ? kTraceRecovery : kTraceWorker,
+              : TraceSpan(recovering ? kTraceRecovery : kTraceWorker,
                           StepSpanName(step), host,
                           TraceArg("stage", int64_t{step.stage}));
       engine_.SetWorkerContext(host);
       Timer timer;
       const Status st = fn(w);
       const double seconds = timer.ElapsedSeconds() + delay;
-      if (recovering_) {
+      if (recovering) {
         stats_.recovery_seconds += seconds;
       } else {
         stats_.AddWorkerSeconds(step.stage, host, seconds);
@@ -414,6 +358,26 @@ class Executor::Impl {
       DMAC_RETURN_NOT_OK(st);
     }
     return Status::Ok();
+  }
+
+  /// Physical host of logical slot `w` (identity until a death).
+  int Host(int w) const { return fault_ ? fault_->HostOf(w) : w; }
+
+  /// True while the fault layer runs retried or recovery work.
+  bool Recovering() const { return fault_ && fault_->recovering(); }
+
+  /// Moves one block-carrying transfer from worker `from` to `to`. With a
+  /// fault layer that routes sends through its simulated network, the
+  /// transfer is queued there and `deliver` runs at the round's flush;
+  /// otherwise `deliver` runs now. Every capture must outlive the flush.
+  template <typename Deliver>
+  void Transfer(int from, int to, double bytes, Deliver&& deliver) {
+    auto* net = fault_ ? fault_->network() : nullptr;
+    if (net != nullptr && from != to) {
+      net->Send(from, to, bytes, std::forward<Deliver>(deliver));
+    } else {
+      deliver();
+    }
   }
 
   /// Workers a step over `src` launches: a Broadcast source is computed
@@ -429,7 +393,7 @@ class Executor::Impl {
   /// useful-communication totals.
   Status EndCommRound(TraceSpan& span, bool broadcast, double bytes,
                       const char* label, int rounds = 1) {
-    if (recovering_) {
+    if (Recovering()) {
       stats_.recovery_bytes += bytes;
     } else {
       (broadcast ? stats_.broadcast_bytes : stats_.shuffle_bytes) += bytes;
@@ -439,7 +403,8 @@ class Executor::Impl {
       span.set_args(TraceArg("bytes", bytes) + "," +
                     TraceArg("kind", broadcast ? "broadcast" : "shuffle"));
     }
-    return UseNetwork() ? net_->Flush(label) : Status::Ok();
+    auto* net = fault_ ? fault_->network() : nullptr;
+    return net != nullptr ? net->Flush(label) : Status::Ok();
   }
 
   /// Reads a block for a cross-worker transfer, verifying integrity in
@@ -454,7 +419,7 @@ class Executor::Impl {
                               std::to_string(bi) + ", " + std::to_string(bj) +
                               ") missing on worker " + std::to_string(worker));
     }
-    if (ft_) DMAC_RETURN_NOT_OK(src.VerifyAt(worker, bi, bj));
+    if (fault_) DMAC_RETURN_NOT_OK(src.VerifyAt(worker, bi, bj));
     return ptr;
   }
 
@@ -462,7 +427,7 @@ class Executor::Impl {
 
   /// Cooperative cancellation poll. The first failed check emits one
   /// `cancel` trace span recording how the query ended.
-  Status CheckCancel() {
+  Status CheckCancel() override {
     if (!gov_.token.active()) return Status::Ok();
     Status st = gov_.token.Check();
     if (!st.ok() && !cancel_span_emitted_) {
@@ -475,20 +440,20 @@ class Executor::Impl {
     return st;
   }
 
-  /// Pre-step governance: poll the token, bump the LRU clock, and make room
-  /// under the budget for the step's working set.
+  /// Pre-step governance: poll the token and make room under the budget for
+  /// the step's working set.
   Status GovernStep(const PlanStep& step) {
     DMAC_RETURN_NOT_OK(CheckCancel());
-    TouchStepNodes(step);
     if (!gov_.budgeted()) return Status::Ok();
     return RebalanceBudget(step);
   }
 
-  /// Spills cold nodes (LRU by last-touching step, ids ascending as the
-  /// tiebreak) until the budget has room for the step's pinned working set
-  /// — its inputs, all of which must be resident at once. Fails with
-  /// kResourceExhausted when the pinned set alone exceeds the budget or no
-  /// spill candidate remains.
+  /// Spills cold nodes (least recently used first: by the plan position of
+  /// the last step up to this one that reads or writes the node, ids
+  /// ascending as the tiebreak) until the budget has room for the step's
+  /// pinned working set — its inputs, all of which must be resident at
+  /// once. Fails with kResourceExhausted when the pinned set alone exceeds
+  /// the budget or no spill candidate remains.
   Status RebalanceBudget(const PlanStep& step) {
     int64_t pinned = 0;
     int64_t spilled_inputs = 0;
@@ -510,6 +475,14 @@ class Executor::Impl {
     int64_t need = gov_.budget->OverBudgetBytes() + spilled_inputs;
     if (need <= 0) return Status::Ok();
 
+    // Steps run in plan order (ids ascend with position), so a node's last
+    // use is the last step up to this one that reads or writes it.
+    std::vector<int> last_use(node_data_.size(), -1);  // -1: untouched
+    for (const PlanStep& s : plan_.steps) {
+      if (s.id > step.id) break;
+      for (int input : s.inputs) last_use[static_cast<size_t>(input)] = s.id;
+      if (s.output >= 0) last_use[static_cast<size_t>(s.output)] = s.id;
+    }
     std::vector<std::pair<int, int>> candidates;  // (last_use, node id)
     for (size_t id = 0; id < node_data_.size(); ++id) {
       if (node_data_[id] == nullptr) continue;
@@ -519,7 +492,7 @@ class Executor::Impl {
               step.inputs.end()) {
         continue;  // pinned
       }
-      candidates.emplace_back(node_last_use_[id], node);
+      candidates.emplace_back(last_use[id], node);
     }
     std::sort(candidates.begin(), candidates.end());
 
@@ -542,638 +515,14 @@ class Executor::Impl {
     return Status::Ok();
   }
 
-  /// Restores any spilled input of `step` (recovery re-runs and retries hit
-  /// this too, not just the main loop). No-op without a spill store.
-  Status EnsureInputsResident(const PlanStep& step) {
-    for (int input : step.inputs) {
-      auto& dm = node_data_[static_cast<size_t>(input)];
-      if (dm == nullptr || dm->SpilledEntries() == 0) continue;
-      TraceSpan span(kTraceSpill, "restore node " + std::to_string(input),
-                     -1, TraceArg("node", int64_t{input}));
-      DMAC_RETURN_NOT_OK(dm->EnsureResident().status());
-    }
-    return Status::Ok();
-  }
-
-  // ---- fault tolerance (docs/fault_tolerance.md) --------------------------
-
-  Status SetUpFaultTolerance() {
-    const bool durable = !opts_.checkpoint_dir.empty();
-    // A durable directory implies checkpointing: default the cadence to
-    // every producing step so a bare --checkpoint-dir is crash-safe.
-    effective_checkpoint_every_ =
-        opts_.checkpoint_every > 0 ? opts_.checkpoint_every : (durable ? 1 : 0);
-    ft_ = opts_.fault.enabled || effective_checkpoint_every_ > 0;
-    min_workers_ = std::min(std::max(opts_.min_workers, 1), opts_.num_workers);
-    if (durable) {
-      DMAC_RETURN_NOT_OK(opts_.fault.disk.Validate());
-      // Salted so the disk schedule is independent of the injector's and
-      // the data seed's streams (durable_io.h header comment).
-      storage_io_ = std::make_shared<StorageIO>(
-          opts_.fault.disk, opts_.fault.seed ^ 0x5d15c0de5d15c0deULL,
-          opts_.fault.disk.crash_soft ? StorageIO::CrashMode::kSoft
-                                      : StorageIO::CrashMode::kHard);
-      DMAC_ASSIGN_OR_RETURN(
-          durable_store_,
-          DurableCheckpointStore::Open(opts_.checkpoint_dir, storage_io_));
-    }
-    if (!ft_) return Status::Ok();
-    retry_policy_ = RetryPolicy{opts_.fault.max_retries,
-                                opts_.fault.backoff_base_seconds};
-    if (opts_.fault.enabled) {
-      DMAC_RETURN_NOT_OK(opts_.fault.Validate());
-      if (opts_.fault.death_step >= 0 &&
-          opts_.fault.death_worker >= opts_.num_workers) {
-        return Status::Invalid(
-            "death_worker " + std::to_string(opts_.fault.death_worker) +
-            " is out of range for " + std::to_string(opts_.num_workers) +
-            " workers");
-      }
-      injector_ = std::make_unique<FaultInjector>(opts_.fault);
-      const bool death_possible =
-          opts_.fault.death_prob > 0 || opts_.fault.death_step >= 0;
-      if (death_possible || opts_.fault.net.Any()) {
-        membership_ = std::make_unique<ClusterMembership>(opts_.num_workers);
-        net_ = std::make_unique<SimNetwork>(injector_.get(), membership_.get(),
-                                            retry_policy_);
-      }
-    }
-    plan_has_hints_ = false;
-    for (const PlanNode& node : plan_.nodes) {
-      plan_has_hints_ = plan_has_hints_ || node.checkpoint_hint;
-    }
-    return Status::Ok();
-  }
-
-  /// Physical host of logical slot `w` (identity until a death rebalances).
-  int Host(int w) const {
-    return membership_ != nullptr ? membership_->HostOf(w) : w;
-  }
-
-  /// Copies the fault layers' own accounting (injector, disk, membership,
-  /// network) into ExecStats at the end of a run.
-  void CollectLayerStats() {
-    if (injector_ != nullptr) {
-      stats_.faults_injected = injector_->faults_drawn();
-    }
-    if (storage_io_ != nullptr) {
-      stats_.disk_faults_injected = storage_io_->faults_injected();
-    }
-    if (membership_ != nullptr) stats_.membership_epoch = membership_->epoch();
-    if (net_ != nullptr) stats_.net = net_->stats();
-  }
-
-  /// Transfers route through the fault-injecting network layer only on the
-  /// useful (first) attempt; retries and lineage recovery use the direct
-  /// path so that a bounded retry budget is guaranteed to converge.
-  bool UseNetwork() const { return net_ != nullptr && !recovering_; }
-
-  /// Fault-tolerant step execution: inject boundary faults, then attempt
-  /// the step up to 1 + max_retries times. A retryable failure (transient
-  /// Unavailable, detected DataLoss) triggers exponential backoff and full
-  /// lineage recovery before the next attempt; retried attempts run as
-  /// recovery work so the useful-compute totals stay clean. On success the
-  /// output's lineage is recorded and checkpointing may trigger.
-  Status RunStepWithRecovery(const PlanStep& step) {
-    if (injector_ != nullptr) InjectBoundaryFaults(step);
-    // Below quorum the run fails clean — no retries burned, no recovery
-    // attempted, no partial output left behind.
-    if (!quorum_status_.ok()) {
-      DropOutput(step);
-      return quorum_status_;
-    }
-    Status st;
-    for (int attempt = 0;; ++attempt) {
-      st = AttemptStep(step, attempt);
-      if (st.ok()) break;
-      // An in-flight death during the attempt may have dropped the cluster
-      // below quorum; give up before the retry machinery spends anything.
-      if (!quorum_status_.ok()) {
-        DropOutput(step);
-        return quorum_status_;
-      }
-      // A fired token preempts the retry path: the query exits promptly —
-      // no retry counted, no simulated backoff, no recovery sweep — and no
-      // partial output survives.
-      if (gov_.token.active()) {
-        Status cancelled = gov_.token.Check();
-        if (!cancelled.ok()) {
-          DropOutput(step);
-          DMAC_RETURN_NOT_OK(CheckCancel());  // emits the cancel span
-        }
-      }
-      const bool retryable = RetryPolicy::Retryable(st);
-      if (!retryable || attempt >= retry_policy_.max_retries) {
-        // Give up cleanly: no partial output may survive in the stores.
-        DropOutput(step);
-        if (retryable) {
-          const std::string msg = "step " + std::to_string(step.id) +
-                                  " failed after " +
-                                  std::to_string(attempt + 1) +
-                                  " attempts: " + st.message();
-          return st.code() == StatusCode::kUnavailable
-                     ? Status::Unavailable(msg)
-                     : Status::DataLoss(msg);
-        }
-        return st;
-      }
-      TraceSpan span(kTraceRecovery, "retry " + StepSpanName(step), -1,
-                     TraceArg("step", int64_t{step.id}) + "," +
-                         TraceArg("attempt", int64_t{attempt + 1}));
-      ++stats_.retries;
-      // Simulated exponential backoff; transient faults clear with time.
-      stats_.recovery_seconds += retry_policy_.BackoffSeconds(attempt);
-      DMAC_RETURN_NOT_OK(RecoverAll());
-    }
-    DMAC_RETURN_NOT_OK(AfterStepSuccess(step));
-    return st;
-  }
-
-  Status AttemptStep(const PlanStep& step, int attempt) {
-    // The first attempt is the useful one; repeats are recovery work (no
-    // further injection, seconds and bytes attributed to recovery).
-    recovering_ = attempt > 0;
-    // A failed attempt may have left undelivered sends queued (e.g. a
-    // missing block detected mid-shuffle); they must never leak into a
-    // later flush.
-    if (net_ != nullptr) net_->Clear();
-    Status st = PreflightStepInputs(step);
-    if (st.ok()) st = ExecuteStep(step);
-    recovering_ = false;
-    return st;
-  }
-
-  /// Verifies every input node of `step` against its lineage record:
-  /// all recorded blocks present and hashing to their recorded checksums.
-  Status PreflightStepInputs(const PlanStep& step) {
-    for (int input : step.inputs) {
-      const NodeLineage* lin = lineage_.Find(input);
-      if (lin == nullptr) continue;  // produced before fault mode engaged
-      const auto& dm = node_data_[static_cast<size_t>(input)];
-      if (dm == nullptr) {
-        return Status::DataLoss("input node " + std::to_string(input) +
-                                " has no materialized data");
-      }
-      const int64_t bcols = dm->grid().block_cols();
-      for (const LineageBlockRecord& rec : lin->blocks) {
-        DMAC_RETURN_NOT_OK(
-            dm->VerifyAt(rec.worker, rec.key / bcols, rec.key % bcols));
-      }
-    }
-    return Status::Ok();
-  }
-
-  /// Step-boundary injection: worker crashes, permanent worker deaths, and
-  /// per-entry lost/corrupted blocks, applied to every live node in a
-  /// deterministic sweep (nodes by id, workers ascending, store keys
-  /// ascending) so a seed always yields the same schedule.
-  void InjectBoundaryFaults(const PlanStep& step) {
-    int victim = -1;
-    if (injector_->DrawCrash(opts_.num_workers, &victim)) {
-      TraceSpan span(kTraceRecovery, "inject-crash", victim);
-      for (auto& dm : node_data_) {
-        if (dm != nullptr) dm->ClearWorker(victim);
-      }
-    }
-    if (membership_ != nullptr) {
-      // Forced death at a chosen step boundary (death_in_flight instead
-      // fires mid-CPMM, at the communication-round boundary).
-      if (opts_.fault.death_step == step.id && !opts_.fault.death_in_flight &&
-          !forced_death_applied_) {
-        forced_death_applied_ = true;
-        ApplyDeath(opts_.fault.death_worker);
-      }
-      // Probabilistic deaths are quorum-budgeted: once one more death would
-      // drop the cluster below min_workers, no further draw is consumed —
-      // the fault schedule of the surviving spec stays deterministic.
-      if (opts_.fault.death_prob > 0 &&
-          membership_->live_workers() - 1 >= min_workers_ &&
-          injector_->DrawWorkerDeath()) {
-        const int k = injector_->DrawVictim(membership_->live_workers());
-        int seen = 0;
-        for (int w = 0; w < opts_.num_workers; ++w) {
-          if (membership_->IsDead(w)) continue;
-          if (seen++ == k) {
-            ApplyDeath(w);
-            break;
-          }
-        }
-      }
-    }
-    const bool per_entry = opts_.fault.lost_block_prob > 0 ||
-                           opts_.fault.corrupt_prob > 0;
-    if (!per_entry) return;
-    for (auto& dm : node_data_) {
-      if (dm == nullptr) continue;
-      const int64_t bcols = dm->grid().block_cols();
-      for (int w = 0; w < opts_.num_workers; ++w) {
-        for (int64_t key : dm->SortedWorkerKeys(w)) {
-          const int64_t bi = key / bcols;
-          const int64_t bj = key % bcols;
-          if (injector_->DrawLostBlock()) {
-            dm->Drop(w, bi, bj);
-            continue;
-          }
-          if (injector_->DrawCorruptBlock()) {
-            auto ptr = dm->Get(w, bi, bj);
-            if (ptr == nullptr) continue;  // spilled: no payload in memory
-            dm->ReplacePayload(
-                w, bi, bj,
-                NewBlockPtr(CorruptedCopy(*ptr, injector_->DrawSeed())));
-          }
-        }
-      }
-    }
-  }
-
-  /// Permanently kills logical worker `victim`: the failure detector
-  /// declares it dead (bumping the membership epoch, which fences any
-  /// in-flight transfer it sent), its blocks vanish from every store, and
-  /// its logical slot is rebalanced onto a deterministic survivor. The
-  /// lost blocks are re-derived through the ordinary lineage machinery
-  /// (checkpoint → replica → recompute) on the next recovery sweep. Below
-  /// quorum this arms `quorum_status_` instead of attempting recovery.
-  void ApplyDeath(int victim) {
-    if (membership_->IsDead(victim)) return;  // death is permanent
-    const double detection = membership_->DeclareDead(victim);
-    stats_.detection_seconds += detection;
-    stats_.recovery_seconds += detection;
-    ++stats_.workers_dead;
-    for (auto& dm : node_data_) {
-      if (dm != nullptr) dm->ClearWorker(victim);
-    }
-    host_map_ = membership_->HostMap();
-    for (auto& dm : node_data_) {
-      if (dm != nullptr) dm->SetRebalanceMap(host_map_);
-    }
-    TraceSpan span(kTraceMembership, "worker-death", victim,
-                   TraceArg("epoch", membership_->epoch()) + "," +
-                       TraceArg("live", int64_t{membership_->live_workers()}));
-    if (membership_->live_workers() < min_workers_) {
-      quorum_status_ = Status::Unavailable(
-          "worker " + std::to_string(victim) + " died permanently, leaving " +
-          std::to_string(membership_->live_workers()) +
-          " live workers below the quorum of " + std::to_string(min_workers_));
-    }
-  }
-
-  /// Repairs every damaged node, cheapest source first: checkpoint restore,
-  /// then a surviving Broadcast replica, then recomputation by re-running
-  /// the lineage producer step. Walks nodes in producer-step order, so a
-  /// recomputed step always reads already-repaired inputs. All repaired
-  /// state is re-verified against the lineage records — recovery is only
-  /// allowed to reproduce the run bit-identically.
-  [[nodiscard]] Status RecoverAll() {
-    TraceSpan span(kTraceRecovery, "recover-all");
-    recovering_ = true;
-    Status st = RecoverAllImpl();
-    recovering_ = false;
-    return st;
-  }
-
-  [[nodiscard]] Status RecoverAllImpl() {
-    for (const PlanStep& step : plan_.steps) {
-      if (step.output < 0) continue;
-      const NodeLineage* lin = lineage_.Find(step.output);
-      if (lin == nullptr) continue;  // not (successfully) produced yet
-      DMAC_RETURN_NOT_OK(RecoverNode(step.output, *lin));
-    }
-    return Status::Ok();
-  }
-
-  [[nodiscard]] Status RecoverNode(int node_id, const NodeLineage& lin) {
-    auto& dm = node_data_[static_cast<size_t>(node_id)];
-    std::vector<LineageBlockRecord> dirty;
-    if (dm == nullptr) {
-      dirty = lin.blocks;
-    } else {
-      const int64_t bcols = dm->grid().block_cols();
-      for (const LineageBlockRecord& rec : lin.blocks) {
-        if (!dm->VerifyAt(rec.worker, rec.key / bcols, rec.key % bcols)
-                 .ok()) {
-          dirty.push_back(rec);
-        }
-      }
-    }
-    if (dirty.empty()) return Status::Ok();
-
-    TraceSpan span =
-        TraceRecorder::Global().enabled()
-            ? TraceSpan(kTraceRecovery, "recover node " + NodeOf(node_id).ToString(),
-                        -1, TraceArg("node", int64_t{node_id}) + "," +
-                                TraceArg("dirty",
-                                         static_cast<int64_t>(dirty.size())))
-            : TraceSpan();
-    const size_t damaged = dirty.size();
-
-    // 1. Checkpoint restore: the record's own deep copy, when it has one.
-    if (dm != nullptr) {
-      std::vector<LineageBlockRecord> remaining;
-      const int64_t bcols = dm->grid().block_cols();
-      for (LineageBlockRecord& rec : dirty) {
-        if (rec.payload != nullptr) {
-          dm->Put(rec.worker, rec.key / bcols, rec.key % bcols, rec.payload);
-        } else {
-          remaining.push_back(std::move(rec));
-        }
-      }
-      dirty = std::move(remaining);
-    }
-
-    // 2. Broadcast replica repair: copy a surviving, verifying replica.
-    if (dm != nullptr && !dirty.empty() &&
-        dm->scheme() == Scheme::kBroadcast) {
-      std::vector<LineageBlockRecord> remaining;
-      const int64_t bcols = dm->grid().block_cols();
-      for (const LineageBlockRecord& rec : dirty) {
-        const int64_t bi = rec.key / bcols;
-        const int64_t bj = rec.key % bcols;
-        bool repaired = false;
-        for (int w = 0; w < opts_.num_workers && !repaired; ++w) {
-          if (w == rec.worker) continue;
-          // The replica must be resident, not just verifiable: VerifyAt
-          // passes spilled entries (their file carries the checksum), but
-          // Get on one yields null and a null Put would tombstone the slot.
-          DistMatrix::BlockPtr replica = dm->Get(w, bi, bj);
-          if (replica != nullptr && dm->VerifyAt(w, bi, bj).ok()) {
-            dm->Put(rec.worker, bi, bj, std::move(replica));
-            repaired = true;
-          }
-        }
-        if (!repaired) remaining.push_back(rec);
-      }
-      dirty = std::move(remaining);
-    }
-
-    stats_.restored_blocks += static_cast<int64_t>(damaged - dirty.size());
-
-    // 3. Recompute from lineage: re-run the producer step (deterministic,
-    //    so the rebuilt matrix is bit-identical). Inputs were repaired by
-    //    earlier iterations of the producer-order walk.
-    if (!dirty.empty()) {
-      const PlanStep& producer =
-          plan_.steps[static_cast<size_t>(lin.producer_step)];
-      DMAC_RETURN_NOT_OK(ExecuteStep(producer));
-      stats_.recomputed_blocks += static_cast<int64_t>(dirty.size());
-    }
-
-    // Re-stamp and enforce bit-identity with the lineage record.
-    auto& repaired = node_data_[static_cast<size_t>(node_id)];
-    if (repaired == nullptr) {
-      return Status::Internal("recovery left node " +
-                              std::to_string(node_id) + " unmaterialized");
-    }
-    repaired->SetChecksums();
-    const int64_t bcols = repaired->grid().block_cols();
-    for (const LineageBlockRecord& rec : lin.blocks) {
-      if (repaired->ChecksumAt(rec.worker, rec.key / bcols,
-                               rec.key % bcols) != rec.checksum) {
-        return Status::Internal(
-            "recovery of node " + std::to_string(node_id) +
-            " diverged from its lineage manifest at block key " +
-            std::to_string(rec.key) + " on worker " +
-            std::to_string(rec.worker));
-      }
-    }
-    return Status::Ok();
-  }
-
-  /// Post-success bookkeeping of a fault-tolerant step: stamp checksums,
-  /// record the output's lineage, and checkpoint when due.
-  Status AfterStepSuccess(const PlanStep& step) {
-    if (step.output < 0) return Status::Ok();
-    return MaybeCheckpoint(step, RecordLineage(step));
-  }
-
-  /// Stamps the output's checksums and records its lineage (no payloads).
-  NodeLineage& RecordLineage(const PlanStep& step) {
-    DistMatrix& dm = Data(step.output);
-    dm.SetChecksums();
-    NodeLineage lin;
-    lin.node_id = step.output;
-    lin.producer_step = step.id;
-    lin.inputs = step.inputs;
-    const int64_t bcols = dm.grid().block_cols();
-    for (int w = 0; w < opts_.num_workers; ++w) {
-      for (int64_t key : dm.SortedWorkerKeys(w)) {
-        lin.blocks.push_back(
-            {w, key, dm.ChecksumAt(w, key / bcols, key % bcols), nullptr});
-      }
-    }
-    return lineage_.Record(std::move(lin));
-  }
-
-  /// Every `effective_checkpoint_every_`-th producing step, deep-copies the
-  /// output's blocks into its lineage record `lin`.
-  [[nodiscard]] Status MaybeCheckpoint(const PlanStep& step,
-                                       NodeLineage& lin) {
-    if (effective_checkpoint_every_ <= 0) return Status::Ok();
-    const PlanNode& node = NodeOf(step.output);
-    if (plan_has_hints_ && !node.checkpoint_hint) return Status::Ok();
-    if (++checkpoint_counter_ % effective_checkpoint_every_ != 0) {
-      return Status::Ok();
-    }
-    TraceSpan span(kTraceCheckpoint, "checkpoint " + node.ToString(), -1,
-                   TraceArg("node", int64_t{node.id}));
-    const DistMatrix& dm = Data(step.output);
-    const int64_t bcols = dm.grid().block_cols();
-    // Deep copies, deduplicated per payload so Broadcast replicas (shared
-    // pointers) are copied — and billed — once.
-    std::unordered_map<const Block*, std::shared_ptr<const Block>> copies;
-    for (LineageBlockRecord& rec : lin.blocks) {
-      auto ptr = dm.Get(rec.worker, rec.key / bcols, rec.key % bcols);
-      auto [it, inserted] = copies.try_emplace(ptr.get(), nullptr);
-      if (inserted) {
-        it->second = NewBlockPtr(*ptr);
-        stats_.checkpoint_bytes += it->second->MemoryBytes();
-      }
-      rec.payload = it->second;
-    }
-    if (durable_store_ == nullptr) return Status::Ok();
-    return CommitDurable(step);
-  }
-
-  /// Commits a durable epoch covering everything a restart needs to resume
-  /// after `step`: the scalar environment, reload markers for the nodes
-  /// produced by kLoad steps (their blocks alias caller-owned bindings and
-  /// are re-loaded instead of serialized), and every block of every other
-  /// live node — the inputs of later steps plus the plan outputs.
-  [[nodiscard]] Status CommitDurable(const PlanStep& step) {
-    TraceSpan span(kTraceCheckpoint,
-                   "commit epoch after step " + std::to_string(step.id), -1,
-                   TraceArg("step", int64_t{step.id}));
-    std::vector<int> reload_nodes;
-    std::vector<NodeBlockRecord> pending;
-    // Nodes ascending, so the manifest layout is deterministic.
-    for (int node_id = 0; node_id < static_cast<int>(node_data_.size());
-         ++node_id) {
-      if (last_consumer_[static_cast<size_t>(node_id)] <= step.id) continue;
-      auto& dm = node_data_[static_cast<size_t>(node_id)];
-      if (dm == nullptr) continue;  // not produced yet
-      const PlanNode& node = NodeOf(node_id);
-      if (node.producer_step >= 0 &&
-          plan_.steps[static_cast<size_t>(node.producer_step)].kind ==
-              StepKind::kLoad) {
-        reload_nodes.push_back(node_id);
-        continue;
-      }
-      if (dm->SpilledEntries() > 0) {
-        DMAC_RETURN_NOT_OK(dm->EnsureResident().status());
-      }
-      // Snapshot the *recorded* checksums, deliberately not re-stamping:
-      // re-hashing here would launder a boundary-injected corruption into
-      // the manifest. A payload that disagrees with its recorded checksum
-      // fails verification at Open and the epoch falls back — conservative
-      // and safe.
-      const int64_t bcols = dm->grid().block_cols();
-      for (int w = 0; w < opts_.num_workers; ++w) {
-        for (int64_t key : dm->SortedWorkerKeys(w)) {
-          auto ptr = dm->Get(w, key / bcols, key % bcols);
-          if (ptr == nullptr) continue;
-          pending.push_back(
-              {node_id,
-               {w, key, dm->ChecksumAt(w, key / bcols, key % bcols),
-                std::move(ptr)}});
-        }
-      }
-    }
-    std::vector<std::pair<std::string, double>> scalar_env(scalars_.begin(),
-                                                           scalars_.end());
-    std::sort(scalar_env.begin(), scalar_env.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-
-    const int64_t before = durable_store_->bytes_written();
-    const Status st = durable_store_->Commit(step.id, checkpoint_counter_,
-                                             scalar_env, reload_nodes,
-                                             pending);
-    if (!st.ok()) {
-      // A simulated process death must propagate (in hard mode the crash
-      // never returns; soft mode surfaces kInternal and refuses further
-      // I/O). Any other disk fault is absorbed: the run continues, covered
-      // by the previous committed epoch.
-      if (storage_io_->dead() || st.code() == StatusCode::kInternal) return st;
-      ++stats_.checkpoint_failures;
-      return Status::Ok();
-    }
-    const int64_t written = durable_store_->bytes_written() - before;
-    stats_.durable_checkpoint_bytes += written;
-    ++stats_.durable_epochs;
-    return Status::Ok();
-  }
-
-  /// Restores the last committed durable snapshot when `--resume` asked for
-  /// it: scalars bit-exactly, every snapshotted node's blocks (checksum-
-  /// verified), and one lineage record per node whose blocks carry the
-  /// restored payloads as their checkpoint (hot in-process recovery never
-  /// re-reads disk). Steps the snapshot covers are skipped by the main
-  /// loop, except the kLoad steps of reload-marked nodes, which re-execute
-  /// against the caller's bindings. A fresh store (no committed epoch)
-  /// resumes from nothing — a plain full run.
-  Status MaybeResume() {
-    if (!opts_.resume || durable_store_ == nullptr) return Status::Ok();
-    const DurableSnapshot* snap = durable_store_->committed();
-    if (snap == nullptr) return Status::Ok();
-    Timer timer;
-    TraceSpan span(kTraceCheckpoint,
-                   "resume epoch " + std::to_string(snap->epoch), -1,
-                   TraceArg("epoch", snap->epoch) + "," +
-                       TraceArg("step", int64_t{snap->resume_step}));
-
-    // The snapshot must describe *this* plan; a stale directory from a
-    // different program or config must fail loudly, not half-restore.
-    const auto bad = [&](const std::string& why) {
-      return Status::Invalid("resume: checkpoint dir " +
-                             durable_store_->dir() +
-                             " does not match this plan (" + why + ")");
-    };
-    if (snap->resume_step < 0 ||
-        static_cast<size_t>(snap->resume_step) >= plan_.steps.size()) {
-      return bad("resume step " + std::to_string(snap->resume_step) +
-                 " out of range");
-    }
-    for (const int node_id : snap->reload_nodes) {
-      if (node_id < 0 || static_cast<size_t>(node_id) >= plan_.nodes.size()) {
-        return bad("reload node " + std::to_string(node_id) + " out of range");
-      }
-      const int producer = NodeOf(node_id).producer_step;
-      if (producer < 0 ||
-          plan_.steps[static_cast<size_t>(producer)].kind != StepKind::kLoad) {
-        return bad("reload node " + std::to_string(node_id) +
-                   " is not load-produced");
-      }
-      reload_step_ids_.insert(producer);
-    }
-
-    for (const auto& [name, bits] : snap->scalars) {
-      double value = 0;
-      static_assert(sizeof(value) == sizeof(bits));
-      std::memcpy(&value, &bits, sizeof(value));
-      scalars_[name] = value;
-    }
-    checkpoint_counter_ = snap->checkpoint_counter;
-    resume_skip_step_ = snap->resume_step;
-
-    // Group the snapshot's blocks per node and rebuild each DistMatrix.
-    std::map<int, std::vector<const DurableBlock*>> per_node;
-    for (const DurableBlock& b : snap->blocks) {
-      if (b.node_id < 0 ||
-          static_cast<size_t>(b.node_id) >= plan_.nodes.size()) {
-        return bad("block node " + std::to_string(b.node_id) +
-                   " out of range");
-      }
-      if (b.worker < 0 || b.worker >= opts_.num_workers) {
-        return bad("block worker " + std::to_string(b.worker) +
-                   " out of range — was the snapshot taken with a different "
-                   "--workers?");
-      }
-      per_node[b.node_id].push_back(&b);
-    }
-    for (const auto& [node_id, refs] : per_node) {
-      const PlanNode& node = NodeOf(node_id);
-      auto dm = NewData(node_id, node.stats.shape);
-      const int64_t bcols = dm->grid().block_cols();
-      NodeLineage lin;
-      lin.node_id = node_id;
-      lin.producer_step = node.producer_step;
-      if (node.producer_step >= 0) {
-        lin.inputs =
-            plan_.steps[static_cast<size_t>(node.producer_step)].inputs;
-      }
-      // One read per distinct file: Broadcast replicas share a payload on
-      // disk exactly as they do in memory.
-      std::unordered_map<std::string, std::shared_ptr<const Block>> loaded;
-      for (const DurableBlock* ref : refs) {
-        const int64_t bi = ref->key / bcols;
-        const int64_t bj = ref->key % bcols;
-        if (bi >= dm->grid().block_rows() || bj >= dm->grid().block_cols()) {
-          return bad("block key " + std::to_string(ref->key) +
-                     " outside node " + std::to_string(node_id) + "'s grid");
-        }
-        auto [it, inserted] = loaded.try_emplace(ref->file);
-        if (inserted) {
-          DMAC_ASSIGN_OR_RETURN(Block block, durable_store_->ReadBlock(*ref));
-          it->second = NewBlockPtr(std::move(block));
-          ++stats_.resume_restored_blocks;
-        }
-        dm->Put(ref->worker, bi, bj, it->second);
-        lin.blocks.push_back(
-            {ref->worker, ref->key, ref->checksum, it->second});
-      }
-      dm->SetChecksums();
-      lineage_.Record(std::move(lin));
-    }
-    stats_.resumed = true;
-    stats_.resume_step = snap->resume_step;
-    stats_.resume_seconds = timer.ElapsedSeconds();
-    return Status::Ok();
-  }
-
   // ---- step dispatch ------------------------------------------------------
 
-  Status ExecuteStep(const PlanStep& step) {
+  Status ExecuteStep(const PlanStep& step) override {
     DMAC_RETURN_NOT_OK(CheckCancel());
-    if (gov_.spill != nullptr) {
-      DMAC_RETURN_NOT_OK(EnsureInputsResident(step));
+    // Recovery re-runs and retries restore spilled inputs here too.
+    for (int input : step.inputs) {
+      DMAC_RETURN_NOT_OK(
+          RestoreSpilled(input, node_data_[static_cast<size_t>(input)].get()));
     }
     switch (step.kind) {
       case StepKind::kLoad:
@@ -1278,18 +627,16 @@ class Executor::Impl {
                              : src.OwnerOf(bi, bj);
         DMAC_ASSIGN_OR_RETURN(auto ptr,
                               VerifiedGet(src, from, bi, bj, "partition"));
+        const double block_bytes = static_cast<double>(ptr->MemoryBytes());
         if (same_scheme) {
-          bytes += static_cast<double>(ptr->MemoryBytes()) * hash_fraction;
+          bytes += block_bytes * hash_fraction;
         } else if (Host(from) != Host(to)) {
-          bytes += static_cast<double>(ptr->MemoryBytes());
+          bytes += block_bytes;
         }
-        if (UseNetwork() && from != to) {
-          DistMatrix* d = dst.get();
-          net_->Send(from, to, static_cast<double>(ptr->MemoryBytes()),
-                     [d, to, bi, bj, ptr] { d->Put(to, bi, bj, ptr); });
-        } else {
-          dst->Put(to, bi, bj, std::move(ptr));
-        }
+        Transfer(from, to, block_bytes,
+                 [d = dst.get(), to, bi, bj, ptr = std::move(ptr)]() mutable {
+                   d->Put(to, bi, bj, std::move(ptr));
+                 });
       }
     }
     return EndCommRound(span, /*broadcast=*/false, bytes, "partition");
@@ -1306,17 +653,13 @@ class Executor::Impl {
         const int from = src.OwnerOf(bi, bj);
         DMAC_ASSIGN_OR_RETURN(auto ptr,
                               VerifiedGet(src, from, bi, bj, "broadcast"));
+        const double block_bytes = static_cast<double>(ptr->MemoryBytes());
         for (int w = 0; w < opts_.num_workers; ++w) {
-          if (w != from && Host(w) != Host(from)) {
-            bytes += static_cast<double>(ptr->MemoryBytes());
-          }
-          if (UseNetwork() && w != from) {
-            DistMatrix* d = dst.get();
-            net_->Send(from, w, static_cast<double>(ptr->MemoryBytes()),
-                       [d, w, bi, bj, ptr] { d->Put(w, bi, bj, ptr); });
-          } else {
-            dst->Put(w, bi, bj, ptr);
-          }
+          if (w != from && Host(w) != Host(from)) bytes += block_bytes;
+          Transfer(from, w, block_bytes,
+                   [d = dst.get(), w, bi, bj, ptr]() mutable {
+                     d->Put(w, bi, bj, std::move(ptr));
+                   });
         }
       }
     }
@@ -1525,29 +868,17 @@ class Executor::Impl {
         const int dst = c->OwnerOf(p.bi, p.bj);
         const double block_bytes = static_cast<double>(p.block->MemoryBytes());
         if (Host(dst) != Host(p.from)) bytes += block_bytes;
-        if (UseNetwork() && dst != p.from) {
-          auto carried = std::make_shared<Partial>(std::move(p));
-          net_->Send(carried->from, dst, block_bytes,
-                     [&incoming, dst, carried] {
-                       incoming[static_cast<size_t>(dst)].push_back(
-                           std::move(*carried));
-                     });
-        } else {
-          incoming[static_cast<size_t>(dst)].push_back(std::move(p));
-        }
+        const int from = p.from;  // read before the capture moves p
+        Transfer(from, dst, block_bytes,
+                 [&incoming, dst, p = std::move(p)]() mutable {
+                   incoming[static_cast<size_t>(dst)].push_back(std::move(p));
+                 });
       }
     }
-    // Comm-round boundary: partials are in flight. A death forced here
-    // (death_in_flight) bumps the epoch while the victim's sends sit
-    // queued, so the flush fences them — the stale-epoch path the
-    // degraded-mode tests audit. It is also the cheapest place to notice a
+    // Comm-round boundary: partials are in flight. The fault layer may
+    // kill a worker here, and it is the cheapest place to notice a
     // mid-round cancel.
-    if (membership_ != nullptr && opts_.fault.death_in_flight &&
-        opts_.fault.death_step == step.id && !forced_death_applied_ &&
-        !recovering_) {
-      forced_death_applied_ = true;
-      ApplyDeath(opts_.fault.death_worker);
-    }
+    if (fault_) fault_->AtShuffleBoundary(step);
     DMAC_RETURN_NOT_OK(CheckCancel());
     {
       TraceSpan span(kTraceComm, round);
@@ -1789,11 +1120,7 @@ class Executor::Impl {
   /// (use_count 0) are copied.
   Result<LocalMatrix> Gather(int node_id, bool move) {
     DistMatrix& dm = Data(node_id);
-    if (gov_.spill != nullptr && dm.SpilledEntries() > 0) {
-      TraceSpan span(kTraceSpill, "restore node " + std::to_string(node_id),
-                     -1, TraceArg("node", int64_t{node_id}));
-      DMAC_RETURN_NOT_OK(dm.EnsureResident().status());
-    }
+    DMAC_RETURN_NOT_OK(RestoreSpilled(node_id, &dm));
     const BlockGrid grid = dm.grid();
     std::vector<DistMatrix::BlockPtr> ptrs;
     ptrs.reserve(static_cast<size_t>(grid.num_blocks()));
@@ -1838,48 +1165,14 @@ class Executor::Impl {
 
   // Governance (docs/governance.md). The token is a value sharing state
   // with the caller's copy; budget and spill store are shared with every
-  // node's DistMatrix. `node_last_use_` drives LRU spill ordering.
+  // node's DistMatrix.
   GovernorContext gov_;
   std::unique_ptr<FormatCache> format_cache_;  // not movable: holds a Mutex
-  std::vector<int> node_last_use_;
-  int step_clock_ = 0;
   bool cancel_span_emitted_ = false;
 
-  // Fault tolerance (docs/fault_tolerance.md). `ft_` is the master switch
-  // the hot paths branch on; `injector_` is non-null only when injection is
-  // configured; `recovering_` marks work that must be attributed to
-  // recovery (and must not be re-injected).
-  bool ft_ = false;
-  bool recovering_ = false;
-  bool plan_has_hints_ = false;
-  int64_t checkpoint_counter_ = 0;
-  std::unique_ptr<FaultInjector> injector_;
-  LineageTracker lineage_;
-
-  // Durable checkpoints & crash restart (docs/fault_tolerance.md,
-  // "Durability & restart"). Both pointers are null without a
-  // --checkpoint-dir; `effective_checkpoint_every_` is checkpoint_every
-  // defaulted to 1 when only the directory was given. Steps with
-  // id <= resume_skip_step_ are covered by the restored snapshot; the ids
-  // in `reload_step_ids_` are the load steps re-executed anyway.
-  std::shared_ptr<StorageIO> storage_io_;
-  std::unique_ptr<DurableCheckpointStore> durable_store_;
-  int effective_checkpoint_every_ = 0;
-  int resume_skip_step_ = -1;
-  std::set<int> reload_step_ids_;
-
-  // Membership, degraded mode, and the fault-injecting network layer
-  // (docs/fault_tolerance.md). Both pointers are null unless the spec can
-  // kill workers or perturb messages, so clean runs pay one branch per
-  // transfer. `retry_policy_` also drives the step retry loop (it encodes
-  // the same exponential backoff the executor always used).
-  std::unique_ptr<ClusterMembership> membership_;
-  std::unique_ptr<SimNetwork> net_;
-  RetryPolicy retry_policy_;
-  Status quorum_status_ = Status::Ok();
-  std::vector<int> host_map_;  // cached HostMap; applied to new matrices
-  bool forced_death_applied_ = false;
-  int min_workers_ = 1;
+  // Fault tolerance (fault_layer.h): null unless the options enable fault
+  // injection or checkpoints.
+  std::unique_ptr<FaultLayer> fault_;
 };
 
 Executor::Executor(ExecutorOptions options) : options_(options) {}

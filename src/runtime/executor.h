@@ -10,10 +10,13 @@
 // derived as Σ_stage max_worker(compute) + network model.
 //
 // Every step launches its worker-local work through one seam,
-// ForEachWorker, which times each worker and draws its task-launch faults.
-// A worker's closure writes only through a store sink or into its own
-// per-worker slot; sums across workers happen after the seam returns, in
-// worker order (docs/runtime.md).
+// ForEachWorker, which times each worker. A worker's closure writes only
+// through a store sink or into its own per-worker slot; sums across workers
+// happen after the seam returns, in worker order (docs/runtime.md).
+//
+// Fault tolerance is a separate FaultLayer (fault_layer.h) wrapping step
+// execution, constructed only when the options turn it on; otherwise each
+// of its hooks in the step code is a null-pointer test.
 #pragma once
 
 #include <memory>
@@ -50,8 +53,8 @@ struct ExecutorOptions {
   /// Seed for `random` leaves.
   uint64_t seed = 42;
   /// Fault injection and recovery (docs/fault_tolerance.md). While
-  /// `fault.enabled` is false the fault machinery costs one branch per
-  /// step and nothing else.
+  /// `fault.enabled` is false and no checkpoint is asked for, the executor
+  /// constructs no fault layer.
   FaultSpec fault;
   /// Checkpoint designated matrices every K producing steps (0 = never).
   /// When the plan carries checkpoint hints only hinted nodes count toward
@@ -86,6 +89,9 @@ struct ExecutionResult {
   std::unordered_map<std::string, double> scalars;
   ExecStats stats;
 };
+
+/// Trace-span name of a step: "compute[multiply:RMM1]", "broadcast", ...
+std::string StepSpanName(const PlanStep& step);
 
 /// Executes finalized plans. Reusable across plans with the same options.
 class Executor {

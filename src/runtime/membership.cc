@@ -36,12 +36,4 @@ int ClusterMembership::HostOf(int w) const {
   return w;  // all dead: quorum has already failed upstream
 }
 
-std::vector<int> ClusterMembership::HostMap() const {
-  std::vector<int> map(static_cast<size_t>(num_workers()));
-  for (int w = 0; w < num_workers(); ++w) {
-    map[static_cast<size_t>(w)] = HostOf(w);
-  }
-  return map;
-}
-
 }  // namespace dmac

@@ -51,9 +51,6 @@ class ClusterMembership {
   /// worker is dead (the caller has already failed the quorum check).
   int HostOf(int w) const;
 
-  /// HostOf for every slot — the rebalance map handed to DistMatrix.
-  std::vector<int> HostMap() const;
-
  private:
   std::vector<bool> dead_;
   int64_t epoch_ = 1;

@@ -39,9 +39,6 @@ TEST(FaultSpecTest, ValidateRejectsOutOfRangeKnobs) {
   spec = FaultSpec{};
   spec.max_retries = -1;
   EXPECT_FALSE(spec.Validate().ok());
-  spec = FaultSpec{};
-  spec.backoff_base_seconds = -1;
-  EXPECT_FALSE(spec.Validate().ok());
 }
 
 TEST(FaultSpecTest, ParsesKeysCommentsAndBlanks) {
@@ -56,7 +53,6 @@ TEST(FaultSpecTest, ParsesKeysCommentsAndBlanks) {
       "straggler_prob = 0.1\n"
       "straggler_delay_seconds = 0.25\n"
       "max_retries = 6\n"
-      "backoff_base_seconds = 0.5\n"
       "permanent_fail_step = 9\n");
   ASSERT_TRUE(spec.ok()) << spec.status();
   // Writing a spec file is the opt-in: parsed specs default enabled.
@@ -69,7 +65,6 @@ TEST(FaultSpecTest, ParsesKeysCommentsAndBlanks) {
   EXPECT_DOUBLE_EQ(spec->straggler_prob, 0.1);
   EXPECT_DOUBLE_EQ(spec->straggler_delay_seconds, 0.25);
   EXPECT_EQ(spec->max_retries, 6);
-  EXPECT_DOUBLE_EQ(spec->backoff_base_seconds, 0.5);
   EXPECT_EQ(spec->permanent_fail_step, 9);
 }
 
@@ -84,11 +79,14 @@ TEST(FaultSpecTest, RejectsUnknownKeys) {
   ASSERT_FALSE(spec.ok());
   EXPECT_NE(spec.status().ToString().find("unknown key"), std::string::npos)
       << spec.status();
-  // `speculate` is not a fault-spec key.
-  spec = ParseFaultSpec("speculate = true\n");
-  ASSERT_FALSE(spec.ok());
-  EXPECT_NE(spec.status().ToString().find("unknown key"), std::string::npos)
-      << spec.status();
+  // `speculate` and `backoff_base_seconds` are not fault-spec keys.
+  for (const char* line :
+       {"speculate = true\n", "backoff_base_seconds = 0.5\n"}) {
+    spec = ParseFaultSpec(line);
+    ASSERT_FALSE(spec.ok()) << line;
+    EXPECT_NE(spec.status().ToString().find("unknown key"), std::string::npos)
+        << spec.status();
+  }
 }
 
 TEST(FaultSpecTest, RejectsMalformedLinesAndValues) {
@@ -147,7 +145,7 @@ TEST(FaultSpecTest, RejectsOutOfRangeIntegerValues) {
 
 TEST(FaultSpecTest, RejectsNonFiniteValues) {
   for (const char* line :
-       {"crash_prob = nan\n", "backoff_base_seconds = nan\n",
+       {"crash_prob = nan\n",
         "net_delay_seconds = -nan\n", "straggler_delay_seconds = inf\n",
         "net_drop_prob = -infinity\n"}) {
     auto spec = ParseFaultSpec(line);
@@ -163,9 +161,6 @@ TEST(FaultSpecTest, ValidateRejectsNonFiniteKnobs) {
   const double inf = std::numeric_limits<double>::infinity();
   FaultSpec spec;
   spec.crash_prob = nan;
-  EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
-  spec = FaultSpec{};
-  spec.backoff_base_seconds = nan;
   EXPECT_EQ(spec.Validate().code(), StatusCode::kInvalidArgument);
   spec = FaultSpec{};
   spec.straggler_delay_seconds = inf;

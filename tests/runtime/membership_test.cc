@@ -57,12 +57,7 @@ TEST(MembershipTest, HostOfScansToTheNextLiveWorker) {
   EXPECT_EQ(m.HostOf(2), 3);
   m.DeclareDead(3);
   EXPECT_EQ(m.HostOf(3), 0);  // wraps around
-  const std::vector<int> map = m.HostMap();
-  ASSERT_EQ(map.size(), 4u);
-  EXPECT_EQ(map[0], 0);
-  EXPECT_EQ(map[1], 0);
-  EXPECT_EQ(map[2], 0);
-  EXPECT_EQ(map[3], 0);
+  for (int w = 0; w < 3; ++w) EXPECT_EQ(m.HostOf(w), 0);
 }
 
 TEST(MembershipTest, HostOfIsIdentityWhenEveryWorkerIsDead) {
