@@ -30,7 +30,7 @@ namespace {
 double EnginePeak(const LocalMatrix& adj, LocalMode mode, int threads) {
   ThreadPool pool(static_cast<size_t>(threads));
   BufferPool buffers(static_cast<size_t>(threads) * 2);
-  LocalEngine engine(&pool, &buffers, mode, 0.5);
+  LocalEngine engine(&pool, &buffers, mode);
 
   const BlockGrid& grid = adj.grid();
   const BlockGrid out_grid{{adj.rows(), adj.cols()}, adj.block_size()};

@@ -88,11 +88,11 @@ Result<Block> Multiply(const Block& a, const Block& b) {
 
 Result<Block> Multiply(const Block& a, const Block& b, bool trans_a,
                        bool trans_b, GemmScratch* scratch, GemmStats* stats,
-                       const GemmParallel* par, const CscBlock* b_csr) {
+                       const GemmParallel* par) {
   DMAC_RETURN_NOT_OK(CheckMultiplyShapes(a, b, trans_a, trans_b));
   DenseBlock acc(EffRows(a, trans_a), EffCols(b, trans_b));
   DMAC_RETURN_NOT_OK(MultiplyAccumulate(a, b, trans_a, trans_b, &acc, scratch,
-                                        stats, par, b_csr));
+                                        stats, par));
   return Block(std::move(acc));
 }
 
@@ -102,8 +102,7 @@ Status MultiplyAccumulate(const Block& a, const Block& b, DenseBlock* acc) {
 
 Status MultiplyAccumulate(const Block& a, const Block& b, bool trans_a,
                           bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                          GemmStats* stats, const GemmParallel* par,
-                          const CscBlock* b_csr) {
+                          GemmStats* stats, const GemmParallel* par) {
   DMAC_RETURN_NOT_OK(CheckMultiplyShapes(a, b, trans_a, trans_b));
   if (acc->rows() != EffRows(a, trans_a) ||
       acc->cols() != EffCols(b, trans_b)) {
@@ -124,7 +123,7 @@ Status MultiplyAccumulate(const Block& a, const Block& b, bool trans_a,
                            scratch, stats);
   }
   return GemmSparseSparse(a.sparse(), b.sparse(), trans_a, trans_b, acc,
-                          scratch, stats, b_csr);
+                          scratch, stats);
 }
 
 Result<CscBlock> MultiplySparse(const CscBlock& a, const CscBlock& b) {

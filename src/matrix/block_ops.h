@@ -33,26 +33,23 @@ Result<Block> Multiply(const Block& a, const Block& b);
 
 /// C = op(A)·op(B) as a dense block; effective shapes must agree.
 /// `scratch`/`stats` may be null (local scratch, no accounting). `par`
-/// enables intra-kernel tile parallelism for the dense path and `b_csr`
-/// supplies a precomputed CSR form of a sparse B for the Aᵀ·B sparse
-/// path — see matrix/kernels.h for both.
+/// enables intra-kernel tile parallelism for the dense path (see
+/// matrix/kernels.h).
 Result<Block> Multiply(const Block& a, const Block& b, bool trans_a,
                        bool trans_b, GemmScratch* scratch = nullptr,
                        GemmStats* stats = nullptr,
-                       const GemmParallel* par = nullptr,
-                       const CscBlock* b_csr = nullptr);
+                       const GemmParallel* par = nullptr);
 
 /// acc += A·B. `acc` must be dense with shape m×n.
 Status MultiplyAccumulate(const Block& a, const Block& b, DenseBlock* acc);
 
 /// acc += op(A)·op(B). `acc` must match the effective output shape.
-/// `par`/`b_csr` as on Multiply above.
+/// `par` as on Multiply above.
 Status MultiplyAccumulate(const Block& a, const Block& b, bool trans_a,
                           bool trans_b, DenseBlock* acc,
                           GemmScratch* scratch = nullptr,
                           GemmStats* stats = nullptr,
-                          const GemmParallel* par = nullptr,
-                          const CscBlock* b_csr = nullptr);
+                          const GemmParallel* par = nullptr);
 
 /// CSC×CSC product kept sparse (Gustavson's algorithm).
 Result<CscBlock> MultiplySparse(const CscBlock& a, const CscBlock& b);

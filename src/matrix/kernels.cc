@@ -609,7 +609,7 @@ double SpSpFlops(const CscBlock& a, const CscBlock& b, bool trans_a,
 
 Status GemmSparseSparse(const CscBlock& a, const CscBlock& b, bool trans_a,
                         bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                        GemmStats* stats, const CscBlock* b_csr) {
+                        GemmStats* stats) {
   GemmScratch local;
   if (scratch == nullptr) scratch = &local;
   if (stats != nullptr) stats->flops += SpSpFlops(a, b, trans_a, trans_b);
@@ -618,16 +618,11 @@ Status GemmSparseSparse(const CscBlock& a, const CscBlock& b, bool trans_a,
   } else if (trans_a && !trans_b) {
     // Aᵀ·B via Gustavson: A's stored arrays already read as CSR of Aᵀ;
     // row-major access to B needs its CSR form — the one conversion the
-    // kernel layer ever materializes. A FormatCache-supplied `b_csr`
-    // skips it; otherwise convert inline and count it as pack time.
-    if (b_csr != nullptr) {
-      SpGemmGustavson(a, *b_csr, acc);
-    } else {
-      Timer timer;
-      const CscBlock converted = b.Transposed();
-      if (stats != nullptr) stats->pack_seconds += timer.ElapsedSeconds();
-      SpGemmGustavson(a, converted, acc);
-    }
+    // kernel layer ever materializes, counted as pack time.
+    Timer timer;
+    const CscBlock converted = b.Transposed();
+    if (stats != nullptr) stats->pack_seconds += timer.ElapsedSeconds();
+    SpGemmGustavson(a, converted, acc);
   } else if (!trans_a && trans_b) {
     SpSpTransB(a, b, acc);
   } else {

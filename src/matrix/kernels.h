@@ -188,13 +188,11 @@ class GemmScratch {
 /// acc += op(A_csc)·op(B_csc) with a dense accumulator. The transposed
 /// cases run Gustavson row-major SpGEMM over CSR views (matrix/spgemm.h):
 /// a CSC block under TransA *is* a CSR view for free, and the TransA-only
-/// case needs CSR of B — pass a precomputed `b_csr` (the structural
-/// transpose of `b`, e.g. from a FormatCache) to skip the one-time CSC→CSR
-/// conversion this kernel otherwise performs inline (the conversion is
-/// counted as pack time). `b_csr` is ignored by the other flag cases.
+/// case needs CSR of B, which this kernel converts inline with a one-time
+/// CSC→CSR pass (counted as pack time).
 [[nodiscard]] Status GemmSparseSparse(const CscBlock& a, const CscBlock& b, bool trans_a,
                         bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                        GemmStats* stats, const CscBlock* b_csr = nullptr);
+                        GemmStats* stats);
 
 // ---- vectorized elementwise / reduction primitives -----------------------
 // Plain loops with compiler-friendly shapes (contiguous, fixed-stride,

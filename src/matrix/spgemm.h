@@ -10,8 +10,7 @@
 //
 // The only case that needs a materialized conversion is CSR of an
 // *untransposed* operand, which is exactly `CscBlock::Transposed()` — a
-// one-time O(nnz) counting pass that matrix/format_cache.h memoizes when
-// the plan reuses the operand.
+// one-time O(nnz) counting pass per kernel call.
 #pragma once
 
 #include "matrix/csc_block.h"

@@ -26,25 +26,11 @@ int64_t EstimatePlanFootprintBytes(const Plan& plan, int num_workers) {
     }
   }
 
-  // Nodes whose CSC→CSR conversion the engine caches (PlanStep::cache_csr_b,
-  // plan/reuse.h): the converted copy is the same order of bytes as the
-  // source — structural transpose, identical nnz — and stays resident in
-  // the FormatCache while the node does, so such nodes count double.
-  std::vector<bool> csr_cached(num_nodes, false);
-  for (const PlanStep& step : plan.steps) {
-    if (step.cache_csr_b && step.inputs.size() >= 2 && step.inputs[1] >= 0 &&
-        static_cast<size_t>(step.inputs[1]) < num_nodes) {
-      csr_cached[static_cast<size_t>(step.inputs[1])] = true;
-    }
-  }
-
   auto node_bytes = [&](int id) -> int64_t {
     const PlanNode& node = plan.nodes[static_cast<size_t>(id)];
     const int64_t replicas =
         node.scheme() == Scheme::kBroadcast ? num_workers : 1;
-    const int64_t copies = csr_cached[static_cast<size_t>(id)] ? 2 : 1;
-    return static_cast<int64_t>(node.stats.EstimatedBytes()) * replicas *
-           copies;
+    return static_cast<int64_t>(node.stats.EstimatedBytes()) * replicas;
   };
 
   int64_t live = 0;

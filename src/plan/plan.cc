@@ -175,7 +175,6 @@ std::string Plan::ToString() const {
       }
       if (step.trans_a) out += ":Ta";
       if (step.trans_b) out += ":Tb";
-      if (step.cache_csr_b) out += ":CacheB";
       out += "]";
     }
     if (step.kind == StepKind::kReduce) {

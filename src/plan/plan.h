@@ -77,13 +77,6 @@ struct PlanStep {
   bool trans_a = false;
   bool trans_b = false;
 
-  /// kCompute multiply with trans_a only: route the B operand's CSC→CSR
-  /// conversions (the Gustavson Aᵀ·B sparse path, matrix/spgemm.h) through
-  /// the engine's FormatCache. Set by the operand-reuse pass
-  /// (plan/reuse.h) when the plan consumes the operand more than once;
-  /// the footprint pass then accounts for the cached converted copy.
-  bool cache_csr_b = false;
-
   std::vector<int> inputs;  // node ids
   int output = -1;          // node id, or -1 (reduce / scalar-assign)
 

@@ -9,7 +9,6 @@
 #include "common/logging.h"
 #include "plan/dependency.h"
 #include "plan/fusion.h"
-#include "plan/reuse.h"
 
 namespace dmac {
 
@@ -60,10 +59,6 @@ class Planner {
       // transposed copy is never materialized.
       FuseTransposes(&plan_);
     }
-    // Conversion-cache hints: Aᵀ·B multiplies over a reused B operand get
-    // their CSC→CSR conversions cached by the engine (plan/reuse.h). Runs
-    // after fusion so the operand flags it keys on are final.
-    MarkOperandReuse(&plan_);
     DMAC_RETURN_NOT_OK(plan_.Finalize());
     if (opts_.verify_plan) {
       // Post-pass: the static verifier re-derives every invariant Algorithm 1

@@ -22,11 +22,6 @@ namespace dmac {
 
 namespace {
 
-/// FormatCache capacity when no memory budget bounds the run: large enough
-/// for a handful of converted operand grids, small enough that an unbounded
-/// workload cannot pin the heap with stale conversions.
-constexpr int64_t kFormatCacheDefaultBytes = int64_t{256} << 20;
-
 /// Evaluates a resolved scalar expression against the scalar environment.
 Result<double> EvalScalar(const ScalarExprPtr& e,
                           const std::unordered_map<std::string, double>& env) {
@@ -125,35 +120,12 @@ class Executor::Impl final : public StepRunner {
         bindings_(bindings),
         pool_(static_cast<size_t>(opts.threads_per_worker)),
         buffers_(static_cast<size_t>(opts.threads_per_worker) * 2),
-        engine_(&pool_, &buffers_, opts.local_mode, kDensityThreshold,
-                opts.task_scheduling),
+        engine_(&pool_, &buffers_, opts.local_mode),
         node_data_(plan.nodes.size()),
         last_consumer_(LastConsumers(plan)),
         gov_(opts.governor) {
     if (gov_.token.active()) engine_.SetCancelToken(&gov_.token);
     if (gov_.budget != nullptr) buffers_.SetBudget(gov_.budget);
-    // CSC→CSR conversion cache for plan steps marked by MarkOperandReuse
-    // (plan/reuse.h). Under a governed budget the cache charges the shared
-    // MemoryBudget (Charge never blocks; overshoot is reconciled at step
-    // boundaries like every other allocation) and caps itself at a quarter
-    // of the limit so evictions kick in before conversions crowd out
-    // operand blocks.
-    int64_t cache_capacity = kFormatCacheDefaultBytes;
-    if (gov_.budget != nullptr && gov_.budget->limit_bytes() > 0) {
-      cache_capacity =
-          std::min<int64_t>(cache_capacity, gov_.budget->limit_bytes() / 4);
-      std::shared_ptr<MemoryBudget> budget = gov_.budget;
-      format_cache_ = std::make_unique<FormatCache>(
-          cache_capacity,
-          [budget](int64_t bytes) {
-            budget->Charge(bytes);
-            return Status::Ok();
-          },
-          [budget](int64_t bytes) { budget->Release(bytes); });
-    } else {
-      format_cache_ = std::make_unique<FormatCache>(cache_capacity);
-    }
-    engine_.SetFormatCache(format_cache_.get());
   }
 
   /// Runs the plan, then fills the metric registry from the run's ExecStats
@@ -824,7 +796,7 @@ class Executor::Impl final : public StepRunner {
         [&b, worker, tb](int64_t k, int64_t bj) {
           return tb ? b.Get(worker, bj, k) : b.Get(worker, k, bj);
         },
-        sink, MultiplyOptions{ta, tb, step.cache_csr_b});
+        sink, ta, tb);
   }
 
   /// A partial block of output block (bi, bj), computed by worker `from`.
@@ -1167,7 +1139,6 @@ class Executor::Impl final : public StepRunner {
   // with the caller's copy; budget and spill store are shared with every
   // node's DistMatrix.
   GovernorContext gov_;
-  std::unique_ptr<FormatCache> format_cache_;  // not movable: holds a Mutex
   bool cancel_span_emitted_ = false;
 
   // Fault tolerance (fault_layer.h): null unless the options enable fault

@@ -48,8 +48,6 @@ struct ExecutorOptions {
   int64_t block_size = 0;
   /// In-place (DMac) or buffered (ablation) local multiplication.
   LocalMode local_mode = LocalMode::kInPlace;
-  /// Shared task queue (Fig. 4) or static per-thread chunks (ablation).
-  TaskScheduling task_scheduling = TaskScheduling::kQueue;
   /// Seed for `random` leaves.
   uint64_t seed = 42;
   /// Fault injection and recovery (docs/fault_tolerance.md). While
@@ -100,8 +98,6 @@ class Executor {
 
   /// Runs `plan` with the given input bindings.
   Result<ExecutionResult> Execute(const Plan& plan, const Bindings& bindings);
-
-  const ExecutorOptions& options() const { return options_; }
 
  private:
   class Impl;

@@ -1,6 +1,5 @@
 #include "runtime/local_engine.h"
 
-#include <algorithm>
 #include <atomic>
 #include <unordered_map>
 #include <vector>
@@ -90,20 +89,11 @@ Status LocalEngine::MultiplyBlocks(const BlockGrid& out_grid,
                                    const BlockFn& get_a, const BlockFn& get_b,
                                    const SinkFn& sink, bool trans_a,
                                    bool trans_b) {
-  MultiplyOptions opts;
-  opts.trans_a = trans_a;
-  opts.trans_b = trans_b;
-  return MultiplyBlocks(out_grid, tasks, get_a, get_b, sink, opts);
-}
-
-Status LocalEngine::MultiplyBlocks(const BlockGrid& out_grid,
-                                   const std::vector<MultiplyTask>& tasks,
-                                   const BlockFn& get_a, const BlockFn& get_b,
-                                   const SinkFn& sink,
-                                   const MultiplyOptions& opts) {
   return mode_ == LocalMode::kInPlace
-             ? MultiplyInPlace(out_grid, tasks, get_a, get_b, sink, opts)
-             : MultiplyBuffered(out_grid, tasks, get_a, get_b, sink, opts);
+             ? MultiplyInPlace(out_grid, tasks, get_a, get_b, sink, trans_a,
+                               trans_b)
+             : MultiplyBuffered(out_grid, tasks, get_a, get_b, sink, trans_a,
+                                trans_b);
 }
 
 GemmScratch LocalEngine::PooledScratch() {
@@ -134,8 +124,7 @@ GemmParallel LocalEngine::TileParallel() const {
 void LocalEngine::Dispatch(size_t num_tasks,
                            const std::function<void(size_t)>& run_task,
                            TaskKind kind) {
-  // Queued tasks of a cancelled query are abandoned by the pool; a chunk
-  // already running re-checks the flag between its tasks.
+  // Queued tasks of a cancelled query are abandoned by the pool.
   const std::atomic<bool>* abandon =
       cancel_ != nullptr ? cancel_->fired_flag() : nullptr;
 
@@ -143,8 +132,6 @@ void LocalEngine::Dispatch(size_t num_tasks,
   // queue wait (submit -> first instruction), a worker-attributed trace
   // span, and its kernel time; with observation off each task costs one
   // extra well-predicted branch where it is submitted and one where it runs.
-  // Under kStatic the whole chunk shares one submit time, so later tasks in
-  // a chunk report growing waits — exactly the skew the ablation shows.
   const bool observe = TraceRecorder::Global().enabled() ||
                        MetricRegistry::Global().enabled();
   static Histogram* wait_hist =
@@ -172,35 +159,10 @@ void LocalEngine::Dispatch(size_t num_tasks,
     task_counter->Increment();
   };
 
-  if (scheduling_ == TaskScheduling::kQueue) {
-    // Fig. 4: one entry per task in the shared queue; idle threads pull.
-    for (size_t i = 0; i < num_tasks; ++i) {
-      if (observe) submit_ns[i] = TraceRecorder::Global().NowNs();
-      pool_->Submit(abandon, [&run, i] { run(i); });
-    }
-  } else {
-    // Static ablation: contiguous chunks, no rebalancing.
-    const size_t threads = pool_->num_threads();
-    const size_t chunk = (num_tasks + threads - 1) / threads;
-    for (size_t t = 0; t < threads; ++t) {
-      const size_t lo = t * chunk;
-      const size_t hi = std::min(num_tasks, lo + chunk);
-      if (lo >= hi) break;
-      if (observe) {
-        std::fill(submit_ns.begin() + static_cast<ptrdiff_t>(lo),
-                  submit_ns.begin() + static_cast<ptrdiff_t>(hi),
-                  TraceRecorder::Global().NowNs());
-      }
-      pool_->Submit(abandon, [&run, abandon, lo, hi] {
-        for (size_t i = lo; i < hi; ++i) {
-          if (abandon != nullptr &&
-              abandon->load(std::memory_order_acquire)) {
-            return;
-          }
-          run(i);
-        }
-      });
-    }
+  // Fig. 4: one entry per task in the shared queue; idle threads pull.
+  for (size_t i = 0; i < num_tasks; ++i) {
+    if (observe) submit_ns[i] = TraceRecorder::Global().NowNs();
+    pool_->Submit(abandon, [&run, i] { run(i); });
   }
   pool_->WaitIdle();
 }
@@ -213,16 +175,10 @@ Status LocalEngine::CancelStatus() const {
 Status LocalEngine::MultiplyInPlace(const BlockGrid& out_grid,
                                     const std::vector<MultiplyTask>& tasks,
                                     const BlockFn& get_a, const BlockFn& get_b,
-                                    const SinkFn& sink,
-                                    const MultiplyOptions& opts) {
-  const bool trans_a = opts.trans_a;
-  const bool trans_b = opts.trans_b;
-  // The batch's flagged dense products share one tile-parallelism context;
-  // conversion caching applies when the plan marked B reused and a cache
-  // is attached.
+                                    const SinkFn& sink, bool trans_a,
+                                    bool trans_b) {
+  // The batch's flagged dense products share one tile-parallelism context.
   const GemmParallel par = TileParallel();
-  const bool use_csr_cache =
-      opts.cache_csr_b && format_cache_ != nullptr && trans_a && !trans_b;
   StatusCollector errors;
   Dispatch(tasks.size(), [&](size_t task_index) {
     const MultiplyTask& task = tasks[task_index];
@@ -260,7 +216,7 @@ Status LocalEngine::MultiplyInPlace(const BlockGrid& out_grid,
           return;
         }
         sink(task.bi, task.bj,
-             Block(std::move(*result)).Compacted(density_threshold_));
+             Block(std::move(*result)).Compacted(kDensityThreshold));
         return;
       }
 
@@ -275,20 +231,9 @@ Status LocalEngine::MultiplyInPlace(const BlockGrid& out_grid,
       {
         GemmScratch scratch = PooledScratch();
         for (size_t i = 0; i + 1 < keep_alive.size(); i += 2) {
-          const std::shared_ptr<const Block>& b_block = keep_alive[i + 1];
-          // Shared converted operand: every task multiplying against this
-          // B block reuses one cached CSR copy instead of re-converting.
-          std::shared_ptr<const CscBlock> b_csr;
-          if (use_csr_cache && keep_alive[i]->IsSparse() &&
-              b_block->IsSparse()) {
-            auto csr_or = format_cache_->Csr(b_block);
-            // A cache refusal is not an error: the kernel converts inline.
-            if (csr_or.ok()) b_csr = std::move(*csr_or);
-          }
-          Status st = MultiplyAccumulate(*keep_alive[i], *b_block, trans_a,
-                                         trans_b, &acc, &scratch,
-                                         observe ? &stats : nullptr, &par,
-                                         b_csr.get());
+          Status st = MultiplyAccumulate(*keep_alive[i], *keep_alive[i + 1],
+                                         trans_a, trans_b, &acc, &scratch,
+                                         observe ? &stats : nullptr, &par);
           if (!st.ok()) {
             errors.Record(std::move(st));
             buffers_->Release(std::move(acc));
@@ -298,7 +243,7 @@ Status LocalEngine::MultiplyInPlace(const BlockGrid& out_grid,
       }
       if (observe) ObserveGemmStats(stats);
       // Emit in the cheaper representation, then recycle the accumulator.
-      Block result = CompactFromDense(acc, density_threshold_);
+      Block result = CompactFromDense(acc, kDensityThreshold);
       buffers_->Release(std::move(acc));
       sink(task.bi, task.bj, std::move(result));
     }
@@ -310,13 +255,9 @@ Status LocalEngine::MultiplyInPlace(const BlockGrid& out_grid,
 Status LocalEngine::MultiplyBuffered(const BlockGrid& out_grid,
                                      const std::vector<MultiplyTask>& tasks,
                                      const BlockFn& get_a, const BlockFn& get_b,
-                                     const SinkFn& sink,
-                                     const MultiplyOptions& opts) {
-  const bool trans_a = opts.trans_a;
-  const bool trans_b = opts.trans_b;
+                                     const SinkFn& sink, bool trans_a,
+                                     bool trans_b) {
   const GemmParallel par = TileParallel();
-  const bool use_csr_cache =
-      opts.cache_csr_b && format_cache_ != nullptr && trans_a && !trans_b;
   // Phase 1: materialize every partial block product (the traditional
   // buffered implementation the paper compares against in Fig. 7).
   struct Partial {
@@ -363,13 +304,8 @@ Status LocalEngine::MultiplyBuffered(const BlockGrid& out_grid,
       const bool observe = MetricRegistry::Global().enabled();
       GemmStats stats;
       GemmScratch scratch = PooledScratch();
-      std::shared_ptr<const CscBlock> b_csr;
-      if (use_csr_cache && a->IsSparse() && b->IsSparse()) {
-        auto csr_or = format_cache_->Csr(b);
-        if (csr_or.ok()) b_csr = std::move(*csr_or);
-      }
       auto res = Multiply(*a, *b, trans_a, trans_b, &scratch,
-                          observe ? &stats : nullptr, &par, b_csr.get());
+                          observe ? &stats : nullptr, &par);
       if (!res.ok()) {
         errors.Record(res.status());
         return;
@@ -400,7 +336,7 @@ Status LocalEngine::MultiplyBuffered(const BlockGrid& out_grid,
     std::vector<const Block*> parts;
     parts.reserve(group_list[i].second->size());
     for (const Block& b : *group_list[i].second) parts.push_back(&b);
-    auto result = SumBlocks(parts, density_threshold_);
+    auto result = SumBlocks(parts, kDensityThreshold);
     if (!result.ok()) {
       errors.Record(result.status());
       return;

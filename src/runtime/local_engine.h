@@ -1,8 +1,10 @@
 // Worker-local block execution engine (paper §5.3, Fig. 4).
 //
 // Operations on one worker are packaged into independent tasks — one task
-// per result block — and drained by a thread pool. Two implementations of
-// blocked multiplication are provided:
+// per result block — and every task enters one shared FIFO that the
+// worker's threads drain, so skewed task costs (hub blocks of power-law
+// graphs) balance automatically. Two implementations of blocked
+// multiplication are provided:
 //
 //  * kInPlace (DMac's approach): each task acquires one dense accumulator
 //    from the result buffer pool and folds every contributing block product
@@ -20,22 +22,12 @@
 #include "common/thread_pool.h"
 #include "governor/cancel_token.h"
 #include "matrix/block_ops.h"
-#include "matrix/format_cache.h"
 #include "runtime/buffer_pool.h"
 
 namespace dmac {
 
 /// Local multiplication mode.
 enum class LocalMode { kInPlace, kBuffer };
-
-/// How a worker's tasks reach its threads.
-///
-/// kQueue is the paper's Fig. 4 design: every task enters one shared FIFO
-/// and idle threads pull the next one, so skewed task costs (hub blocks of
-/// power-law graphs) balance automatically. kStatic pre-assigns each thread
-/// a contiguous chunk of the task list — the ablation baseline that suffers
-/// under skew.
-enum class TaskScheduling { kQueue, kStatic };
 
 /// One output block a multiplication must produce: C(bi,bj) accumulated
 /// over k in [k_begin, k_end).
@@ -50,18 +42,6 @@ struct MultiplyTask {
 /// spans and per-kind kernel-time histograms (docs/observability.md).
 enum class TaskKind { kMultiply, kTranspose, kElementwise, kAggregate };
 
-/// Per-batch options for MultiplyBlocks.
-struct MultiplyOptions {
-  /// Transpose-fused operand flags (see matrix/kernels.h).
-  bool trans_a = false;
-  bool trans_b = false;
-  /// Route the Aᵀ·B sparse path's CSC→CSR conversions of B blocks through
-  /// the engine's FormatCache (plan/reuse.h sets the corresponding
-  /// PlanStep hint when the operand is reused). No-op unless a cache is
-  /// attached and the pairing is sparse×sparse with trans_a set.
-  bool cache_csr_b = false;
-};
-
 const char* TaskKindName(TaskKind kind);
 
 /// Executes block tasks on one worker using a shared thread pool.
@@ -75,38 +55,26 @@ class LocalEngine {
   /// thread-safe.
   using SinkFn = std::function<void(int64_t, int64_t, Block)>;
 
-  LocalEngine(ThreadPool* pool, BufferPool* buffers, LocalMode mode,
-              double density_threshold,
-              TaskScheduling scheduling = TaskScheduling::kQueue)
-      : pool_(pool),
-        buffers_(buffers),
-        mode_(mode),
-        density_threshold_(density_threshold),
-        scheduling_(scheduling) {}
+  LocalEngine(ThreadPool* pool, BufferPool* buffers, LocalMode mode)
+      : pool_(pool), buffers_(buffers), mode_(mode) {}
 
   /// Computes C(bi,bj) = Σ_k op(A)(bi,k)·op(B)(k,bj) for every task. Block
   /// shapes come from the output grid. Blocks denser than
-  /// `density_threshold` are emitted dense, sparser ones as CSC.
+  /// kDensityThreshold are emitted dense, sparser ones as CSC.
   ///
   /// trans_a/trans_b apply the transpose-fused operand flags (see
   /// matrix/kernels.h): the BlockFn is still called with *logical* indices
   /// of the effective operand — the caller maps them to stored indices —
   /// and each fetched stored block is consumed through the flagged kernels
-  /// without materializing its transpose.
+  /// without materializing its transpose. Large dense products inside each
+  /// block task additionally fan their GEMM tile tasks out over the same
+  /// pool (GemmParallel in matrix/kernels.h); the caller-participating loop
+  /// makes that nesting deadlock-free.
   Status MultiplyBlocks(const BlockGrid& out_grid,
                         const std::vector<MultiplyTask>& tasks,
                         const BlockFn& get_a, const BlockFn& get_b,
                         const SinkFn& sink, bool trans_a = false,
                         bool trans_b = false);
-
-  /// Options form: flags plus the format-conversion cache hint. Large
-  /// dense products inside each block task additionally fan their GEMM
-  /// tile tasks out over the same pool (GemmParallel in matrix/kernels.h);
-  /// the caller-participating loop makes that nesting deadlock-free.
-  Status MultiplyBlocks(const BlockGrid& out_grid,
-                        const std::vector<MultiplyTask>& tasks,
-                        const BlockFn& get_a, const BlockFn& get_b,
-                        const SinkFn& sink, const MultiplyOptions& opts);
 
   /// Runs arbitrary independent block tasks (cell-wise operators, scalar
   /// ops, transposes) through the task queue. `kind` labels the tasks'
@@ -126,21 +94,15 @@ class LocalEngine {
   /// of docs/governance.md.
   void SetCancelToken(const CancelToken* token) { cancel_ = token; }
 
-  /// Attaches the CSC→CSR conversion cache consulted when a multiply batch
-  /// carries the cache_csr_b hint (may be null: hints are then ignored and
-  /// conversions run inline per kernel call). The executor owns the cache
-  /// and wires its charge hooks to the query's MemoryBudget.
-  void SetFormatCache(FormatCache* cache) { format_cache_ = cache; }
-
  private:
   Status MultiplyInPlace(const BlockGrid& out_grid,
                          const std::vector<MultiplyTask>& tasks,
                          const BlockFn& get_a, const BlockFn& get_b,
-                         const SinkFn& sink, const MultiplyOptions& opts);
+                         const SinkFn& sink, bool trans_a, bool trans_b);
   Status MultiplyBuffered(const BlockGrid& out_grid,
                           const std::vector<MultiplyTask>& tasks,
                           const BlockFn& get_a, const BlockFn& get_b,
-                          const SinkFn& sink, const MultiplyOptions& opts);
+                          const SinkFn& sink, bool trans_a, bool trans_b);
 
   /// Intra-kernel parallelism context for this batch's dense GEMMs: the
   /// shared pool, the cancel flag, and (when tracing) a per-tile span
@@ -151,10 +113,10 @@ class LocalEngine {
   /// governor's accounting sees GEMM panels like any other pooled block.
   GemmScratch PooledScratch();
 
-  /// Dispatches one closure per task (kQueue) or one closure per contiguous
-  /// chunk of tasks (kStatic), then waits for completion. When tracing or
-  /// metrics are enabled each task additionally records a span, its queue
-  /// wait, and its kernel time under `kind`.
+  /// Submits one closure per task to the shared queue (Fig. 4), then waits
+  /// for completion. When tracing or metrics are enabled each task
+  /// additionally records a span, its queue wait, and its kernel time under
+  /// `kind`.
   void Dispatch(size_t num_tasks, const std::function<void(size_t)>& run_task,
                 TaskKind kind);
 
@@ -164,11 +126,8 @@ class LocalEngine {
   ThreadPool* pool_;
   BufferPool* buffers_;
   LocalMode mode_;
-  double density_threshold_;
-  TaskScheduling scheduling_;
   int trace_worker_ = -1;
   const CancelToken* cancel_ = nullptr;
-  FormatCache* format_cache_ = nullptr;
 };
 
 }  // namespace dmac

@@ -233,31 +233,6 @@ TEST(ExecutorTest, BufferModeProducesSameResults) {
       r2->result.matrices.at("C"), 1e-3));
 }
 
-TEST(ExecutorTest, StaticSchedulingProducesSameResults) {
-  ProgramBuilder pb;
-  Mat a = pb.Load("A", {48, 48}, 0.3);
-  Mat c = pb.Var("C");
-  pb.Assign(c, a.mm(a) + a.RowSums().mm(a.ColSums()) * 0.01);
-  pb.Output(c);
-  Program p = pb.Build();
-  LocalMatrix adata = SyntheticSparse(48, 48, 0.3, kBs, 13);
-  Bindings bindings{{"A", &adata}};
-
-  RunConfig queue_cfg;
-  queue_cfg.block_size = kBs;
-  RunConfig static_cfg = queue_cfg;
-  static_cfg.task_scheduling = TaskScheduling::kStatic;
-
-  auto r1 = RunProgram(p, bindings, queue_cfg);
-  auto r2 = RunProgram(p, bindings, static_cfg);
-  ASSERT_TRUE(r1.ok() && r2.ok());
-  EXPECT_TRUE(r1->result.matrices.at("C").ApproxEqual(
-      r2->result.matrices.at("C"), 1e-3));
-  // Scheduling changes timing only, never traffic.
-  EXPECT_DOUBLE_EQ(r1->result.stats.comm_bytes(),
-                   r2->result.stats.comm_bytes());
-}
-
 // ---- accounting invariants ---------------------------------------------------
 
 TEST(ExecutorTest, SingleWorkerMovesNoShuffleBytes) {

@@ -20,7 +20,7 @@ class LocalEngineTest : public ::testing::TestWithParam<LocalMode> {
   LocalEngineTest() : pool_(2), buffers_(4) {}
 
   LocalEngine MakeEngine(LocalMode mode) {
-    return LocalEngine(&pool_, &buffers_, mode, 0.5);
+    return LocalEngine(&pool_, &buffers_, mode);
   }
 
   static LocalEngine::BlockFn Source(const LocalMatrix& m) {
@@ -35,33 +35,68 @@ class LocalEngineTest : public ::testing::TestWithParam<LocalMode> {
 };
 
 TEST_P(LocalEngineTest, BlockedMultiplyMatchesOracle) {
-  const LocalMatrix a = LocalMatrix::RandomSparse({40, 36}, 8, 0.2, 1);
-  const LocalMatrix b = LocalMatrix::RandomDense({36, 24}, 8, 2);
-  auto expected = a.Multiply(b);
-  ASSERT_TRUE(expected.ok());
-
-  LocalEngine engine = MakeEngine(GetParam());
+  // Every operand pairing under every transpose flag: C = op(A)·op(B) with
+  // op(A) 40×36 and op(B) 36×24. A flagged operand is stored transposed and
+  // fetched at its stored indices, as the executor does; the unflagged
+  // sparse×sparse case takes the In-Place engine's Gustavson chain.
+  const Shape a_shape{40, 36};
+  const Shape b_shape{36, 24};
   const BlockGrid out_grid{{40, 24}, 8};
+  const int64_t k_blocks = BlockGrid{b_shape, 8}.block_rows();
   std::vector<MultiplyTask> tasks;
   for (int64_t bi = 0; bi < out_grid.block_rows(); ++bi) {
     for (int64_t bj = 0; bj < out_grid.block_cols(); ++bj) {
-      tasks.push_back({bi, bj, 0, a.grid().block_cols()});
+      tasks.push_back({bi, bj, 0, k_blocks});
     }
   }
-  Mutex mu;
-  std::map<std::pair<int64_t, int64_t>, Block> results;
-  Status st = engine.MultiplyBlocks(
-      out_grid, tasks, Source(a), Source(b),
-      [&](int64_t bi, int64_t bj, Block blk) {
-        MutexLock lock(&mu);
-        results.emplace(std::make_pair(bi, bj), std::move(blk));
-      });
-  ASSERT_TRUE(st.ok()) << st;
-  ASSERT_EQ(results.size(), static_cast<size_t>(out_grid.num_blocks()));
-  for (auto& [key, blk] : results) {
-    EXPECT_TRUE(
-        ApproxEqual(blk, expected->BlockAt(key.first, key.second), 1e-3))
-        << key.first << "," << key.second;
+  auto make = [](Shape shape, bool sparse, uint64_t seed) {
+    return sparse ? LocalMatrix::RandomSparse(shape, 8, 0.2, seed)
+                  : LocalMatrix::RandomDense(shape, 8, seed);
+  };
+  auto flagged_source = [](const LocalMatrix& m, bool trans) {
+    return [&m, trans](int64_t i, int64_t j) {
+      return std::shared_ptr<const Block>(
+          std::shared_ptr<void>(), trans ? &m.BlockAt(j, i) : &m.BlockAt(i, j));
+    };
+  };
+  LocalEngine engine = MakeEngine(GetParam());
+  for (const bool trans_a : {false, true}) {
+    for (const bool trans_b : {false, true}) {
+      for (const bool a_sparse : {false, true}) {
+        for (const bool b_sparse : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "trans_a=" << trans_a << " trans_b=" << trans_b
+                       << " a_sparse=" << a_sparse
+                       << " b_sparse=" << b_sparse);
+          const LocalMatrix a = make(
+              trans_a ? a_shape.Transposed() : a_shape, a_sparse, 1);
+          const LocalMatrix b = make(
+              trans_b ? b_shape.Transposed() : b_shape, b_sparse, 2);
+          auto expected = (trans_a ? a.Transposed() : a)
+                              .Multiply(trans_b ? b.Transposed() : b);
+          ASSERT_TRUE(expected.ok());
+
+          Mutex mu;
+          std::map<std::pair<int64_t, int64_t>, Block> results;
+          Status st = engine.MultiplyBlocks(
+              out_grid, tasks, flagged_source(a, trans_a),
+              flagged_source(b, trans_b),
+              [&](int64_t bi, int64_t bj, Block blk) {
+                MutexLock lock(&mu);
+                results.emplace(std::make_pair(bi, bj), std::move(blk));
+              },
+              trans_a, trans_b);
+          ASSERT_TRUE(st.ok()) << st;
+          ASSERT_EQ(results.size(),
+                    static_cast<size_t>(out_grid.num_blocks()));
+          for (auto& [key, blk] : results) {
+            EXPECT_TRUE(ApproxEqual(
+                blk, expected->BlockAt(key.first, key.second), 1e-3))
+                << key.first << "," << key.second;
+          }
+        }
+      }
+    }
   }
 }
 
@@ -131,7 +166,7 @@ TEST(LocalEngineMemoryTest, BufferModeUsesMoreMemoryThanInPlace) {
   auto run = [&](LocalMode mode) {
     ThreadPool pool(2);
     BufferPool buffers(4);
-    LocalEngine engine(&pool, &buffers, mode, 0.5);
+    LocalEngine engine(&pool, &buffers, mode);
     auto source = [](const LocalMatrix& m) {
       return [&m](int64_t bi, int64_t bj) {
         return std::shared_ptr<const Block>(std::shared_ptr<void>(),
