@@ -1,16 +1,15 @@
 // Kernel benchmark: GFLOP/s and bytes/s for every multiply kernel over
-// (representation, transpose-flags, block-size), a thread-count axis for
-// the parallel dense macro-kernel (GemmParallel over a shared ThreadPool),
-// plus the vectorized reduction/elementwise primitives, plus the seed's
+// (representation, transpose-flags, block-size), plus the vectorized
+// reduction/elementwise primitives, plus the seed's
 // pre-packing dense GEMM loop as the speedup baseline
 // (tests/matrix/kernel_reference.h keeps the same loop as the
 // differential-test reference).
 //
 // Emits BENCH_kernels.json (override with --out=PATH) with one entry per
-// measured configuration and two summaries at the default block size:
+// measured configuration and one summary at the default block size:
 // `dense_gemm_speedup_vs_seed` (packed vs seed loop, the packed-layer
-// acceptance number) and `dense_gemm_parallel_speedup_4t` (4-thread vs
-// 1-thread packed — honest on the runner, so ~1.0 on a 1-core machine).
+// acceptance number). Every kernel runs on the calling thread, so each
+// entry records `"threads": 1` (the field CalibrationTable matches on).
 // `--quick` or DMAC_BENCH_SCALE>1 trims the size sweep for CI smoke runs.
 #include <cstdint>
 #include <cstdio>
@@ -21,7 +20,6 @@
 
 #include "bench_util.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "matrix/block.h"
 #include "matrix/block_ops.h"
@@ -44,7 +42,6 @@ struct Entry {
   std::string representation;  // e.g. "dense_dense", "sum_squares"
   std::string trans;           // "nn" | "tn" | "nt" | "tt" | "" for vec
   int64_t block_size = 0;
-  int threads = 1;             // workers incl. the caller (GemmParallel)
   double seconds = 0;          // per call
   double gflops = 0;
   double bytes_per_second = 0;
@@ -88,35 +85,22 @@ Block MakeOperand(int64_t rows, int64_t cols, bool trans, bool sparse,
                 : RandomDenseBlock(r, c, seed);
 }
 
-/// `threads` > 1 routes the dense macro-kernel through GemmParallel over
-/// `pool` (which needs at least threads-1 workers); the serial small-product
-/// cutoff still applies, so tiny blocks report flat scaling by design.
 Entry BenchGemm(bool a_sparse, bool b_sparse, bool ta, bool tb, int64_t bs,
-                double min_seconds, int threads = 1,
-                ThreadPool* pool = nullptr) {
+                double min_seconds) {
   Block a = MakeOperand(bs, bs, ta, a_sparse, 1);
   Block b = MakeOperand(bs, bs, tb, b_sparse, 2);
   DenseBlock acc(bs, bs);
   GemmScratch scratch;  // reused across calls, as the engine reuses its pool
 
-  GemmParallel par;
-  const GemmParallel* parp = nullptr;
-  if (threads > 1 && pool != nullptr) {
-    par.pool = pool;
-    par.max_workers = threads;
-    parp = &par;
-  }
-
   GemmStats stats;
-  Status st = MultiplyAccumulate(a, b, ta, tb, &acc, &scratch, &stats, parp);
+  Status st = MultiplyAccumulate(a, b, ta, tb, &acc, &scratch, &stats);
   DMAC_CHECK(st.ok()) << st.ToString();
   const double flops_per_call = static_cast<double>(stats.flops);
 
   const double seconds = TimeCall(
       [&] {
         GemmStats s;
-        Status call =
-            MultiplyAccumulate(a, b, ta, tb, &acc, &scratch, &s, parp);
+        Status call = MultiplyAccumulate(a, b, ta, tb, &acc, &scratch, &s);
         DMAC_CHECK(call.ok()) << call.ToString();
       },
       min_seconds);
@@ -127,7 +111,6 @@ Entry BenchGemm(bool a_sparse, bool b_sparse, bool ta, bool tb, int64_t bs,
                      (b_sparse ? "sparse" : "dense");
   e.trans = std::string(ta ? "t" : "n") + (tb ? "t" : "n");
   e.block_size = bs;
-  e.threads = threads;
   e.seconds = seconds;
   e.gflops = GflopsOrZero(flops_per_call, seconds);
   const double bytes =
@@ -228,12 +211,12 @@ void AppendJson(std::string* out, const Entry& e) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "    {\"kind\": \"%s\", \"representation\": \"%s\", "
-                "\"trans\": \"%s\", \"block_size\": %lld, \"threads\": %d, "
+                "\"trans\": \"%s\", \"block_size\": %lld, \"threads\": 1, "
                 "\"seconds_per_call\": %.9f, \"gflops\": %.3f, "
                 "\"bytes_per_second\": %.3e}",
                 e.kind.c_str(), e.representation.c_str(), e.trans.c_str(),
-                static_cast<long long>(e.block_size), e.threads, e.seconds,
-                e.gflops, e.bytes_per_second);
+                static_cast<long long>(e.block_size), e.seconds, e.gflops,
+                e.bytes_per_second);
   *out += buf;
 }
 
@@ -256,15 +239,15 @@ int Main(int argc, char** argv) {
   if (quick) sizes = {64, kDefaultBs};
 
   PrintHeader("Kernel benchmark (docs/kernels.md)");
-  std::printf("%-20s %-14s %-6s %6s %4s | %10s %12s\n", "kind",
-              "representation", "trans", "bs", "thr", "GFLOP/s", "GB/s");
+  std::printf("%-20s %-14s %-6s %6s | %10s %12s\n", "kind",
+              "representation", "trans", "bs", "GFLOP/s", "GB/s");
 
   std::vector<Entry> entries;
   auto emit = [&](const Entry& e) {
     entries.push_back(e);
-    std::printf("%-20s %-14s %-6s %6lld %4d | %10.2f %12.2f\n", e.kind.c_str(),
+    std::printf("%-20s %-14s %-6s %6lld | %10.2f %12.2f\n", e.kind.c_str(),
                 e.representation.c_str(), e.trans.c_str(),
-                static_cast<long long>(e.block_size), e.threads, e.gflops,
+                static_cast<long long>(e.block_size), e.gflops,
                 e.bytes_per_second / 1e9);
   };
 
@@ -282,42 +265,22 @@ int Main(int argc, char** argv) {
     for (const Entry& e : BenchVecPrimitives(bs, min_seconds)) emit(e);
   }
 
-  // Thread-count axis for the one kernel that fans out — dense×dense nn at
-  // the block sizes above the serial cutoff (docs/performance.md explains
-  // how to read the scaling column against the machine's core count).
-  {
-    const int kMaxThreads = 4;
-    ThreadPool pool(kMaxThreads - 1);
-    for (int64_t bs : sizes) {
-      if (bs < kDefaultBs) continue;  // below the parallel flop cutoff
-      for (int threads : {2, kMaxThreads}) {
-        emit(BenchGemm(false, false, false, false, bs, min_seconds, threads,
-                       &pool));
-      }
-    }
-  }
-
-  // Acceptance summaries: packed dense GEMM vs the seed loop, and the
-  // 4-thread parallel speedup over the 1-thread packed kernel, both at the
-  // default block size. The scaling number is machine-honest — a 1-core
-  // runner reports ~1.0x.
-  double seed_gflops = 0, packed_gflops = 0, packed_gflops_4t = 0;
+  // Acceptance summary: packed dense GEMM vs the seed loop at the default
+  // block size.
+  double seed_gflops = 0, packed_gflops = 0;
   for (const Entry& e : entries) {
     if (e.block_size != kDefaultBs || e.representation != "dense_dense" ||
         e.trans != "nn") {
       continue;
     }
     if (e.kind == "gemm_seed_reference") seed_gflops = e.gflops;
-    if (e.kind == "gemm" && e.threads == 1) packed_gflops = e.gflops;
-    if (e.kind == "gemm" && e.threads == 4) packed_gflops_4t = e.gflops;
+    if (e.kind == "gemm") packed_gflops = e.gflops;
   }
   const double speedup = seed_gflops > 0 ? packed_gflops / seed_gflops : 0;
-  const double par_speedup =
-      packed_gflops > 0 ? packed_gflops_4t / packed_gflops : 0;
   std::printf("\ndense GEMM @ bs=%lld: packed %.2f GFLOP/s vs seed %.2f "
-              "GFLOP/s -> %.2fx; 4 threads %.2f GFLOP/s -> %.2fx scaling\n",
+              "GFLOP/s -> %.2fx\n",
               static_cast<long long>(kDefaultBs), packed_gflops, seed_gflops,
-              speedup, packed_gflops_4t, par_speedup);
+              speedup);
 
   std::string json = "{\n";
   json += "  \"schema\": \"dmac-kernel-bench-v2\",\n";
@@ -325,9 +288,6 @@ int Main(int argc, char** argv) {
   char buf[128];
   std::snprintf(buf, sizeof(buf),
                 "  \"dense_gemm_speedup_vs_seed\": %.3f,\n", speedup);
-  json += buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"dense_gemm_parallel_speedup_4t\": %.3f,\n", par_speedup);
   json += buf;
   json += "  \"entries\": [\n";
   for (size_t i = 0; i < entries.size(); ++i) {

@@ -13,6 +13,9 @@
 
 namespace dmac {
 
+/// Default local parallelism L: threads in each simulated worker's pool.
+inline constexpr int kDefaultThreadsPerWorker = 2;
+
 /// A fixed pool of worker threads draining a FIFO task queue.
 ///
 /// Semantics match the paper's worker model: tasks are independent (each

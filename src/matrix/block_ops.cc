@@ -87,12 +87,11 @@ Result<Block> Multiply(const Block& a, const Block& b) {
 }
 
 Result<Block> Multiply(const Block& a, const Block& b, bool trans_a,
-                       bool trans_b, GemmScratch* scratch, GemmStats* stats,
-                       const GemmParallel* par) {
+                       bool trans_b, GemmScratch* scratch, GemmStats* stats) {
   DMAC_RETURN_NOT_OK(CheckMultiplyShapes(a, b, trans_a, trans_b));
   DenseBlock acc(EffRows(a, trans_a), EffCols(b, trans_b));
-  DMAC_RETURN_NOT_OK(MultiplyAccumulate(a, b, trans_a, trans_b, &acc, scratch,
-                                        stats, par));
+  DMAC_RETURN_NOT_OK(
+      MultiplyAccumulate(a, b, trans_a, trans_b, &acc, scratch, stats));
   return Block(std::move(acc));
 }
 
@@ -102,7 +101,7 @@ Status MultiplyAccumulate(const Block& a, const Block& b, DenseBlock* acc) {
 
 Status MultiplyAccumulate(const Block& a, const Block& b, bool trans_a,
                           bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                          GemmStats* stats, const GemmParallel* par) {
+                          GemmStats* stats) {
   DMAC_RETURN_NOT_OK(CheckMultiplyShapes(a, b, trans_a, trans_b));
   if (acc->rows() != EffRows(a, trans_a) ||
       acc->cols() != EffCols(b, trans_b)) {
@@ -112,7 +111,7 @@ Status MultiplyAccumulate(const Block& a, const Block& b, bool trans_a,
   }
   if (a.IsDense() && b.IsDense()) {
     return GemmDense(a.dense(), b.dense(), trans_a, trans_b, acc, scratch,
-                     stats, par);
+                     stats);
   }
   if (a.IsSparse() && b.IsDense()) {
     return GemmSparseDense(a.sparse(), b.dense(), trans_a, trans_b, acc,
@@ -126,47 +125,6 @@ Status MultiplyAccumulate(const Block& a, const Block& b, bool trans_a,
                           scratch, stats);
 }
 
-Result<CscBlock> MultiplySparse(const CscBlock& a, const CscBlock& b) {
-  if (a.cols() != b.rows()) {
-    return Status::DimensionMismatch("sparse multiply " +
-                                     a.shape().ToString() + " by " +
-                                     b.shape().ToString());
-  }
-  // Gustavson: accumulate each output column in a dense workspace with an
-  // occupancy list, then emit its non-zeros in sorted row order.
-  const int64_t m = a.rows();
-  const int64_t n = b.cols();
-  std::vector<Scalar> workspace(static_cast<size_t>(m), 0);
-  std::vector<int32_t> occupied;
-  std::vector<int32_t> col_ptr(static_cast<size_t>(n + 1), 0);
-  std::vector<int32_t> row_idx;
-  std::vector<Scalar> values;
-
-  for (int64_t j = 0; j < n; ++j) {
-    occupied.clear();
-    for (int32_t p = b.ColStart(j); p < b.ColEnd(j); ++p) {
-      const int64_t l = b.row_idx()[p];
-      const Scalar t = b.values()[p];
-      for (int32_t q = a.ColStart(l); q < a.ColEnd(l); ++q) {
-        const int32_t r = a.row_idx()[q];
-        if (workspace[r] == Scalar{0}) occupied.push_back(r);
-        workspace[r] += a.values()[q] * t;
-      }
-    }
-    std::sort(occupied.begin(), occupied.end());
-    for (int32_t r : occupied) {
-      if (workspace[r] != Scalar{0}) {
-        row_idx.push_back(r);
-        values.push_back(workspace[r]);
-      }
-      workspace[r] = Scalar{0};
-    }
-    col_ptr[j + 1] = static_cast<int32_t>(values.size());
-  }
-  return CscBlock(m, n, std::move(col_ptr), std::move(row_idx),
-                  std::move(values));
-}
-
 Result<CscBlock> MultiplySparseChain(
     const std::vector<std::pair<const CscBlock*, const CscBlock*>>& chain,
     int64_t rows, int64_t cols) {
@@ -178,6 +136,8 @@ Result<CscBlock> MultiplySparseChain(
           std::to_string(cols));
     }
   }
+  // Gustavson: accumulate each output column in a dense workspace with an
+  // occupancy list, then emit its non-zeros in sorted row order.
   std::vector<Scalar> workspace(static_cast<size_t>(rows), 0);
   std::vector<int32_t> occupied;
   std::vector<int32_t> col_ptr(static_cast<size_t>(cols + 1), 0);
@@ -267,7 +227,7 @@ Result<Block> SumBlocks(const std::vector<const Block*>& blocks,
       for (int32_t r : occupied) {
         // The occupancy list can hold duplicates when a partial sum passes
         // through zero; zeroing after emit dedups exactly like
-        // MultiplySparse's workspace.
+        // MultiplySparseChain's workspace.
         if (workspace[r] != Scalar{0}) {
           row_idx.push_back(r);
           values.push_back(workspace[r]);

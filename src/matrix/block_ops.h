@@ -7,8 +7,9 @@
 //     this is the primitive behind the paper's In-Place execution (§5.3),
 //     which folds every block product contributing to one result block into
 //     the same output buffer instead of materializing intermediates.
-// MultiplySparse() is the CSC×CSC SpGEMM used when a sparse intermediate is
-// worth keeping sparse (the Buffer-mode ablation of Fig. 7 relies on it).
+// MultiplySparseChain() is the CSC×CSC SpGEMM used when a sparse result is
+// worth keeping sparse (the Buffer-mode ablation of Fig. 7 calls it with a
+// one-pair chain).
 //
 // The multiply kernels are transpose-aware: the flagged overloads compute
 // op(A)·op(B) where op is controlled by trans_a/trans_b, consuming each
@@ -32,27 +33,19 @@ namespace dmac {
 Result<Block> Multiply(const Block& a, const Block& b);
 
 /// C = op(A)·op(B) as a dense block; effective shapes must agree.
-/// `scratch`/`stats` may be null (local scratch, no accounting). `par`
-/// enables intra-kernel tile parallelism for the dense path (see
-/// matrix/kernels.h).
+/// `scratch`/`stats` may be null (local scratch, no accounting).
 Result<Block> Multiply(const Block& a, const Block& b, bool trans_a,
                        bool trans_b, GemmScratch* scratch = nullptr,
-                       GemmStats* stats = nullptr,
-                       const GemmParallel* par = nullptr);
+                       GemmStats* stats = nullptr);
 
 /// acc += A·B. `acc` must be dense with shape m×n.
 Status MultiplyAccumulate(const Block& a, const Block& b, DenseBlock* acc);
 
 /// acc += op(A)·op(B). `acc` must match the effective output shape.
-/// `par` as on Multiply above.
 Status MultiplyAccumulate(const Block& a, const Block& b, bool trans_a,
                           bool trans_b, DenseBlock* acc,
                           GemmScratch* scratch = nullptr,
-                          GemmStats* stats = nullptr,
-                          const GemmParallel* par = nullptr);
-
-/// CSC×CSC product kept sparse (Gustavson's algorithm).
-Result<CscBlock> MultiplySparse(const CscBlock& a, const CscBlock& b);
+                          GemmStats* stats = nullptr);
 
 /// C = Σ_k A_k·B_k over a chain of CSC pairs, computed with one shared
 /// Gustavson workspace and emitted directly as CSC — the sparse In-Place

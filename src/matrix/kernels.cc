@@ -8,8 +8,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "common/parallel_for.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "matrix/spgemm.h"
 
@@ -227,94 +225,9 @@ Result<DenseBlock*> GemmScratch::Staging(int64_t rows, int64_t cols) {
 
 // ---- dense GEMM ----------------------------------------------------------
 
-namespace {
-
-/// Column width of one parallel tile task: 8 Nr panels. Wide enough that
-/// the task body dwarfs the ParallelFor claim (an Mc×128×Kc tile is ~8.4
-/// MFLOP), narrow enough that a 256-column block still yields 2 chunks per
-/// Mc panel for load balancing. A multiple of kGemmNr so chunk boundaries
-/// align with packed micro-panels.
-constexpr int64_t kGemmParColChunk = 8 * kGemmNr;
-
-int64_t RoundUp(int64_t v, int64_t unit) { return (v + unit - 1) / unit * unit; }
-
-/// Threaded macro-kernel: per Kc slice, pack the *full* m-height A panel
-/// and n-width B panel serially, then fan the (Mc-row-panel ×
-/// column-chunk) tile tasks out over the pool. Every tile task reads the
-/// shared packed panels and writes a disjoint set of accumulator tiles,
-/// and the Kc loop stays serial, so each C element sees the same packed
-/// values added in the same order as the serial path — bit-identical.
-Status GemmDenseThreaded(const DenseBlock& a, const DenseBlock& b,
-                         bool trans_a, bool trans_b, DenseBlock* acc,
-                         GemmScratch* scratch, GemmStats* stats,
-                         const GemmParallel& par, int64_t m, int64_t n,
-                         int64_t k) {
-  const int64_t kc_max = std::min(k, kGemmKc);
-  DMAC_ASSIGN_OR_RETURN(Scalar * pack_a,
-                        scratch->PanelA(RoundUp(m, kGemmMr) * kc_max));
-  DMAC_ASSIGN_OR_RETURN(Scalar * pack_b,
-                        scratch->PanelB(kc_max * RoundUp(n, kGemmNr)));
-  std::vector<char> b_live;
-
-  const int64_t row_panels = (m + kGemmMc - 1) / kGemmMc;
-  const int64_t col_chunks = (n + kGemmParColChunk - 1) / kGemmParColChunk;
-  const int64_t tiles = row_panels * col_chunks;
-
-  for (int64_t l0 = 0; l0 < k; l0 += kGemmKc) {
-    const int64_t kc = std::min(kGemmKc, k - l0);
-    Timer pack_timer;
-    PackB(b, trans_b, l0, kc, 0, n, pack_b, &b_live);
-    PackA(a, trans_a, 0, m, l0, kc, pack_a);
-    if (stats != nullptr) stats->pack_seconds += pack_timer.ElapsedSeconds();
-
-    auto tile = [&](int64_t t) {
-      const int64_t i0 = (t / col_chunks) * kGemmMc;
-      const int64_t mc = std::min(kGemmMc, m - i0);
-      const int64_t j0 = (t % col_chunks) * kGemmParColChunk;
-      const int64_t nc = std::min(kGemmParColChunk, n - j0);
-      // Mc and the chunk width are multiples of Mr/Nr, so this tile's
-      // micro-panels index cleanly into the full packed panels.
-      const int64_t ip0 = i0 / kGemmMr;
-      const int64_t jp0 = j0 / kGemmNr;
-      const int64_t jpanels = (nc + kGemmNr - 1) / kGemmNr;
-      const int64_t ipanels = (mc + kGemmMr - 1) / kGemmMr;
-      for (int64_t jp = 0; jp < jpanels; ++jp) {
-        if (!b_live[static_cast<size_t>(jp0 + jp)]) continue;
-        const int64_t j = j0 + jp * kGemmNr;
-        const int64_t nr = std::min<int64_t>(kGemmNr, n - j);
-        for (int64_t ip = 0; ip < ipanels; ++ip) {
-          const int64_t i = i0 + ip * kGemmMr;
-          const int64_t mr = std::min<int64_t>(kGemmMr, m - i);
-          MicroKernel(kc, pack_a + (ip0 + ip) * kGemmMr * kc,
-                      pack_b + (jp0 + jp) * kGemmNr * kc, acc->col(j) + i,
-                      acc->rows(), mr, nr);
-        }
-      }
-    };
-    std::function<void(int64_t)> run = tile;
-    if (par.wrap_task) {
-      run = [&par, &tile](int64_t t) {
-        par.wrap_task([&tile, t] { tile(t); });
-      };
-    }
-    const int64_t ran =
-        ParallelFor(par.pool, tiles, par.max_workers - 1, par.abandon, run);
-    if (stats != nullptr) stats->tasks += static_cast<double>(ran);
-    if (ran < tiles) {
-      // The abandon flag fired mid-product; the accumulator holds a
-      // partial sum. The engine discards it and reports the governor's
-      // precise cancel reason over this generic one.
-      return Status::Cancelled("dense GEMM abandoned at tile-task boundary");
-    }
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
 Status GemmDense(const DenseBlock& a, const DenseBlock& b, bool trans_a,
                  bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                 GemmStats* stats, const GemmParallel* par) {
+                 GemmStats* stats) {
   const int64_t m = EffRows(a, trans_a);
   const int64_t k = EffCols(a, trans_a);
   const int64_t n = EffCols(b, trans_b);
@@ -323,11 +236,6 @@ Status GemmDense(const DenseBlock& a, const DenseBlock& b, bool trans_a,
 
   GemmScratch local;
   if (scratch == nullptr) scratch = &local;
-  if (par != nullptr && par->Enabled() &&
-      2.0 * m * n * k >= static_cast<double>(kGemmParallelMinFlops)) {
-    return GemmDenseThreaded(a, b, trans_a, trans_b, acc, scratch, stats,
-                             *par, m, n, k);
-  }
   // Panels are sized to the actual blocking this call uses (capped at the
   // full cache-block panels) so small multiplies charge small buffers
   // against a governed budget; exhaustion propagates as a Status.

@@ -20,7 +20,6 @@
 // scratch falls back to plain heap blocks (tests, benchmarks).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <utility>
@@ -34,8 +33,6 @@
 
 namespace dmac {
 
-class ThreadPool;
-
 // ---- tiling parameters ---------------------------------------------------
 // Register tile: kMr x kNr accumulators (8x16 floats = 8 AVX-512 lanes'
 // worth, still sensible on AVX2). Cache blocking: a kMc x kKc packed A
@@ -47,46 +44,11 @@ inline constexpr int64_t kGemmKc = 256;
 inline constexpr int64_t kGemmMc = 128;
 inline constexpr int64_t kGemmNc = 1024;
 
-/// Dense multiplies below this flop count (2·m·n·k) always run the serial
-/// macro-kernel: tile-task dispatch costs more than it buys on small
-/// blocks (docs/performance.md).
-inline constexpr int64_t kGemmParallelMinFlops = 4'000'000;
-
-/// Per-call kernel accounting, surfaced as engine.gemm_flops,
-/// engine.gemm.pack.seconds and engine.gemm.tasks (docs/observability.md).
+/// Per-call kernel accounting, surfaced as engine.gemm_flops and
+/// engine.gemm.pack.seconds (docs/observability.md).
 struct GemmStats {
   double flops = 0;         // 2*m*n*k per dense GEMM, 2 per sparse madd
   double pack_seconds = 0;  // wall time spent packing/staging/converting
-  double tasks = 0;         // parallel tile tasks run (0 on the serial path)
-};
-
-/// Intra-kernel parallelism context for the dense GEMM macro-kernel.
-///
-/// The dense kernel decomposes each Kc slice into independent
-/// (Mc-row-panel × column-chunk) tile tasks that all read the same packed
-/// operand panels and write disjoint accumulator tiles, then runs them via
-/// ParallelFor (common/parallel_for.h): the calling thread participates, so
-/// sharing `pool` with the engine's own block tasks cannot deadlock. The
-/// Kc accumulation loop stays serial, which keeps the threaded path
-/// bit-identical to the serial one.
-struct GemmParallel {
-  /// Pool the tile tasks fan out over; null runs the serial kernel.
-  ThreadPool* pool = nullptr;
-  /// Cooperative cancel flag polled at every tile-task boundary (may be
-  /// null). Once it reads true the kernel stops claiming tiles and returns
-  /// kCancelled.
-  const std::atomic<bool>* abandon = nullptr;
-  /// Upper bound on concurrent tile workers *including* the calling
-  /// thread; values <= 1 run the serial kernel. The engine passes the pool
-  /// width + 1.
-  int max_workers = 0;
-  /// Optional per-tile-task wrapper (must invoke `body` exactly once); the
-  /// engine installs one that records a "gemm-tile" trace span so the
-  /// matrix layer stays free of an obs dependency. Called concurrently.
-  std::function<void(const std::function<void()>&)> wrap_task;
-
-  /// True when the configuration can actually fan out.
-  bool Enabled() const { return pool != nullptr && max_workers > 1; }
 };
 
 /// Reusable packing/staging scratch for the multiply kernels. One instance
@@ -160,14 +122,9 @@ class GemmScratch {
 /// the same micro-kernel and produce bit-identical results. Entirely-zero
 /// packed micro-panels are skipped (the column-skip prefilter for
 /// dense-but-sparse-ish operands); zero terms never change a finite sum.
-///
-/// When `par` is enabled and the multiply is at least
-/// kGemmParallelMinFlops, each Kc slice's tile tasks fan out over
-/// `par->pool` — bit-identical to the serial path (see GemmParallel). A
-/// fired `par->abandon` flag returns kCancelled, possibly mid-product.
 [[nodiscard]] Status GemmDense(const DenseBlock& a, const DenseBlock& b, bool trans_a,
                  bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                 GemmStats* stats, const GemmParallel* par = nullptr);
+                 GemmStats* stats);
 
 /// acc += op(A_csc)·op(B_dense). TransA reinterprets the CSC arrays as CSR
 /// of the logical A (a per-output-element gather dot product); TransB

@@ -98,9 +98,6 @@ const std::vector<MetricSpec>& MetricCatalog() {
        "per-multiply-task time spent packing/staging GEMM operand panels "
        "and converting sparse formats (the pack-vs-compute split of "
        "docs/kernels.md)"},
-      {kMetricGemmTasks, kCounter, "tasks",
-       "parallel GEMM tile tasks run by the threaded dense macro-kernel "
-       "(0 while every multiply takes the serial path)"},
       {kMetricPoolAcquires, kCounter, "blocks",
        "dense accumulator blocks acquired from the result buffer pool"},
       {kMetricPoolReuses, kCounter, "blocks",

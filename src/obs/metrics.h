@@ -187,7 +187,6 @@ inline constexpr const char* kMetricTaskSecondsAggregate =
 inline constexpr const char* kMetricGemmFlops = "engine.gemm_flops";
 inline constexpr const char* kMetricGemmPackSeconds =
     "engine.gemm.pack.seconds";
-inline constexpr const char* kMetricGemmTasks = "engine.gemm.tasks";
 inline constexpr const char* kMetricPoolAcquires = "pool.acquires";
 inline constexpr const char* kMetricPoolReuses = "pool.reuses";
 inline constexpr const char* kMetricPoolDiscards = "pool.discards";

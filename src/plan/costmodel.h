@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "plan/plan.h"
 #include "obs/exec_stats.h"
 
@@ -101,7 +102,7 @@ struct PlanCost {
 /// Cluster configuration the estimate is for.
 struct CostModelOptions {
   int num_workers = 4;
-  int threads_per_worker = 2;
+  int threads_per_worker = kDefaultThreadsPerWorker;
   /// Block side used to pick the nearest calibration entry. 0 = the
   /// table's entries are matched at 256 (the bench default).
   int64_t block_size = 0;

@@ -24,6 +24,7 @@
 #include <unordered_map>
 
 #include "common/result.h"
+#include "common/thread_pool.h"
 #include "fault/fault_spec.h"
 #include "governor/context.h"
 #include "matrix/local_matrix.h"
@@ -43,7 +44,7 @@ struct ExecutorOptions {
   /// the cost model to be meaningful).
   int num_workers = 4;
   /// Local parallelism L per worker.
-  int threads_per_worker = 2;
+  int threads_per_worker = kDefaultThreadsPerWorker;
   /// Square block side. 0 = adopt the block size of the first binding.
   int64_t block_size = 0;
   /// In-place (DMac) or buffered (ablation) local multiplication.

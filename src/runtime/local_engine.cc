@@ -36,18 +36,15 @@ Histogram* TaskHistogram(TaskKind kind) {
   return elementwise;
 }
 
-/// Feeds a task's kernel accounting into engine.gemm_flops,
-/// engine.gemm.pack.seconds and engine.gemm.tasks (stable instrument
-/// pointers; call only while the registry is enabled). Thread-safe —
-/// instruments are atomics.
+/// Feeds a task's kernel accounting into engine.gemm_flops and
+/// engine.gemm.pack.seconds (stable instrument pointers; call only while
+/// the registry is enabled). Thread-safe — instruments are atomics.
 void ObserveGemmStats(const GemmStats& stats) {
   static Counter* flops = MetricRegistry::Global().counter(kMetricGemmFlops);
   static Histogram* pack =
       MetricRegistry::Global().histogram(kMetricGemmPackSeconds);
-  static Counter* tiles = MetricRegistry::Global().counter(kMetricGemmTasks);
   flops->Add(stats.flops);
   pack->Observe(stats.pack_seconds);
-  if (stats.tasks > 0) tiles->Add(stats.tasks);
 }
 
 /// Collects the first task failure across threads.
@@ -102,23 +99,6 @@ GemmScratch LocalEngine::PooledScratch() {
         return buffers_->Acquire(rows, cols);
       },
       [this](DenseBlock block) { buffers_->Release(std::move(block)); });
-}
-
-GemmParallel LocalEngine::TileParallel() const {
-  GemmParallel par;
-  par.pool = pool_;
-  par.abandon = cancel_ != nullptr ? cancel_->fired_flag() : nullptr;
-  // The calling block task participates, so every pool thread plus the
-  // caller can work one tile.
-  par.max_workers = static_cast<int>(pool_->num_threads()) + 1;
-  if (TraceRecorder::Global().enabled()) {
-    const int worker = trace_worker_;
-    par.wrap_task = [worker](const std::function<void()>& body) {
-      TraceSpan span(kTraceTask, "gemm-tile", worker);
-      body();
-    };
-  }
-  return par;
 }
 
 void LocalEngine::Dispatch(size_t num_tasks,
@@ -177,8 +157,6 @@ Status LocalEngine::MultiplyInPlace(const BlockGrid& out_grid,
                                     const BlockFn& get_a, const BlockFn& get_b,
                                     const SinkFn& sink, bool trans_a,
                                     bool trans_b) {
-  // The batch's flagged dense products share one tile-parallelism context.
-  const GemmParallel par = TileParallel();
   StatusCollector errors;
   Dispatch(tasks.size(), [&](size_t task_index) {
     const MultiplyTask& task = tasks[task_index];
@@ -233,7 +211,7 @@ Status LocalEngine::MultiplyInPlace(const BlockGrid& out_grid,
         for (size_t i = 0; i + 1 < keep_alive.size(); i += 2) {
           Status st = MultiplyAccumulate(*keep_alive[i], *keep_alive[i + 1],
                                          trans_a, trans_b, &acc, &scratch,
-                                         observe ? &stats : nullptr, &par);
+                                         observe ? &stats : nullptr);
           if (!st.ok()) {
             errors.Record(std::move(st));
             buffers_->Release(std::move(acc));
@@ -257,7 +235,6 @@ Status LocalEngine::MultiplyBuffered(const BlockGrid& out_grid,
                                      const BlockFn& get_a, const BlockFn& get_b,
                                      const SinkFn& sink, bool trans_a,
                                      bool trans_b) {
-  const GemmParallel par = TileParallel();
   // Phase 1: materialize every partial block product (the traditional
   // buffered implementation the paper compares against in Fig. 7).
   struct Partial {
@@ -291,10 +268,11 @@ Status LocalEngine::MultiplyBuffered(const BlockGrid& out_grid,
     Block partial;
     if (a->IsSparse() && b->IsSparse() && !trans_a && !trans_b) {
       // Sparse partials stay sparse in the buffer, which is why the
-      // Fig. 7 gap narrows on very sparse graphs. (MultiplySparse is
+      // Fig. 7 gap narrows on very sparse graphs. (The chain kernel is
       // flag-blind; flagged sparse pairs fall through to the
       // transpose-aware kernels below.)
-      auto res = MultiplySparse(a->sparse(), b->sparse());
+      auto res = MultiplySparseChain({{&a->sparse(), &b->sparse()}},
+                                     a->rows(), b->cols());
       if (!res.ok()) {
         errors.Record(res.status());
         return;
@@ -305,7 +283,7 @@ Status LocalEngine::MultiplyBuffered(const BlockGrid& out_grid,
       GemmStats stats;
       GemmScratch scratch = PooledScratch();
       auto res = Multiply(*a, *b, trans_a, trans_b, &scratch,
-                          observe ? &stats : nullptr, &par);
+                          observe ? &stats : nullptr);
       if (!res.ok()) {
         errors.Record(res.status());
         return;

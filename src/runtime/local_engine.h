@@ -66,10 +66,9 @@ class LocalEngine {
   /// matrix/kernels.h): the BlockFn is still called with *logical* indices
   /// of the effective operand — the caller maps them to stored indices —
   /// and each fetched stored block is consumed through the flagged kernels
-  /// without materializing its transpose. Large dense products inside each
-  /// block task additionally fan their GEMM tile tasks out over the same
-  /// pool (GemmParallel in matrix/kernels.h); the caller-participating loop
-  /// makes that nesting deadlock-free.
+  /// without materializing its transpose. Each block task runs its kernels
+  /// serially on the pool thread that claimed it: block tasks are the
+  /// engine's only unit of parallel work.
   Status MultiplyBlocks(const BlockGrid& out_grid,
                         const std::vector<MultiplyTask>& tasks,
                         const BlockFn& get_a, const BlockFn& get_b,
@@ -88,10 +87,9 @@ class LocalEngine {
   void SetWorkerContext(int worker) { trace_worker_ = worker; }
 
   /// Attaches the query's cancel token (may be null). Once the token fires,
-  /// still-queued tasks are abandoned (never run), running GEMMs stop at
-  /// their next tile-task boundary, and each engine call returns the
-  /// token's status after its batch drains — the kernel-task poll boundary
-  /// of docs/governance.md.
+  /// still-queued tasks are abandoned (never run), running tasks finish,
+  /// and each engine call returns the token's status after its batch
+  /// drains — the kernel-task poll boundary of docs/governance.md.
   void SetCancelToken(const CancelToken* token) { cancel_ = token; }
 
  private:
@@ -103,11 +101,6 @@ class LocalEngine {
                           const std::vector<MultiplyTask>& tasks,
                           const BlockFn& get_a, const BlockFn& get_b,
                           const SinkFn& sink, bool trans_a, bool trans_b);
-
-  /// Intra-kernel parallelism context for this batch's dense GEMMs: the
-  /// shared pool, the cancel flag, and (when tracing) a per-tile span
-  /// wrapper. Valid for the duration of one Dispatch.
-  GemmParallel TileParallel() const;
 
   /// Packing scratch drawing from the engine's buffer pool, so the
   /// governor's accounting sees GEMM panels like any other pooled block.

@@ -95,7 +95,7 @@ TEST(MultiplyTest, IdentityIsNeutral) {
 TEST(MultiplySparseTest, MatchesDenseMultiply) {
   Block a = RandomSparseBlock(12, 15, 0.2, 5);
   Block b = RandomSparseBlock(15, 9, 0.2, 6);
-  auto sparse = MultiplySparse(a.sparse(), b.sparse());
+  auto sparse = MultiplySparseChain({{&a.sparse(), &b.sparse()}}, 12, 9);
   ASSERT_TRUE(sparse.ok());
   auto dense = Multiply(a, b);
   ASSERT_TRUE(dense.ok());
@@ -106,7 +106,7 @@ TEST(MultiplySparseTest, ResultIsStructurallySparse) {
   CscBuilder ab(4, 4);
   ab.Add(0, 0, 2.0f);
   Block a(ab.Build());
-  auto c = MultiplySparse(a.sparse(), a.sparse());
+  auto c = MultiplySparseChain({{&a.sparse(), &a.sparse()}}, 4, 4);
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c->nnz(), 1);
   EXPECT_FLOAT_EQ(c->At(0, 0), 4.0f);
@@ -114,7 +114,7 @@ TEST(MultiplySparseTest, ResultIsStructurallySparse) {
 
 TEST(MultiplySparseTest, DimensionMismatchRejected) {
   CscBlock a(3, 4), b(5, 6);
-  EXPECT_FALSE(MultiplySparse(a, b).ok());
+  EXPECT_FALSE(MultiplySparseChain({{&a, &b}}, 3, 6).ok());
 }
 
 // ---- element-wise operators across format combinations ------------------

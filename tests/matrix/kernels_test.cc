@@ -83,11 +83,12 @@ struct Dims {
   int64_t m, k, n;
 };
 
-// Degenerate vectors, odd non-tile-multiples, and a shape crossing every
-// cache-block boundary (m > kGemmMc, k > kGemmKc, n > kGemmNr panels).
+// Degenerate vectors, odd non-tile-multiples, a shape crossing the Mc, Kc
+// and Nr boundaries (m > kGemmMc, k > kGemmKc, n > kGemmNr), and a wide one
+// whose n > kGemmNc runs the macro-kernel's outer column loop twice.
 const Dims kShapes[] = {
     {1, 17, 5}, {13, 1, 9}, {7, 9, 1}, {3, 3, 3},
-    {33, 29, 31}, {130, 259, 63},
+    {33, 29, 31}, {130, 259, 63}, {9, 17, 1030},
 };
 
 // ---- differential: every flavor x flag combo vs the seed loops ----------

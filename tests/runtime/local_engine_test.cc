@@ -2,11 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 
 #include "common/sync.h"
-
 #include "common/thread_pool.h"
+#include "governor/cancel_token.h"
 #include "matrix/local_matrix.h"
 #include "matrix/mem_tracker.h"
 
@@ -21,6 +22,18 @@ class LocalEngineTest : public ::testing::TestWithParam<LocalMode> {
 
   LocalEngine MakeEngine(LocalMode mode) {
     return LocalEngine(&pool_, &buffers_, mode);
+  }
+
+  /// One task per block of `grid`, each summing over k in [0, k_blocks).
+  static std::vector<MultiplyTask> EveryBlock(const BlockGrid& grid,
+                                              int64_t k_blocks) {
+    std::vector<MultiplyTask> tasks;
+    for (int64_t bi = 0; bi < grid.block_rows(); ++bi) {
+      for (int64_t bj = 0; bj < grid.block_cols(); ++bj) {
+        tasks.push_back({bi, bj, 0, k_blocks});
+      }
+    }
+    return tasks;
   }
 
   static LocalEngine::BlockFn Source(const LocalMatrix& m) {
@@ -42,13 +55,8 @@ TEST_P(LocalEngineTest, BlockedMultiplyMatchesOracle) {
   const Shape a_shape{40, 36};
   const Shape b_shape{36, 24};
   const BlockGrid out_grid{{40, 24}, 8};
-  const int64_t k_blocks = BlockGrid{b_shape, 8}.block_rows();
-  std::vector<MultiplyTask> tasks;
-  for (int64_t bi = 0; bi < out_grid.block_rows(); ++bi) {
-    for (int64_t bj = 0; bj < out_grid.block_cols(); ++bj) {
-      tasks.push_back({bi, bj, 0, k_blocks});
-    }
-  }
+  const std::vector<MultiplyTask> tasks =
+      EveryBlock(out_grid, BlockGrid{b_shape, 8}.block_rows());
   auto make = [](Shape shape, bool sparse, uint64_t seed) {
     return sparse ? LocalMatrix::RandomSparse(shape, 8, 0.2, seed)
                   : LocalMatrix::RandomDense(shape, 8, seed);
@@ -145,6 +153,72 @@ TEST_P(LocalEngineTest, RunTasksPropagatesFirstError) {
   tasks.push_back([] { return Status::Ok(); });
   Status st = engine.RunTasks(tasks);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+}
+
+// Cancellation happens only at block-task boundaries: the pool abandons
+// every task still queued once the token fires, and each engine call
+// reports the token's status after its batch drains.
+
+TEST_P(LocalEngineTest, PreFiredCancelTokenRunsNoTask) {
+  const LocalMatrix a = LocalMatrix::RandomDense({32, 32}, 8, 5);
+  const LocalMatrix b = LocalMatrix::RandomDense({32, 32}, 8, 6);
+  const BlockGrid out_grid{{32, 32}, 8};
+  const std::vector<MultiplyTask> tasks = EveryBlock(out_grid, 4);
+  CancelToken token = CancelToken::Cancellable();
+  token.Cancel();
+  LocalEngine engine = MakeEngine(GetParam());
+  engine.SetCancelToken(&token);
+
+  std::atomic<int> sunk{0};
+  Status st = engine.MultiplyBlocks(out_grid, tasks, Source(a), Source(b),
+                                    [&](int64_t, int64_t, Block) { ++sunk; });
+  EXPECT_EQ(st.code(), StatusCode::kCancelled) << st;
+  EXPECT_EQ(sunk.load(), 0);
+
+  std::atomic<int> ran{0};
+  std::vector<std::function<Status()>> work(8, [&] {
+    ++ran;
+    return Status::Ok();
+  });
+  st = engine.RunTasks(work);
+  EXPECT_EQ(st.code(), StatusCode::kCancelled) << st;
+  EXPECT_EQ(ran.load(), 0);
+}
+
+TEST_P(LocalEngineTest, CancelFiredInsideFirstTaskReturnsCancelled) {
+  const LocalMatrix a = LocalMatrix::RandomDense({64, 64}, 8, 7);
+  const LocalMatrix b = LocalMatrix::RandomDense({64, 64}, 8, 8);
+  const BlockGrid out_grid{{64, 64}, 8};
+  const std::vector<MultiplyTask> tasks = EveryBlock(out_grid, 8);
+  CancelToken token = CancelToken::Cancellable();
+  LocalEngine engine = MakeEngine(GetParam());
+  engine.SetCancelToken(&token);
+
+  // Every operand fetch fires the token, so once a task has begun no
+  // queued task starts: only the tasks already picked up by then (at most
+  // one per pool thread) run to completion.
+  const LocalEngine::BlockFn source_a = Source(a);
+  const LocalEngine::BlockFn firing_a = [&](int64_t bi, int64_t k) {
+    token.Cancel();
+    return source_a(bi, k);
+  };
+  std::atomic<int> sunk{0};
+  Status st = engine.MultiplyBlocks(out_grid, tasks, firing_a, Source(b),
+                                    [&](int64_t, int64_t, Block) { ++sunk; });
+  EXPECT_EQ(st.code(), StatusCode::kCancelled) << st;
+  EXPECT_LE(sunk.load(), static_cast<int>(pool_.num_threads()));
+
+  // The same for plain tasks, with a fresh token the first task fires.
+  token = CancelToken::Cancellable();
+  std::atomic<int> ran{0};
+  std::vector<std::function<Status()>> work(64, [&] {
+    token.Cancel();
+    ++ran;
+    return Status::Ok();
+  });
+  st = engine.RunTasks(work);
+  EXPECT_EQ(st.code(), StatusCode::kCancelled) << st;
+  EXPECT_LE(ran.load(), static_cast<int>(pool_.num_threads()));
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModes, LocalEngineTest,

@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
 
   RunConfig base;
   base.num_workers = 3;
-  base.threads_per_worker = 2;
+  base.threads_per_worker = kDefaultThreadsPerWorker;
   base.block_size = kBlockSize;
   base.seed = seed;
 
