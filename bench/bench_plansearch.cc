@@ -18,6 +18,7 @@
 #include "apps/pagerank.h"
 #include "apps/runner.h"
 #include "bench_util.h"
+#include "common/json.h"
 #include "data/netflix_gen.h"
 #include "data/synthetic.h"
 #include "runtime/block_size.h"
@@ -111,7 +112,7 @@ void PrintResult(const WorkloadResult& r) {
 
 std::string ResultJson(const WorkloadResult& r) {
   char buf[512];
-  std::string out = "    {\"name\": \"" + r.name + "\",\n";
+  std::string out = "    {\"name\": " + JsonQuote(r.name) + ",\n";
   std::snprintf(buf, sizeof(buf),
                 "     \"iterations\": %d,\n"
                 "     \"greedy\": {\"est_seconds\": %.6f, "
@@ -127,7 +128,7 @@ std::string ResultJson(const WorkloadResult& r) {
                 r.search_seconds, r.OverheadVsIteration(),
                 static_cast<long long>(r.candidates));
   out += buf;
-  out += "     \"decisions\": \"" + r.decisions + "\"}";
+  out += "     \"decisions\": " + JsonQuote(r.decisions) + "}";
   return out;
 }
 
@@ -203,9 +204,10 @@ int main(int argc, char** argv) {
 
   std::string json = "{\n  \"schema\": \"dmac-plansearch-v1\",\n";
   json += "  \"scale_divisor\": " + std::to_string(scale) + ",\n";
-  json += "  \"calibration\": \"" +
-          (calibration.empty() ? std::string("builtin") : calibration) +
-          "\",\n";
+  json += "  \"calibration\": " +
+          JsonQuote(calibration.empty() ? std::string("builtin")
+                                        : calibration) +
+          ",\n";
   json += "  \"workloads\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
     json += ResultJson(results[i]);

@@ -5,43 +5,11 @@
 #include <fstream>
 #include <set>
 
+#include "common/json.h"
+
 namespace dmac {
 
 namespace {
-
-/// JSON string literal with escapes.
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out += "\"";
-  return out;
-}
 
 /// Microseconds with nanosecond precision (the format's `ts`/`dur` unit).
 std::string Micros(int64_t ns) {
@@ -74,7 +42,7 @@ std::string ChromeTraceJson(const std::vector<TraceEvent>& events) {
                  : "worker " + std::to_string(pid - 1);
     append("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
            ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":" +
-           JsonString(name) + "}}");
+           JsonQuote(name) + "}}");
     append("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
            ",\"tid\":0,\"name\":\"process_sort_index\",\"args\":{"
            "\"sort_index\":" +
@@ -86,8 +54,8 @@ std::string ChromeTraceJson(const std::vector<TraceEvent>& events) {
                       ",\"tid\":" + std::to_string(e.tid) +
                       ",\"ts\":" + Micros(e.start_ns) +
                       ",\"dur\":" + Micros(e.dur_ns) +
-                      ",\"cat\":" + JsonString(e.category) +
-                      ",\"name\":" + JsonString(e.name);
+                      ",\"cat\":" + JsonQuote(e.category) +
+                      ",\"name\":" + JsonQuote(e.name);
     if (!e.args.empty()) obj += ",\"args\":{" + e.args + "}";
     obj += "}";
     append(obj);

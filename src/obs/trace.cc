@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "common/json.h"
+
 namespace dmac {
 
 namespace {
@@ -12,39 +14,6 @@ int64_t SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Renders a JSON string literal (with escapes) into `out`.
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -108,29 +77,17 @@ void TraceRecorder::Clear() {
 }
 
 std::string TraceArg(const std::string& key, const std::string& value) {
-  std::string out;
-  AppendJsonString(key, &out);
-  out.push_back(':');
-  AppendJsonString(value, &out);
-  return out;
+  return JsonQuote(key) + ":" + JsonQuote(value);
 }
 
 std::string TraceArg(const std::string& key, double value) {
-  std::string out;
-  AppendJsonString(key, &out);
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out.push_back(':');
-  out += buf;
-  return out;
+  return JsonQuote(key) + ":" + buf;
 }
 
 std::string TraceArg(const std::string& key, int64_t value) {
-  std::string out;
-  AppendJsonString(key, &out);
-  out.push_back(':');
-  out += std::to_string(value);
-  return out;
+  return JsonQuote(key) + ":" + std::to_string(value);
 }
 
 }  // namespace dmac

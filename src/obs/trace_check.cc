@@ -1,235 +1,14 @@
 #include "obs/trace_check.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <map>
-#include <memory>
 #include <sstream>
-#include <vector>
+
+#include "common/json.h"
 
 namespace dmac {
 
 namespace {
-
-// ---- minimal JSON parser -------------------------------------------------
-// Recursive descent over the full JSON grammar (objects, arrays, strings,
-// numbers, true/false/null). Values are held in a small variant tree; the
-// validator only ever walks two levels deep, so no effort is spent on
-// performance.
-
-struct JsonValue;
-using JsonValuePtr = std::unique_ptr<JsonValue>;
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string string;
-  std::vector<JsonValuePtr> array;
-  std::map<std::string, JsonValuePtr> object;
-
-  const JsonValue* Get(const std::string& key) const {
-    auto it = object.find(key);
-    return it == object.end() ? nullptr : it->second.get();
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  Result<JsonValuePtr> Parse() {
-    DMAC_ASSIGN_OR_RETURN(JsonValuePtr value, ParseValue());
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Error("trailing characters after top-level value");
-    }
-    return value;
-  }
-
- private:
-  Status Error(const std::string& msg) const {
-    return Status::Invalid("JSON parse error at offset " +
-                           std::to_string(pos_) + ": " + msg);
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() && std::isspace(
-                                      static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Result<JsonValuePtr> ParseValue() {
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Error("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
-    if (c == '"') return ParseString();
-    if (c == 't' || c == 'f') return ParseBool();
-    if (c == 'n') return ParseNull();
-    if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
-      return ParseNumber();
-    }
-    return Error(std::string("unexpected character '") + c + "'");
-  }
-
-  Result<JsonValuePtr> ParseObject() {
-    ++pos_;  // '{'
-    auto value = std::make_unique<JsonValue>();
-    value->type = JsonValue::Type::kObject;
-    if (Consume('}')) return value;
-    while (true) {
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Error("expected object key string");
-      }
-      DMAC_ASSIGN_OR_RETURN(JsonValuePtr key, ParseString());
-      if (!Consume(':')) return Error("expected ':' after object key");
-      DMAC_ASSIGN_OR_RETURN(JsonValuePtr member, ParseValue());
-      value->object[key->string] = std::move(member);
-      if (Consume(',')) continue;
-      if (Consume('}')) return value;
-      return Error("expected ',' or '}' in object");
-    }
-  }
-
-  Result<JsonValuePtr> ParseArray() {
-    ++pos_;  // '['
-    auto value = std::make_unique<JsonValue>();
-    value->type = JsonValue::Type::kArray;
-    if (Consume(']')) return value;
-    while (true) {
-      DMAC_ASSIGN_OR_RETURN(JsonValuePtr element, ParseValue());
-      value->array.push_back(std::move(element));
-      if (Consume(',')) continue;
-      if (Consume(']')) return value;
-      return Error("expected ',' or ']' in array");
-    }
-  }
-
-  Result<JsonValuePtr> ParseString() {
-    ++pos_;  // '"'
-    auto value = std::make_unique<JsonValue>();
-    value->type = JsonValue::Type::kString;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return value;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-            value->string.push_back('"');
-            break;
-          case '\\':
-            value->string.push_back('\\');
-            break;
-          case '/':
-            value->string.push_back('/');
-            break;
-          case 'b':
-            value->string.push_back('\b');
-            break;
-          case 'f':
-            value->string.push_back('\f');
-            break;
-          case 'n':
-            value->string.push_back('\n');
-            break;
-          case 'r':
-            value->string.push_back('\r');
-            break;
-          case 't':
-            value->string.push_back('\t');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return Error("truncated \\u escape");
-            for (int i = 0; i < 4; ++i) {
-              if (!std::isxdigit(
-                      static_cast<unsigned char>(text_[pos_ + i]))) {
-                return Error("bad \\u escape");
-              }
-            }
-            // The validator never inspects escaped content; keep it verbatim.
-            value->string += "\\u" + text_.substr(pos_, 4);
-            pos_ += 4;
-            break;
-          }
-          default:
-            return Error(std::string("bad escape '\\") + esc + "'");
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
-      } else {
-        value->string.push_back(c);
-      }
-    }
-    return Error("unterminated string");
-  }
-
-  Result<JsonValuePtr> ParseNumber() {
-    const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double parsed = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0' || token.empty()) {
-      return Error("malformed number '" + token + "'");
-    }
-    auto value = std::make_unique<JsonValue>();
-    value->type = JsonValue::Type::kNumber;
-    value->number = parsed;
-    return value;
-  }
-
-  Result<JsonValuePtr> ParseBool() {
-    auto value = std::make_unique<JsonValue>();
-    value->type = JsonValue::Type::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      value->boolean = true;
-      pos_ += 4;
-      return value;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      value->boolean = false;
-      pos_ += 5;
-      return value;
-    }
-    return Error("bad literal");
-  }
-
-  Result<JsonValuePtr> ParseNull() {
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return std::make_unique<JsonValue>();
-    }
-    return Error("bad literal");
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
 
 Status EventError(size_t index, const std::string& msg) {
   return Status::Invalid("traceEvents[" + std::to_string(index) + "]: " +
@@ -259,25 +38,25 @@ std::string TraceCheckSummary::ToString() const {
 }
 
 Result<TraceCheckSummary> CheckChromeTrace(const std::string& json) {
-  DMAC_ASSIGN_OR_RETURN(JsonValuePtr root, JsonParser(json).Parse());
-  if (root->type != JsonValue::Type::kObject) {
+  DMAC_ASSIGN_OR_RETURN(JsonValue root, ParseJson(json));
+  if (root.type != JsonValue::Type::kObject) {
     return Status::Invalid("top-level value is not an object");
   }
-  const JsonValue* events = root->Get("traceEvents");
+  const JsonValue* events = root.Find("traceEvents");
   if (events == nullptr || events->type != JsonValue::Type::kArray) {
     return Status::Invalid("missing traceEvents array");
   }
 
   TraceCheckSummary summary;
   for (size_t i = 0; i < events->array.size(); ++i) {
-    const JsonValue& e = *events->array[i];
+    const JsonValue& e = events->array[i];
     if (e.type != JsonValue::Type::kObject) {
       return EventError(i, "not an object");
     }
-    const JsonValue* ph = e.Get("ph");
+    const JsonValue* ph = e.Find("ph");
     if (!IsString(ph)) return EventError(i, "missing string 'ph'");
-    if (!IsNumber(e.Get("pid"))) return EventError(i, "missing number 'pid'");
-    const int pid = static_cast<int>(e.Get("pid")->number);
+    if (!IsNumber(e.Find("pid"))) return EventError(i, "missing number 'pid'");
+    const int pid = static_cast<int>(e.Find("pid")->number);
     if (pid < 0) return EventError(i, "negative pid");
     summary.max_pid = std::max(summary.max_pid, pid);
 
@@ -288,22 +67,22 @@ Result<TraceCheckSummary> CheckChromeTrace(const std::string& json) {
     if (ph->string != "X") {
       return EventError(i, "unexpected phase '" + ph->string + "'");
     }
-    if (!IsString(e.Get("name"))) {
+    if (!IsString(e.Find("name"))) {
       return EventError(i, "missing string 'name'");
     }
-    if (!IsString(e.Get("cat"))) return EventError(i, "missing string 'cat'");
-    if (!IsNumber(e.Get("tid"))) return EventError(i, "missing number 'tid'");
-    if (!IsNumber(e.Get("ts"))) return EventError(i, "missing number 'ts'");
-    if (!IsNumber(e.Get("dur"))) return EventError(i, "missing number 'dur'");
-    if (e.Get("ts")->number < 0) return EventError(i, "negative ts");
-    if (e.Get("dur")->number < 0) return EventError(i, "negative dur");
-    const JsonValue* args = e.Get("args");
+    if (!IsString(e.Find("cat"))) return EventError(i, "missing string 'cat'");
+    if (!IsNumber(e.Find("tid"))) return EventError(i, "missing number 'tid'");
+    if (!IsNumber(e.Find("ts"))) return EventError(i, "missing number 'ts'");
+    if (!IsNumber(e.Find("dur"))) return EventError(i, "missing number 'dur'");
+    if (e.Find("ts")->number < 0) return EventError(i, "negative ts");
+    if (e.Find("dur")->number < 0) return EventError(i, "negative dur");
+    const JsonValue* args = e.Find("args");
     if (args != nullptr && args->type != JsonValue::Type::kObject) {
       return EventError(i, "'args' is not an object");
     }
 
     ++summary.total_events;
-    const std::string& cat = e.Get("cat")->string;
+    const std::string& cat = e.Find("cat")->string;
     if (cat == "stage") ++summary.stage_spans;
     if (cat == "comm") ++summary.comm_spans;
     if (cat == "task") ++summary.task_spans;

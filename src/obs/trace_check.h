@@ -1,9 +1,11 @@
 // Structural validator for emitted Chrome-trace JSON.
 //
 // Used by tools/dmac_trace_check (the CI smoke checker) and the obs tests.
-// It re-parses the emitted document with a small self-contained JSON parser
-// — deliberately not the exporter's own code — and checks the Trace Event
-// Format contract plus this repo's span-model guarantees.
+// It parses the document with the shared strict reader (common/json.h) and
+// checks the Trace Event Format contract plus this repo's span-model
+// guarantees. That reader shares a module with the exporter's string
+// quoter, so CI also loads emitted traces with Python's json module: a
+// parser that shares no code with the exporter.
 #pragma once
 
 #include <cstdint>

@@ -1,204 +1,31 @@
 #include "plan/costmodel.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "common/json.h"
 #include "matrix/block.h"
 
 namespace dmac {
 
 namespace {
 
-// ---- minimal JSON reader -------------------------------------------------
-// Self-contained like the trace validator's (obs/trace_check.cc): the two
-// calibration schemas are flat, so a small recursive-descent parser keeps
-// this layer free of external dependencies.
-
-struct Json {
-  enum Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string string;
-  std::vector<Json> array;
-  std::vector<std::pair<std::string, Json>> object;
-
-  const Json* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text)
-      : p_(text.data()), end_(text.data() + text.size()) {}
-
-  Result<Json> Parse() {
-    DMAC_ASSIGN_OR_RETURN(Json v, Value());
-    SkipSpace();
-    if (p_ != end_) return Err("trailing characters");
-    return v;
-  }
-
- private:
-  Status Err(const std::string& what) const {
-    return Status::Invalid("calibration JSON: " + what);
-  }
-
-  void SkipSpace() {
-    while (p_ != end_ && std::isspace(static_cast<unsigned char>(*p_))) ++p_;
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (p_ == end_ || *p_ != c) return false;
-    ++p_;
-    return true;
-  }
-
-  Result<Json> Value() {
-    SkipSpace();
-    if (p_ == end_) return Err("unexpected end of input");
-    switch (*p_) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-      case 'f':
-        return Boolean();
-      case 'n':
-        return Null();
-      default:
-        return Number();
-    }
-  }
-
-  Result<Json> Object() {
-    ++p_;  // '{'
-    Json v;
-    v.type = Json::kObject;
-    if (Consume('}')) return v;
-    while (true) {
-      SkipSpace();
-      if (p_ == end_ || *p_ != '"') return Err("expected object key");
-      DMAC_ASSIGN_OR_RETURN(Json key, String());
-      if (!Consume(':')) return Err("expected ':'");
-      DMAC_ASSIGN_OR_RETURN(Json val, Value());
-      v.object.emplace_back(std::move(key.string), std::move(val));
-      if (Consume(',')) continue;
-      if (Consume('}')) return v;
-      return Err("expected ',' or '}'");
-    }
-  }
-
-  Result<Json> Array() {
-    ++p_;  // '['
-    Json v;
-    v.type = Json::kArray;
-    if (Consume(']')) return v;
-    while (true) {
-      DMAC_ASSIGN_OR_RETURN(Json elem, Value());
-      v.array.push_back(std::move(elem));
-      if (Consume(',')) continue;
-      if (Consume(']')) return v;
-      return Err("expected ',' or ']'");
-    }
-  }
-
-  Result<Json> String() {
-    ++p_;  // '"'
-    Json v;
-    v.type = Json::kString;
-    while (p_ != end_ && *p_ != '"') {
-      if (*p_ == '\\') {
-        ++p_;
-        if (p_ == end_) break;
-        switch (*p_) {
-          case 'n': v.string.push_back('\n'); break;
-          case 't': v.string.push_back('\t'); break;
-          case 'u':
-            // Calibration documents are ASCII; skip the four hex digits.
-            for (int i = 0; i < 4 && p_ + 1 != end_; ++i) ++p_;
-            v.string.push_back('?');
-            break;
-          default: v.string.push_back(*p_); break;
-        }
-        ++p_;
-      } else {
-        v.string.push_back(*p_++);
-      }
-    }
-    if (p_ == end_) return Err("unterminated string");
-    ++p_;  // closing '"'
-    return v;
-  }
-
-  Result<Json> Boolean() {
-    Json v;
-    v.type = Json::kBool;
-    if (end_ - p_ >= 4 && std::equal(p_, p_ + 4, "true")) {
-      v.boolean = true;
-      p_ += 4;
-      return v;
-    }
-    if (end_ - p_ >= 5 && std::equal(p_, p_ + 5, "false")) {
-      v.boolean = false;
-      p_ += 5;
-      return v;
-    }
-    return Err("bad literal");
-  }
-
-  Result<Json> Null() {
-    if (end_ - p_ >= 4 && std::equal(p_, p_ + 4, "null")) {
-      p_ += 4;
-      Json v;
-      return v;
-    }
-    return Err("bad literal");
-  }
-
-  Result<Json> Number() {
-    const char* start = p_;
-    while (p_ != end_ &&
-           (std::isdigit(static_cast<unsigned char>(*p_)) || *p_ == '-' ||
-            *p_ == '+' || *p_ == '.' || *p_ == 'e' || *p_ == 'E')) {
-      ++p_;
-    }
-    if (start == p_) return Err("expected a value");
-    Json v;
-    v.type = Json::kNumber;
-    try {
-      v.number = std::stod(std::string(start, p_));
-    } catch (...) {
-      return Err("bad number");
-    }
-    return v;
-  }
-
-  const char* p_;
-  const char* end_;
-};
-
-double NumberField(const Json& entry, const std::string& key) {
-  const Json* v = entry.Find(key);
-  return (v != nullptr && v->type == Json::kNumber) ? v->number : 0;
+// Entry fields read from a document ParseJson accepted; a missing or
+// mistyped field reads as 0 / "" and Parse's checks decide if that is fatal.
+double NumberField(const JsonValue& entry, const std::string& key) {
+  const JsonValue* v = entry.Find(key);
+  return (v != nullptr && v->type == JsonValue::Type::kNumber) ? v->number
+                                                               : 0;
 }
 
-std::string StringField(const Json& entry, const std::string& key) {
-  const Json* v = entry.Find(key);
-  return (v != nullptr && v->type == Json::kString) ? v->string : "";
+std::string StringField(const JsonValue& entry, const std::string& key) {
+  const JsonValue* v = entry.Find(key);
+  return (v != nullptr && v->type == JsonValue::Type::kString) ? v->string
+                                                               : "";
 }
 
 }  // namespace
@@ -271,8 +98,12 @@ CalibrationRate CalibrationTable::Lookup(const std::string& kind,
 
 Result<CalibrationTable> CalibrationTable::Parse(const std::string& json,
                                                  const std::string& source) {
-  DMAC_ASSIGN_OR_RETURN(Json doc, JsonParser(json).Parse());
-  if (doc.type != Json::kObject) {
+  Result<JsonValue> parsed = ParseJson(json);
+  if (!parsed.ok()) {
+    return Status::Invalid("calibration JSON: " + parsed.status().message());
+  }
+  const JsonValue& doc = *parsed;
+  if (doc.type != JsonValue::Type::kObject) {
     return Status::Invalid("calibration JSON: not an object");
   }
   const std::string schema = StringField(doc, "schema");
@@ -280,15 +111,15 @@ Result<CalibrationTable> CalibrationTable::Parse(const std::string& json,
     return Status::Invalid("calibration JSON: unknown schema '" +
                                    schema + "'");
   }
-  const Json* entries = doc.Find("entries");
-  if (entries == nullptr || entries->type != Json::kArray ||
+  const JsonValue* entries = doc.Find("entries");
+  if (entries == nullptr || entries->type != JsonValue::Type::kArray ||
       entries->array.empty()) {
     return Status::Invalid("calibration JSON: no entries");
   }
   CalibrationTable t;
   t.source_ = source;
-  for (const Json& e : entries->array) {
-    if (e.type != Json::kObject) {
+  for (const JsonValue& e : entries->array) {
+    if (e.type != JsonValue::Type::kObject) {
       return Status::Invalid("calibration JSON: entry not an object");
     }
     const std::string kind = StringField(e, "kind");

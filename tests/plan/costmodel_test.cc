@@ -110,6 +110,35 @@ TEST(CalibrationTableTest, RejectsUnknownSchemaAndEmptyEntries) {
   EXPECT_FALSE(CalibrationTable::Parse("not json", "x").ok());
 }
 
+TEST(CalibrationTableTest, RejectsMalformedJson) {
+  // Each document is well formed apart from one token; the calibration
+  // reader used to accept all of these.
+  const std::string head =
+      R"({"schema":"dmac-calibration-v1","entries":[{"kind":"gemm",)";
+  const std::string bad_fields[] = {
+      R"("gflops":1-2)",     R"("gflops":+1)",    R"("gflops":.5)",
+      R"("gflops":1.2.3)",   R"("trans":"\uZZZZ")",
+      "\"trans\":\"n\tn\"",  "\"trans\":\"n\x01n\"",
+  };
+  ASSERT_TRUE(CalibrationTable::Parse(head + R"("gflops":1}]})", "x").ok());
+  for (const std::string& field : bad_fields) {
+    EXPECT_FALSE(CalibrationTable::Parse(head + field + "}]}", "x").ok())
+        << "accepted " << field;
+  }
+  // Nesting past the reader's bound is an error, not a stack overflow.
+  EXPECT_FALSE(CalibrationTable::Parse(std::string(1000000, '['), "x").ok());
+}
+
+TEST(CalibrationTableTest, DuplicateKeysTakeTheLastValue) {
+  auto t = CalibrationTable::Parse(
+      R"({"schema":"dmac-calibration-v1","entries":[
+          {"kind":"gemm","representation":"dense_dense","trans":"nn",
+           "block_size":256,"threads":1,"gflops":1.0,"gflops":7.0}]})",
+      "x");
+  ASSERT_TRUE(t.ok()) << t.status();
+  EXPECT_DOUBLE_EQ(t->Lookup("gemm", "dense_dense", "nn", 256).gflops, 7.0);
+}
+
 TEST(CalibrationTableTest, UnreadablePathFallsBackToByteCost) {
   auto t = CalibrationTable::Load("/nonexistent/calibration.json");
   ASSERT_TRUE(t.ok()) << t.status();

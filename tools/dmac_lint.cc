@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "analysis/analyzer.h"
+#include "common/json.h"
 #include "lang/decompose.h"
 #include "lang/parser.h"
 #include "plan/costmodel.h"
@@ -67,51 +68,17 @@ int ExitCode(const AnalysisReport& report, bool werror) {
   return 0;
 }
 
-/// Renders a JSON string literal with escapes.
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
 /// One diagnostic as a JSON record. The script has no per-op source
 /// positions, so `line` is 0 (whole file) and `op` carries the operator /
 /// plan-step id the finding is tied to (-1 when global).
 std::string DiagnosticJson(const std::string& file, const Diagnostic& d) {
-  std::string out = "    {\"file\":" + JsonString(file) + ",\"line\":0";
-  out += ",\"severity\":" + JsonString(SeverityName(d.severity));
-  out += ",\"pass\":" + JsonString(d.pass);
+  std::string out = "    {\"file\":" + JsonQuote(file) + ",\"line\":0";
+  out += ",\"severity\":" + JsonQuote(SeverityName(d.severity));
+  out += ",\"pass\":" + JsonQuote(d.pass);
   out += ",\"op\":" + std::to_string(d.op_id);
-  out += ",\"message\":" + JsonString(d.message);
+  out += ",\"message\":" + JsonQuote(d.message);
   if (!d.fixit_hint.empty()) {
-    out += ",\"fixit\":" + JsonString(d.fixit_hint);
+    out += ",\"fixit\":" + JsonQuote(d.fixit_hint);
   }
   out += "}";
   return out;
@@ -127,7 +94,7 @@ std::string DiagnosticJson(const std::string& file, const Diagnostic& d) {
 void PrintJson(const std::string& file, const char* phase,
                const AnalysisReport& report, const std::string& extra = "") {
   std::string out = "{\"schema\":\"dmac-lint-v1\"";
-  out += ",\"file\":" + JsonString(file);
+  out += ",\"file\":" + JsonQuote(file);
   out += ",\"phase\":\"";
   out += phase;
   out += "\"";
@@ -192,7 +159,7 @@ std::string CostJson(const Plan& plan, const CostModel& model,
                      const PlanCost& cost) {
   char buf[160];
   std::string out = ",\"cost\":{";
-  out += "\"calibration\":" + JsonString(model.table().source());
+  out += "\"calibration\":" + JsonQuote(model.table().source());
   out += ",\"byte_cost_only\":";
   out += model.table().byte_cost_only() ? "true" : "false";
   std::snprintf(buf, sizeof(buf),
@@ -210,7 +177,7 @@ std::string CostJson(const Plan& plan, const CostModel& model,
                   i == 0 ? "" : ",", plan.steps[i].id, plan.steps[i].stage,
                   sc.comm_bytes, sc.seconds());
     out += buf;
-    out += JsonString(StepCostLabel(plan.steps[i]));
+    out += JsonQuote(StepCostLabel(plan.steps[i]));
     out += "}";
   }
   out += "]}";
@@ -238,7 +205,7 @@ std::string SearchJson(const SearchResult& sres, PlanSearchMode mode,
                        int beam_width) {
   char buf[160];
   std::string out = ",\"search\":{";
-  out += "\"mode\":" + JsonString(PlanSearchModeName(mode));
+  out += "\"mode\":" + JsonQuote(PlanSearchModeName(mode));
   std::snprintf(buf, sizeof(buf),
                 ",\"beam_width\":%d,\"rejected\":%lld,\"seconds\":%.6f",
                 beam_width, static_cast<long long>(sres.stats.rejected),
@@ -253,7 +220,7 @@ std::string SearchJson(const SearchResult& sres, PlanSearchMode mode,
                   i == 0 ? "" : ",", i, c.greedy ? "true" : "false",
                   c.cost.seconds(), c.cost.comm_bytes);
     out += buf;
-    out += JsonString(c.decisions);
+    out += JsonQuote(c.decisions);
     out += "}";
   }
   out += "]}";
