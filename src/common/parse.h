@@ -4,7 +4,9 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <system_error>
 
@@ -28,6 +30,19 @@ Status ParseInt(const std::string& key, const std::string& value, Int* out) {
                            "'");
   }
   *out = v;
+  return Status::Ok();
+}
+
+/// Converts a non-negative count of megabytes (MiB) to bytes, rejecting
+/// counts whose byte value does not fit int64_t. `key` names the value in
+/// the error message.
+inline Status MegabytesToBytes(const std::string& key, int64_t mb,
+                               int64_t* bytes) {
+  if (mb < 0 || mb > (std::numeric_limits<int64_t>::max() >> 20)) {
+    return Status::Invalid(key + ": " + std::to_string(mb) +
+                           " MB is out of range in bytes");
+  }
+  *bytes = mb << 20;
   return Status::Ok();
 }
 

@@ -19,12 +19,6 @@ struct GovernorContext {
   CancelToken token;
   std::shared_ptr<MemoryBudget> budget;
   std::shared_ptr<SpillStore> spill;
-
-  /// True when any governance is attached.
-  bool governed() const { return token.active() || budget != nullptr; }
-
-  /// True when block stores must charge (and possibly spill) memory.
-  bool budgeted() const { return budget != nullptr; }
 };
 
 }  // namespace dmac

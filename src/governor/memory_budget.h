@@ -1,15 +1,15 @@
 // Per-query memory budget (docs/governance.md).
 //
-// A MemoryBudget is a thread-safe byte account charged by everything that
-// holds simulated cluster memory on behalf of one query: the per-worker
-// partition stores (`runtime/dist_matrix.h`) and the result buffer pool
-// (`runtime/buffer_pool.h`). The budget models the *cluster's* aggregate
-// memory, so a block broadcast to N workers is charged N times, matching
-// `DistMatrix::TotalStoredBytes`.
+// A MemoryBudget is a thread-safe byte account for one query. Only the
+// governor layer (`runtime/governor_layer.h`) charges it, from the driver
+// thread at step boundaries: the resident bytes the per-worker partition
+// stores (`runtime/dist_matrix.h`) own. The budget models the *cluster's*
+// aggregate memory, so a block broadcast to N workers is charged N times,
+// matching `DistMatrix::TotalStoredBytes`.
 //
-// Charging never blocks and is allowed to overshoot: the executor enforces
-// the limit at step boundaries by spilling cold blocks to disk and fails
-// the query with `kResourceExhausted` only when spilling cannot get the
+// Charging never blocks and is allowed to overshoot: the layer enforces
+// the limit before each step by spilling cold blocks to disk and fails the
+// query with `kResourceExhausted` only when spilling cannot get the
 // resident set back under the limit.
 #pragma once
 

@@ -237,8 +237,8 @@ Status GemmDense(const DenseBlock& a, const DenseBlock& b, bool trans_a,
   GemmScratch local;
   if (scratch == nullptr) scratch = &local;
   // Panels are sized to the actual blocking this call uses (capped at the
-  // full cache-block panels) so small multiplies charge small buffers
-  // against a governed budget; exhaustion propagates as a Status.
+  // full cache-block panels) so small multiplies take small buffers; a
+  // failed acquisition propagates as a Status.
   const auto round_up = [](int64_t v, int64_t unit) {
     return (v + unit - 1) / unit * unit;
   };

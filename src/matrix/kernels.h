@@ -63,7 +63,7 @@ class GemmScratch {
   GemmScratch() = default;
 
   /// Scratch drawing from an external pool (the engine passes
-  /// BufferPool::Acquire/Release so packing memory is budget-charged).
+  /// BufferPool::Acquire/Release so packing buffers are recycled).
   GemmScratch(AcquireFn acquire, ReleaseFn release)
       : acquire_(std::move(acquire)), release_(std::move(release)) {}
 
@@ -85,8 +85,8 @@ class GemmScratch {
         has_staging_(std::exchange(other.has_staging_, false)) {}
 
   /// Packed A panel of at least `elems` floats (≤ kGemmMc·kGemmKc; sized to
-  /// the operands so small multiplies charge small buffers against a
-  /// governed budget). Grows on demand, never shrinks.
+  /// the operands so small multiplies take small buffers). Grows on
+  /// demand, never shrinks.
   Result<Scalar*> PanelA(int64_t elems);
   /// Packed B panel of at least `elems` floats (≤ kGemmKc·kGemmNc).
   Result<Scalar*> PanelB(int64_t elems);
@@ -114,8 +114,7 @@ class GemmScratch {
 // must match the *effective* (post-transpose) operand shapes; dimension
 // checking lives in block_ops.cc. `scratch` may be null (a local heap
 // scratch is used); `stats` may be null (no accounting). The only failure
-// mode is scratch acquisition (kResourceExhausted under a governed memory
-// budget).
+// mode is a failed scratch acquisition from an external pool.
 
 /// acc += op(A)·op(B) over dense blocks: packed panels + micro-kernel. The
 /// packing stage absorbs the transposes, so all four flag combinations run

@@ -188,8 +188,8 @@ const std::vector<MetricSpec>& MetricCatalog() {
       {kMetricGovernorRestoreBlocks, kCounter, "blocks",
        "blocks restored from spill files"},
       {kMetricGovernorBudgetPeakBytes, kGauge, "bytes",
-       "peak bytes charged against the last query's memory budget (stores "
-       "plus pool accumulators)"},
+       "peak bytes charged against the last query's memory budget (the "
+       "stores' resident owned bytes, charged at step boundaries)"},
       {kMetricGovernorAdmitted, kCounter, "queries",
        "queries admitted by the session's admission controller"},
       {kMetricGovernorRejected, kCounter, "queries",

@@ -46,22 +46,18 @@ void AddOutstanding(int64_t delta) {
 }  // namespace
 
 BufferPool::~BufferPool() {
-  // Drop the budget charge for idle blocks. Outstanding blocks must have
-  // been released before the pool dies (the engine waits for idle).
+  // Outstanding blocks must have been released before the pool dies (the
+  // engine waits for idle).
   MutexLock lock(&mu_);
   int64_t idle_bytes = 0;
   for (const auto& [shape, blocks] : free_) {
     for (const auto& b : blocks) idle_bytes += b.MemoryBytes();
   }
-  if (idle_bytes > 0) {
-    AddHeldBytes(-idle_bytes);
-    if (budget_) budget_->Release(idle_bytes);
-  }
+  if (idle_bytes > 0) AddHeldBytes(-idle_bytes);
 }
 
-Result<DenseBlock> BufferPool::Acquire(int64_t rows, int64_t cols) {
+DenseBlock BufferPool::Acquire(int64_t rows, int64_t cols) {
   Metrics().acquires->Increment();
-  std::shared_ptr<MemoryBudget> budget;
   {
     MutexLock lock(&mu_);
     auto it = free_.find({rows, cols});
@@ -71,20 +67,10 @@ Result<DenseBlock> BufferPool::Acquire(int64_t rows, int64_t cols) {
       block.Clear();
       Metrics().reuses->Increment();
       AddOutstanding(1);
-      return block;  // already charged + counted when first allocated
+      return block;  // already counted when first allocated
     }
-    budget = budget_;  // charge the miss path against a stable snapshot
   }
-  int64_t bytes = DenseBlock::MemoryBytesFor(rows, cols);
-  if (budget && budget->ExceedsWholeBudget(bytes)) {
-    return Status::ResourceExhausted(
-        "buffer pool: a single " + std::to_string(rows) + "x" +
-        std::to_string(cols) + " block (" + std::to_string(bytes) +
-        " bytes) exceeds the whole memory budget (" +
-        std::to_string(budget->limit_bytes()) + " bytes)");
-  }
-  if (budget) budget->Charge(bytes);
-  AddHeldBytes(bytes);
+  AddHeldBytes(DenseBlock::MemoryBytesFor(rows, cols));
   AddOutstanding(1);
   return DenseBlock(rows, cols);
 }
@@ -97,9 +83,7 @@ void BufferPool::Release(DenseBlock block) {
     slot.push_back(std::move(block));
   } else {
     Metrics().discards->Increment();
-    int64_t bytes = block.MemoryBytes();
-    AddHeldBytes(-bytes);
-    if (budget_) budget_->Release(bytes);
+    AddHeldBytes(-block.MemoryBytes());
   }
 }
 
@@ -112,10 +96,6 @@ size_t BufferPool::IdleBlocks() const {
 
 int64_t BufferPool::GlobalOutstandingBlocks() {
   return g_outstanding.load(std::memory_order_relaxed);
-}
-
-int64_t BufferPool::GlobalHeldBytes() {
-  return g_held_bytes.load(std::memory_order_relaxed);
 }
 
 }  // namespace dmac

@@ -5,23 +5,18 @@
 // The pool keeps a bounded number of blocks per shape so inter-thread
 // memory is reused instead of reallocated.
 //
-// Governance (docs/governance.md): a pool may be attached to a query's
-// MemoryBudget. Freshly allocated blocks are charged to the budget and stay
-// charged while they circulate (outstanding or idle); the charge is dropped
-// when a block is discarded or the pool is destroyed. Acquire fails with
-// kResourceExhausted — instead of silently growing — when a single block
-// alone exceeds the whole budget, since spilling elsewhere cannot help.
+// The pool's blocks are bounded kernel scratch and are not charged to a
+// query's memory budget (docs/governance.md): the governor layer charges
+// the partition stores at step boundaries, so the account does not depend
+// on how the engine's threads interleave.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "common/result.h"
 #include "common/sync.h"
-#include "governor/memory_budget.h"
 #include "matrix/dense_block.h"
 
 namespace dmac {
@@ -37,18 +32,8 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Attaches a per-query budget. Call before the first Acquire; blocks
-  /// acquired earlier are not retroactively charged. Safe to call while
-  /// worker threads are acquiring (the pointer swap is under the pool lock).
-  void SetBudget(std::shared_ptr<MemoryBudget> budget) DMAC_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    budget_ = std::move(budget);
-  }
-
   /// Returns a zeroed block of the given shape (recycled when available).
-  /// Fails with kResourceExhausted when the block alone exceeds the whole
-  /// attached budget.
-  Result<DenseBlock> Acquire(int64_t rows, int64_t cols) DMAC_EXCLUDES(mu_);
+  DenseBlock Acquire(int64_t rows, int64_t cols) DMAC_EXCLUDES(mu_);
 
   /// Returns a block to the pool; dropped if the shape's slot is full.
   /// Only pass blocks obtained from this pool's Acquire.
@@ -62,13 +47,9 @@ class BufferPool {
   /// this to catch leaked accumulators.
   static int64_t GlobalOutstandingBlocks();
 
-  /// Process-wide bytes currently held by pools (outstanding + idle).
-  static int64_t GlobalHeldBytes();
-
  private:
   mutable Mutex mu_;
   const size_t max_per_shape_;
-  std::shared_ptr<MemoryBudget> budget_ DMAC_GUARDED_BY(mu_);
   std::map<std::pair<int64_t, int64_t>, std::vector<DenseBlock>> free_
       DMAC_GUARDED_BY(mu_);
 };

@@ -8,13 +8,14 @@
 // operators (reference/extract) copy pointers, not payloads — only the
 // network layer (executor) copies across stores and counts bytes.
 //
-// Governance (docs/governance.md): when a query runs under a MemoryBudget,
-// each store charges the budget for the blocks it *owns* (input matrices are
-// aliased, not owned, and stay uncharged). Cold entries can be spilled to a
-// SpillStore — the entry keeps its key and checksum but drops its payload —
-// and restored before the next step that reads them. Spilling and restoring
-// happen only on the driver thread, between steps, so readers never race a
-// payload swap.
+// Governance (docs/governance.md): each store records the bytes of the
+// blocks it *owns* (input matrices are aliased, not owned, and count
+// nothing); the governor layer (runtime/governor_layer.h) reads these at
+// step boundaries to charge the query's budget. Cold entries can be spilled
+// to a SpillStore — the entry keeps its key and checksum but drops its
+// payload — and restored before the next step that reads them. Spilling and
+// restoring happen only on the driver thread, between steps, so readers
+// never race a payload swap.
 #pragma once
 
 #include <algorithm>
@@ -30,7 +31,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "fault/checksum.h"
-#include "governor/memory_budget.h"
 #include "governor/spill_store.h"
 #include "matrix/block.h"
 #include "obs/trace.h"
@@ -70,14 +70,6 @@ class DistMatrix {
   Scheme scheme() const { return scheme_; }
   int num_workers() const { return num_workers_; }
 
-  /// Attaches the query's budget and spill store (either may be null).
-  /// Call before the first Put; earlier entries are not charged.
-  void SetGovernor(std::shared_ptr<MemoryBudget> budget,
-                   std::shared_ptr<SpillStore> spill) {
-    budget_ = std::move(budget);
-    spill_ = std::move(spill);
-  }
-
   /// Owner of block (bi, bj) under this matrix's scheme. For Broadcast
   /// every worker holds the block; this returns the canonical copy (0).
   int OwnerOf(int64_t bi, int64_t bj) const {
@@ -97,17 +89,16 @@ class DistMatrix {
   /// SetChecksums() after the producing step, keeping the fault-free path
   /// free of hashing work.
   ///
-  /// Owning blocks (use_count > 0) are charged to the attached budget;
-  /// non-owning aliases of another matrix's payload are not — the owner
-  /// already pays for them (replicas of a Broadcast matrix each own their
-  /// pointer, so cluster-wide replication cost is charged N times, matching
+  /// Owning blocks (use_count > 0) count toward OwnedBytes(); non-owning
+  /// aliases of another matrix's payload do not — the owner already counts
+  /// them (replicas of a Broadcast matrix each own their pointer, so
+  /// cluster-wide replication is counted N times, matching
   /// TotalStoredBytes()).
   void Put(int worker, int64_t bi, int64_t bj, BlockPtr block) {
     DMAC_CHECK(worker >= 0 && worker < num_workers_);
     Entry entry;
     if (block != nullptr && block.use_count() > 0) {
       entry.owned_bytes = block->MemoryBytes();
-      if (budget_) budget_->Charge(entry.owned_bytes);
     }
     entry.block = std::move(block);
     Entry& slot = stores_[static_cast<size_t>(worker)][Key(bi, bj)];
@@ -180,8 +171,8 @@ class DistMatrix {
 
   // --- Governance (docs/governance.md) -------------------------------------
 
-  /// Budget-relevant bytes this matrix owns, resident or spilled. This is
-  /// a step's pinned working-set contribution: reading the matrix requires
+  /// Bytes of the blocks this matrix owns, resident or spilled. This is a
+  /// step's pinned working-set contribution: reading the matrix requires
   /// all of it resident at once.
   int64_t OwnedBytes() const {
     int64_t total = 0;
@@ -194,8 +185,7 @@ class DistMatrix {
   /// Number of entries currently spilled to disk.
   int64_t SpilledEntries() const { return spilled_entries_; }
 
-  /// Bytes currently spilled to disk (restoring re-charges the budget by
-  /// this much).
+  /// Owned bytes currently spilled to disk.
   int64_t SpilledBytes() const {
     if (spilled_entries_ == 0) return 0;
     int64_t total = 0;
@@ -209,11 +199,9 @@ class DistMatrix {
     return total;
   }
 
-  /// Restores every spilled entry and re-charges the budget. Returns the
-  /// bytes brought back. Driver thread only.
-  Result<int64_t> EnsureResident() {
-    if (spilled_entries_ == 0) return static_cast<int64_t>(0);
-    int64_t restored = 0;
+  /// Restores every spilled entry from the store it was spilled to.
+  /// Driver thread only.
+  Status EnsureResident() {
     for (auto& store : stores_) {
       for (auto& [key, entry] : store) {
         if (entry.spill_handle == SpillStore::kNoHandle) continue;
@@ -221,20 +209,20 @@ class DistMatrix {
                               spill_->Restore(entry.spill_handle));
         entry.block = NewBlockPtr(std::move(block));
         entry.spill_handle = SpillStore::kNoHandle;
-        if (budget_) budget_->Charge(entry.owned_bytes);
-        restored += entry.owned_bytes;
         --spilled_entries_;
       }
     }
-    return restored;
+    return Status::Ok();
   }
 
-  /// Spills owned resident entries — workers ascending, keys ascending, so
-  /// the eviction order is deterministic — until at least `target_bytes`
-  /// were freed or no candidate remains. Returns the bytes freed and
-  /// released from the budget. Driver thread only.
-  Result<int64_t> SpillColdBlocks(int64_t target_bytes) {
-    if (!spill_) return static_cast<int64_t>(0);
+  /// Spills owned resident entries to `spill` — workers ascending, keys
+  /// ascending, so the eviction order is deterministic — until at least
+  /// `target_bytes` were freed or no candidate remains. Returns the bytes
+  /// freed. The matrix keeps `spill`: dropping a spilled entry removes its
+  /// file there. Driver thread only.
+  Result<int64_t> SpillColdBlocks(std::shared_ptr<SpillStore> spill,
+                                  int64_t target_bytes) {
+    spill_ = std::move(spill);
     int64_t freed = 0;
     for (int w = 0; w < num_workers_ && freed < target_bytes; ++w) {
       auto& store = stores_[static_cast<size_t>(w)];
@@ -245,7 +233,6 @@ class DistMatrix {
         DMAC_ASSIGN_OR_RETURN(int64_t handle, spill_->Spill(*entry.block));
         entry.spill_handle = handle;
         entry.block = nullptr;
-        if (budget_) budget_->Release(entry.owned_bytes);
         freed += entry.owned_bytes;
         ++spilled_entries_;
       }
@@ -339,19 +326,16 @@ class DistMatrix {
     uint64_t checksum = kNoChecksum;
     /// Spill file handle, or SpillStore::kNoHandle when resident.
     int64_t spill_handle = SpillStore::kNoHandle;
-    /// Payload bytes charged to the budget (0 for non-owning aliases).
+    /// Payload bytes owned (0 for non-owning aliases).
     int64_t owned_bytes = 0;
   };
 
-  /// Returns an entry's resources: the spill file if spilled, the budget
-  /// charge if resident and owned. Leaves the entry empty.
+  /// Removes an entry's spill file, if any, and leaves the entry empty.
   void ReleaseEntry(Entry* entry) {
     if (entry->spill_handle != SpillStore::kNoHandle) {
-      if (spill_) spill_->Remove(entry->spill_handle);
+      spill_->Remove(entry->spill_handle);
       entry->spill_handle = SpillStore::kNoHandle;
       --spilled_entries_;
-    } else if (entry->owned_bytes > 0 && budget_) {
-      budget_->Release(entry->owned_bytes);
     }
     entry->block = nullptr;
     entry->owned_bytes = 0;
@@ -361,10 +345,12 @@ class DistMatrix {
   Scheme scheme_;
   int num_workers_;
   std::vector<std::unordered_map<int64_t, Entry>> stores_;
-  std::shared_ptr<MemoryBudget> budget_;
-  std::shared_ptr<SpillStore> spill_;
+  std::shared_ptr<SpillStore> spill_;  // where spilled entries live
   int64_t spilled_entries_ = 0;
 };
+
+/// A run's node data by plan node id (null = not materialized).
+using NodeTable = std::vector<std::shared_ptr<DistMatrix>>;
 
 /// Restores every spilled block of plan node `node_id`'s matrix `dm` (null
 /// or unspilled: no-op) under one `restore node` spill span.
@@ -372,7 +358,7 @@ inline Status RestoreSpilled(int node_id, DistMatrix* dm) {
   if (dm == nullptr || dm->SpilledEntries() == 0) return Status::Ok();
   TraceSpan span(kTraceSpill, "restore node " + std::to_string(node_id), -1,
                  TraceArg("node", int64_t{node_id}));
-  return dm->EnsureResident().status();
+  return dm->EnsureResident();
 }
 
 }  // namespace dmac

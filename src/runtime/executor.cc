@@ -17,6 +17,7 @@
 #include "obs/trace.h"
 #include "runtime/buffer_pool.h"
 #include "runtime/fault_layer.h"
+#include "runtime/governor_layer.h"
 
 namespace dmac {
 
@@ -122,10 +123,10 @@ class Executor::Impl final : public StepRunner {
         buffers_(static_cast<size_t>(opts.threads_per_worker) * 2),
         engine_(&pool_, &buffers_, opts.local_mode),
         node_data_(plan.nodes.size()),
-        last_consumer_(LastConsumers(plan)),
-        gov_(opts.governor) {
-    if (gov_.token.active()) engine_.SetCancelToken(&gov_.token);
-    if (gov_.budget != nullptr) buffers_.SetBudget(gov_.budget);
+        last_consumer_(LastConsumers(plan)) {
+    if (opts_.governor.token.active()) {
+      engine_.SetCancelToken(&opts_.governor.token);
+    }
   }
 
   /// Runs the plan, then fills the metric registry from the run's ExecStats
@@ -133,6 +134,7 @@ class Executor::Impl final : public StepRunner {
   Result<ExecutionResult> Run() {
     Result<ExecutionResult> result = RunPlan();
     if (fault_) fault_->ExportStats();
+    if (gov_) gov_->ExportStats();
     MetricRegistry::Global().Record(stats_, result.ok());
     if (result.ok()) result->stats = std::move(stats_);
     return result;
@@ -142,6 +144,8 @@ class Executor::Impl final : public StepRunner {
   Result<ExecutionResult> RunPlan() {
     DMAC_RETURN_NOT_OK(CheckCancel());  // a 0 ms deadline fails before work
     DMAC_RETURN_NOT_OK(PickBlockSize());
+    gov_ = GovernorLayer::Create(opts_.governor, plan_, &node_data_,
+                                 block_size_);
     DMAC_ASSIGN_OR_RETURN(
         fault_, FaultLayer::Create(opts_, plan_, this, &node_data_,
                                    &last_consumer_, &scalars_, &stats_));
@@ -175,7 +179,8 @@ class Executor::Impl final : public StepRunner {
                               TraceArg("stage", int64_t{step.stage}) + "," +
                                   TraceArg("step", int64_t{step.id}))
                   : TraceSpan();
-      DMAC_RETURN_NOT_OK(GovernStep(step));
+      DMAC_RETURN_NOT_OK(CheckCancel());
+      if (gov_) DMAC_RETURN_NOT_OK(gov_->BeforeStep(step));
       Status step_status = fault_ ? fault_->RunStep(step) : ExecuteStep(step);
       if (!step_status.ok()) {
         // A failed or cancelled step leaves no partial output in the
@@ -189,6 +194,7 @@ class Executor::Impl final : public StepRunner {
         return step_status;
       }
       ++stats_.steps_executed;
+      if (gov_) gov_->AfterStep();
       // A clean run frees inputs no later step reads (paper §5.2); lineage
       // recovery needs them, so fault-tolerant runs keep them.
       for (int input : step.inputs) {
@@ -273,9 +279,6 @@ class Executor::Impl final : public StepRunner {
     const PlanNode& node = plan_.nodes[static_cast<size_t>(node_id)];
     auto dm = std::make_shared<DistMatrix>(BlockGrid{shape, block_size_},
                                            node.scheme(), opts_.num_workers);
-    if (gov_.budget != nullptr || gov_.spill != nullptr) {
-      dm->SetGovernor(gov_.budget, gov_.spill);
-    }
     node_data_[static_cast<size_t>(node_id)] = dm;
     return dm;
   }
@@ -395,13 +398,14 @@ class Executor::Impl final : public StepRunner {
     return ptr;
   }
 
-  // ---- governance (docs/governance.md) ------------------------------------
+  // ---- cancellation (docs/governance.md) ----------------------------------
 
   /// Cooperative cancellation poll. The first failed check emits one
   /// `cancel` trace span recording how the query ended.
   Status CheckCancel() override {
-    if (!gov_.token.active()) return Status::Ok();
-    Status st = gov_.token.Check();
+    const CancelToken& token = opts_.governor.token;
+    if (!token.active()) return Status::Ok();
+    Status st = token.Check();
     if (!st.ok() && !cancel_span_emitted_) {
       cancel_span_emitted_ = true;
       TraceSpan span(kTraceCancel,
@@ -412,90 +416,12 @@ class Executor::Impl final : public StepRunner {
     return st;
   }
 
-  /// Pre-step governance: poll the token and make room under the budget for
-  /// the step's working set.
-  Status GovernStep(const PlanStep& step) {
-    DMAC_RETURN_NOT_OK(CheckCancel());
-    if (!gov_.budgeted()) return Status::Ok();
-    return RebalanceBudget(step);
-  }
-
-  /// Spills cold nodes (least recently used first: by the plan position of
-  /// the last step up to this one that reads or writes the node, ids
-  /// ascending as the tiebreak) until the budget has room for the step's
-  /// pinned working set — its inputs, all of which must be resident at
-  /// once. Fails with kResourceExhausted when the pinned set alone exceeds
-  /// the budget or no spill candidate remains.
-  Status RebalanceBudget(const PlanStep& step) {
-    int64_t pinned = 0;
-    int64_t spilled_inputs = 0;
-    for (int input : step.inputs) {
-      const auto& dm = node_data_[static_cast<size_t>(input)];
-      if (dm == nullptr) continue;
-      pinned += dm->OwnedBytes();
-      spilled_inputs += dm->SpilledBytes();
-    }
-    if (gov_.budget->ExceedsWholeBudget(pinned)) {
-      return Status::ResourceExhausted(
-          "step " + std::to_string(step.id) + ": working set of " +
-          std::to_string(pinned) + " bytes exceeds the memory budget of " +
-          std::to_string(gov_.budget->limit_bytes()) +
-          " bytes; spilling cannot help");
-    }
-    // Free the current overage plus what restoring spilled inputs will
-    // re-charge, by spilling nodes no later step has touched more recently.
-    int64_t need = gov_.budget->OverBudgetBytes() + spilled_inputs;
-    if (need <= 0) return Status::Ok();
-
-    // Steps run in plan order (ids ascend with position), so a node's last
-    // use is the last step up to this one that reads or writes it.
-    std::vector<int> last_use(node_data_.size(), -1);  // -1: untouched
-    for (const PlanStep& s : plan_.steps) {
-      if (s.id > step.id) break;
-      for (int input : s.inputs) last_use[static_cast<size_t>(input)] = s.id;
-      if (s.output >= 0) last_use[static_cast<size_t>(s.output)] = s.id;
-    }
-    std::vector<std::pair<int, int>> candidates;  // (last_use, node id)
-    for (size_t id = 0; id < node_data_.size(); ++id) {
-      if (node_data_[id] == nullptr) continue;
-      const int node = static_cast<int>(id);
-      if (node == step.output ||
-          std::find(step.inputs.begin(), step.inputs.end(), node) !=
-              step.inputs.end()) {
-        continue;  // pinned
-      }
-      candidates.emplace_back(last_use[id], node);
-    }
-    std::sort(candidates.begin(), candidates.end());
-
-    int64_t freed = 0;
-    for (const auto& [last_use, node] : candidates) {
-      if (freed >= need) break;
-      auto& dm = node_data_[static_cast<size_t>(node)];
-      TraceSpan span(kTraceSpill, "spill node " + std::to_string(node), -1,
-                     TraceArg("node", int64_t{node}));
-      DMAC_ASSIGN_OR_RETURN(int64_t f, dm->SpillColdBlocks(need - freed));
-      freed += f;
-    }
-    if (gov_.budget->OverBudgetBytes() > 0) {
-      return Status::ResourceExhausted(
-          "memory budget of " + std::to_string(gov_.budget->limit_bytes()) +
-          " bytes still exceeded by " +
-          std::to_string(gov_.budget->OverBudgetBytes()) +
-          " bytes after spilling every cold block");
-    }
-    return Status::Ok();
-  }
-
   // ---- step dispatch ------------------------------------------------------
 
   Status ExecuteStep(const PlanStep& step) override {
     DMAC_RETURN_NOT_OK(CheckCancel());
     // Recovery re-runs and retries restore spilled inputs here too.
-    for (int input : step.inputs) {
-      DMAC_RETURN_NOT_OK(
-          RestoreSpilled(input, node_data_[static_cast<size_t>(input)].get()));
-    }
+    if (gov_) DMAC_RETURN_NOT_OK(gov_->Restore(step.inputs));
     switch (step.kind) {
       case StepKind::kLoad:
         return ExecLoad(step);
@@ -1091,8 +1017,8 @@ class Executor::Impl final : public StepRunner {
   /// out; shared blocks and load-step aliases of the caller's bindings
   /// (use_count 0) are copied.
   Result<LocalMatrix> Gather(int node_id, bool move) {
+    if (gov_) DMAC_RETURN_NOT_OK(gov_->Restore({node_id}));
     DistMatrix& dm = Data(node_id);
-    DMAC_RETURN_NOT_OK(RestoreSpilled(node_id, &dm));
     const BlockGrid grid = dm.grid();
     std::vector<DistMatrix::BlockPtr> ptrs;
     ptrs.reserve(static_cast<size_t>(grid.num_blocks()));
@@ -1135,11 +1061,13 @@ class Executor::Impl final : public StepRunner {
   std::unordered_map<std::string, double> scalars_;
   ExecStats stats_;
 
-  // Governance (docs/governance.md). The token is a value sharing state
-  // with the caller's copy; budget and spill store are shared with every
-  // node's DistMatrix.
-  GovernorContext gov_;
+  // Cancellation (docs/governance.md): opts_.governor.token shares state
+  // with the caller's copy.
   bool cancel_span_emitted_ = false;
+
+  // Memory governance (governor_layer.h): null unless the options attach a
+  // budget or a spill store.
+  std::unique_ptr<GovernorLayer> gov_;
 
   // Fault tolerance (fault_layer.h): null unless the options enable fault
   // injection or checkpoints.
@@ -1159,16 +1087,8 @@ Result<ExecutionResult> Executor::Execute(const Plan& plan,
         std::to_string(options_.block_size) +
         " (need workers >= 1, threads >= 1, block size >= 0)");
   }
-  Result<ExecutionResult> result = [&] {
-    Impl impl(options_, plan, bindings);
-    return impl.Run();
-  }();  // Impl destroyed here: buffers, stores, and spill charges released
-  if (options_.governor.budget != nullptr) {
-    MetricRegistry::Global()
-        .gauge(kMetricGovernorBudgetPeakBytes)
-        ->Set(static_cast<double>(options_.governor.budget->peak_bytes()));
-  }
-  return result;
+  Impl impl(options_, plan, bindings);
+  return impl.Run();
 }
 
 }  // namespace dmac

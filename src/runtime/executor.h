@@ -15,8 +15,10 @@
 // happen after the seam returns, in worker order (docs/runtime.md).
 //
 // Fault tolerance is a separate FaultLayer (fault_layer.h) wrapping step
-// execution, constructed only when the options turn it on; otherwise each
-// of its hooks in the step code is a null-pointer test.
+// execution, constructed only when the options turn it on, and memory
+// governance is a GovernorLayer (governor_layer.h), constructed only with
+// a budget or a spill store; otherwise each of their hooks in the step
+// code is a null-pointer test.
 #pragma once
 
 #include <memory>

@@ -31,8 +31,7 @@ class StepRunner {
   virtual Status CheckCancel() = 0;
 };
 
-/// A run's node data by plan node id (null = not materialized).
-using NodeTable = std::vector<std::shared_ptr<DistMatrix>>;
+/// A run's scalar values by SSA name.
 using ScalarEnv = std::unordered_map<std::string, double>;
 
 /// Recovery, degraded mode and durability for one Execute() call.

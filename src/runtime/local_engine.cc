@@ -198,12 +198,7 @@ Status LocalEngine::MultiplyInPlace(const BlockGrid& out_grid,
         return;
       }
 
-      auto acc_or = buffers_->Acquire(shape.rows, shape.cols);
-      if (!acc_or.ok()) {
-        errors.Record(acc_or.status());
-        return;
-      }
-      DenseBlock acc = std::move(*acc_or);
+      DenseBlock acc = buffers_->Acquire(shape.rows, shape.cols);
       const bool observe = MetricRegistry::Global().enabled();
       GemmStats stats;
       {

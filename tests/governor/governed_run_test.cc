@@ -1,5 +1,6 @@
 // End-to-end governed execution through RunProgram: budgets force spill
-// without changing results, impossible budgets fail cleanly with no leaked
+// without changing results, the account and the spill volume do not depend
+// on the engine's thread count, impossible budgets fail cleanly with no leaked
 // spill files, recovery composes with spilling (regression for the
 // broadcast-replica-repair bug), and a fired token preempts the fault
 // layer's retry loop without being counted as a retry.
@@ -75,6 +76,36 @@ TEST(GovernedRunTest, TightBudgetSpillsButResultsAreBitIdentical) {
   EXPECT_LE(gov.spill->restored_bytes(), gov.spill->spilled_bytes());
   EXPECT_EQ(gov.spill->live_files(), 0);
   ExpectBitIdentical(clean->result, governed->result, "tight budget");
+}
+
+TEST(GovernedRunTest, BudgetAccountIsFixedByThePlan) {
+  // The account is charged from the stores at step boundaries, so neither
+  // the engine's thread count nor how its threads interleave moves the
+  // peak, and with it every spill decision.
+  const FaultAppCase app = MakeSmallGnmf();
+  int64_t peak = -1;
+  int64_t spilled = -1;
+  for (const int threads : {1, 2, 4}) {
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", repeat " +
+                   std::to_string(repeat));
+      RunConfig probe = BaseConfig();
+      probe.threads_per_worker = threads;
+      GovernorContext probe_gov = Governed(&probe, 0);
+      ASSERT_TRUE(RunProgram(app.program, app.MakeBindings(), probe).ok());
+      if (peak < 0) peak = probe_gov.budget->peak_bytes();
+      EXPECT_EQ(probe_gov.budget->peak_bytes(), peak);
+
+      RunConfig tight = BaseConfig();
+      tight.threads_per_worker = threads;
+      GovernorContext gov = Governed(&tight, peak * 6 / 10);
+      const auto governed = RunProgram(app.program, app.MakeBindings(), tight);
+      ASSERT_TRUE(governed.ok()) << governed.status();
+      if (spilled < 0) spilled = gov.spill->spilled_bytes();
+      EXPECT_EQ(gov.spill->spilled_bytes(), spilled);
+    }
+  }
+  EXPECT_GT(spilled, 0);
 }
 
 TEST(GovernedRunTest, ImpossibleBudgetFailsCleanWithNoLeaks) {

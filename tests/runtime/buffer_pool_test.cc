@@ -2,26 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "governor/memory_budget.h"
-
 namespace dmac {
 namespace {
 
-/// Unwraps Acquire, failing the test on error.
-DenseBlock MustAcquire(BufferPool& pool, int64_t rows, int64_t cols) {
-  Result<DenseBlock> b = pool.Acquire(rows, cols);
-  EXPECT_TRUE(b.ok()) << b.status().ToString();
-  return std::move(*b);
-}
-
 TEST(BufferPoolTest, AcquireReturnsZeroedBlock) {
   BufferPool pool;
-  DenseBlock b = MustAcquire(pool, 4, 5);
+  DenseBlock b = pool.Acquire(4, 5);
   EXPECT_EQ(b.rows(), 4);
   EXPECT_EQ(b.cols(), 5);
   EXPECT_EQ(b.CountNonZeros(), 0);
@@ -29,11 +19,11 @@ TEST(BufferPoolTest, AcquireReturnsZeroedBlock) {
 
 TEST(BufferPoolTest, RecyclesReleasedBlocks) {
   BufferPool pool;
-  DenseBlock b = MustAcquire(pool, 8, 8);
+  DenseBlock b = pool.Acquire(8, 8);
   b.Set(0, 0, 1.0f);
   pool.Release(std::move(b));
   EXPECT_EQ(pool.IdleBlocks(), 1u);
-  DenseBlock again = MustAcquire(pool, 8, 8);
+  DenseBlock again = pool.Acquire(8, 8);
   EXPECT_EQ(pool.IdleBlocks(), 0u);
   // Recycled block must come back clean.
   EXPECT_EQ(again.CountNonZeros(), 0);
@@ -42,7 +32,7 @@ TEST(BufferPoolTest, RecyclesReleasedBlocks) {
 TEST(BufferPoolTest, ShapesAreSegregated) {
   BufferPool pool;
   pool.Release(DenseBlock(2, 2));
-  DenseBlock other = MustAcquire(pool, 3, 3);
+  DenseBlock other = pool.Acquire(3, 3);
   EXPECT_EQ(other.rows(), 3);
   EXPECT_EQ(pool.IdleBlocks(), 1u);  // the 2x2 is still idle
 }
@@ -61,7 +51,7 @@ TEST(BufferPoolTest, ConcurrentAcquireRelease) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&pool] {
       for (int i = 0; i < 200; ++i) {
-        DenseBlock b = MustAcquire(pool, 16, 16);
+        DenseBlock b = pool.Acquire(16, 16);
         b.Set(0, 0, 1.0f);
         pool.Release(std::move(b));
       }
@@ -70,89 +60,14 @@ TEST(BufferPoolTest, ConcurrentAcquireRelease) {
   for (auto& t : threads) t.join();
   EXPECT_LE(pool.IdleBlocks(), 8u);
   // Blocks coming out are always clean.
-  EXPECT_EQ(MustAcquire(pool, 16, 16).CountNonZeros(), 0);
-}
-
-TEST(BufferPoolTest, ChargesBudgetForFreshBlocksOnly) {
-  auto budget = std::make_shared<MemoryBudget>(/*limit_bytes=*/1 << 20);
-  BufferPool pool;
-  pool.SetBudget(budget);
-  const int64_t bytes = DenseBlock::MemoryBytesFor(8, 8);
-
-  DenseBlock b = MustAcquire(pool, 8, 8);
-  EXPECT_EQ(budget->used_bytes(), bytes);
-  pool.Release(std::move(b));
-  // Idle blocks stay charged — they still hold memory.
-  EXPECT_EQ(budget->used_bytes(), bytes);
-  // A recycled block must not be charged twice.
-  DenseBlock again = MustAcquire(pool, 8, 8);
-  EXPECT_EQ(budget->used_bytes(), bytes);
-  pool.Release(std::move(again));
-}
-
-TEST(BufferPoolTest, ReleasesChargeWhenBlocksAreDiscarded) {
-  auto budget = std::make_shared<MemoryBudget>(/*limit_bytes=*/1 << 20);
-  const int64_t bytes = DenseBlock::MemoryBytesFor(4, 4);
-  {
-    BufferPool pool(/*max_per_shape=*/1);
-    pool.SetBudget(budget);
-    DenseBlock a = MustAcquire(pool, 4, 4);
-    DenseBlock b = MustAcquire(pool, 4, 4);
-    EXPECT_EQ(budget->used_bytes(), 2 * bytes);
-    pool.Release(std::move(a));          // kept idle
-    pool.Release(std::move(b));          // slot full: discarded
-    EXPECT_EQ(budget->used_bytes(), bytes);
-  }
-  // Pool destruction releases the idle block's charge too.
-  EXPECT_EQ(budget->used_bytes(), 0);
-}
-
-TEST(BufferPoolTest, OversizeBlockIsRejectedNotGrown) {
-  auto budget = std::make_shared<MemoryBudget>(/*limit_bytes=*/64);
-  BufferPool pool;
-  pool.SetBudget(budget);
-  Result<DenseBlock> big = pool.Acquire(128, 128);
-  ASSERT_FALSE(big.ok());
-  EXPECT_EQ(big.status().code(), StatusCode::kResourceExhausted);
-  // The failed acquire charged nothing.
-  EXPECT_EQ(budget->used_bytes(), 0);
-}
-
-TEST(BufferPoolTest, SetBudgetRacesSafelyWithAcquireRelease) {
-  // Regression: SetBudget used to write budget_ without the pool lock while
-  // worker threads read it inside Acquire/Release — a data race TSan flags.
-  // Budget swaps must now serialize through mu_ against a full
-  // acquire/release storm. Discards release against whichever budget is
-  // current (not the one that charged), so the invariant after the pool
-  // dies is that the two accounts cancel, not that each is zero.
-  auto first = std::make_shared<MemoryBudget>(/*limit_bytes=*/64 << 20);
-  auto second = std::make_shared<MemoryBudget>(/*limit_bytes=*/64 << 20);
-  {
-    BufferPool pool(/*max_per_shape=*/2);
-    pool.SetBudget(first);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&pool] {
-        for (int i = 0; i < 200; ++i) {
-          DenseBlock b = MustAcquire(pool, 16, 16);
-          pool.Release(std::move(b));
-        }
-      });
-    }
-    // Swap budgets continuously while the workers churn.
-    for (int i = 0; i < 100; ++i) {
-      pool.SetBudget(i % 2 == 0 ? second : first);
-    }
-    for (auto& t : threads) t.join();
-  }
-  EXPECT_EQ(first->used_bytes() + second->used_bytes(), 0);
+  EXPECT_EQ(pool.Acquire(16, 16).CountNonZeros(), 0);
 }
 
 TEST(BufferPoolTest, TracksGlobalOutstandingBlocks) {
   const int64_t before = BufferPool::GlobalOutstandingBlocks();
   BufferPool pool;
-  DenseBlock a = MustAcquire(pool, 4, 4);
-  DenseBlock b = MustAcquire(pool, 4, 4);
+  DenseBlock a = pool.Acquire(4, 4);
+  DenseBlock b = pool.Acquire(4, 4);
   EXPECT_EQ(BufferPool::GlobalOutstandingBlocks(), before + 2);
   pool.Release(std::move(a));
   EXPECT_EQ(BufferPool::GlobalOutstandingBlocks(), before + 1);

@@ -184,6 +184,7 @@ int main(int argc, char** argv) {
   bool plan_only = false, dot = false, stats_flag = false, compare = false;
   double deadline_ms = -1;  // < 0 = no deadline (0 is already expired)
   int64_t mem_budget_mb = 0;
+  int64_t mem_budget_bytes = 0;
   int concurrency = 1;
   // Applied after --fault-spec so the flag wins over a spec-file crash_at.
   int crash_at = 0;
@@ -243,7 +244,10 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
     } else if (arg == "--mem-budget-mb") {
-      if (!int_flag(&mem_budget_mb, 1)) return Usage(argv[0]);
+      if (!int_flag(&mem_budget_mb, 1) ||
+          !Parsed(MegabytesToBytes(arg, mem_budget_mb, &mem_budget_bytes))) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--concurrency") {
       if (!int_flag(&concurrency, 1)) return Usage(argv[0]);
     } else if (arg == "--help") {
@@ -423,7 +427,7 @@ int main(int argc, char** argv) {
     // becomes a tiny positive one, which is already expired.
     if (deadline_ms >= 0) qopts.deadline_seconds =
         std::max(deadline_ms / 1e3, 1e-9);
-    qopts.memory_budget_bytes = mem_budget_mb << 20;
+    qopts.memory_budget_bytes = mem_budget_bytes;
     std::vector<int64_t> ids;
     for (int i = 0; i < concurrency; ++i) {
       ids.push_back(session.Submit(*program, bindings, qopts));
@@ -443,9 +447,8 @@ int main(int argc, char** argv) {
   if (deadline_ms >= 0) {
     config.governor.token = CancelToken::WithDeadline(deadline_ms / 1e3);
   }
-  if (mem_budget_mb > 0) {
-    config.governor.budget =
-        std::make_shared<MemoryBudget>(mem_budget_mb << 20);
+  if (mem_budget_bytes > 0) {
+    config.governor.budget = std::make_shared<MemoryBudget>(mem_budget_bytes);
     auto spill = SpillStore::Create();
     if (!spill.ok()) {
       std::fprintf(stderr, "spill store: %s\n",
@@ -570,7 +573,7 @@ int main(int argc, char** argv) {
         static_cast<long long>(stats.net.stale_fenced),
         static_cast<long long>(stats.net.stale_applied));
   }
-  if (config.governor.budgeted()) {
+  if (config.governor.budget != nullptr) {
     std::printf(
         "[governor] budget %lld MB, peak %.2f MB, spilled %.2f MB, "
         "restored %.2f MB\n",

@@ -45,6 +45,7 @@
 #include "apps/gnmf.h"
 #include "apps/pagerank.h"
 #include "apps/runner.h"
+#include "common/parse.h"
 #include "data/graph_gen.h"
 #include "data/synthetic.h"
 #include "fault/checksum.h"
@@ -147,6 +148,11 @@ int64_t CountFilesUnder(const std::filesystem::path& root) {
   return n;
 }
 
+bool Parsed(const Status& st) {
+  if (!st.ok()) std::fprintf(stderr, "%s\n", st.ToString().c_str());
+  return st.ok();
+}
+
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--queries N] [--seed S] [--mem-budget-mb MB] "
@@ -168,22 +174,31 @@ int main(int argc, char** argv) {
     auto next_value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // Numeric flags parse with dmac_run's rule (common/parse.h): a
+    // malformed or out-of-range value is bad usage.
+    auto int_flag = [&](auto* out) {
+      const char* v = next_value();
+      return v != nullptr && Parsed(ParseInt(arg, v, out));
+    };
     const char* v = nullptr;
-    if (arg == "--queries" && (v = next_value())) {
-      queries = std::atoi(v);
-    } else if (arg == "--seed" && (v = next_value())) {
-      seed = static_cast<uint64_t>(std::atoll(v));
-    } else if (arg == "--mem-budget-mb" && (v = next_value())) {
-      mem_budget_mb = std::atoll(v);
-    } else if (arg == "--concurrency" && (v = next_value())) {
-      concurrency = std::atoi(v);
+    if (arg == "--queries") {
+      if (!int_flag(&queries)) return Usage(argv[0]);
+    } else if (arg == "--seed") {
+      if (!int_flag(&seed)) return Usage(argv[0]);
+    } else if (arg == "--mem-budget-mb") {
+      if (!int_flag(&mem_budget_mb)) return Usage(argv[0]);
+    } else if (arg == "--concurrency") {
+      if (!int_flag(&concurrency)) return Usage(argv[0]);
     } else if (arg == "--fault-spec" && (v = next_value())) {
       fault_spec_path = v;
     } else {
       return Usage(argv[0]);
     }
   }
-  if (queries < 1 || concurrency < 1 || mem_budget_mb < 1) {
+  int64_t mem_budget_bytes = 0;
+  if (queries < 1 || concurrency < 1 || mem_budget_mb < 1 ||
+      !Parsed(MegabytesToBytes("--mem-budget-mb", mem_budget_mb,
+                               &mem_budget_bytes))) {
     return Usage(argv[0]);
   }
 
@@ -236,7 +251,7 @@ int main(int argc, char** argv) {
     AdmissionQuota quota;
     quota.max_concurrent = concurrency;
     quota.max_queued = queries;  // queue everything; reject only over-quota
-    quota.total_memory_bytes = mem_budget_mb << 20;
+    quota.total_memory_bytes = mem_budget_bytes;
     RunConfig governed = base;
     governed.fault = fault;
     // One death fits the quorum: degraded runs rebalance instead of failing.
@@ -267,8 +282,8 @@ int main(int argc, char** argv) {
           rng() % 2 == 0
               ? static_cast<int64_t>(2 * 1024 + rng() % (16 * 1024))
               : static_cast<int64_t>(
-                    8 * 1024 + rng() % static_cast<uint64_t>(mem_budget_mb
-                                                             << 20));
+                    8 * 1024 +
+                    rng() % static_cast<uint64_t>(mem_budget_bytes));
       p.opts.spill_dir = (spill_root / ("q" + std::to_string(i))).string();
       // A quarter of the queries race a tight deadline; one in eight gets
       // cancelled mid-flight from the outside.
