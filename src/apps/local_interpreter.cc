@@ -135,62 +135,31 @@ class Interpreter {
   }
 
   Result<double> EvalScalar(const ScalarExpr& e) {
-    switch (e.kind) {
-      case ScalarExpr::Kind::kLiteral:
-        return e.literal;
-      case ScalarExpr::Kind::kVarRef: {
-        auto it = scalars_.find(e.name);
-        if (it == scalars_.end()) {
-          return Status::NotFound("scalar variable " + e.name +
-                                  " used before assignment");
-        }
-        return it->second;
-      }
-      case ScalarExpr::Kind::kReduce: {
-        DMAC_ASSIGN_OR_RETURN(LocalMatrix m, EvalMatrix(*e.matrix));
-        switch (e.reduce) {
-          case ReduceKind::kSum:
-            return m.Sum();
-          case ReduceKind::kNorm2:
-            return std::sqrt(m.SumSquares());
-          case ReduceKind::kValue:
-            if (m.rows() != 1 || m.cols() != 1) {
-              return Status::DimensionMismatch(
-                  ".value requires a 1x1 matrix, got " +
-                  m.shape().ToString());
-            }
-            return m.Sum();
-        }
-        return Status::Internal("unreachable reduce kind");
-      }
-      case ScalarExpr::Kind::kBinary: {
-        DMAC_ASSIGN_OR_RETURN(double l, EvalScalar(*e.lhs));
-        DMAC_ASSIGN_OR_RETURN(double r, EvalScalar(*e.rhs));
-        switch (e.op) {
-          case '+':
-            return l + r;
-          case '-':
-            return l - r;
-          case '*':
-            return l * r;
-          case '/':
-            return l / r;
-        }
-        return Status::Invalid(std::string("unknown scalar op ") + e.op);
-      }
-      case ScalarExpr::Kind::kSqrt: {
-        DMAC_ASSIGN_OR_RETURN(double l, EvalScalar(*e.lhs));
-        return std::sqrt(l);
-      }
-    }
-    return Status::Internal("unreachable ScalarExpr kind");
+    return dmac::EvalScalar(
+        e, scalars_, [this](const ScalarExpr& r) -> Result<double> {
+          DMAC_ASSIGN_OR_RETURN(LocalMatrix m, EvalMatrix(*r.matrix));
+          switch (r.reduce) {
+            case ReduceKind::kSum:
+              return m.Sum();
+            case ReduceKind::kNorm2:
+              return std::sqrt(m.SumSquares());
+            case ReduceKind::kValue:
+              if (m.rows() != 1 || m.cols() != 1) {
+                return Status::DimensionMismatch(
+                    ".value requires a 1x1 matrix, got " +
+                    m.shape().ToString());
+              }
+              return m.Sum();
+          }
+          return Status::Internal("unreachable reduce kind");
+        });
   }
 
   const Bindings& bindings_;
   int64_t block_size_;
   uint64_t seed_;
   std::unordered_map<std::string, LocalMatrix> matrices_;
-  std::unordered_map<std::string, double> scalars_;
+  ScalarEnv scalars_;
 };
 
 }  // namespace

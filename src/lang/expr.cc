@@ -1,21 +1,46 @@
 #include "lang/expr.h"
 
+#include <cmath>
+
 namespace dmac {
 
-const char* BinOpName(BinOpKind op) {
-  switch (op) {
-    case BinOpKind::kMultiply:
-      return "%*%";
-    case BinOpKind::kAdd:
-      return "+";
-    case BinOpKind::kSubtract:
-      return "-";
-    case BinOpKind::kCellMultiply:
-      return "*";
-    case BinOpKind::kCellDivide:
-      return "/";
+Result<double> EvalScalar(
+    const ScalarExpr& e, const ScalarEnv& env,
+    const std::function<Result<double>(const ScalarExpr&)>& reduce) {
+  switch (e.kind) {
+    case ScalarExpr::Kind::kLiteral:
+      return e.literal;
+    case ScalarExpr::Kind::kVarRef: {
+      auto it = env.find(e.name);
+      if (it == env.end()) {
+        return Status::NotFound("scalar variable " + e.name +
+                                " used before assignment");
+      }
+      return it->second;
+    }
+    case ScalarExpr::Kind::kReduce:
+      return reduce(e);
+    case ScalarExpr::Kind::kBinary: {
+      DMAC_ASSIGN_OR_RETURN(double l, EvalScalar(*e.lhs, env, reduce));
+      DMAC_ASSIGN_OR_RETURN(double r, EvalScalar(*e.rhs, env, reduce));
+      switch (e.op) {
+        case '+':
+          return l + r;
+        case '-':
+          return l - r;
+        case '*':
+          return l * r;
+        case '/':
+          return l / r;
+      }
+      return Status::Invalid(std::string("unknown scalar operator ") + e.op);
+    }
+    case ScalarExpr::Kind::kSqrt: {
+      DMAC_ASSIGN_OR_RETURN(double l, EvalScalar(*e.lhs, env, reduce));
+      return std::sqrt(l);
+    }
   }
-  return "?";
+  return Status::Internal("unreachable ScalarExpr kind");
 }
 
 const char* ReduceName(ReduceKind r) {

@@ -9,9 +9,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 
+#include "common/result.h"
 #include "matrix/shape.h"
 #include "matrix/unary_fn.h"
 
@@ -26,7 +29,6 @@ enum class BinOpKind {
   kCellDivide,    // /
 };
 
-const char* BinOpName(BinOpKind op);
 
 /// Scalar reductions of a matrix.
 enum class ReduceKind {
@@ -60,6 +62,14 @@ struct ScalarExpr {
   static ScalarExprPtr Binary(char op, ScalarExprPtr l, ScalarExprPtr r);
   static ScalarExprPtr Sqrt(ScalarExprPtr v);
 };
+
+/// A run's scalar values by variable (or SSA) name.
+using ScalarEnv = std::unordered_map<std::string, double>;
+
+/// Evaluates `e` against `env`, handing each kReduce node to `reduce`.
+Result<double> EvalScalar(
+    const ScalarExpr& e, const ScalarEnv& env,
+    const std::function<Result<double>(const ScalarExpr&)>& reduce);
 
 /// A matrix-valued expression node.
 struct MatrixExpr {

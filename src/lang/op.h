@@ -44,13 +44,6 @@ enum class OpKind {
 
 const char* OpKindName(OpKind k);
 
-/// True for the five matrix-valued binary operators.
-inline bool IsBinaryMatrixOp(OpKind k) {
-  return k == OpKind::kMultiply || k == OpKind::kAdd ||
-         k == OpKind::kSubtract || k == OpKind::kCellMultiply ||
-         k == OpKind::kCellDivide;
-}
-
 /// One decomposed operator.
 struct Operator {
   int id = -1;

@@ -109,20 +109,21 @@ Status MultiplyAccumulate(const Block& a, const Block& b, bool trans_a,
         "accumulator " + acc->shape().ToString() + " for " +
         FlaggedShape(a, trans_a) + " * " + FlaggedShape(b, trans_b));
   }
+  GemmScratch local;
+  if (scratch == nullptr) scratch = &local;
   if (a.IsDense() && b.IsDense()) {
-    return GemmDense(a.dense(), b.dense(), trans_a, trans_b, acc, scratch,
+    GemmDense(a.dense(), b.dense(), trans_a, trans_b, acc, scratch, stats);
+  } else if (a.IsSparse() && b.IsDense()) {
+    GemmSparseDense(a.sparse(), b.dense(), trans_a, trans_b, acc, scratch,
+                    stats);
+  } else if (a.IsDense() && b.IsSparse()) {
+    GemmDenseSparse(a.dense(), b.sparse(), trans_a, trans_b, acc, scratch,
+                    stats);
+  } else {
+    GemmSparseSparse(a.sparse(), b.sparse(), trans_a, trans_b, acc, scratch,
                      stats);
   }
-  if (a.IsSparse() && b.IsDense()) {
-    return GemmSparseDense(a.sparse(), b.dense(), trans_a, trans_b, acc,
-                           scratch, stats);
-  }
-  if (a.IsDense() && b.IsSparse()) {
-    return GemmDenseSparse(a.dense(), b.sparse(), trans_a, trans_b, acc,
-                           scratch, stats);
-  }
-  return GemmSparseSparse(a.sparse(), b.sparse(), trans_a, trans_b, acc,
-                          scratch, stats);
+  return Status::Ok();
 }
 
 Result<CscBlock> MultiplySparseChain(

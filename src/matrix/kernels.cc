@@ -5,6 +5,7 @@
 #include "matrix/kernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "common/logging.h"
@@ -141,12 +142,10 @@ int64_t EffCols(const DenseBlock& x, bool trans) {
 /// Stages the dense transpose of `x` into scratch and returns the staged
 /// block (used by the mixed dense/sparse flagged kernels, where packing
 /// cannot absorb the transpose). Counted as packing time.
-Result<const DenseBlock*> StageTranspose(const DenseBlock& x,
-                                         GemmScratch* scratch,
-                                         GemmStats* stats) {
+const DenseBlock* StageTranspose(const DenseBlock& x, GemmScratch* scratch,
+                                 GemmStats* stats) {
   Timer timer;
-  DMAC_ASSIGN_OR_RETURN(DenseBlock * staged,
-                        scratch->Staging(x.cols(), x.rows()));
+  DenseBlock* staged = scratch->Staging(x.cols(), x.rows());
   const int64_t rows = x.rows();
   const int64_t cols = x.cols();
   // Tiled transpose to keep both sides cache-resident.
@@ -172,81 +171,62 @@ Result<const DenseBlock*> StageTranspose(const DenseBlock& x,
 // ---- GemmScratch ---------------------------------------------------------
 
 GemmScratch::~GemmScratch() {
-  if (has_a_) ReleaseBlock(std::move(panel_a_));
-  if (has_b_) ReleaseBlock(std::move(panel_b_));
-  if (has_staging_) ReleaseBlock(std::move(staging_));
+  Release(&panel_a_);
+  Release(&panel_b_);
+  Release(&staging_);
 }
 
-Result<DenseBlock> GemmScratch::AcquireBlock(int64_t rows, int64_t cols) {
-  if (acquire_) return acquire_(rows, cols);
-  return DenseBlock(rows, cols);
+void GemmScratch::Release(DenseBlock* buf) {
+  if (release_ && buf->rows() * buf->cols() > 0) release_(std::move(*buf));
 }
 
-void GemmScratch::ReleaseBlock(DenseBlock block) {
-  if (release_) release_(std::move(block));
+void GemmScratch::Reacquire(DenseBlock* buf, int64_t rows, int64_t cols) {
+  Release(buf);
+  *buf = acquire_ ? acquire_(rows, cols) : DenseBlock(rows, cols);
 }
 
-Result<Scalar*> GemmScratch::PanelA(int64_t elems) {
-  if (has_a_ && panel_a_.rows() * panel_a_.cols() < elems) {
-    ReleaseBlock(std::move(panel_a_));
-    has_a_ = false;
-  }
-  if (!has_a_) {
-    DMAC_ASSIGN_OR_RETURN(panel_a_, AcquireBlock(elems, 1));
-    has_a_ = true;
+Scalar* GemmScratch::PanelA(int64_t elems) {
+  if (panel_a_.rows() * panel_a_.cols() < elems) {
+    Reacquire(&panel_a_, elems, 1);
   }
   return panel_a_.data();
 }
 
-Result<Scalar*> GemmScratch::PanelB(int64_t elems) {
-  if (has_b_ && panel_b_.rows() * panel_b_.cols() < elems) {
-    ReleaseBlock(std::move(panel_b_));
-    has_b_ = false;
-  }
-  if (!has_b_) {
-    DMAC_ASSIGN_OR_RETURN(panel_b_, AcquireBlock(elems, 1));
-    has_b_ = true;
+Scalar* GemmScratch::PanelB(int64_t elems) {
+  if (panel_b_.rows() * panel_b_.cols() < elems) {
+    Reacquire(&panel_b_, elems, 1);
   }
   return panel_b_.data();
 }
 
-Result<DenseBlock*> GemmScratch::Staging(int64_t rows, int64_t cols) {
-  if (has_staging_ &&
-      (staging_.rows() != rows || staging_.cols() != cols)) {
-    ReleaseBlock(std::move(staging_));
-    has_staging_ = false;
-  }
-  if (!has_staging_) {
-    DMAC_ASSIGN_OR_RETURN(staging_, AcquireBlock(rows, cols));
-    has_staging_ = true;
+DenseBlock* GemmScratch::Staging(int64_t rows, int64_t cols) {
+  if (staging_.rows() != rows || staging_.cols() != cols) {
+    Reacquire(&staging_, rows, cols);
   }
   return &staging_;
 }
 
 // ---- dense GEMM ----------------------------------------------------------
 
-Status GemmDense(const DenseBlock& a, const DenseBlock& b, bool trans_a,
-                 bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                 GemmStats* stats) {
+void GemmDense(const DenseBlock& a, const DenseBlock& b, bool trans_a,
+               bool trans_b, DenseBlock* acc, GemmScratch* scratch,
+               GemmStats* stats) {
   const int64_t m = EffRows(a, trans_a);
   const int64_t k = EffCols(a, trans_a);
   const int64_t n = EffCols(b, trans_b);
-  if (m == 0 || n == 0 || k == 0) return Status::Ok();
+  if (m == 0 || n == 0 || k == 0) return;
   if (stats != nullptr) stats->flops += 2.0 * m * n * k;
 
-  GemmScratch local;
-  if (scratch == nullptr) scratch = &local;
   // Panels are sized to the actual blocking this call uses (capped at the
-  // full cache-block panels) so small multiplies take small buffers; a
-  // failed acquisition propagates as a Status.
+  // full cache-block panels) so small multiplies take small buffers.
   const auto round_up = [](int64_t v, int64_t unit) {
     return (v + unit - 1) / unit * unit;
   };
   const int64_t kc_max = std::min(k, kGemmKc);
   const int64_t a_elems = round_up(std::min(m, kGemmMc), kGemmMr) * kc_max;
   const int64_t b_elems = kc_max * round_up(std::min(n, kGemmNc), kGemmNr);
-  DMAC_ASSIGN_OR_RETURN(Scalar * pack_a, scratch->PanelA(a_elems));
-  DMAC_ASSIGN_OR_RETURN(Scalar * pack_b, scratch->PanelB(b_elems));
+  Scalar* pack_a = scratch->PanelA(a_elems);
+  Scalar* pack_b = scratch->PanelB(b_elems);
   std::vector<char> b_live;
 
   for (int64_t j0 = 0; j0 < n; j0 += kGemmNc) {
@@ -282,7 +262,6 @@ Status GemmDense(const DenseBlock& a, const DenseBlock& b, bool trans_a,
       }
     }
   }
-  return Status::Ok();
 }
 
 // ---- sparse x dense ------------------------------------------------------
@@ -336,15 +315,10 @@ void SpDnTransA(const CscBlock& a, const DenseBlock& b, DenseBlock* acc) {
 
 }  // namespace
 
-Status GemmSparseDense(const CscBlock& a, const DenseBlock& b, bool trans_a,
-                       bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                       GemmStats* stats) {
-  GemmScratch local;
-  if (scratch == nullptr) scratch = &local;
-  const DenseBlock* beff = &b;
-  if (trans_b) {
-    DMAC_ASSIGN_OR_RETURN(beff, StageTranspose(b, scratch, stats));
-  }
+void GemmSparseDense(const CscBlock& a, const DenseBlock& b, bool trans_a,
+                     bool trans_b, DenseBlock* acc, GemmScratch* scratch,
+                     GemmStats* stats) {
+  const DenseBlock* beff = trans_b ? StageTranspose(b, scratch, stats) : &b;
   if (stats != nullptr) {
     stats->flops += 2.0 * static_cast<double>(a.nnz()) * beff->cols();
   }
@@ -353,7 +327,6 @@ Status GemmSparseDense(const CscBlock& a, const DenseBlock& b, bool trans_a,
   } else {
     SpDnPlain(a, *beff, acc);
   }
-  return Status::Ok();
 }
 
 // ---- dense x sparse ------------------------------------------------------
@@ -421,11 +394,9 @@ void DnSpTransB(const DenseBlock& a, const CscBlock& b, DenseBlock* acc) {
 
 }  // namespace
 
-Status GemmDenseSparse(const DenseBlock& a, const CscBlock& b, bool trans_a,
-                       bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                       GemmStats* stats) {
-  GemmScratch local;
-  if (scratch == nullptr) scratch = &local;
+void GemmDenseSparse(const DenseBlock& a, const CscBlock& b, bool trans_a,
+                     bool trans_b, DenseBlock* acc, GemmScratch* scratch,
+                     GemmStats* stats) {
   if (stats != nullptr) {
     stats->flops +=
         2.0 * static_cast<double>(b.nnz()) * (trans_a ? a.cols() : a.rows());
@@ -440,9 +411,7 @@ Status GemmDenseSparse(const DenseBlock& a, const CscBlock& b, bool trans_a,
     // sparse B keeps the gather path: its total work is below one
     // transpose pass over A.
     if (b.nnz() >= a.rows()) {
-      DMAC_ASSIGN_OR_RETURN(const DenseBlock* staged,
-                            StageTranspose(a, scratch, stats));
-      DnSpPlain(*staged, b, acc);
+      DnSpPlain(*StageTranspose(a, scratch, stats), b, acc);
     } else {
       DnSpTransA(a, b, acc);
     }
@@ -450,11 +419,8 @@ Status GemmDenseSparse(const DenseBlock& a, const CscBlock& b, bool trans_a,
     DnSpTransB(a, b, acc);
   } else {
     // Aᵀ·Bᵀ: stage Aᵀ once, then the TransB axpy kernel.
-    DMAC_ASSIGN_OR_RETURN(const DenseBlock* staged,
-                          StageTranspose(a, scratch, stats));
-    DnSpTransB(*staged, b, acc);
+    DnSpTransB(*StageTranspose(a, scratch, stats), b, acc);
   }
-  return Status::Ok();
 }
 
 // ---- sparse x sparse -----------------------------------------------------
@@ -515,11 +481,9 @@ double SpSpFlops(const CscBlock& a, const CscBlock& b, bool trans_a,
 
 }  // namespace
 
-Status GemmSparseSparse(const CscBlock& a, const CscBlock& b, bool trans_a,
-                        bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                        GemmStats* stats) {
-  GemmScratch local;
-  if (scratch == nullptr) scratch = &local;
+void GemmSparseSparse(const CscBlock& a, const CscBlock& b, bool trans_a,
+                      bool trans_b, DenseBlock* acc, GemmScratch* scratch,
+                      GemmStats* stats) {
   if (stats != nullptr) stats->flops += SpSpFlops(a, b, trans_a, trans_b);
   if (!trans_a && !trans_b) {
     SpSpPlain(a, b, acc);
@@ -538,7 +502,6 @@ Status GemmSparseSparse(const CscBlock& a, const CscBlock& b, bool trans_a,
     // column l is row l of the logical Bᵀ.
     SpGemmGustavson(a, b, acc);
   }
-  return Status::Ok();
 }
 
 // ---- vectorized elementwise / reductions ---------------------------------

@@ -15,9 +15,9 @@
 // materialized kTranspose steps.
 //
 // Packing scratch comes from a caller-supplied allocator — the local engine
-// installs a BufferPool-backed one so the governor's memory accounting sees
-// packing buffers like any other pooled block. Without an allocator the
-// scratch falls back to plain heap blocks (tests, benchmarks).
+// installs a BufferPool-backed one so packing buffers are recycled. Without
+// an allocator the scratch falls back to plain heap blocks (tests,
+// benchmarks).
 #pragma once
 
 #include <cstdint>
@@ -25,8 +25,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/result.h"
-#include "common/status.h"
 #include "matrix/csc_block.h"
 #include "matrix/dense_block.h"
 #include "matrix/unary_fn.h"
@@ -56,7 +54,7 @@ struct GemmStats {
 /// thread-safe. Buffers are acquired lazily and returned on destruction.
 class GemmScratch {
  public:
-  using AcquireFn = std::function<Result<DenseBlock>(int64_t, int64_t)>;
+  using AcquireFn = std::function<DenseBlock(int64_t, int64_t)>;
   using ReleaseFn = std::function<void(DenseBlock)>;
 
   /// Heap-backed scratch (tests, benchmarks, standalone kernel use).
@@ -72,83 +70,73 @@ class GemmScratch {
   GemmScratch(const GemmScratch&) = delete;
   GemmScratch& operator=(const GemmScratch&) = delete;
 
-  /// Movable so factories can hand out configured scratches; the source is
-  /// left empty (its destructor releases nothing).
-  GemmScratch(GemmScratch&& other) noexcept
-      : acquire_(std::move(other.acquire_)),
-        release_(std::move(other.release_)),
-        panel_a_(std::move(other.panel_a_)),
-        panel_b_(std::move(other.panel_b_)),
-        staging_(std::move(other.staging_)),
-        has_a_(std::exchange(other.has_a_, false)),
-        has_b_(std::exchange(other.has_b_, false)),
-        has_staging_(std::exchange(other.has_staging_, false)) {}
+  /// Movable so factories can hand out configured scratches; the source's
+  /// buffers are left empty (its destructor releases nothing).
+  GemmScratch(GemmScratch&& other) noexcept = default;
 
   /// Packed A panel of at least `elems` floats (≤ kGemmMc·kGemmKc; sized to
   /// the operands so small multiplies take small buffers). Grows on
   /// demand, never shrinks.
-  Result<Scalar*> PanelA(int64_t elems);
+  Scalar* PanelA(int64_t elems);
   /// Packed B panel of at least `elems` floats (≤ kGemmKc·kGemmNc).
-  Result<Scalar*> PanelB(int64_t elems);
+  Scalar* PanelB(int64_t elems);
   /// Transpose staging for mixed dense/sparse flagged multiplies: a dense
   /// rows x cols buffer. Contents are overwritten by the caller; reacquired
   /// when the requested shape grows.
-  Result<DenseBlock*> Staging(int64_t rows, int64_t cols);
+  DenseBlock* Staging(int64_t rows, int64_t cols);
 
  private:
-  Result<DenseBlock> AcquireBlock(int64_t rows, int64_t cols);
-  void ReleaseBlock(DenseBlock block);
+  /// Returns `*buf` to the pool unless it is empty (nothing acquired).
+  void Release(DenseBlock* buf);
+  /// Replaces `*buf` with a fresh rows x cols buffer.
+  void Reacquire(DenseBlock* buf, int64_t rows, int64_t cols);
 
   AcquireFn acquire_;
   ReleaseFn release_;
   DenseBlock panel_a_;
   DenseBlock panel_b_;
   DenseBlock staging_;
-  bool has_a_ = false;
-  bool has_b_ = false;
-  bool has_staging_ = false;
 };
 
 // ---- multiply kernels ----------------------------------------------------
 // All kernels accumulate op(A)·op(B) into a dense accumulator whose shape
 // must match the *effective* (post-transpose) operand shapes; dimension
-// checking lives in block_ops.cc. `scratch` may be null (a local heap
-// scratch is used); `stats` may be null (no accounting). The only failure
-// mode is a failed scratch acquisition from an external pool.
+// checking lives in block_ops.cc. `scratch` must not be null; `stats` may
+// be null (no accounting). They cannot fail.
 
 /// acc += op(A)·op(B) over dense blocks: packed panels + micro-kernel. The
 /// packing stage absorbs the transposes, so all four flag combinations run
 /// the same micro-kernel and produce bit-identical results. Entirely-zero
 /// packed micro-panels are skipped (the column-skip prefilter for
 /// dense-but-sparse-ish operands); zero terms never change a finite sum.
-[[nodiscard]] Status GemmDense(const DenseBlock& a, const DenseBlock& b, bool trans_a,
-                 bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                 GemmStats* stats);
+void GemmDense(const DenseBlock& a, const DenseBlock& b, bool trans_a,
+               bool trans_b, DenseBlock* acc, GemmScratch* scratch,
+               GemmStats* stats);
 
 /// acc += op(A_csc)·op(B_dense). TransA reinterprets the CSC arrays as CSR
 /// of the logical A (a per-output-element gather dot product); TransB
 /// stages Bᵀ once through the scratch.
-[[nodiscard]] Status GemmSparseDense(const CscBlock& a, const DenseBlock& b, bool trans_a,
-                       bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                       GemmStats* stats);
+void GemmSparseDense(const CscBlock& a, const DenseBlock& b, bool trans_a,
+                     bool trans_b, DenseBlock* acc, GemmScratch* scratch,
+                     GemmStats* stats);
 
 /// acc += op(A_dense)·op(B_csc). TransB walks B's stored columns as the
 /// logical B's rows (contiguous axpy per stored entry); TransA stages Aᵀ
 /// through the scratch when B carries enough non-zeros to amortize the
 /// transpose (then runs the contiguous axpy kernel), falling back to a
 /// per-element gather dot for very sparse B.
-[[nodiscard]] Status GemmDenseSparse(const DenseBlock& a, const CscBlock& b, bool trans_a,
-                       bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                       GemmStats* stats);
+void GemmDenseSparse(const DenseBlock& a, const CscBlock& b, bool trans_a,
+                     bool trans_b, DenseBlock* acc, GemmScratch* scratch,
+                     GemmStats* stats);
 
 /// acc += op(A_csc)·op(B_csc) with a dense accumulator. The transposed
 /// cases run Gustavson row-major SpGEMM over CSR views (matrix/spgemm.h):
 /// a CSC block under TransA *is* a CSR view for free, and the TransA-only
 /// case needs CSR of B, which this kernel converts inline with a one-time
 /// CSC→CSR pass (counted as pack time).
-[[nodiscard]] Status GemmSparseSparse(const CscBlock& a, const CscBlock& b, bool trans_a,
-                        bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                        GemmStats* stats);
+void GemmSparseSparse(const CscBlock& a, const CscBlock& b, bool trans_a,
+                      bool trans_b, DenseBlock* acc, GemmScratch* scratch,
+                      GemmStats* stats);
 
 // ---- vectorized elementwise / reduction primitives -----------------------
 // Plain loops with compiler-friendly shapes (contiguous, fixed-stride,

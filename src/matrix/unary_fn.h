@@ -1,7 +1,6 @@
 // Element-wise unary functions applied to every matrix entry.
 #pragma once
 
-#include <cmath>
 
 #include "matrix/shape.h"
 
@@ -21,23 +20,6 @@ const char* UnaryFnName(UnaryFnKind f);
 /// True when f(0) == 0, so a sparse operand stays sparse.
 inline bool UnaryFnPreservesZero(UnaryFnKind f) {
   return f == UnaryFnKind::kAbs || f == UnaryFnKind::kSquare;
-}
-
-/// Applies the function to one value.
-inline Scalar ApplyUnaryFn(UnaryFnKind f, Scalar x) {
-  switch (f) {
-    case UnaryFnKind::kExp:
-      return std::exp(x);
-    case UnaryFnKind::kLog:
-      return std::log(x);
-    case UnaryFnKind::kAbs:
-      return std::abs(x);
-    case UnaryFnKind::kSigmoid:
-      return 1.0f / (1.0f + std::exp(-x));
-    case UnaryFnKind::kSquare:
-      return x * x;
-  }
-  return x;
 }
 
 }  // namespace dmac

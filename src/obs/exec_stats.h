@@ -1,9 +1,10 @@
 // Execution statistics: communication accounting and timing.
 //
-// Communication bytes are counted exactly as blocks cross worker stores —
-// this is the metric of the paper's Fig. 6(b). Wall-clock time on a real
-// cluster is modeled as measured compute (max over workers per stage, since
-// stages are barriers) plus simulated network transfer time.
+// Communication bytes are counted exactly as blocks cross worker stores,
+// by the comm layer (runtime/comm.h) — the metric of the paper's Fig. 6(b).
+// Wall-clock time on a real cluster is modeled as measured compute (max
+// over workers per stage, since stages are barriers) plus simulated
+// network transfer time.
 //
 // Every field exported as a metric has exactly one row in MetricCatalog()
 // (obs/metrics.cc) that names it and says how to read it from here.
@@ -65,18 +66,17 @@ struct ExecStats {
   int64_t stages = 0;          // barrier stages of the plan; set on completion
 
   // --- Fault tolerance (docs/fault_tolerance.md). All zero in a fault-free
-  // run. Recovery work is kept out of the useful-compute and useful-comm
-  // totals above so TotalComputeSeconds()/comm_bytes() still measure the
-  // algorithm, not the failure handling; the recovery side is accounted
-  // separately below.
+  // run. Failed attempts and recovery sweeps are kept out of the useful
+  // totals above (the attempt that succeeds is useful), so
+  // TotalComputeSeconds()/comm_bytes() still measure the algorithm.
   int64_t faults_injected = 0;
   int64_t retries = 0;            // step attempts repeated after a failure
   int64_t recomputed_blocks = 0;  // rebuilt by re-running lineage producers
   int64_t restored_blocks = 0;    // restored from checkpoint / replica
   int64_t checkpoint_bytes = 0;   // deep-copied into lineage-record payloads
-  double recovery_bytes = 0;      // comm bytes moved by retried/recovery work
-  /// Worker busy seconds spent on recovery instead of useful compute
-  /// (retried attempts, backoff waits).
+  double recovery_bytes = 0;  // comm bytes of failed attempts and sweeps
+  /// Worker seconds of failed attempts and recovery sweeps, plus backoff
+  /// waits and failure detection.
   double recovery_seconds = 0;
 
   // --- Membership / permanent worker loss (docs/fault_tolerance.md).

@@ -150,7 +150,7 @@ const std::vector<MetricSpec>& MetricCatalog() {
        [](const S& s) -> double { return s.checkpoint_bytes; }},
       {"fault.recovery.seconds", kCounter, "seconds",
        "simulated worker time spent on recovery instead of useful compute "
-       "(retried attempts, backoff waits)",
+       "(failed attempts, recovery sweeps, backoff waits)",
        [](const S& s) -> double { return s.recovery_seconds; }},
       {"fault.checkpoint.durable.bytes", kCounter, "bytes",
        "bytes committed to durable checkpoint storage (block files plus "

@@ -10,21 +10,7 @@ int64_t EstimatePlanFootprintBytes(const Plan& plan, int num_workers) {
   const size_t num_nodes = plan.nodes.size();
   const size_t num_steps = plan.steps.size();
 
-  // Last step (by position in the topologically ordered step list) that
-  // reads each node; program outputs stay live to the end.
-  std::vector<size_t> last_use(num_nodes, 0);
-  for (size_t s = 0; s < num_steps; ++s) {
-    for (int input : plan.steps[s].inputs) {
-      if (input >= 0 && static_cast<size_t>(input) < num_nodes) {
-        last_use[static_cast<size_t>(input)] = s;
-      }
-    }
-  }
-  for (const PlanOutput& out : plan.outputs) {
-    if (out.node >= 0 && static_cast<size_t>(out.node) < num_nodes) {
-      last_use[static_cast<size_t>(out.node)] = num_steps;
-    }
-  }
+  const std::vector<int> last_use = LastConsumers(plan);
 
   auto node_bytes = [&](int id) -> int64_t {
     const PlanNode& node = plan.nodes[static_cast<size_t>(id)];
@@ -45,7 +31,7 @@ int64_t EstimatePlanFootprintBytes(const Plan& plan, int num_workers) {
     }
     peak = std::max(peak, live);
     for (size_t id = 0; id < num_nodes; ++id) {
-      if (resident[id] && last_use[id] <= s) {
+      if (resident[id] && last_use[id] <= static_cast<int>(s)) {
         resident[id] = false;
         live -= node_bytes(static_cast<int>(id));
       }

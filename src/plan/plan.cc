@@ -198,4 +198,20 @@ std::string Plan::ToString() const {
   return out;
 }
 
+std::vector<int> LastConsumers(const Plan& plan) {
+  std::vector<int> last(plan.nodes.size(), -1);
+  const auto mark = [&last](int node, int step) {
+    if (node >= 0 && static_cast<size_t>(node) < last.size()) {
+      last[static_cast<size_t>(node)] = step;
+    }
+  };
+  for (const PlanStep& step : plan.steps) {  // ids ascend with position
+    for (int input : step.inputs) mark(input, step.id);
+  }
+  for (const PlanOutput& out : plan.outputs) {
+    mark(out.node, static_cast<int>(plan.steps.size()));
+  }
+  return last;
+}
+
 }  // namespace dmac

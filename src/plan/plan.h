@@ -136,4 +136,9 @@ struct Plan {
   std::string ToString() const;
 };
 
+/// For every node of `plan`, the id of the last step that reads it (-1
+/// when none does); plan outputs map past the last step, since they live
+/// until gathered. Step ids equal positions in a finalized plan.
+std::vector<int> LastConsumers(const Plan& plan);
+
 }  // namespace dmac

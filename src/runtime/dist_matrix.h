@@ -6,7 +6,7 @@
 // ranges for Row, block-column ranges for Column, full replication for
 // Broadcast. Blocks are shared immutably (shared_ptr), so local extended
 // operators (reference/extract) copy pointers, not payloads — only the
-// network layer (executor) copies across stores and counts bytes.
+// comm layer (comm.h) moves blocks across stores and counts bytes.
 //
 // Governance (docs/governance.md): each store records the bytes of the
 // blocks it *owns* (input matrices are aliased, not owned, and count

@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/buffer_pool.h"
+#include "runtime/comm.h"
 #include "runtime/fault_layer.h"
 #include "runtime/governor_layer.h"
 
@@ -23,43 +24,11 @@ namespace dmac {
 
 namespace {
 
-/// Evaluates a resolved scalar expression against the scalar environment.
-Result<double> EvalScalar(const ScalarExprPtr& e,
-                          const std::unordered_map<std::string, double>& env) {
-  switch (e->kind) {
-    case ScalarExpr::Kind::kLiteral:
-      return e->literal;
-    case ScalarExpr::Kind::kVarRef: {
-      auto it = env.find(e->name);
-      if (it == env.end()) {
-        return Status::NotFound("scalar " + e->name + " not yet computed");
-      }
-      return it->second;
-    }
-    case ScalarExpr::Kind::kBinary: {
-      DMAC_ASSIGN_OR_RETURN(double l, EvalScalar(e->lhs, env));
-      DMAC_ASSIGN_OR_RETURN(double r, EvalScalar(e->rhs, env));
-      switch (e->op) {
-        case '+':
-          return l + r;
-        case '-':
-          return l - r;
-        case '*':
-          return l * r;
-        case '/':
-          return l / r;
-      }
-      return Status::Invalid(std::string("unknown scalar operator ") + e->op);
-    }
-    case ScalarExpr::Kind::kSqrt: {
-      DMAC_ASSIGN_OR_RETURN(double l, EvalScalar(e->lhs, env));
-      return std::sqrt(l);
-    }
-    case ScalarExpr::Kind::kReduce:
-      return Status::Internal(
-          "unresolved reduce in scalar expression (decompose bug)");
-  }
-  return Status::Internal("unreachable ScalarExpr kind");
+/// The reduce hook of EvalScalar for plan steps: decomposition makes every
+/// reduce a step of its own, so a step's scalar expression carries none.
+Result<double> NoReduce(const ScalarExpr&) {
+  return Status::Internal(
+      "unresolved reduce in scalar expression (decompose bug)");
 }
 
 /// Thread-safe sink writing result blocks into one worker's store.
@@ -96,23 +65,6 @@ std::string StepSpanName(const PlanStep& step) {
   return name;
 }
 
-namespace {
-
-/// For every plan node, the id of the last step that reads it (-1 when none
-/// does). Plan outputs map past the last step: they live until gathered.
-std::vector<int> LastConsumers(const Plan& plan) {
-  std::vector<int> last(plan.nodes.size(), -1);
-  for (const PlanStep& step : plan.steps) {  // ids ascend with position
-    for (int input : step.inputs) last[static_cast<size_t>(input)] = step.id;
-  }
-  for (const PlanOutput& out : plan.outputs) {
-    last[static_cast<size_t>(out.node)] = static_cast<int>(plan.steps.size());
-  }
-  return last;
-}
-
-}  // namespace
-
 class Executor::Impl final : public StepRunner {
  public:
   Impl(const ExecutorOptions& opts, const Plan& plan, const Bindings& bindings)
@@ -123,7 +75,8 @@ class Executor::Impl final : public StepRunner {
         buffers_(static_cast<size_t>(opts.threads_per_worker) * 2),
         engine_(&pool_, &buffers_, opts.local_mode),
         node_data_(plan.nodes.size()),
-        last_consumer_(LastConsumers(plan)) {
+        last_consumer_(LastConsumers(plan)),
+        comm_(opts.num_workers, &stats_) {
     if (opts_.governor.token.active()) {
       engine_.SetCancelToken(&opts_.governor.token);
     }
@@ -149,6 +102,7 @@ class Executor::Impl final : public StepRunner {
     DMAC_ASSIGN_OR_RETURN(
         fault_, FaultLayer::Create(opts_, plan_, this, &node_data_,
                                    &last_consumer_, &scalars_, &stats_));
+    comm_.set_fault_layer(fault_.get());
     if (fault_) DMAC_RETURN_NOT_OK(fault_->Resume());
     MemTracker::Global().ResetPeak();
     const int64_t mem_before_peak = MemTracker::Global().peak_bytes();
@@ -288,8 +242,8 @@ class Executor::Impl final : public StepRunner {
   /// fn(w) for w in [0, workers) in ascending order, timing each call and
   /// attributing the seconds to (step.stage, host of w), both in ExecStats
   /// and as a worker-attributed trace span; block tasks the engine runs
-  /// inside fn(w) inherit the host id for their spans. Retried and recovery
-  /// work is charged to recovery_seconds instead.
+  /// inside fn(w) inherit the host id for their spans. The fault layer moves
+  /// the seconds of failed attempts and recovery sweeps to recovery_seconds.
   ///
   /// Each launch is also the fault layer's task-launch injection point: it
   /// can fail transiently, which ends the step, or straggle by a simulated
@@ -302,7 +256,7 @@ class Executor::Impl final : public StepRunner {
   /// could run together without changing a result bit.
   template <typename Fn>
   Status ForEachWorker(const PlanStep& step, int workers, const Fn& fn) {
-    const bool recovering = Recovering();
+    const bool recovering = fault_ && fault_->recovering();
     for (int w = 0; w < workers; ++w) {
       double delay = 0;
       if (fault_) {
@@ -311,7 +265,7 @@ class Executor::Impl final : public StepRunner {
       // Logical slot `w` may be hosted by a survivor after a permanent
       // death; timing and spans attribute to the physical host while the
       // block layout stays keyed by the logical slot (bit identity).
-      const int host = Host(w);
+      const int host = comm_.HostOf(w);
       TraceSpan span =
           !TraceRecorder::Global().enabled()
               ? TraceSpan()
@@ -325,77 +279,16 @@ class Executor::Impl final : public StepRunner {
       Timer timer;
       const Status st = fn(w);
       const double seconds = timer.ElapsedSeconds() + delay;
-      if (recovering) {
-        stats_.recovery_seconds += seconds;
-      } else {
-        stats_.AddWorkerSeconds(step.stage, host, seconds);
-      }
+      stats_.AddWorkerSeconds(step.stage, host, seconds);
       DMAC_RETURN_NOT_OK(st);
     }
     return Status::Ok();
-  }
-
-  /// Physical host of logical slot `w` (identity until a death).
-  int Host(int w) const { return fault_ ? fault_->HostOf(w) : w; }
-
-  /// True while the fault layer runs retried or recovery work.
-  bool Recovering() const { return fault_ && fault_->recovering(); }
-
-  /// Moves one block-carrying transfer from worker `from` to `to`. With a
-  /// fault layer that routes sends through its simulated network, the
-  /// transfer is queued there and `deliver` runs at the round's flush;
-  /// otherwise `deliver` runs now. Every capture must outlive the flush.
-  template <typename Deliver>
-  void Transfer(int from, int to, double bytes, Deliver&& deliver) {
-    auto* net = fault_ ? fault_->network() : nullptr;
-    if (net != nullptr && from != to) {
-      net->Send(from, to, bytes, std::forward<Deliver>(deliver));
-    } else {
-      deliver();
-    }
   }
 
   /// Workers a step over `src` launches: a Broadcast source is computed
   /// once, on worker 0, and the other replicas share the result.
   int LaunchWorkers(const DistMatrix& src) const {
     return src.scheme() == Scheme::kBroadcast ? 1 : opts_.num_workers;
-  }
-
-  /// Tail of one communication round (load, partition, broadcast,
-  /// shuffle-and-sum, reduce): counts `bytes` moved in `rounds` rounds,
-  /// labels the round's comm span, and delivers the sends the round queued
-  /// on the network layer. Bytes moved by recovery work are kept out of the
-  /// useful-communication totals.
-  Status EndCommRound(TraceSpan& span, bool broadcast, double bytes,
-                      const char* label, int rounds = 1) {
-    if (Recovering()) {
-      stats_.recovery_bytes += bytes;
-    } else {
-      (broadcast ? stats_.broadcast_bytes : stats_.shuffle_bytes) += bytes;
-      (broadcast ? stats_.broadcast_events : stats_.shuffle_events) += rounds;
-    }
-    if (span.active()) {
-      span.set_args(TraceArg("bytes", bytes) + "," +
-                    TraceArg("kind", broadcast ? "broadcast" : "shuffle"));
-    }
-    auto* net = fault_ ? fault_->network() : nullptr;
-    return net != nullptr ? net->Flush(label) : Status::Ok();
-  }
-
-  /// Reads a block for a cross-worker transfer, verifying integrity in
-  /// fault-tolerant runs. Missing blocks are DataLoss (retryable after
-  /// recovery) rather than an internal error.
-  Result<DistMatrix::BlockPtr> VerifiedGet(const DistMatrix& src, int worker,
-                                           int64_t bi, int64_t bj,
-                                           const char* what) {
-    auto ptr = src.Get(worker, bi, bj);
-    if (ptr == nullptr) {
-      return Status::DataLoss(std::string(what) + ": block (" +
-                              std::to_string(bi) + ", " + std::to_string(bj) +
-                              ") missing on worker " + std::to_string(worker));
-    }
-    if (fault_) DMAC_RETURN_NOT_OK(src.VerifyAt(worker, bi, bj));
-    return ptr;
   }
 
   // ---- cancellation (docs/governance.md) ----------------------------------
@@ -440,7 +333,8 @@ class Executor::Impl final : public StepRunner {
       case StepKind::kReduce:
         return ExecReduce(step);
       case StepKind::kScalarAssign: {
-        DMAC_ASSIGN_OR_RETURN(double v, EvalScalar(step.scalar, scalars_));
+        DMAC_ASSIGN_OR_RETURN(double v,
+                              EvalScalar(*step.scalar, scalars_, NoReduce));
         scalars_[step.scalar_out] = v;
         return Status::Ok();
       }
@@ -461,23 +355,21 @@ class Executor::Impl final : public StepRunner {
     }
     auto dm = NewData(step.output, src.shape());
     const bool broadcast = dm->scheme() == Scheme::kBroadcast;
-    TraceSpan span = TraceRecorder::Global().enabled()
-                         ? TraceSpan(kTraceComm, "load " + step.source)
-                         : TraceSpan();
-    double bytes = 0;
+    CommRound round(&comm_, "load",
+                    broadcast ? CommKind::kBroadcast : CommKind::kShuffle,
+                    step.source);
     for (int64_t bi = 0; bi < dm->grid().block_rows(); ++bi) {
       for (int64_t bj = 0; bj < dm->grid().block_cols(); ++bj) {
         // Non-owning pointer into the binding: the caller keeps inputs
         // alive for the duration of Execute().
         DistMatrix::BlockPtr ptr(std::shared_ptr<void>(),
                                  &src.BlockAt(bi, bj));
-        bytes += static_cast<double>(ptr->MemoryBytes()) *
-                 (broadcast ? opts_.num_workers : 1);
+        round.ChargeLoad(static_cast<double>(ptr->MemoryBytes()));
         dm->Put(dm->OwnerOf(bi, bj), bi, bj, std::move(ptr));
       }
     }
-    if (broadcast) DMAC_RETURN_NOT_OK(ReplicateFromWorkerZero(dm.get()));
-    return EndCommRound(span, broadcast, bytes, "load");
+    if (broadcast) DMAC_RETURN_NOT_OK(comm_.Replicate(dm.get()));
+    return round.End();
   }
 
   Status ExecRandom(const PlanStep& step) {
@@ -498,24 +390,18 @@ class Executor::Impl final : public StepRunner {
       }
       return Status::Ok();
     }));
-    return dm->scheme() == Scheme::kBroadcast
-               ? ReplicateFromWorkerZero(dm.get())
-               : Status::Ok();
+    return dm->scheme() == Scheme::kBroadcast ? comm_.Replicate(dm.get())
+                                              : Status::Ok();
   }
 
   Status ExecPartition(const PlanStep& step) {
     const DistMatrix& src = Data(step.inputs[0]);
     auto dst = NewData(step.output, src.grid().matrix);
     DMAC_CHECK(dst->scheme() != Scheme::kBroadcast);
-    // A repartition onto the *same* scheme (SystemML-S's hash shuffle of an
-    // already-aligned matrix) keeps block placement in our simulator, but on
-    // a real cluster the hash shuffle still pushes an expected (N-1)/N of
-    // the data across the network; charge that fraction.
+    // A repartition onto the *same* scheme keeps every block in place, but
+    // is charged as the hash shuffle a real cluster would run.
     const bool same_scheme = src.scheme() == dst->scheme();
-    const double hash_fraction =
-        static_cast<double>(opts_.num_workers - 1) / opts_.num_workers;
-    TraceSpan span(kTraceComm, "partition");
-    double bytes = 0;
+    CommRound round(&comm_, "partition", CommKind::kShuffle);
     for (int64_t bi = 0; bi < src.grid().block_rows(); ++bi) {
       for (int64_t bj = 0; bj < src.grid().block_cols(); ++bj) {
         const int to = dst->OwnerOf(bi, bj);
@@ -523,45 +409,39 @@ class Executor::Impl final : public StepRunner {
         const int from = src.scheme() == Scheme::kBroadcast
                              ? to
                              : src.OwnerOf(bi, bj);
-        DMAC_ASSIGN_OR_RETURN(auto ptr,
-                              VerifiedGet(src, from, bi, bj, "partition"));
+        DMAC_ASSIGN_OR_RETURN(
+            auto ptr, comm_.ReadBlock(src, from, bi, bj, "partition"));
         const double block_bytes = static_cast<double>(ptr->MemoryBytes());
-        if (same_scheme) {
-          bytes += block_bytes * hash_fraction;
-        } else if (Host(from) != Host(to)) {
-          bytes += block_bytes;
-        }
-        Transfer(from, to, block_bytes,
-                 [d = dst.get(), to, bi, bj, ptr = std::move(ptr)]() mutable {
-                   d->Put(to, bi, bj, std::move(ptr));
-                 });
+        if (same_scheme) round.ChargeHashShuffle(block_bytes);
+        round.Send(from, to, block_bytes,
+                   [d = dst.get(), to, bi, bj, ptr = std::move(ptr)]() mutable {
+                     d->Put(to, bi, bj, std::move(ptr));
+                   });
       }
     }
-    return EndCommRound(span, /*broadcast=*/false, bytes, "partition");
+    return round.End();
   }
 
   Status ExecBroadcast(const PlanStep& step) {
     const DistMatrix& src = Data(step.inputs[0]);
     auto dst = NewData(step.output, src.grid().matrix);
     DMAC_CHECK(dst->scheme() == Scheme::kBroadcast);
-    TraceSpan span(kTraceComm, "broadcast");
-    double bytes = 0;
+    CommRound round(&comm_, "broadcast", CommKind::kBroadcast);
     for (int64_t bi = 0; bi < src.grid().block_rows(); ++bi) {
       for (int64_t bj = 0; bj < src.grid().block_cols(); ++bj) {
         const int from = src.OwnerOf(bi, bj);
-        DMAC_ASSIGN_OR_RETURN(auto ptr,
-                              VerifiedGet(src, from, bi, bj, "broadcast"));
+        DMAC_ASSIGN_OR_RETURN(
+            auto ptr, comm_.ReadBlock(src, from, bi, bj, "broadcast"));
         const double block_bytes = static_cast<double>(ptr->MemoryBytes());
         for (int w = 0; w < opts_.num_workers; ++w) {
-          if (w != from && Host(w) != Host(from)) bytes += block_bytes;
-          Transfer(from, w, block_bytes,
-                   [d = dst.get(), w, bi, bj, ptr]() mutable {
-                     d->Put(w, bi, bj, std::move(ptr));
-                   });
+          round.Send(from, w, block_bytes,
+                     [d = dst.get(), w, bi, bj, ptr]() mutable {
+                       d->Put(w, bi, bj, std::move(ptr));
+                     });
         }
       }
     }
-    return EndCommRound(span, /*broadcast=*/true, bytes, "broadcast");
+    return round.End();
   }
 
   Status ExecTranspose(const PlanStep& step) {
@@ -585,7 +465,7 @@ class Executor::Impl final : public StepRunner {
       for (int64_t bj = 0; bj < dst->grid().block_cols(); ++bj) {
         const int w = dst->OwnerOf(bi, bj);
         DMAC_ASSIGN_OR_RETURN(auto ptr,
-                              VerifiedGet(src, w, bi, bj, "extract"));
+                              comm_.ReadBlock(src, w, bi, bj, "extract"));
         dst->Put(w, bi, bj, std::move(ptr));
       }
     }
@@ -725,18 +605,10 @@ class Executor::Impl final : public StepRunner {
         sink, ta, tb);
   }
 
-  /// A partial block of output block (bi, bj), computed by worker `from`.
-  struct Partial {
-    int64_t bi;
-    int64_t bj;
-    DistMatrix::BlockPtr block;
-    int from;
-  };
-
   /// Shuffle-and-sum, the cross-product aggregation of CPMM and crossed
   /// row/col sums (cost N·|C|, §4.1). Every worker computes its partial
-  /// blocks of `c` with `partials_of(w, &out)`; the partials are then sent,
-  /// in (worker, block key) order, to the owners of their output blocks.
+  /// blocks of `c` with `partials_of(w, &out)`; the comm layer then sends
+  /// them, in (worker, block key) order, to the owners of their blocks.
   /// Each owner sums every block's partials in sender order. Output blocks
   /// no worker contributed to are zero blocks.
   template <typename PartialsOf>
@@ -751,37 +623,10 @@ class Executor::Impl final : public StepRunner {
     DMAC_RETURN_NOT_OK(ForEachWorker(step, opts_.num_workers, [&](int w) {
       return partials_of(w, &partials[static_cast<size_t>(w)]);
     }));
-    std::vector<std::vector<Partial>> incoming(
-        static_cast<size_t>(opts_.num_workers));
-    double bytes = 0;
-    for (std::vector<Partial>& local : partials) {
-      // Pool threads complete tasks in nondeterministic order; sort by
-      // output block so the send order — and with it the network layer's
-      // fault-draw schedule — is a pure function of the plan and seed.
-      std::sort(local.begin(), local.end(),
-                [&key](const Partial& x, const Partial& y) {
-                  return key(x) < key(y);
-                });
-      for (Partial& p : local) {
-        const int dst = c->OwnerOf(p.bi, p.bj);
-        const double block_bytes = static_cast<double>(p.block->MemoryBytes());
-        if (Host(dst) != Host(p.from)) bytes += block_bytes;
-        const int from = p.from;  // read before the capture moves p
-        Transfer(from, dst, block_bytes,
-                 [&incoming, dst, p = std::move(p)]() mutable {
-                   incoming[static_cast<size_t>(dst)].push_back(std::move(p));
-                 });
-      }
-    }
-    // Comm-round boundary: partials are in flight. The fault layer may
-    // kill a worker here, and it is the cheapest place to notice a
-    // mid-round cancel.
-    if (fault_) fault_->AtShuffleBoundary(step);
-    DMAC_RETURN_NOT_OK(CheckCancel());
-    {
-      TraceSpan span(kTraceComm, round);
-      DMAC_RETURN_NOT_OK(EndCommRound(span, /*broadcast=*/false, bytes, round));
-    }
+    std::vector<std::vector<Partial>> incoming;
+    DMAC_RETURN_NOT_OK(comm_.ShuffleToOwners(
+        step, round, *c, &partials, [this] { return CheckCancel(); },
+        &incoming));
 
     DMAC_RETURN_NOT_OK(ForEachWorker(step, opts_.num_workers, [&](int w) {
       std::unordered_map<int64_t, std::vector<Partial>> grouped;
@@ -856,7 +701,7 @@ class Executor::Impl final : public StepRunner {
       }
       return engine_.RunTasks(tasks, kind);
     }));
-    return src.scheme() == Scheme::kBroadcast ? ReplicateFromWorkerZero(dst)
+    return src.scheme() == Scheme::kBroadcast ? comm_.Replicate(dst)
                                               : Status::Ok();
   }
 
@@ -896,7 +741,8 @@ class Executor::Impl final : public StepRunner {
 
   Status ExecScalarOp(const PlanStep& step) {
     const DistMatrix& a = Data(step.inputs[0]);
-    DMAC_ASSIGN_OR_RETURN(double scalar, EvalScalar(step.scalar, scalars_));
+    DMAC_ASSIGN_OR_RETURN(double scalar,
+                          EvalScalar(*step.scalar, scalars_, NoReduce));
     auto c = NewData(step.output, a.grid().matrix);
     const bool add = step.op_kind == OpKind::kScalarAdd;
     const Scalar s = static_cast<Scalar>(scalar);
@@ -960,7 +806,7 @@ class Executor::Impl final : public StepRunner {
         partial_sums(w, sink);
         return Status::Ok();
       }));
-      return broadcast ? ReplicateFromWorkerZero(c.get()) : Status::Ok();
+      return broadcast ? comm_.Replicate(c.get()) : Status::Ok();
     }
     return ShuffleAndSum(
         step, c.get(), "aggregate-shuffle",
@@ -970,21 +816,6 @@ class Executor::Impl final : public StepRunner {
           });
           return Status::Ok();
         });
-  }
-
-  /// Shares worker 0's blocks with every other replica of a Broadcast
-  /// matrix (all replicas are identical by construction).
-  Status ReplicateFromWorkerZero(DistMatrix* dm) {
-    for (int64_t bi = 0; bi < dm->grid().block_rows(); ++bi) {
-      for (int64_t bj = 0; bj < dm->grid().block_cols(); ++bj) {
-        auto ptr = dm->Get(0, bi, bj);
-        if (ptr == nullptr) {
-          return Status::Internal("broadcast result missing block");
-        }
-        for (int w = 1; w < opts_.num_workers; ++w) dm->Put(w, bi, bj, ptr);
-      }
-    }
-    return Status::Ok();
   }
 
   Status ExecReduce(const PlanStep& step) {
@@ -1003,11 +834,9 @@ class Executor::Impl final : public StepRunner {
     for (double partial : partials) total += partial;
     if (step.reduce == ReduceKind::kNorm2) total = std::sqrt(total);
     scalars_[step.scalar_out] = total;
-    // Driver aggregation: N partial doubles cross the network (bytes only,
-    // no extra round — the reduce piggybacks on the stage boundary).
-    TraceSpan span(kTraceComm, "reduce");
-    return EndCommRound(span, /*broadcast=*/false, 8.0 * opts_.num_workers,
-                        "reduce", /*rounds=*/0);
+    CommRound round(&comm_, "reduce", CommKind::kShuffle);
+    round.ChargeReduce();  // the N partials go to the driver
+    return round.End();
   }
 
   // ---- gather -------------------------------------------------------------
@@ -1058,8 +887,9 @@ class Executor::Impl final : public StepRunner {
   int64_t block_size_ = 0;
   std::vector<std::shared_ptr<DistMatrix>> node_data_;
   std::vector<int> last_consumer_;  // LastConsumers(plan_)
-  std::unordered_map<std::string, double> scalars_;
+  ScalarEnv scalars_;
   ExecStats stats_;
+  CommLayer comm_;  // every cross-worker block move (comm.h)
 
   // Cancellation (docs/governance.md): opts_.governor.token shares state
   // with the caller's copy.

@@ -1,13 +1,13 @@
 // Distributed plan execution on the simulated cluster (paper §5).
 //
 // The executor walks a finalized plan stage by stage. Communication steps
-// (load, partition, broadcast, CPMM aggregation) move shared block pointers
-// between per-worker stores and count every byte crossing a worker
-// boundary; everything else runs worker-local through the block engine.
-// Workers are simulated: their local work runs one worker at a time on a
-// shared thread pool (L threads, the paper's local parallelism), and each
-// worker's busy time is recorded per stage so that cluster wall time can be
-// derived as Σ_stage max_worker(compute) + network model.
+// move shared block pointers between per-worker stores through the comm
+// layer (comm.h), which counts every byte crossing a worker boundary;
+// everything else runs worker-local through the block engine. Workers are
+// simulated: their local work runs one worker at a time on a shared thread
+// pool (L threads, the paper's local parallelism), and each worker's busy
+// time is recorded per stage so that cluster wall time can be derived as
+// Σ_stage max_worker(compute) + network model.
 //
 // Every step launches its worker-local work through one seam,
 // ForEachWorker, which times each worker. A worker's closure writes only
@@ -17,8 +17,8 @@
 // Fault tolerance is a separate FaultLayer (fault_layer.h) wrapping step
 // execution, constructed only when the options turn it on, and memory
 // governance is a GovernorLayer (governor_layer.h), constructed only with
-// a budget or a spill store; otherwise each of their hooks in the step
-// code is a null-pointer test.
+// a budget or a spill store. Step functions never name the fault layer:
+// its hooks are the run loop, ForEachWorker and the comm layer's routing.
 #pragma once
 
 #include <memory>

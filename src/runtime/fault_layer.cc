@@ -98,6 +98,17 @@ void FaultLayer::ExportStats() const {
   if (net_) stats_->net = net_->stats();
 }
 
+void FaultLayer::MoveToRecovery(const ExecStats& before) {
+  stats_->recovery_bytes += stats_->comm_bytes() - before.comm_bytes();
+  stats_->recovery_seconds +=
+      stats_->TotalComputeSeconds() - before.TotalComputeSeconds();
+  stats_->shuffle_bytes = before.shuffle_bytes;
+  stats_->broadcast_bytes = before.broadcast_bytes;
+  stats_->shuffle_events = before.shuffle_events;
+  stats_->broadcast_events = before.broadcast_events;
+  stats_->stage_worker_seconds = before.stage_worker_seconds;
+}
+
 Result<double> FaultLayer::OnLaunch(const PlanStep& step, int w) {
   // Recovery attempts are not re-injected — except a permanent fault,
   // which by definition fails every attempt until retries exhaust.
@@ -130,11 +141,12 @@ Status FaultLayer::RunStep(const PlanStep& step) {
   // attempted.
   if (!quorum_status_.ok()) return quorum_status_;
   for (int attempt = 0;; ++attempt) {
-    // Repeats are recovery work: not re-injected, charged to recovery. Sends
-    // a failed attempt left queued (e.g. a missing block detected
-    // mid-shuffle) must never leak into a later flush.
+    // Repeats are not re-injected, and the attempt that succeeds is the
+    // useful one. Sends a failed attempt left queued (e.g. a missing block
+    // detected mid-shuffle) must never leak into a later flush.
     recovering_ = attempt > 0;
     if (net_ != nullptr) net_->Clear();
+    const ExecStats before = *stats_;
     Status st = Status::Ok();
     for (int input : step.inputs) {  // verify inputs against their lineage
       const NodeLineage* lin = lineage_.Find(input);  // null: pre-fault-mode
@@ -147,6 +159,7 @@ Status FaultLayer::RunStep(const PlanStep& step) {
     if (st.ok()) st = runner_->ExecuteStep(step);
     recovering_ = false;
     if (st.ok()) break;
+    MoveToRecovery(before);
     // An in-flight death during the attempt may have dropped the cluster
     // below quorum; give up before the retry machinery spends anything.
     if (!quorum_status_.ok()) return quorum_status_;
@@ -260,6 +273,7 @@ void FaultLayer::ApplyDeath(int victim) {
 /// must match the lineage records bit for bit.
 Status FaultLayer::RecoverAll() {
   TraceSpan span(kTraceRecovery, "recover-all");
+  const ExecStats before = *stats_;
   recovering_ = true;
   Status st = Status::Ok();
   for (const PlanStep& step : plan_.steps) {
@@ -270,6 +284,7 @@ Status FaultLayer::RecoverAll() {
     if (!st.ok()) break;
   }
   recovering_ = false;
+  MoveToRecovery(before);
   return st;
 }
 

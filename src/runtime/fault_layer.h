@@ -7,7 +7,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -30,9 +29,6 @@ class StepRunner {
   /// Cooperative cancellation poll.
   virtual Status CheckCancel() = 0;
 };
-
-/// A run's scalar values by SSA name.
-using ScalarEnv = std::unordered_map<std::string, double>;
 
 /// Recovery, degraded mode and durability for one Execute() call.
 class FaultLayer {
@@ -66,8 +62,8 @@ class FaultLayer {
   Result<double> OnLaunch(const PlanStep& step, int w);
   /// Physical host of logical slot `w` (identity until a death).
   int HostOf(int w) const { return membership_ ? membership_->HostOf(w) : w; }
-  /// True while retried or recovery work runs; its seconds and bytes are
-  /// charged to recovery, not to the useful totals.
+  /// True while a repeated attempt or a recovery sweep runs: it is not
+  /// re-injected, and its sends bypass the network.
   bool recovering() const { return recovering_; }
   /// Where sends route: null unless the spec can perturb messages or kill
   /// workers, and null during recovery so a bounded retry budget converges.
@@ -91,6 +87,9 @@ class FaultLayer {
         stats_(stats) {}
 
   Status SetUp();
+  /// Restores the useful totals of ExecStats to `before`'s (so they stay
+  /// bit-identical to a clean run's) and charges the difference to recovery.
+  void MoveToRecovery(const ExecStats& before);
   std::shared_ptr<DistMatrix>& Node(int id) {
     return (*nodes_)[static_cast<size_t>(id)];
   }
@@ -114,7 +113,7 @@ class FaultLayer {
   std::unique_ptr<FaultInjector> injector_;  // null unless fault.enabled
   LineageTracker lineage_;
   RetryPolicy retry_policy_;
-  bool recovering_ = false;  // work charged to recovery, not re-injected
+  bool recovering_ = false;  // repeated or recovery work, not re-injected
 
   // Checkpoints: checkpoint_every, defaulted to 1 by a durable directory.
   int effective_checkpoint_every_ = 0;

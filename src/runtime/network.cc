@@ -5,30 +5,12 @@
 
 namespace dmac {
 
-int64_t SimNetwork::NextSeq(int from, int to) {
-  const int n = membership_ != nullptr ? membership_->num_workers() : 0;
-  const int need = std::max({from, to, n - 1}) + 1;
-  if (need > seq_stride_) {
-    // Grow the dense channel table, remapping existing counters.
-    std::vector<int64_t> grown(static_cast<size_t>(need) * need, 0);
-    for (int f = 0; f < seq_stride_; ++f) {
-      for (int t = 0; t < seq_stride_; ++t) {
-        grown[static_cast<size_t>(f) * need + t] =
-            next_seq_[static_cast<size_t>(f) * seq_stride_ + t];
-      }
-    }
-    next_seq_ = std::move(grown);
-    seq_stride_ = need;
-  }
-  return next_seq_[static_cast<size_t>(from) * seq_stride_ + to]++;
-}
-
 void SimNetwork::Send(int from, int to, double bytes,
                       std::function<void()> commit) {
   Message msg;
   msg.from = from;
   msg.to = to;
-  msg.seq = NextSeq(from, to);
+  msg.seq = next_seq_[{from, to}]++;
   msg.epoch = membership_ != nullptr ? membership_->epoch() : 1;
   msg.commit = std::move(commit);
   ++stats_.messages;

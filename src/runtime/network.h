@@ -1,11 +1,11 @@
 // Simulated message-level network with fault injection
 // (docs/fault_tolerance.md).
 //
-// The executor's accounting network layer, promoted to a message queue:
+// Where the comm layer (comm.h) routes sends when faults can perturb them:
 // every cross-worker transfer becomes a sequence-numbered message carrying
 // the sender's membership epoch, buffered at Send and committed at Flush.
 // Fault draws (drop / duplicate / reorder / delay / transient partition)
-// happen at send time, in the executor's deterministic send order, so one
+// happen at send time, in the comm layer's deterministic send order, so one
 // (spec.seed, program) pair replays the identical network schedule.
 //
 // Delivery semantics make every injected fault invisible to results:
@@ -13,20 +13,22 @@
 //    (ack + timeout, simulated), charging backoff to fault accounting;
 //  * duplicates share the original's sequence number and are deduped at
 //    delivery — required, because commit callbacks append partials to the
-//    executor's shuffle-and-sum inboxes, where a copy would be summed twice;
+//    shuffle-and-sum inboxes, where a copy would be summed twice;
 //  * reorders are absorbed by sorted (sender, sequence) delivery, which
 //    also pins the floating-point summation order to the direct path's;
 //  * a stale-epoch arrival from a dead sender is fenced (never committed)
 //    and surfaces as retryable kDataLoss so lineage recovery rebuilds the
 //    affected step — the zombie-straggler double-write cannot happen.
 //
-// Driver-thread only: Send and Flush are called from the executor's step
-// loop, never from pool threads.
+// Driver-thread only: Send and Flush are called from the comm layer's
+// rounds, never from pool threads.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -38,8 +40,8 @@
 namespace dmac {
 
 /// The simulated fault-injecting message layer. Null injector/membership
-/// are allowed (no faults drawn / no fencing); the executor only
-/// instantiates the layer at all when network faults or deaths can fire.
+/// are allowed (no faults drawn / no fencing); the fault layer only
+/// instantiates it when network faults or deaths can fire.
 class SimNetwork {
  public:
   SimNetwork(FaultInjector* injector, ClusterMembership* membership,
@@ -81,16 +83,12 @@ class SimNetwork {
   RetryPolicy policy_;
   NetFaultStats stats_;
   std::vector<Message> messages_;
-  /// Per-(from, to) channel sequence counters, keyed from * N + to with a
-  /// dense map — channel count is num_workers^2, tiny.
-  std::vector<int64_t> next_seq_;
-  int seq_stride_ = 0;
+  /// Next sequence number of each (from, to) channel.
+  std::map<std::pair<int, int>, int64_t> next_seq_;
   /// Transient-partition state: while `partition_budget_ > 0`, every
   /// message involving `partition_victim_` is force-dropped once.
   int partition_victim_ = -1;
   int partition_budget_ = 0;
-
-  int64_t NextSeq(int from, int to);
 };
 
 }  // namespace dmac

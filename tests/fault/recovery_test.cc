@@ -168,6 +168,41 @@ TEST(RecoveryTest, CheckpointsServeRecoveryInsteadOfRecompute) {
                      "checkpointed recovery");
 }
 
+/// Runs the small GNMF clean and under `faulted`, and checks that the
+/// faulted run's useful communication is the clean run's to the byte: the
+/// attempt that succeeds is useful work, while failed attempts and recovery
+/// sweeps are charged to recovery.
+void ExpectCleanRunsTraffic(const RunConfig& faulted) {
+  const FaultAppCase app = MakeSmallGnmf();
+  const auto clean =
+      RunProgram(app.program, app.MakeBindings(), BaseConfig());
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  const auto outcome = RunProgram(app.program, app.MakeBindings(), faulted);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  const ExecStats& stats = outcome->result.stats;
+  ASSERT_GT(stats.retries, 0);  // the schedule fired and was retried
+  EXPECT_EQ(stats.comm_bytes(), clean->result.stats.comm_bytes());
+  EXPECT_EQ(stats.comm_events(), clean->result.stats.comm_events());
+  ExpectBitIdentical(clean->result, outcome->result, "faulted");
+}
+
+TEST(RecoveryTest, RetriedLaunchesCountTheCleanRunsTraffic) {
+  RunConfig config = BaseConfig();
+  config.fault.enabled = true;
+  config.fault.seed = 5;
+  config.fault.transient_prob = 0.5;
+  ExpectCleanRunsTraffic(config);
+}
+
+TEST(RecoveryTest, RecoveredCrashesAndLostBlocksCountTheCleanRunsTraffic) {
+  RunConfig config = BaseConfig();
+  config.fault.enabled = true;
+  config.fault.seed = 7;
+  config.fault.crash_prob = 0.2;
+  config.fault.lost_block_prob = 0.02;
+  ExpectCleanRunsTraffic(config);
+}
+
 TEST(RecoveryTest, DisabledFaultPathLeavesCountersZero) {
   const FaultAppCase app = MakeSmallPageRank();
   const auto outcome =

@@ -10,6 +10,7 @@
 
 #include "apps/gnmf.h"
 #include "apps/runner.h"
+#include "common/json.h"
 #include "data/synthetic.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
@@ -100,6 +101,18 @@ TEST(ObsExecTest, EnabledRunProducesAllSpanCategoriesAndMetrics) {
   EXPECT_DOUBLE_EQ(static_cast<double>(summary->comm_spans),
                    reg.counter("exec.shuffle.rounds")->value() +
                        reg.counter("exec.broadcast.rounds")->value());
+
+  // The comm spans' `bytes` args add up to the run's measured traffic.
+  double span_bytes = 0;
+  for (const TraceEvent& e : events) {
+    if (std::string(e.category) != kTraceComm) continue;
+    auto args = ParseJson("{" + e.args + "}");
+    ASSERT_TRUE(args.ok()) << e.name << ": " << e.args;
+    const JsonValue* bytes = args->Find("bytes");
+    ASSERT_NE(bytes, nullptr) << e.name << " has no bytes arg";
+    span_bytes += bytes->number;
+  }
+  EXPECT_DOUBLE_EQ(span_bytes, outcome->result.stats.comm_bytes());
 
   TraceRecorder::Global().Clear();
   reg.Reset();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "apps/runner.h"
 #include "data/synthetic.h"
@@ -148,6 +149,150 @@ TEST(CommAccountingTest, MeasuredBytesScaleWithWorkerCountForBroadcasts) {
   const double bytes2 = MustRun(p, bindings, 2).result.stats.broadcast_bytes;
   const double bytes6 = MustRun(p, bindings, 6).result.stats.broadcast_bytes;
   EXPECT_GT(bytes6, bytes2 * 2);
+}
+
+/// The plan's steps of kind `kind`.
+std::vector<const PlanStep*> StepsOf(const Plan& plan, StepKind kind) {
+  std::vector<const PlanStep*> out;
+  for (const PlanStep& step : plan.steps) {
+    if (step.kind == kind) out.push_back(&step);
+  }
+  return out;
+}
+
+Scheme SchemeOf(const Plan& plan, int node) {
+  return plan.nodes[static_cast<size_t>(node)].scheme();
+}
+
+TEST(CommAccountingTest, CpmmShufflesEveryPartialAwayFromItsOwner) {
+  // A 16x256 by 256x16 product (2x32 by 32x2 blocks of 8x8) runs as CPMM
+  // on 4 workers: A is loaded row-wise and repartitioned r -> c, B stays
+  // row-partitioned, and every worker multiplies its 8 k-blocks into a
+  // partial of each of C's 4 output blocks.
+  const int workers = 4;
+  ProgramBuilder pb;
+  Mat a = pb.Load("A", {16, 256}, 1.0);
+  Mat b = pb.Load("B", {256, 16}, 1.0);
+  Mat c = pb.Var("C");
+  pb.Assign(c, a.mm(b));
+  pb.Output(c);
+  LocalMatrix adata = SyntheticDense(16, 256, kBs, 1);
+  LocalMatrix bdata = SyntheticDense(256, 16, kBs, 2);
+  Bindings bindings{{"A", &adata}, {"B", &bdata}};
+  RunOutcome run = MustRun(pb.Build(), bindings, workers);
+
+  const auto multiplies = StepsOf(run.plan, StepKind::kCompute);
+  ASSERT_EQ(multiplies.size(), 1u) << run.plan.ToString();
+  ASSERT_EQ(multiplies[0]->mult_algo, MultAlgo::kCPMM) << run.plan.ToString();
+  ASSERT_EQ(SchemeOf(run.plan, multiplies[0]->output), Scheme::kRow);
+  const auto partitions = StepsOf(run.plan, StepKind::kPartition);
+  ASSERT_EQ(partitions.size(), 1u) << run.plan.ToString();
+  ASSERT_EQ(SchemeOf(run.plan, partitions[0]->inputs[0]), Scheme::kRow);
+  ASSERT_EQ(SchemeOf(run.plan, partitions[0]->output), Scheme::kCol);
+
+  const double block_bytes = 4.0 * kBs * kBs;
+  // r -> c of A: block (i, j) stays iff worker i also owns block column j;
+  // workers 0 and 1 each keep 8 of their 32 blocks, so 48 of 64 move.
+  const double partition = 48 * block_bytes;
+  // C is row-partitioned over its 2 block rows (owners 0 and 1): of each
+  // output block's 4 partials, the 3 computed elsewhere cross.
+  const double shuffle = 4 * 3 * block_bytes;
+  EXPECT_DOUBLE_EQ(run.result.stats.shuffle_bytes,
+                   static_cast<double>(TotalBytes(adata) + TotalBytes(bdata)) +
+                       partition + shuffle);
+  EXPECT_EQ(run.result.stats.shuffle_events, 4);  // 2 loads, partition, CPMM
+  EXPECT_EQ(run.result.stats.broadcast_events, 0);
+}
+
+TEST(CommAccountingTest, CrossedAggregateShufflesPerWorkerPartials) {
+  // colSums of a row-partitioned 64x16 product (8x2 blocks): each of the 4
+  // workers sums its 2 block rows into one 1x8 partial per block column,
+  // and the result c (1x2 blocks, row-partitioned) lives on worker 0, so
+  // workers 1-3 each ship 2 partials.
+  const int workers = 4;
+  ProgramBuilder pb;
+  Mat a = pb.Load("A", {64, 64}, 1.0);
+  Mat h = pb.Random("H", {64, 16});
+  Mat w = pb.Var("W");
+  Mat c = pb.Var("c");
+  pb.Assign(w, a.mm(h));
+  pb.Assign(c, w.ColSums());
+  pb.Output(c);
+  LocalMatrix adata = SyntheticDense(64, 64, kBs, 1);
+  Bindings bindings{{"A", &adata}};
+  RunOutcome run = MustRun(pb.Build(), bindings, workers);
+
+  const PlanStep* aggregate = nullptr;
+  for (const PlanStep* step : StepsOf(run.plan, StepKind::kCompute)) {
+    if (step->op_kind == OpKind::kColSums) aggregate = step;
+  }
+  ASSERT_NE(aggregate, nullptr) << run.plan.ToString();
+  ASSERT_EQ(SchemeOf(run.plan, aggregate->inputs[0]), Scheme::kRow);
+  ASSERT_EQ(SchemeOf(run.plan, aggregate->output), Scheme::kRow);
+  ASSERT_EQ(StepsOf(run.plan, StepKind::kPartition).size(), 0u)
+      << run.plan.ToString();
+  ASSERT_EQ(StepsOf(run.plan, StepKind::kBroadcast).size(), 1u)
+      << run.plan.ToString();
+
+  const double partial_bytes = 4.0 * 1 * kBs;
+  EXPECT_DOUBLE_EQ(run.result.stats.shuffle_bytes,
+                   static_cast<double>(TotalBytes(adata)) +
+                       3 * 2 * partial_bytes);
+  EXPECT_EQ(run.result.stats.shuffle_events, 2);  // load A, the aggregate
+  // The random H is generated in place and broadcast to 3 other workers.
+  EXPECT_DOUBLE_EQ(run.result.stats.broadcast_bytes,
+                   (workers - 1) * 4.0 * 64 * 16);
+  EXPECT_EQ(run.result.stats.broadcast_events, 1);
+}
+
+TEST(CommAccountingTest, SameSchemeHashShuffleChargesNMinusOneOverN) {
+  // SystemML-S hash-partitions both operands of a cell-wise add even when
+  // they are already aligned: each such repartition keeps every block in
+  // place but is charged (N-1)/N of the matrix.
+  const int workers = 4;
+  ProgramBuilder pb;
+  Mat a = pb.Load("A", {32, 32}, 1.0);
+  Mat b = pb.Load("B", {32, 32}, 1.0);
+  Mat d = pb.Var("D");
+  pb.Assign(d, a + b);
+  pb.Output(d);
+  LocalMatrix adata = SyntheticDense(32, 32, kBs, 1);
+  LocalMatrix bdata = SyntheticDense(32, 32, kBs, 2);
+  Bindings bindings{{"A", &adata}, {"B", &bdata}};
+  RunConfig config;
+  config.block_size = kBs;
+  config.num_workers = workers;
+  config.exploit_dependencies = false;
+  auto run = RunProgram(pb.Build(), bindings, config);
+  ASSERT_TRUE(run.ok()) << run.status();
+
+  const auto partitions = StepsOf(run->plan, StepKind::kPartition);
+  ASSERT_EQ(partitions.size(), 2u) << run->plan.ToString();
+  for (const PlanStep* step : partitions) {
+    ASSERT_EQ(SchemeOf(run->plan, step->inputs[0]),
+              SchemeOf(run->plan, step->output));
+  }
+  const double loads =
+      static_cast<double>(TotalBytes(adata) + TotalBytes(bdata));
+  EXPECT_DOUBLE_EQ(run->result.stats.shuffle_bytes, loads + loads * 3 / 4);
+  EXPECT_EQ(run->result.stats.shuffle_events, 4);
+}
+
+TEST(CommAccountingTest, ReduceSendsEightBytesPerWorkerInNoRound) {
+  const int workers = 3;
+  ProgramBuilder pb;
+  Mat a = pb.Load("A", {32, 32}, 1.0);
+  Scl s = pb.ScalarVar("s", 0);
+  pb.Assign(s, a.Sum());
+  pb.OutputScalar(s);
+  LocalMatrix adata = SyntheticDense(32, 32, kBs, 1);
+  Bindings bindings{{"A", &adata}};
+  RunOutcome run = MustRun(pb.Build(), bindings, workers);
+  ASSERT_EQ(StepsOf(run.plan, StepKind::kReduce).size(), 1u)
+      << run.plan.ToString();
+  EXPECT_DOUBLE_EQ(run.result.stats.shuffle_bytes,
+                   static_cast<double>(TotalBytes(adata)) + 8.0 * workers);
+  EXPECT_EQ(run.result.stats.comm_events(), 1);  // the load only
 }
 
 }  // namespace
