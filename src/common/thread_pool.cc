@@ -1,6 +1,38 @@
 #include "common/thread_pool.h"
 
+#include <sched.h>
+
+#include <algorithm>
+
 namespace dmac {
+
+size_t ComputePoolThreads(int num_workers, int threads_per_worker) {
+  const size_t wanted = static_cast<size_t>(std::max(num_workers, 1)) *
+                        static_cast<size_t>(std::max(threads_per_worker, 1));
+  cpu_set_t mask;
+  size_t cpus = std::thread::hardware_concurrency();
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    cpus = static_cast<size_t>(CPU_COUNT(&mask));
+  }
+  return std::min(wanted, std::max<size_t>(cpus, 1));
+}
+
+void TaskGroup::Wait() {
+  MutexLock lock(&mu_);
+  while (pending_ > 0) done_cv_.Wait(mu_);
+}
+
+void TaskGroup::Add() {
+  MutexLock lock(&mu_);
+  ++pending_;
+}
+
+void TaskGroup::Done() {
+  // Notify under the lock: once Wait() can reacquire it, this thread no
+  // longer touches the group, so the waiter may destroy it.
+  MutexLock lock(&mu_);
+  if (--pending_ == 0) done_cv_.NotifyAll();
+}
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
@@ -24,10 +56,11 @@ void ThreadPool::Submit(std::function<void()> task) {
 }
 
 void ThreadPool::Submit(const std::atomic<bool>* abandon_if,
-                        std::function<void()> task) {
+                        std::function<void()> task, TaskGroup* group) {
+  if (group != nullptr) group->Add();
   {
     MutexLock lock(&mu_);
-    queue_.push_back({std::move(task), abandon_if});
+    queue_.push_back({std::move(task), abandon_if, group});
   }
   work_cv_.NotifyOne();
 }
@@ -54,6 +87,8 @@ void ThreadPool::WorkerLoop() {
         !task.abandon_if->load(std::memory_order_acquire)) {
       task.fn();
     }
+    task.fn = nullptr;  // release captures before the group can complete
+    if (task.group != nullptr) task.group->Done();
     {
       MutexLock lock(&mu_);
       --in_flight_;

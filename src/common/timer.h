@@ -1,7 +1,11 @@
-// Monotonic stopwatch used by the executor and benchmarks.
+// Monotonic stopwatch and thread CPU clock used by the executor and
+// benchmarks.
 #pragma once
 
+#include <time.h>
+
 #include <chrono>
+#include <cstdint>
 
 namespace dmac {
 
@@ -22,5 +26,14 @@ class Timer {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+/// CPU time the calling thread has consumed, in nanoseconds. Blocking
+/// (waits, sleeps, time spent descheduled) does not advance it. Costs a
+/// system call, unlike the vDSO-served wall clock behind Timer.
+inline int64_t ThreadCpuNs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+}
 
 }  // namespace dmac

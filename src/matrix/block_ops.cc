@@ -120,8 +120,7 @@ Status MultiplyAccumulate(const Block& a, const Block& b, bool trans_a,
     GemmDenseSparse(a.dense(), b.sparse(), trans_a, trans_b, acc, scratch,
                     stats);
   } else {
-    GemmSparseSparse(a.sparse(), b.sparse(), trans_a, trans_b, acc, scratch,
-                     stats);
+    GemmSparseSparse(a.sparse(), b.sparse(), trans_a, trans_b, acc, stats);
   }
   return Status::Ok();
 }

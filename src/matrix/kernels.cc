@@ -482,8 +482,7 @@ double SpSpFlops(const CscBlock& a, const CscBlock& b, bool trans_a,
 }  // namespace
 
 void GemmSparseSparse(const CscBlock& a, const CscBlock& b, bool trans_a,
-                      bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                      GemmStats* stats) {
+                      bool trans_b, DenseBlock* acc, GemmStats* stats) {
   if (stats != nullptr) stats->flops += SpSpFlops(a, b, trans_a, trans_b);
   if (!trans_a && !trans_b) {
     SpSpPlain(a, b, acc);

@@ -135,8 +135,7 @@ void GemmDenseSparse(const DenseBlock& a, const CscBlock& b, bool trans_a,
 /// case needs CSR of B, which this kernel converts inline with a one-time
 /// CSC→CSR pass (counted as pack time).
 void GemmSparseSparse(const CscBlock& a, const CscBlock& b, bool trans_a,
-                      bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                      GemmStats* stats);
+                      bool trans_b, DenseBlock* acc, GemmStats* stats);
 
 // ---- vectorized elementwise / reduction primitives -----------------------
 // Plain loops with compiler-friendly shapes (contiguous, fixed-stride,

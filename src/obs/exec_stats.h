@@ -52,11 +52,15 @@ struct ExecStats {
   int64_t shuffle_events = 0;
   int64_t broadcast_events = 0;
 
-  /// Measured local compute seconds, per stage and per worker. Stages are
-  /// numbered 1-based everywhere they are user-visible (plans, --stats
-  /// output, AddWorkerSeconds), but this vector is 0-indexed:
-  /// stage_worker_seconds[s][w] is worker w's busy time in stage number
-  /// s + 1. See docs/runtime.md.
+  /// Measured local compute seconds, per stage and per worker. A worker's
+  /// seconds are CPU time, not wall time: its launch thread's CPU time,
+  /// plus its task batches' thread-CPU seconds replayed FIFO on L lanes,
+  /// plus any simulated straggler delay — so the workers of a step, which
+  /// run together on one shared pool, are not charged for each other's
+  /// work. Stages are numbered 1-based everywhere they are user-visible
+  /// (plans, --stats output, AddWorkerSeconds), but this vector is
+  /// 0-indexed: stage_worker_seconds[s][w] is worker w's busy time in
+  /// stage number s + 1. See docs/runtime.md.
   std::vector<std::vector<double>> stage_worker_seconds;
 
   /// Peak tracked block memory over the run (process-wide).

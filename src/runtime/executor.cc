@@ -71,7 +71,8 @@ class Executor::Impl final : public StepRunner {
       : opts_(opts),
         plan_(plan),
         bindings_(bindings),
-        pool_(static_cast<size_t>(opts.threads_per_worker)),
+        pool_(ComputePoolThreads(opts.num_workers, opts.threads_per_worker)),
+        launch_pool_(static_cast<size_t>(opts.num_workers)),
         buffers_(static_cast<size_t>(opts.threads_per_worker) * 2),
         engine_(&pool_, &buffers_, opts.local_mode),
         node_data_(plan.nodes.size()),
@@ -238,51 +239,105 @@ class Executor::Impl final : public StepRunner {
   }
 
   /// The one place a step's worker-local work is launched (paper §5, Fig. 4:
-  /// a stage is a barrier in which every worker runs its local tasks). Runs
-  /// fn(w) for w in [0, workers) in ascending order, timing each call and
-  /// attributing the seconds to (step.stage, host of w), both in ExecStats
-  /// and as a worker-attributed trace span; block tasks the engine runs
-  /// inside fn(w) inherit the host id for their spans. The fault layer moves
-  /// the seconds of failed attempts and recovery sweeps to recovery_seconds.
+  /// a stage is a barrier in which every worker runs its local tasks at the
+  /// same time). Runs fn(w) for w in [0, workers) together, as one gang on
+  /// the launch pool (a single launch runs on the calling thread), and
+  /// returns once all of them finished. Each launch binds a WorkerContext,
+  /// so the block tasks the engine runs for it inherit the host id for
+  /// their spans.
   ///
-  /// Each launch is also the fault layer's task-launch injection point: it
-  /// can fail transiently, which ends the step, or straggle by a simulated
-  /// delay (nothing sleeps) that is charged to the worker's stage seconds.
+  /// Worker w's seconds, charged to (step.stage, host of w) in worker order
+  /// after the join, are the CPU time of its launch thread over fn(w), plus
+  /// its engine batches replayed on L lanes (WorkerContext), plus its
+  /// straggler delay. Neither measured part counts time spent waiting, so a
+  /// worker is not charged for the others' work on the shared compute pool,
+  /// and the per-stage maximum stays the slowest worker's. The fault layer
+  /// moves the seconds of failed attempts and recovery sweeps to
+  /// recovery_seconds.
+  ///
+  /// Each launch is also the fault layer's task-launch injection point,
+  /// drawn for every worker in worker order before any runs: a transient
+  /// failure ends the step after the workers ahead of it ran, and a
+  /// straggler adds a simulated delay (nothing sleeps). The first failure
+  /// in worker order is returned.
   ///
   /// Closure invariant: fn(w) writes only through a StoreSink or into its
   /// own per-worker slot (index w of a vector the caller sized). It never
   /// touches stats_, scalars_ or the fault layer; sums across workers
-  /// happen after ForEachWorker returns, in worker order. So the launches
-  /// could run together without changing a result bit.
+  /// happen after ForEachWorker returns, in worker order. So running the
+  /// launches together changes no result bit.
   template <typename Fn>
   Status ForEachWorker(const PlanStep& step, int workers, const Fn& fn) {
-    const bool recovering = fault_ && fault_->recovering();
+    struct Launch {
+      WorkerContext ctx;
+      double delay = 0;  // simulated straggler seconds
+      double cpu_s = 0;  // launch thread's CPU time over fn(w)
+      Status status;
+    };
+    std::vector<Launch> launches;
+    launches.reserve(static_cast<size_t>(workers));
+    Status launch_status;
     for (int w = 0; w < workers; ++w) {
-      double delay = 0;
+      Launch launch;
       if (fault_) {
-        DMAC_ASSIGN_OR_RETURN(delay, fault_->OnLaunch(step, w));
+        Result<double> delay = fault_->OnLaunch(step, w);
+        if (!delay.ok()) {
+          launch_status = delay.status();
+          break;
+        }
+        launch.delay = *delay;
       }
       // Logical slot `w` may be hosted by a survivor after a permanent
       // death; timing and spans attribute to the physical host while the
       // block layout stays keyed by the logical slot (bit identity).
-      const int host = comm_.HostOf(w);
-      TraceSpan span =
-          !TraceRecorder::Global().enabled()
-              ? TraceSpan()
-          : delay > 0
-              ? TraceSpan(kTraceRecovery, "straggler " + StepSpanName(step),
-                          host, TraceArg("delay_s", delay))
-              : TraceSpan(recovering ? kTraceRecovery : kTraceWorker,
-                          StepSpanName(step), host,
-                          TraceArg("stage", int64_t{step.stage}));
-      engine_.SetWorkerContext(host);
-      Timer timer;
-      const Status st = fn(w);
-      const double seconds = timer.ElapsedSeconds() + delay;
-      stats_.AddWorkerSeconds(step.stage, host, seconds);
-      DMAC_RETURN_NOT_OK(st);
+      launch.ctx.host = comm_.HostOf(w);
+      launch.ctx.lanes = opts_.threads_per_worker;
+      launches.push_back(launch);
     }
-    return Status::Ok();
+
+    const bool tracing = TraceRecorder::Global().enabled();
+    const char* category =
+        fault_ && fault_->recovering() ? kTraceRecovery : kTraceWorker;
+    auto run = [&](int w) {
+      Launch& launch = launches[static_cast<size_t>(w)];
+      const int host = launch.ctx.host;
+      TraceSpan span =
+          !tracing ? TraceSpan()
+          : launch.delay > 0
+              ? TraceSpan(kTraceRecovery, "straggler " + StepSpanName(step),
+                          host, TraceArg("delay_s", launch.delay))
+              : TraceSpan(category, StepSpanName(step), host,
+                          TraceArg("stage", int64_t{step.stage}));
+      LocalEngine::BindWorker(&launch.ctx);
+      const int64_t cpu_start_ns = ThreadCpuNs();
+      launch.status = fn(w);
+      launch.cpu_s = static_cast<double>(ThreadCpuNs() - cpu_start_ns) * 1e-9;
+      LocalEngine::BindWorker(nullptr);
+    };
+    const int launched = static_cast<int>(launches.size());
+    if (launched == 1) {
+      run(0);
+    } else if (launched > 1) {
+      // The calling thread's one span over the gang.
+      TraceSpan gang = tracing ? TraceSpan(category, StepSpanName(step), -1,
+                                           TraceArg("stage",
+                                                    int64_t{step.stage}))
+                               : TraceSpan();
+      TaskGroup gang_done;
+      for (int w = 0; w < launched; ++w) {
+        launch_pool_.Submit(nullptr, [&run, w] { run(w); }, &gang_done);
+      }
+      gang_done.Wait();
+    }
+
+    Status first;
+    for (const Launch& launch : launches) {
+      stats_.AddWorkerSeconds(
+          step.stage, launch.ctx.host,
+          launch.cpu_s + launch.ctx.batch_seconds + launch.delay);
+      if (first.ok()) first = launch.status;
+    }
+    return first.ok() ? launch_status : first;
   }
 
   /// Workers a step over `src` launches: a Broadcast source is computed
@@ -881,7 +936,8 @@ class Executor::Impl final : public StepRunner {
   ExecutorOptions opts_;
   const Plan& plan_;
   const Bindings& bindings_;
-  ThreadPool pool_;
+  ThreadPool pool_;         // compute: every worker's block tasks (Fig. 4)
+  ThreadPool launch_pool_;  // one thread per worker: the gangs' launches
   BufferPool buffers_;
   LocalEngine engine_;
   int64_t block_size_ = 0;

@@ -4,15 +4,18 @@
 // move shared block pointers between per-worker stores through the comm
 // layer (comm.h), which counts every byte crossing a worker boundary;
 // everything else runs worker-local through the block engine. Workers are
-// simulated: their local work runs one worker at a time on a shared thread
-// pool (L threads, the paper's local parallelism), and each worker's busy
+// simulated: a step's workers run together, one launch thread each, and
+// their block tasks share one compute pool (num_workers × L threads capped
+// by the CPUs, L being the paper's local parallelism). Each worker's busy
 // time is recorded per stage so that cluster wall time can be derived as
 // Σ_stage max_worker(compute) + network model.
 //
 // Every step launches its worker-local work through one seam,
-// ForEachWorker, which times each worker. A worker's closure writes only
-// through a store sink or into its own per-worker slot; sums across workers
-// happen after the seam returns, in worker order (docs/runtime.md).
+// ForEachWorker, which charges each worker its own CPU time: its launch
+// thread's, plus its task batches replayed on L lanes. A worker's closure
+// writes only through a store sink or into its own per-worker slot; sums
+// across workers happen after the seam returns, in worker order
+// (docs/runtime.md).
 //
 // Fault tolerance is a separate FaultLayer (fault_layer.h) wrapping step
 // execution, constructed only when the options turn it on, and memory

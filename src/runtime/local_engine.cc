@@ -1,5 +1,6 @@
 #include "runtime/local_engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <unordered_map>
 #include <vector>
@@ -12,6 +13,9 @@
 namespace dmac {
 
 namespace {
+
+/// The calling thread's bound worker (LocalEngine::BindWorker).
+thread_local WorkerContext* bound_worker = nullptr;
 
 /// Kernel-time histogram for one task kind (stable instrument pointers).
 Histogram* TaskHistogram(TaskKind kind) {
@@ -81,6 +85,16 @@ const char* TaskKindName(TaskKind kind) {
   return "?";
 }
 
+double FifoMakespan(const std::vector<double>& seconds, int lanes) {
+  std::vector<double> free_at(static_cast<size_t>(std::max(lanes, 1)), 0.0);
+  for (double s : seconds) {
+    *std::min_element(free_at.begin(), free_at.end()) += s;
+  }
+  return *std::max_element(free_at.begin(), free_at.end());
+}
+
+void LocalEngine::BindWorker(WorkerContext* ctx) { bound_worker = ctx; }
+
 Status LocalEngine::MultiplyBlocks(const BlockGrid& out_grid,
                                    const std::vector<MultiplyTask>& tasks,
                                    const BlockFn& get_a, const BlockFn& get_b,
@@ -107,6 +121,8 @@ void LocalEngine::Dispatch(size_t num_tasks,
   // Queued tasks of a cancelled query are abandoned by the pool.
   const std::atomic<bool>* abandon =
       cancel_ != nullptr ? cancel_->fired_flag() : nullptr;
+  WorkerContext* const ctx = bound_worker;
+  const int worker = ctx != nullptr ? ctx->host : -1;
 
   // Observation is decided once per batch. An observed task records its
   // queue wait (submit -> first instruction), a worker-attributed trace
@@ -120,16 +136,13 @@ void LocalEngine::Dispatch(size_t num_tasks,
       MetricRegistry::Global().counter(kMetricEngineTasks);
   Histogram* task_hist = TaskHistogram(kind);
   const char* name = TaskKindName(kind);
-  const int worker = trace_worker_;
-  // Per-task submit times, written before Submit hands the task over. Kept
-  // out of the task closures so a queued closure stays small enough for
-  // std::function's inline storage.
+  // Per-task submit times, written before Submit hands the task over, and
+  // per-task thread-CPU seconds for the worker's replay (an abandoned task
+  // keeps 0). Kept out of the task closures so a queued closure stays small
+  // enough for std::function's inline storage.
   std::vector<int64_t> submit_ns(observe ? num_tasks : 0);
-  auto run = [&](size_t i) {
-    if (!observe) {
-      run_task(i);
-      return;
-    }
+  std::vector<double> cpu_s(ctx != nullptr ? num_tasks : 0);
+  auto observed = [&](size_t i) {
     const int64_t start_ns = TraceRecorder::Global().NowNs();
     wait_hist->Observe(static_cast<double>(start_ns - submit_ns[i]) * 1e-9);
     TraceSpan span(kTraceTask, name, worker);
@@ -138,13 +151,26 @@ void LocalEngine::Dispatch(size_t num_tasks,
     task_hist->Observe(timer.ElapsedSeconds());
     task_counter->Increment();
   };
+  auto run = [&](size_t i) {
+    const int64_t cpu_start_ns = ctx != nullptr ? ThreadCpuNs() : 0;
+    if (observe) {
+      observed(i);
+    } else {
+      run_task(i);
+    }
+    if (ctx != nullptr) {
+      cpu_s[i] = static_cast<double>(ThreadCpuNs() - cpu_start_ns) * 1e-9;
+    }
+  };
 
   // Fig. 4: one entry per task in the shared queue; idle threads pull.
+  TaskGroup batch;
   for (size_t i = 0; i < num_tasks; ++i) {
     if (observe) submit_ns[i] = TraceRecorder::Global().NowNs();
-    pool_->Submit(abandon, [&run, i] { run(i); });
+    pool_->Submit(abandon, [&run, i] { run(i); }, &batch);
   }
-  pool_->WaitIdle();
+  batch.Wait();
+  if (ctx != nullptr) ctx->batch_seconds += FifoMakespan(cpu_s, ctx->lanes);
 }
 
 Status LocalEngine::CancelStatus() const {

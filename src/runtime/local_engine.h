@@ -44,7 +44,29 @@ enum class TaskKind { kMultiply, kTranspose, kElementwise, kAggregate };
 
 const char* TaskKindName(TaskKind kind);
 
-/// Executes block tasks on one worker using a shared thread pool.
+/// The simulated worker on whose behalf a thread submits engine batches.
+/// The executor binds one to each worker launch (LocalEngine::BindWorker);
+/// the compute pool's threads are shared by every worker, so what a worker
+/// owns is its batches, not threads.
+struct WorkerContext {
+  /// Host the batches' task spans are attributed to (-1: unattributed).
+  int host = -1;
+  /// L, the threads of one simulated worker (the paper's local parallelism).
+  int lanes = 1;
+  /// Σ over the batches submitted under this context of the FifoMakespan of
+  /// their tasks' thread-CPU seconds on `lanes` lanes: the time the batches
+  /// take on an uncontended L-thread Fig. 4 queue.
+  double batch_seconds = 0;
+};
+
+/// Makespan of tasks taking `seconds` each, dequeued in order by `lanes`
+/// threads: every task starts on the earliest-free lane. 0 for no tasks;
+/// the sum of `seconds` on one lane.
+double FifoMakespan(const std::vector<double>& seconds, int lanes);
+
+/// Executes block tasks on a thread pool shared by every simulated worker;
+/// a batch belongs to the worker bound to the thread that submits it, and
+/// concurrent batches from several threads complete independently.
 class LocalEngine {
  public:
   /// Fetches operand block (index pair) → block pointer (never null for
@@ -81,10 +103,11 @@ class LocalEngine {
   Status RunTasks(const std::vector<std::function<Status()>>& tasks,
                   TaskKind kind = TaskKind::kElementwise);
 
-  /// Sets the simulated worker the following calls run on behalf of (trace
-  /// attribution only). The executor calls this; -1 means unattributed.
-  /// Call only between batches — Dispatch reads it from pool threads.
-  void SetWorkerContext(int worker) { trace_worker_ = worker; }
+  /// Binds `ctx` (null: none) to the calling thread: batches the thread
+  /// submits from now on attribute their task spans to `ctx->host` and add
+  /// their replayed seconds to `ctx->batch_seconds`. Unbound batches read
+  /// no CPU clock.
+  static void BindWorker(WorkerContext* ctx);
 
   /// Attaches the query's cancel token (may be null). Once the token fires,
   /// still-queued tasks are abandoned (never run), running tasks finish,
@@ -107,9 +130,10 @@ class LocalEngine {
   GemmScratch PooledScratch();
 
   /// Submits one closure per task to the shared queue (Fig. 4), then waits
-  /// for completion. When tracing or metrics are enabled each task
-  /// additionally records a span, its queue wait, and its kernel time under
-  /// `kind`.
+  /// for this batch's tasks — other threads' batches may still run. Under a
+  /// bound WorkerContext each task's thread-CPU time is read for the
+  /// replay. When tracing or metrics are enabled each task additionally
+  /// records a span, its queue wait, and its kernel time under `kind`.
   void Dispatch(size_t num_tasks, const std::function<void(size_t)>& run_task,
                 TaskKind kind);
 
@@ -119,7 +143,6 @@ class LocalEngine {
   ThreadPool* pool_;
   BufferPool* buffers_;
   LocalMode mode_;
-  int trace_worker_ = -1;
   const CancelToken* cancel_ = nullptr;
 };
 

@@ -180,5 +180,55 @@ TEST(ThreadPoolTest, FlagSetAfterTaskStartedDoesNotInterrupt) {
   EXPECT_TRUE(finished.load());
 }
 
+// --- Per-batch completion and the compute pool's size ----------------------
+
+TEST(ThreadPoolTest, TaskGroupWaitsOnlyForItsOwnTasks) {
+  ThreadPool pool(2);
+  std::atomic<bool> release{false};
+  std::atomic<bool> other_done{false};
+  pool.Submit([&] {
+    // Bounded, so a group that waited for the whole pool fails, not hangs.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!release && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    other_done = true;
+  });
+  TaskGroup group;
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 16; ++i) pool.Submit(nullptr, [&ran] { ++ran; }, &group);
+  group.Wait();
+  EXPECT_EQ(ran.load(), 16);
+  EXPECT_FALSE(other_done.load());
+  release = true;
+  pool.WaitIdle();
+}
+
+TEST(ThreadPoolTest, TaskGroupCountsAbandonedTasks) {
+  ThreadPool pool(1);
+  std::atomic<bool> gate{false};
+  std::atomic<bool> abandon{false};
+  std::atomic<int> ran{0};
+  pool.Submit([&gate] {
+    while (!gate.load()) std::this_thread::yield();
+  });
+  TaskGroup group;
+  for (int i = 0; i < 8; ++i) pool.Submit(&abandon, [&ran] { ++ran; }, &group);
+  abandon.store(true);
+  gate.store(true);
+  group.Wait();  // must not hang: skipped tasks are done
+  EXPECT_EQ(ran.load(), 0);
+}
+
+TEST(ThreadPoolTest, ComputePoolThreadsIsCappedAndPositive) {
+  EXPECT_EQ(ComputePoolThreads(1, 1), 1u);
+  EXPECT_EQ(ComputePoolThreads(0, 0), 1u);
+  const size_t threads = ComputePoolThreads(4, 2);
+  EXPECT_GE(threads, 1u);
+  EXPECT_LE(threads, 8u);
+  EXPECT_LE(ComputePoolThreads(4, 2), ComputePoolThreads(64, 2));
+}
+
 }  // namespace
 }  // namespace dmac

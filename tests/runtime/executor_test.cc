@@ -9,6 +9,7 @@
 #include <string>
 #include <tuple>
 
+#include "../fault/fault_test_util.h"
 #include "apps/local_interpreter.h"
 #include "apps/runner.h"
 #include "data/synthetic.h"
@@ -16,6 +17,7 @@
 #include "governor/memory_budget.h"
 #include "lang/program.h"
 #include "matrix/mem_tracker.h"
+#include "obs/trace.h"
 
 namespace dmac {
 namespace {
@@ -562,6 +564,42 @@ TEST(ExecutorTest, NetworkModelTimeIsMonotoneInBytes) {
   fast.shuffle_events = slow.shuffle_events = 1;
   NetworkModel net;
   EXPECT_LT(fast.SimulatedSeconds(net), slow.SimulatedSeconds(net));
+}
+
+TEST(ExecutorTest, WorkersOfOneStepRunTogether) {
+  // A step's workers launch as one gang: in a traced run, worker spans of
+  // two different hosts overlap in time. Steps are barriers, so overlapping
+  // worker spans belong to one step. The launch threads are not the capped
+  // compute pool's, so this holds on a one-CPU machine too.
+  const FaultAppCase app = MakeSmallGnmf();
+  const Bindings bindings = app.MakeBindings();
+  RunConfig config;
+  config.num_workers = 4;
+  config.block_size = kFaultBs;
+  TraceRecorder::Global().Clear();
+  TraceRecorder::Global().SetEnabled(true);
+  auto outcome = RunProgram(app.program, bindings, config);
+  TraceRecorder::Global().SetEnabled(false);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+
+  std::vector<TraceEvent> spans;
+  for (TraceEvent& e : TraceRecorder::Global().Snapshot()) {
+    if (std::string(e.category) == kTraceWorker && e.worker >= 0) {
+      spans.push_back(std::move(e));
+    }
+  }
+  TraceRecorder::Global().Clear();
+  bool overlap = false;
+  for (size_t i = 0; i < spans.size() && !overlap; ++i) {
+    for (size_t j = i + 1; j < spans.size() && !overlap; ++j) {
+      const TraceEvent& a = spans[i];
+      const TraceEvent& b = spans[j];
+      overlap = a.worker != b.worker &&
+                a.start_ns < b.start_ns + b.dur_ns &&
+                b.start_ns < a.start_ns + a.dur_ns;
+    }
+  }
+  EXPECT_TRUE(overlap) << spans.size() << " worker spans, none overlapping";
 }
 
 }  // namespace

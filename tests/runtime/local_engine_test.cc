@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
+#include <thread>
 
 #include "common/sync.h"
 #include "common/thread_pool.h"
@@ -264,6 +266,106 @@ TEST(LocalEngineMemoryTest, BufferModeUsesMoreMemoryThanInPlace) {
   const int64_t inplace_peak = run(LocalMode::kInPlace);
   const int64_t buffer_peak = run(LocalMode::kBuffer);
   EXPECT_GT(buffer_peak, inplace_peak);
+}
+
+// --- FIFO replay of a worker's batch (the worker-seconds model) -----------
+
+TEST(FifoMakespanTest, TasksTakeTheEarliestFreeLane) {
+  EXPECT_DOUBLE_EQ(FifoMakespan({3, 1, 1, 1}, 2), 3);
+  EXPECT_DOUBLE_EQ(FifoMakespan({1, 1, 1, 1}, 2), 2);
+  EXPECT_DOUBLE_EQ(FifoMakespan({}, 2), 0);
+  EXPECT_DOUBLE_EQ(FifoMakespan({2, 0.5, 1, 3}, 1), 6.5);
+}
+
+// --- Per-batch completion: concurrent submitters share one pool -----------
+
+TEST(LocalEngineBatchTest, BatchReturnsWhileAnotherThreadsTaskRuns) {
+  ThreadPool pool(2);
+  BufferPool buffers(4);
+  LocalEngine engine(&pool, &buffers, LocalMode::kInPlace);
+  std::atomic<bool> slow_started{false};
+  std::atomic<bool> fast_returned{false};
+  std::atomic<bool> slow_done{false};
+
+  // The slow batch holds one pool thread until the fast batch returned.
+  // The hold is bounded, so an engine whose batches wait for the whole
+  // pool fails the expectations below instead of hanging.
+  std::thread slow_submitter([&] {
+    std::vector<std::function<Status()>> slow{[&] {
+      slow_started = true;
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!fast_returned && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      slow_done = true;
+      return Status::Ok();
+    }};
+    EXPECT_TRUE(engine.RunTasks(slow).ok());
+  });
+  while (!slow_started) std::this_thread::yield();
+
+  std::atomic<int> ran{0};
+  std::vector<std::function<Status()>> fast(8, [&ran] {
+    ++ran;
+    return Status::Ok();
+  });
+  EXPECT_TRUE(engine.RunTasks(fast).ok());
+  EXPECT_EQ(ran.load(), 8);
+  EXPECT_FALSE(slow_done.load()) << "the fast batch waited for another "
+                                    "thread's task";
+  fast_returned = true;
+  slow_submitter.join();
+  EXPECT_TRUE(slow_done.load());
+}
+
+TEST(LocalEngineBatchTest, AbandonedTasksStillCompleteTheirBatch) {
+  // One pool thread: the first task fires the token, so the batch's other
+  // 31 tasks are still queued and are abandoned, never run. The batch must
+  // count them as done and return the token's status.
+  ThreadPool pool(1);
+  BufferPool buffers(4);
+  LocalEngine engine(&pool, &buffers, LocalMode::kInPlace);
+  CancelToken token = CancelToken::Cancellable();
+  engine.SetCancelToken(&token);
+  std::atomic<int> ran{0};
+  std::vector<std::function<Status()>> work(32, [&] {
+    token.Cancel();
+    ++ran;
+    return Status::Ok();
+  });
+  WorkerContext ctx;
+  ctx.lanes = 2;
+  LocalEngine::BindWorker(&ctx);
+  const Status st = engine.RunTasks(work);
+  LocalEngine::BindWorker(nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kCancelled) << st;
+  EXPECT_EQ(ran.load(), 1);
+  EXPECT_GE(ctx.batch_seconds, 0);
+}
+
+TEST(LocalEngineBatchTest, BoundWorkerAccumulatesReplayedSeconds) {
+  ThreadPool pool(2);
+  BufferPool buffers(4);
+  LocalEngine engine(&pool, &buffers, LocalMode::kInPlace);
+  // Busy-work tasks (CPU time, not sleeps: the replay reads thread CPU).
+  std::atomic<uint64_t> sink{0};
+  std::vector<std::function<Status()>> work(4, [&sink] {
+    uint64_t x = 1;
+    for (int i = 0; i < 2000000; ++i) x = x * 6364136223846793005ULL + 1;
+    sink += x;
+    return Status::Ok();
+  });
+  WorkerContext ctx;
+  ctx.lanes = 1;
+  LocalEngine::BindWorker(&ctx);
+  ASSERT_TRUE(engine.RunTasks(work).ok());
+  LocalEngine::BindWorker(nullptr);
+  EXPECT_GT(ctx.batch_seconds, 0);
+  // Unbound batches charge no context.
+  const double charged = ctx.batch_seconds;
+  ASSERT_TRUE(engine.RunTasks(work).ok());
+  EXPECT_EQ(ctx.batch_seconds, charged);
 }
 
 }  // namespace
