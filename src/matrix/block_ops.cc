@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 
 #include "matrix/kernels.h"
 
@@ -39,15 +40,29 @@ Status CheckSameShape(const Block& a, const Block& b, const char* op) {
   return Status::Ok();
 }
 
-template <typename Fn>
-Block ElementwiseDense(const Block& a, const Block& b, Fn fn) {
-  DenseBlock da = a.ToDense();
-  const DenseBlock db = b.ToDense();
-  Scalar* out = da.data();
-  const Scalar* rhs = db.data();
-  const int64_t n = da.rows() * da.cols();
-  for (int64_t i = 0; i < n; ++i) out[i] = fn(out[i], rhs[i]);
-  return Block(std::move(da));
+// The first operand as a dense result's storage: moved out of an owned
+// dense operand, copied from a borrowed one, expanded from a sparse one.
+DenseBlock DenseResult(Block&& a) {
+  return a.IsDense() ? std::move(a.dense()) : a.ToDense();
+}
+DenseBlock DenseResult(const Block& a) { return a.ToDense(); }
+
+// A sparse first operand as the storage of a result with its pattern.
+CscBlock SparseResult(Block&& a) { return std::move(a.sparse()); }
+CscBlock SparseResult(const Block& a) { return a.sparse(); }
+
+// out(i,j) = fn(a(i,j), b(i,j)) over dense storage; reads a dense b in
+// place and expands a sparse one.
+template <typename A, typename Fn>
+Block ElementwiseDense(A&& a, const Block& b, Fn fn) {
+  DenseBlock out = DenseResult(std::forward<A>(a));
+  DenseBlock b_dense;
+  const Scalar* rhs = b.IsDense() ? b.dense().data()
+                                  : (b_dense = b.ToDense()).data();
+  Scalar* lhs = out.data();
+  const int64_t n = out.rows() * out.cols();
+  for (int64_t i = 0; i < n; ++i) lhs[i] = fn(lhs[i], rhs[i]);
+  return Block(std::move(out));
 }
 
 // Merge two CSC blocks column by column: out(i,j) = fn(a(i,j), b(i,j)) over
@@ -78,6 +93,94 @@ CscBlock MergeSparse(const CscBlock& a, const CscBlock& b, Fn fn) {
     }
   }
   return builder.Build();
+}
+
+// Add and Subtract: sparse over the union of the patterns when both
+// operands are sparse, dense otherwise.
+template <typename A, typename Fn>
+Result<Block> UnionOp(A&& a, const Block& b, const char* op, Fn fn) {
+  DMAC_RETURN_NOT_OK(CheckSameShape(a, b, op));
+  if (a.IsSparse() && b.IsSparse()) {
+    return Block(MergeSparse(a.sparse(), b.sparse(), fn));
+  }
+  return ElementwiseDense(std::forward<A>(a), b, fn);
+}
+
+template <typename A>
+Result<Block> CellMultiplyImpl(A&& a, const Block& b) {
+  DMAC_RETURN_NOT_OK(CheckSameShape(a, b, "cell-multiply"));
+  // A sparse side dominates the result pattern: iterate its non-zeros only.
+  if (a.IsSparse() || b.IsSparse()) {
+    const CscBlock& pattern = a.IsSparse() ? a.sparse() : b.sparse();
+    const Block& other = a.IsSparse() ? b : a;
+    CscBuilder builder(pattern.rows(), pattern.cols());
+    builder.Reserve(static_cast<size_t>(pattern.nnz()));
+    for (int64_t c = 0; c < pattern.cols(); ++c) {
+      for (int32_t p = pattern.ColStart(c); p < pattern.ColEnd(c); ++p) {
+        const int32_t r = pattern.row_idx()[p];
+        builder.Add(r, c, pattern.values()[p] * other.At(r, c));
+      }
+    }
+    return Block(builder.Build());
+  }
+  return ElementwiseDense(std::forward<A>(a), b,
+                          [](Scalar x, Scalar y) { return x * y; });
+}
+
+template <typename A>
+Result<Block> CellDivideImpl(A&& a, const Block& b) {
+  DMAC_RETURN_NOT_OK(CheckSameShape(a, b, "cell-divide"));
+  if (a.IsSparse()) {
+    const CscBlock& num = a.sparse();
+    CscBuilder builder(num.rows(), num.cols());
+    builder.Reserve(static_cast<size_t>(num.nnz()));
+    for (int64_t c = 0; c < num.cols(); ++c) {
+      for (int32_t p = num.ColStart(c); p < num.ColEnd(c); ++p) {
+        const int32_t r = num.row_idx()[p];
+        builder.Add(r, c, num.values()[p] / b.At(r, c));
+      }
+    }
+    return Block(builder.Build());
+  }
+  return ElementwiseDense(std::forward<A>(a), b,
+                          [](Scalar x, Scalar y) { return x / y; });
+}
+
+template <typename A>
+Block ScalarMultiplyImpl(A&& a, Scalar scalar) {
+  if (a.IsDense()) {
+    DenseBlock out = DenseResult(std::forward<A>(a));
+    Scalar* data = out.data();
+    const int64_t n = out.rows() * out.cols();
+    for (int64_t i = 0; i < n; ++i) data[i] *= scalar;
+    return Block(std::move(out));
+  }
+  CscBlock out = SparseResult(std::forward<A>(a));
+  Scalar* values = out.mutable_values();
+  for (int64_t i = 0; i < out.nnz(); ++i) values[i] *= scalar;
+  return Block(std::move(out));
+}
+
+template <typename A>
+Block ScalarAddImpl(A&& a, Scalar scalar) {
+  if (scalar == Scalar{0}) return Block(std::forward<A>(a));
+  DenseBlock out = DenseResult(std::forward<A>(a));
+  Scalar* data = out.data();
+  const int64_t n = out.rows() * out.cols();
+  for (int64_t i = 0; i < n; ++i) data[i] += scalar;
+  return Block(std::move(out));
+}
+
+template <typename A>
+Block CellUnaryImpl(A&& a, UnaryFnKind fn) {
+  if (a.IsSparse() && UnaryFnPreservesZero(fn)) {
+    CscBlock out = SparseResult(std::forward<A>(a));
+    VecUnary(out.mutable_values(), out.nnz(), fn);
+    return Block(std::move(out));
+  }
+  DenseBlock out = DenseResult(std::forward<A>(a));
+  VecUnary(out.data(), out.rows() * out.cols(), fn);
+  return Block(std::move(out));
 }
 
 }  // namespace
@@ -252,58 +355,53 @@ Result<Block> SumBlocks(const std::vector<const Block*>& blocks,
   return CompactFromDense(acc, density_threshold);
 }
 
+Result<Block> Add(Block&& a, const Block& b) {
+  return UnionOp(std::move(a), b, "add", std::plus<Scalar>());
+}
 Result<Block> Add(const Block& a, const Block& b) {
-  DMAC_RETURN_NOT_OK(CheckSameShape(a, b, "add"));
-  if (a.IsSparse() && b.IsSparse()) {
-    return Block(MergeSparse(a.sparse(), b.sparse(),
-                             [](Scalar x, Scalar y) { return x + y; }));
-  }
-  return ElementwiseDense(a, b, [](Scalar x, Scalar y) { return x + y; });
+  return UnionOp(a, b, "add", std::plus<Scalar>());
 }
 
+Result<Block> Subtract(Block&& a, const Block& b) {
+  return UnionOp(std::move(a), b, "subtract", std::minus<Scalar>());
+}
 Result<Block> Subtract(const Block& a, const Block& b) {
-  DMAC_RETURN_NOT_OK(CheckSameShape(a, b, "subtract"));
-  if (a.IsSparse() && b.IsSparse()) {
-    return Block(MergeSparse(a.sparse(), b.sparse(),
-                             [](Scalar x, Scalar y) { return x - y; }));
-  }
-  return ElementwiseDense(a, b, [](Scalar x, Scalar y) { return x - y; });
+  return UnionOp(a, b, "subtract", std::minus<Scalar>());
 }
 
+Result<Block> CellMultiply(Block&& a, const Block& b) {
+  return CellMultiplyImpl(std::move(a), b);
+}
 Result<Block> CellMultiply(const Block& a, const Block& b) {
-  DMAC_RETURN_NOT_OK(CheckSameShape(a, b, "cell-multiply"));
-  // A sparse side dominates the result pattern: iterate its non-zeros only.
-  if (a.IsSparse() || b.IsSparse()) {
-    const CscBlock& pattern = a.IsSparse() ? a.sparse() : b.sparse();
-    const Block& other = a.IsSparse() ? b : a;
-    CscBuilder builder(pattern.rows(), pattern.cols());
-    builder.Reserve(static_cast<size_t>(pattern.nnz()));
-    for (int64_t c = 0; c < pattern.cols(); ++c) {
-      for (int32_t p = pattern.ColStart(c); p < pattern.ColEnd(c); ++p) {
-        const int32_t r = pattern.row_idx()[p];
-        builder.Add(r, c, pattern.values()[p] * other.At(r, c));
-      }
-    }
-    return Block(builder.Build());
-  }
-  return ElementwiseDense(a, b, [](Scalar x, Scalar y) { return x * y; });
+  return CellMultiplyImpl(a, b);
 }
 
+Result<Block> CellDivide(Block&& a, const Block& b) {
+  return CellDivideImpl(std::move(a), b);
+}
 Result<Block> CellDivide(const Block& a, const Block& b) {
-  DMAC_RETURN_NOT_OK(CheckSameShape(a, b, "cell-divide"));
-  if (a.IsSparse()) {
-    const CscBlock& num = a.sparse();
-    CscBuilder builder(num.rows(), num.cols());
-    builder.Reserve(static_cast<size_t>(num.nnz()));
-    for (int64_t c = 0; c < num.cols(); ++c) {
-      for (int32_t p = num.ColStart(c); p < num.ColEnd(c); ++p) {
-        const int32_t r = num.row_idx()[p];
-        builder.Add(r, c, num.values()[p] / b.At(r, c));
-      }
-    }
-    return Block(builder.Build());
-  }
-  return ElementwiseDense(a, b, [](Scalar x, Scalar y) { return x / y; });
+  return CellDivideImpl(a, b);
+}
+
+Block ScalarMultiply(Block&& a, Scalar scalar) {
+  return ScalarMultiplyImpl(std::move(a), scalar);
+}
+Block ScalarMultiply(const Block& a, Scalar scalar) {
+  return ScalarMultiplyImpl(a, scalar);
+}
+
+Block ScalarAdd(Block&& a, Scalar scalar) {
+  return ScalarAddImpl(std::move(a), scalar);
+}
+Block ScalarAdd(const Block& a, Scalar scalar) {
+  return ScalarAddImpl(a, scalar);
+}
+
+Block CellUnary(Block&& a, UnaryFnKind fn) {
+  return CellUnaryImpl(std::move(a), fn);
+}
+Block CellUnary(const Block& a, UnaryFnKind fn) {
+  return CellUnaryImpl(a, fn);
 }
 
 Status AddAccumulate(const Block& a, DenseBlock* acc) {
@@ -324,30 +422,6 @@ Status AddAccumulate(const Block& a, DenseBlock* acc) {
   return Status::Ok();
 }
 
-Block ScalarMultiply(const Block& a, Scalar scalar) {
-  if (a.IsDense()) {
-    DenseBlock out = a.dense();
-    Scalar* data = out.data();
-    const int64_t n = out.rows() * out.cols();
-    for (int64_t i = 0; i < n; ++i) data[i] *= scalar;
-    return Block(std::move(out));
-  }
-  const CscBlock& s = a.sparse();
-  std::vector<Scalar> values = s.values();
-  for (Scalar& v : values) v *= scalar;
-  return Block(CscBlock(s.rows(), s.cols(), s.col_ptr(), s.row_idx(),
-                        std::move(values)));
-}
-
-Block ScalarAdd(const Block& a, Scalar scalar) {
-  if (scalar == Scalar{0}) return a;
-  DenseBlock out = a.ToDense();
-  Scalar* data = out.data();
-  const int64_t n = out.rows() * out.cols();
-  for (int64_t i = 0; i < n; ++i) data[i] += scalar;
-  return Block(std::move(out));
-}
-
 const char* UnaryFnName(UnaryFnKind f) {
   switch (f) {
     case UnaryFnKind::kExp:
@@ -362,19 +436,6 @@ const char* UnaryFnName(UnaryFnKind f) {
       return "square";
   }
   return "?";
-}
-
-Block CellUnary(const Block& a, UnaryFnKind fn) {
-  if (a.IsSparse() && UnaryFnPreservesZero(fn)) {
-    const CscBlock& s = a.sparse();
-    std::vector<Scalar> values = s.values();
-    VecUnary(values.data(), static_cast<int64_t>(values.size()), fn);
-    return Block(CscBlock(s.rows(), s.cols(), s.col_ptr(), s.row_idx(),
-                          std::move(values)));
-  }
-  DenseBlock out = a.ToDense();
-  VecUnary(out.data(), out.rows() * out.cols(), fn);
-  return Block(std::move(out));
 }
 
 DenseBlock RowSums(const Block& a) {

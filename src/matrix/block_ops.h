@@ -61,31 +61,49 @@ Result<CscBlock> MultiplySparseChain(
 Result<Block> SumBlocks(const std::vector<const Block*>& blocks,
                         double density_threshold);
 
+// Element-wise ops. Each takes its first operand either owned (an rvalue)
+// or borrowed. An owned operand whose representation the result keeps
+// becomes the result's storage: a dense operand of a dense result, or a
+// sparse operand whose pattern the result keeps (scalar multiply,
+// zero-preserving unary). This is the paper's in-place execution (§5.2,
+// Fig. 7): a step whose input dies there writes into it instead of
+// allocating. A borrowed operand is copied exactly when an owned one would
+// have been reused, and both forms give the same bits in the same
+// representation. The second operand must not alias an owned first one.
+
 /// Elementwise sum; sparse when both inputs are sparse.
+Result<Block> Add(Block&& a, const Block& b);
 Result<Block> Add(const Block& a, const Block& b);
 
 /// Elementwise difference; sparse when both inputs are sparse.
+Result<Block> Subtract(Block&& a, const Block& b);
 Result<Block> Subtract(const Block& a, const Block& b);
 
 /// Elementwise (Hadamard) product; sparse when either input is sparse.
+Result<Block> CellMultiply(Block&& a, const Block& b);
 Result<Block> CellMultiply(const Block& a, const Block& b);
 
 /// Elementwise quotient a/b; keeps a's sparsity pattern when a is sparse
 /// (0 / y == 0). Division by a zero denominator at a non-zero numerator
 /// yields IEEE inf, as in R.
+Result<Block> CellDivide(Block&& a, const Block& b);
 Result<Block> CellDivide(const Block& a, const Block& b);
 
 /// acc += a. `acc` must be dense and shape-compatible.
 Status AddAccumulate(const Block& a, DenseBlock* acc);
 
-/// a · scalar (same representation as a).
+/// a · scalar (same representation as a; a sparse a keeps its pattern,
+/// explicit zeros included).
+Block ScalarMultiply(Block&& a, Scalar scalar);
 Block ScalarMultiply(const Block& a, Scalar scalar);
 
 /// a + scalar (densifies a sparse input when scalar != 0).
+Block ScalarAdd(Block&& a, Scalar scalar);
 Block ScalarAdd(const Block& a, Scalar scalar);
 
 /// Element-wise unary function. Zero-preserving functions (abs, square)
 /// keep a sparse operand sparse; the others densify.
+Block CellUnary(Block&& a, UnaryFnKind fn);
 Block CellUnary(const Block& a, UnaryFnKind fn);
 
 /// Column vector of row sums (m×1 dense).

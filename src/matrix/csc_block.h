@@ -14,8 +14,10 @@
 
 namespace dmac {
 
-/// A sparse block in CSC format. Immutable after construction; build with
-/// CscBuilder or the static factories.
+/// A sparse block in CSC format. The pattern is immutable after
+/// construction; build with CscBuilder or the static factories. Values may
+/// be rewritten in place (mutable_values()), and an explicit zero written
+/// there stays stored.
 class CscBlock {
  public:
   CscBlock() = default;
@@ -56,6 +58,9 @@ class CscBlock {
   const std::vector<int32_t>& col_ptr() const { return col_ptr_; }
   const std::vector<int32_t>& row_idx() const { return row_idx_; }
   const std::vector<Scalar>& values() const { return values_; }
+  /// The nnz() values, writable: a map that keeps the pattern (scaling, a
+  /// zero-preserving unary) rewrites them without rebuilding the block.
+  Scalar* mutable_values() { return values_.data(); }
 
   /// Payload bytes: 4·(cols+1) + 8·nnz.
   int64_t MemoryBytes() const {

@@ -24,6 +24,13 @@ int64_t EstimatePlanFootprintBytes(const Plan& plan, int num_workers) {
   std::vector<bool> resident(num_nodes, false);
   for (size_t s = 0; s < num_steps; ++s) {
     const PlanStep& step = plan.steps[s];
+    // An in-place step's output takes over its input's storage: the input
+    // leaves before the output enters.
+    const int in = InPlaceInput(plan, step, last_use);
+    if (in >= 0 && resident[static_cast<size_t>(in)]) {
+      resident[static_cast<size_t>(in)] = false;
+      live -= node_bytes(in);
+    }
     if (step.output >= 0 && static_cast<size_t>(step.output) < num_nodes &&
         !resident[static_cast<size_t>(step.output)]) {
       resident[static_cast<size_t>(step.output)] = true;

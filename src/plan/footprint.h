@@ -4,9 +4,11 @@
 // a node's bytes (worst-case, from the size estimator that annotated the
 // plan) enter when its producer step runs and leave after its last consumer
 // — Broadcast nodes are charged once per worker, matching what the stores
-// charge a MemoryBudget at run time. The peak of that walk is the number a
-// query needs admitted against, and the number the memory-footprint
-// analysis pass checks against a configured budget.
+// charge a MemoryBudget at run time. An element-wise step whose first
+// input dies there writes into that input (in-place execution, §5.2), so
+// the input leaves before the output enters. The peak of that walk is the
+// number a query needs admitted against, and the number the
+// memory-footprint analysis pass checks against a configured budget.
 #pragma once
 
 #include <cstdint>

@@ -214,4 +214,27 @@ std::vector<int> LastConsumers(const Plan& plan) {
   return last;
 }
 
+int InPlaceInput(const Plan& plan, const PlanStep& step,
+                 const std::vector<int>& last_consumers) {
+  if (step.kind != StepKind::kCompute || step.inputs.empty()) return -1;
+  switch (step.op_kind) {
+    case OpKind::kMultiply:
+    case OpKind::kRowSums:
+    case OpKind::kColSums:
+      return -1;
+    default:
+      break;
+  }
+  const int in = step.inputs[0];
+  const PlanNode& node = plan.nodes[static_cast<size_t>(in)];
+  const bool dies =
+      last_consumers[static_cast<size_t>(in)] == step.id &&
+      std::count(step.inputs.begin(), step.inputs.end(), in) == 1;
+  const bool loaded =
+      node.producer_step >= 0 &&
+      plan.steps[static_cast<size_t>(node.producer_step)].kind ==
+          StepKind::kLoad;
+  return dies && !loaded && node.scheme() != Scheme::kBroadcast ? in : -1;
+}
+
 }  // namespace dmac

@@ -141,4 +141,12 @@ struct Plan {
 /// until gathered. Step ids equal positions in a finalized plan.
 std::vector<int> LastConsumers(const Plan& plan);
 
+/// The node element-wise `step` writes its result into on a clean run
+/// (in-place execution, §5.2), or -1: its first input, when that input
+/// dies at the step (`last_consumers` from LastConsumers), is not also its
+/// other operand, is not a load (a load aliases the caller's binding) and
+/// is not Broadcast (worker 0 maps the one replica all workers share).
+int InPlaceInput(const Plan& plan, const PlanStep& step,
+                 const std::vector<int>& last_consumers);
+
 }  // namespace dmac

@@ -6,7 +6,10 @@
 // ranges for Row, block-column ranges for Column, full replication for
 // Broadcast. Blocks are shared immutably (shared_ptr), so local extended
 // operators (reference/extract) copy pointers, not payloads — only the
-// comm layer (comm.h) moves blocks across stores and counts bytes.
+// comm layer (comm.h) moves blocks across stores and counts bytes. The one
+// exception: on a clean run, an element-wise step whose first input dies
+// there takes that input's blocks out of their stores (TakeWorkerBlocks),
+// and a block nothing else references moves into the step's output.
 //
 // Governance (docs/governance.md): each store records the bytes of the
 // blocks it *owns* (input matrices are aliased, not owned, and count
@@ -134,6 +137,15 @@ class DistMatrix {
                        entry.block);
     }
     std::sort(out.begin(), out.end());  // (bi, bj) pairs are unique
+    return out;
+  }
+
+  /// WorkerBlocks(worker), leaving `worker`'s store empty: the returned
+  /// pointers replace the store's references. Driver thread only.
+  std::vector<std::tuple<int64_t, int64_t, BlockPtr>> TakeWorkerBlocks(
+      int worker) {
+    auto out = WorkerBlocks(worker);
+    ClearWorker(worker);
     return out;
   }
 

@@ -500,7 +500,7 @@ class Executor::Impl final : public StepRunner {
   }
 
   Status ExecTranspose(const PlanStep& step) {
-    const DistMatrix& src = Data(step.inputs[0]);
+    DistMatrix& src = Data(step.inputs[0]);
     auto dst = NewData(step.output, src.grid().matrix.Transposed());
     return MapBlocks(step, src, dst.get(), TaskKind::kTranspose,
                      [](int, int64_t, int64_t, const Block& block) {
@@ -733,24 +733,55 @@ class Executor::Impl final : public StepRunner {
   /// fn(worker, bi, bj, block) of `dst` (at (bj, bi) for a transpose), one
   /// engine task per block. A Broadcast input is mapped once, on worker 0,
   /// and the other replicas share the result.
+  ///
+  /// In-place execution (§5.2, Fig. 7): when an element-wise step may write
+  /// into `src` (InPlaceInput), the driver takes src's blocks out of their
+  /// stores before the gang launches and moves each block nothing else
+  /// references into fn as an rvalue, so the result can reuse its storage.
+  /// Every other block, load-step aliases of the caller's bindings included
+  /// (use_count 0), is lent as a const reference.
   template <typename Fn>
-  Status MapBlocks(const PlanStep& step, const DistMatrix& src,
-                   DistMatrix* dst, TaskKind kind, const Fn& fn) {
+  Status MapBlocks(const PlanStep& step, DistMatrix& src, DistMatrix* dst,
+                   TaskKind kind, const Fn& fn) {
+    struct Input {
+      int64_t bi, bj;
+      std::optional<Block> owned;  // moved out of its store, or
+      DistMatrix::BlockPtr lent;   // still shared: read only
+    };
     const bool transpose = kind == TaskKind::kTranspose;
-    DMAC_RETURN_NOT_OK(ForEachWorker(step, LaunchWorkers(src), [&](int w) {
-      auto blocks = src.WorkerBlocks(w);
+    // Lineage recovery re-reads inputs: only clean runs write in place.
+    const bool in_place =
+        !fault_ && InPlaceInput(plan_, step, last_consumer_) >= 0;
+    const int workers = LaunchWorkers(src);
+    std::vector<std::vector<Input>> inputs(static_cast<size_t>(workers));
+    for (int w = 0; w < workers; ++w) {
+      for (auto& [bi, bj, ptr] :
+           in_place ? src.TakeWorkerBlocks(w) : src.WorkerBlocks(w)) {
+        Input& in = inputs[static_cast<size_t>(w)].emplace_back();
+        in.bi = bi;
+        in.bj = bj;
+        if (in_place && ptr.use_count() == 1) {
+          // NewBlockPtr allocated the Block non-const: moving from it is safe.
+          in.owned = std::move(const_cast<Block&>(*ptr));
+        } else {
+          in.lent = std::move(ptr);
+        }
+      }
+    }
+    DMAC_RETURN_NOT_OK(ForEachWorker(step, workers, [&](int w) {
       StoreSink sink(dst, w);
       std::vector<std::function<Status()>> tasks;
-      tasks.reserve(blocks.size());
-      for (const auto& [bi, bj, ptr] : blocks) {
-        tasks.push_back([&fn, &sink, w, transpose, bi = bi, bj = bj,
-                         block = ptr.get()]() -> Status {
-          DMAC_ASSIGN_OR_RETURN(Block out, fn(w, bi, bj, *block));
-          if (transpose) {
-            sink(bj, bi, std::move(out));
-          } else {
-            sink(bi, bj, std::move(out));
-          }
+      tasks.reserve(inputs[static_cast<size_t>(w)].size());
+      for (Input& in : inputs[static_cast<size_t>(w)]) {
+        tasks.push_back([&fn, &sink, w, transpose, &in]() -> Status {
+          const int64_t bi = transpose ? in.bj : in.bi;
+          const int64_t bj = transpose ? in.bi : in.bj;
+          Result<Block> out = in.owned
+                                  ? fn(w, in.bi, in.bj, std::move(*in.owned))
+                                  : fn(w, in.bi, in.bj, *in.lent);
+          in = Input{};  // an input block the result did not reuse dies here
+          DMAC_RETURN_NOT_OK(out.status());
+          sink(bi, bj, std::move(*out));
           return Status::Ok();
         });
       }
@@ -761,7 +792,7 @@ class Executor::Impl final : public StepRunner {
   }
 
   Status ExecCellwise(const PlanStep& step) {
-    const DistMatrix& a = Data(step.inputs[0]);
+    DistMatrix& a = Data(step.inputs[0]);
     const DistMatrix& b = Data(step.inputs[1]);
     if (a.grid().matrix != b.grid().matrix) {
       return Status::DimensionMismatch("distributed cell-wise op " +
@@ -774,20 +805,21 @@ class Executor::Impl final : public StepRunner {
     return MapBlocks(
         step, a, c.get(), TaskKind::kElementwise,
         [&b, kind](int w, int64_t bi, int64_t bj,
-                   const Block& ablk) -> Result<Block> {
+                   auto&& ablk) -> Result<Block> {
+          using A = decltype(ablk);
           auto bptr = b.Get(w, bi, bj);
           if (bptr == nullptr) {
             return Status::Internal("cell-wise op: operand block missing");
           }
           switch (kind) {
             case OpKind::kAdd:
-              return Add(ablk, *bptr);
+              return Add(std::forward<A>(ablk), *bptr);
             case OpKind::kSubtract:
-              return Subtract(ablk, *bptr);
+              return Subtract(std::forward<A>(ablk), *bptr);
             case OpKind::kCellMultiply:
-              return CellMultiply(ablk, *bptr);
+              return CellMultiply(std::forward<A>(ablk), *bptr);
             case OpKind::kCellDivide:
-              return CellDivide(ablk, *bptr);
+              return CellDivide(std::forward<A>(ablk), *bptr);
             default:
               return Status::Internal("bad cell-wise kind");
           }
@@ -795,26 +827,30 @@ class Executor::Impl final : public StepRunner {
   }
 
   Status ExecScalarOp(const PlanStep& step) {
-    const DistMatrix& a = Data(step.inputs[0]);
+    DistMatrix& a = Data(step.inputs[0]);
     DMAC_ASSIGN_OR_RETURN(double scalar,
                           EvalScalar(*step.scalar, scalars_, NoReduce));
     auto c = NewData(step.output, a.grid().matrix);
     const bool add = step.op_kind == OpKind::kScalarAdd;
     const Scalar s = static_cast<Scalar>(scalar);
     return MapBlocks(step, a, c.get(), TaskKind::kElementwise,
-                     [add, s](int, int64_t, int64_t, const Block& block) {
-                       return Result<Block>(add ? ScalarAdd(block, s)
-                                                : ScalarMultiply(block, s));
+                     [add, s](int, int64_t, int64_t, auto&& block) {
+                       using B = decltype(block);
+                       return Result<Block>(
+                           add ? ScalarAdd(std::forward<B>(block), s)
+                               : ScalarMultiply(std::forward<B>(block), s));
                      });
   }
 
   Status ExecCellUnary(const PlanStep& step) {
-    const DistMatrix& a = Data(step.inputs[0]);
+    DistMatrix& a = Data(step.inputs[0]);
     auto c = NewData(step.output, a.grid().matrix);
     const UnaryFnKind fn = step.unary_fn;
     return MapBlocks(step, a, c.get(), TaskKind::kElementwise,
-                     [fn](int, int64_t, int64_t, const Block& block) {
-                       return Result<Block>(CellUnary(block, fn));
+                     [fn](int, int64_t, int64_t, auto&& block) {
+                       using B = decltype(block);
+                       return Result<Block>(
+                           CellUnary(std::forward<B>(block), fn));
                      });
   }
 

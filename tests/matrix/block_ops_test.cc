@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -457,6 +461,237 @@ TEST(SumBlocksTest, MixedInputsAccumulateDensely) {
   auto want = Add(sp, dn);
   ASSERT_TRUE(want.ok());
   EXPECT_TRUE(ApproxEqual(*got, *want, 0));
+}
+
+// ---- owned first operands: in-place execution (§5.2) ---------------------
+
+constexpr Scalar kInf = std::numeric_limits<Scalar>::infinity();
+constexpr Scalar kNaN = std::numeric_limits<Scalar>::quiet_NaN();
+
+/// 5x4 operand holding -0.0, NaN, ±inf, zeros and ordinary values. The
+/// sparse form stores -0.0 and NaN explicitly (CscBuilder would drop -0.0).
+Block SpecialOperand(bool sparse) {
+  const std::vector<Scalar> values = {-0.0f, kNaN, kInf, 2.5f, -kInf,
+                                      -3.0f, 1e-30f, 7.0f, 0.5f};
+  std::vector<int32_t> col_ptr = {0, 3, 5, 7, 9};
+  std::vector<int32_t> row_idx = {0, 2, 4, 1, 3, 0, 4, 2, 3};
+  CscBlock csc(5, 4, col_ptr, row_idx, values);
+  if (sparse) return Block(std::move(csc));
+  return Block(Block(std::move(csc)).ToDense());
+}
+
+/// The second operand: dense ones/zeros/specials, or a sparse pattern that
+/// overlaps the first operand's only in part.
+Block OtherOperand(bool sparse) {
+  CscBuilder b(5, 4);
+  b.Add(0, 0, 4.0f);
+  b.Add(2, 0, -1.0f);
+  b.Add(3, 1, kInf);
+  b.Add(1, 2, 2.0f);
+  b.Add(4, 3, -0.5f);
+  Block csc(b.Build());
+  if (sparse) return csc;
+  DenseBlock d = csc.ToDense();
+  d.Set(4, 0, 3.0f);  // a non-zero where the other pattern is absent
+  return Block(std::move(d));
+}
+
+bool SameScalarBits(Scalar x, Scalar y) {
+  return std::memcmp(&x, &y, sizeof(Scalar)) == 0 ||
+         (std::isnan(x) && std::isnan(y));
+}
+
+/// Same representation, same pattern, same value bits.
+void ExpectSameBits(const Block& want, const Block& got) {
+  ASSERT_EQ(want.kind(), got.kind());
+  ASSERT_EQ(want.shape(), got.shape());
+  if (want.IsDense()) {
+    const int64_t n = want.rows() * want.cols();
+    for (int64_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(SameScalarBits(want.dense().data()[i], got.dense().data()[i]))
+          << "element " << i << ": " << want.dense().data()[i] << " vs "
+          << got.dense().data()[i];
+    }
+    return;
+  }
+  EXPECT_EQ(want.sparse().col_ptr(), got.sparse().col_ptr());
+  EXPECT_EQ(want.sparse().row_idx(), got.sparse().row_idx());
+  ASSERT_EQ(want.sparse().nnz(), got.sparse().nnz());
+  for (int64_t p = 0; p < want.sparse().nnz(); ++p) {
+    EXPECT_TRUE(SameScalarBits(want.sparse().values()[p],
+                               got.sparse().values()[p]))
+        << "value " << p;
+  }
+}
+
+/// Address of a block's value storage.
+const Scalar* Storage(const Block& b) {
+  return b.IsDense() ? b.dense().data() : b.sparse().values().data();
+}
+
+/// Runs `op` on a borrowed and on an owned copy of `a`: same bits and
+/// representation either way, the borrowed operand untouched, and the
+/// owned operand's storage reused exactly when `reuse`.
+template <typename Op>
+void ExpectOwnedMatchesBorrowed(const Block& a, bool reuse, const Op& op) {
+  const Block before = a;
+  const Result<Block> borrowed = op(a);
+  ASSERT_TRUE(borrowed.ok()) << borrowed.status();
+  ExpectSameBits(before, a);
+
+  Block owned_in = a;
+  const Scalar* storage = Storage(owned_in);
+  const Result<Block> owned = op(std::move(owned_in));
+  ASSERT_TRUE(owned.ok()) << owned.status();
+  ExpectSameBits(*borrowed, *owned);
+  EXPECT_EQ(Storage(*owned) == storage, reuse);
+}
+
+class OwnedCellwiseTest
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(OwnedCellwiseTest, SameBitsAndRepresentationAsBorrowed) {
+  const auto [a_sparse, b_sparse] = GetParam();
+  const Block a = SpecialOperand(a_sparse);
+  const Block b = OtherOperand(b_sparse);
+  // Add and Subtract stay sparse only when both operands are sparse,
+  // CellMultiply when either is, CellDivide when the numerator is.
+  const bool union_dense = !(a_sparse && b_sparse);
+  const bool product_dense = !a_sparse && !b_sparse;
+  const bool quotient_dense = !a_sparse;
+  struct Case {
+    const char* name;
+    bool dense_out;
+    Scalar (*fn)(Scalar, Scalar);
+  };
+  const Case cases[] = {
+      {"add", union_dense, [](Scalar x, Scalar y) { return x + y; }},
+      {"subtract", union_dense, [](Scalar x, Scalar y) { return x - y; }},
+      {"cell-multiply", product_dense,
+       [](Scalar x, Scalar y) { return x * y; }},
+      {"cell-divide", quotient_dense,
+       [](Scalar x, Scalar y) { return x / y; }},
+  };
+  for (int k = 0; k < 4; ++k) {
+    const Case& c = cases[k];
+    SCOPED_TRACE(c.name);
+    const auto op = [&b, k](auto&& x) -> Result<Block> {
+      using X = decltype(x);
+      switch (k) {
+        case 0:
+          return Add(std::forward<X>(x), b);
+        case 1:
+          return Subtract(std::forward<X>(x), b);
+        case 2:
+          return CellMultiply(std::forward<X>(x), b);
+        default:
+          return CellDivide(std::forward<X>(x), b);
+      }
+    };
+    // Only a dense first operand of a dense result is written in place.
+    ExpectOwnedMatchesBorrowed(a, !a_sparse && c.dense_out, op);
+    const Result<Block> got = op(a);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->IsDense(), c.dense_out);
+    if (c.dense_out) {
+      for (int64_t r = 0; r < a.rows(); ++r) {
+        for (int64_t j = 0; j < a.cols(); ++j) {
+          EXPECT_TRUE(
+              SameScalarBits(got->At(r, j), c.fn(a.At(r, j), b.At(r, j))))
+              << "(" << r << "," << j << ")";
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFormats, OwnedCellwiseTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "SparseA" : "DenseA") +
+             (std::get<1>(info.param) ? "SparseB" : "DenseB");
+    });
+
+TEST(OwnedScalarOpsTest, SameBitsAndRepresentationAsBorrowed) {
+  for (bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse" : "dense");
+    const Block a = SpecialOperand(sparse);
+    for (Scalar s : {2.5f, -0.0f, 0.0f, -kInf, kNaN}) {
+      // Scaling keeps every representation and pattern.
+      ExpectOwnedMatchesBorrowed(a, /*reuse=*/true, [s](auto&& x) {
+        return Result<Block>(
+            ScalarMultiply(std::forward<decltype(x)>(x), s));
+      });
+      // Adding zero returns the operand; anything else densifies.
+      ExpectOwnedMatchesBorrowed(
+          a, /*reuse=*/!sparse || s == Scalar{0}, [s](auto&& x) {
+            return Result<Block>(ScalarAdd(std::forward<decltype(x)>(x), s));
+          });
+    }
+    for (UnaryFnKind fn : {UnaryFnKind::kExp, UnaryFnKind::kLog,
+                           UnaryFnKind::kAbs, UnaryFnKind::kSigmoid,
+                           UnaryFnKind::kSquare}) {
+      SCOPED_TRACE(UnaryFnName(fn));
+      ExpectOwnedMatchesBorrowed(
+          a, /*reuse=*/!sparse || UnaryFnPreservesZero(fn), [fn](auto&& x) {
+            return Result<Block>(CellUnary(std::forward<decltype(x)>(x), fn));
+          });
+    }
+  }
+}
+
+TEST(OwnedScalarOpsTest, SparseTimesZeroKeepsExplicitZeros) {
+  const Block a = SpecialOperand(/*sparse=*/true);
+  for (Block got : {ScalarMultiply(a, 0.0f), ScalarMultiply(Block(a), 0.0f)}) {
+    ASSERT_TRUE(got.IsSparse());
+    EXPECT_EQ(got.sparse().col_ptr(), a.sparse().col_ptr());
+    EXPECT_EQ(got.sparse().row_idx(), a.sparse().row_idx());
+    ASSERT_EQ(got.nnz(), a.nnz());
+    // x * 0 is ±0 for finite x and NaN for NaN/inf: stored, never dropped.
+    for (int64_t p = 0; p < got.nnz(); ++p) {
+      const Scalar x = a.sparse().values()[p];
+      EXPECT_TRUE(SameScalarBits(got.sparse().values()[p], x * 0.0f)) << p;
+    }
+  }
+}
+
+TEST(OwnedScalarOpsTest, AddZeroReturnsTheOperandItself) {
+  for (bool sparse : {false, true}) {
+    Block a = SpecialOperand(sparse);
+    const Block before = a;
+    const Scalar* storage = Storage(a);
+    Block got = ScalarAdd(std::move(a), 0.0f);
+    EXPECT_EQ(got.IsSparse(), sparse);
+    EXPECT_EQ(Storage(got), storage);
+    ExpectSameBits(before, got);
+  }
+}
+
+TEST(OwnedCellMultiplyTest, DropsZeroProductsFromSparsePattern) {
+  // A sparse operand's entries whose product is zero leave the pattern,
+  // whichever side is sparse and whether or not the first is owned.
+  CscBuilder sb(4, 3);
+  sb.Add(0, 0, 2.0f);
+  sb.Add(3, 0, 5.0f);
+  sb.Add(1, 2, -1.0f);
+  const Block sparse(sb.Build());
+  DenseBlock d(4, 3);
+  d.Set(0, 0, 3.0f);  // (3,0) and (1,2) meet zeros
+  d.Set(2, 1, 9.0f);
+  const Block dense(std::move(d));
+  for (int owned = 0; owned < 2; ++owned) {
+    for (int sparse_first = 0; sparse_first < 2; ++sparse_first) {
+      const Block& first = sparse_first ? sparse : dense;
+      const Block& second = sparse_first ? dense : sparse;
+      Result<Block> got = owned ? CellMultiply(Block(first), second)
+                                : CellMultiply(first, second);
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(got->IsSparse());
+      EXPECT_EQ(got->nnz(), 1);
+      EXPECT_EQ(got->At(0, 0), 6.0f);
+    }
+  }
 }
 
 }  // namespace
