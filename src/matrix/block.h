@@ -69,6 +69,11 @@ class Block {
     return IsDense() ? dense().CountNonZeros() : sparse().nnz();
   }
 
+  /// nnz() > 0 without counting: a dense block stops scanning early.
+  bool HasNonZero() const {
+    return IsDense() ? dense().AnyNonZero() : sparse().nnz() > 0;
+  }
+
   /// Payload bytes in the current representation.
   int64_t MemoryBytes() const {
     return IsDense() ? dense().MemoryBytes() : sparse().MemoryBytes();

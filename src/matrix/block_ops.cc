@@ -352,7 +352,7 @@ Result<Block> SumBlocks(const std::vector<const Block*>& blocks,
   for (const Block* b : blocks) {
     DMAC_RETURN_NOT_OK(AddAccumulate(*b, &acc));
   }
-  return CompactFromDense(acc, density_threshold);
+  return CompactFromDense(std::move(acc), density_threshold);
 }
 
 Result<Block> Add(Block&& a, const Block& b) {
@@ -492,7 +492,7 @@ double SumSquares(const Block& a) {
   return VecSumSquares(values.data(), static_cast<int64_t>(values.size()));
 }
 
-Block CompactFromDense(const DenseBlock& acc, double density_threshold) {
+Block CompactFromDense(DenseBlock&& acc, double density_threshold) {
   const int64_t total = acc.rows() * acc.cols();
   const int64_t nnz = acc.CountNonZeros();
   if (total > 0 &&
@@ -507,7 +507,7 @@ Block CompactFromDense(const DenseBlock& acc, double density_threshold) {
     }
     return Block(builder.Build());
   }
-  return Block(acc);  // dense copy
+  return Block(std::move(acc));  // the accumulator becomes the result
 }
 
 namespace {

@@ -121,9 +121,10 @@ double SumSquares(const Block& a);
 /// True when every |a(i,j) - b(i,j)| <= tol. Shapes must match exactly.
 bool ApproxEqual(const Block& a, const Block& b, double tol = 1e-4);
 
-/// Copies a dense accumulator out in its cheaper representation: CSC when
-/// density < threshold, a dense copy otherwise. Single pass; used when a
-/// pooled result buffer must be recycled (Fig. 4 flow).
-Block CompactFromDense(const DenseBlock& acc, double density_threshold);
+/// Emits a dense accumulator in its cheaper representation. Below the
+/// density threshold the result is a CSC copy and `acc` keeps its storage
+/// (a pooled accumulator can go back to its pool); otherwise `acc`'s
+/// storage becomes the dense result and `acc` is left empty (Fig. 4 flow).
+Block CompactFromDense(DenseBlock&& acc, double density_threshold);
 
 }  // namespace dmac

@@ -50,8 +50,12 @@ class DenseBlock {
   /// recycled through the result buffer pool).
   void Clear();
 
-  /// Number of non-zero elements (exact scan).
+  /// Number of non-zero elements (exact scan). -0.0 counts as zero, NaN
+  /// as non-zero.
   int64_t CountNonZeros() const;
+
+  /// CountNonZeros() > 0, but stops at the first chunk holding a non-zero.
+  bool AnyNonZero() const;
 
   /// Payload bytes (4·m·n).
   int64_t MemoryBytes() const { return MemoryBytesFor(rows_, cols_); }

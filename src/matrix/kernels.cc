@@ -1,7 +1,8 @@
-// Kernel implementations. This TU is compiled -O3 (plus -march=native when
-// DMAC_NATIVE_ARCH is on) so the fixed-trip-count loops below vectorize;
-// see docs/kernels.md for the design and how it was verified with
-// -fopt-info-vec.
+// Kernel implementations. Like every dmac_matrix source, this TU is
+// compiled -O3 -ffp-contract=off (plus -march=native when DMAC_NATIVE_ARCH
+// is on) so the fixed-trip-count loops below vectorize without fusing any
+// multiply-add; see docs/kernels.md for the design and how it was verified
+// with -fopt-info-vec.
 #include "matrix/kernels.h"
 
 #include <algorithm>
@@ -333,19 +334,51 @@ void GemmSparseDense(const CscBlock& a, const DenseBlock& b, bool trans_a,
 
 namespace {
 
-/// acc += A_dense · B_csc: contiguous axpy of A's column l per stored
-/// non-zero B(l, j).
-void DnSpPlain(const DenseBlock& a, const CscBlock& b, DenseBlock* acc) {
+/// c_col += Σ_q A(:, rows[q]) · vals[q] over N stored entries of one B
+/// column: each C(i, j) is loaded once, gets the N products added in stored
+/// order, and is stored once. Every element sees the same roundings in the
+/// same order as one axpy per entry (bit-identical under
+/// -ffp-contract=off), while C's column is read and written 1/N as often.
+template <int N>
+void AxpyStored(const DenseBlock& a, const int32_t* rows, const Scalar* vals,
+                Scalar* __restrict c_col) {
   const int64_t m = a.rows();
+  const Scalar* x[N];
+  Scalar t[N];
+  for (int q = 0; q < N; ++q) {
+    x[q] = a.col(rows[q]);
+    t[q] = vals[q];
+  }
+  for (int64_t i = 0; i < m; ++i) {
+    Scalar c = c_col[i];
+    for (int q = 0; q < N; ++q) c += x[q][i] * t[q];
+    c_col[i] = c;
+  }
+}
+
+/// acc += A_dense · B_csc: contiguous axpy of A's column l per stored
+/// non-zero B(l, j), fused four stored entries per pass over C's column.
+void DnSpPlain(const DenseBlock& a, const CscBlock& b, DenseBlock* acc) {
   const int64_t n = b.cols();
-  const auto& rows = b.row_idx();
-  const auto& vals = b.values();
+  const int32_t* rows = b.row_idx().data();
+  const Scalar* vals = b.values().data();
   for (int64_t j = 0; j < n; ++j) {
     Scalar* c_col = acc->col(j);
-    for (int32_t p = b.ColStart(j); p < b.ColEnd(j); ++p) {
-      const Scalar* a_col = a.col(rows[p]);
-      const Scalar t = vals[p];
-      for (int64_t i = 0; i < m; ++i) c_col[i] += a_col[i] * t;
+    int32_t p = b.ColStart(j);
+    const int32_t end = b.ColEnd(j);
+    for (; p + 4 <= end; p += 4) AxpyStored<4>(a, rows + p, vals + p, c_col);
+    switch (end - p) {
+      case 3:
+        AxpyStored<3>(a, rows + p, vals + p, c_col);
+        break;
+      case 2:
+        AxpyStored<2>(a, rows + p, vals + p, c_col);
+        break;
+      case 1:
+        AxpyStored<1>(a, rows + p, vals + p, c_col);
+        break;
+      default:
+        break;
     }
   }
 }

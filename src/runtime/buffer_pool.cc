@@ -58,20 +58,26 @@ BufferPool::~BufferPool() {
 
 DenseBlock BufferPool::Acquire(int64_t rows, int64_t cols) {
   Metrics().acquires->Increment();
+  AddOutstanding(1);
+  DenseBlock block;
+  bool recycled = false;
   {
     MutexLock lock(&mu_);
     auto it = free_.find({rows, cols});
     if (it != free_.end() && !it->second.empty()) {
-      DenseBlock block = std::move(it->second.back());
+      block = std::move(it->second.back());
       it->second.pop_back();
-      block.Clear();
-      Metrics().reuses->Increment();
-      AddOutstanding(1);
-      return block;  // already counted when first allocated
+      recycled = true;
     }
   }
+  if (recycled) {
+    // Recycled (its bytes were counted when first allocated); cleared
+    // outside the lock so other tasks' acquires do not wait on the memset.
+    Metrics().reuses->Increment();
+    block.Clear();
+    return block;
+  }
   AddHeldBytes(DenseBlock::MemoryBytesFor(rows, cols));
-  AddOutstanding(1);
   return DenseBlock(rows, cols);
 }
 
@@ -85,6 +91,11 @@ void BufferPool::Release(DenseBlock block) {
     Metrics().discards->Increment();
     AddHeldBytes(-block.MemoryBytes());
   }
+}
+
+void BufferPool::Disown(const DenseBlock& block) {
+  AddOutstanding(-1);
+  AddHeldBytes(-block.MemoryBytes());
 }
 
 size_t BufferPool::IdleBlocks() const {

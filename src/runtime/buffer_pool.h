@@ -1,9 +1,13 @@
 // Result buffer pool (paper §5.3, Fig. 4).
 //
-// Worker threads acquire a clean dense block at the start of each task,
-// accumulate the task's result into it in place, and return it when done.
-// The pool keeps a bounded number of blocks per shape so inter-thread
-// memory is reused instead of reallocated.
+// Worker threads acquire a clean dense block at the start of each task and
+// accumulate the task's result into it in place. A result dense enough to
+// stay dense keeps its accumulator as its storage (no copy), so that block
+// leaves the pool for good (Disown); the accumulator of a result emitted
+// sparse, and the GEMM kernels' packing and staging scratch, come back
+// (Release). The pool keeps a bounded number of idle blocks per shape so
+// that memory is reused instead of reallocated. A recycled block is zeroed
+// outside the pool's lock.
 //
 // The pool's blocks are bounded kernel scratch and are not charged to a
 // query's memory budget (docs/governance.md): the governor layer charges
@@ -38,6 +42,12 @@ class BufferPool {
   /// Returns a block to the pool; dropped if the shape's slot is full.
   /// Only pass blocks obtained from this pool's Acquire.
   void Release(DenseBlock block) DMAC_EXCLUDES(mu_);
+
+  /// Takes a block obtained from this pool's Acquire off the pool's books
+  /// without returning it: the caller keeps the storage (a dense multiply
+  /// result is its accumulator). `block` is the acquired block or the block
+  /// its storage was moved into.
+  void Disown(const DenseBlock& block);
 
   /// Number of idle blocks currently held.
   size_t IdleBlocks() const DMAC_EXCLUDES(mu_);

@@ -627,7 +627,7 @@ class Executor::Impl final : public StepRunner {
               return MultiplyOnWorker(
                   step, w, out_grid, tasks, a, b,
                   [&](int64_t bi, int64_t bj, Block blk) {
-                    if (blk.nnz() == 0) return;  // nothing to ship
+                    if (!blk.HasNonZero()) return;  // nothing to ship
                     auto ptr = NewBlockPtr(std::move(blk));
                     MutexLock lock(&mu);
                     out->push_back({bi, bj, std::move(ptr), w});
@@ -882,9 +882,9 @@ class Executor::Impl final : public StepRunner {
         Status st = AddAccumulate(Block(partial), &it->second);
         DMAC_CHECK(st.ok()) << st;
       }
-      for (const auto& [idx, sum] : acc) {
+      for (auto& [idx, sum] : acc) {
         emit(rows ? idx : 0, rows ? 0 : idx,
-             CompactFromDense(sum, kDensityThreshold));
+             CompactFromDense(std::move(sum), kDensityThreshold));
       }
     };
 

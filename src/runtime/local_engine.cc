@@ -241,9 +241,15 @@ Status LocalEngine::MultiplyInPlace(const BlockGrid& out_grid,
         }
       }
       if (observe) ObserveGemmStats(stats);
-      // Emit in the cheaper representation, then recycle the accumulator.
-      Block result = CompactFromDense(acc, kDensityThreshold);
-      buffers_->Release(std::move(acc));
+      // Emit in the cheaper representation: a dense result is the
+      // accumulator itself, a sparse one is a copy and the accumulator goes
+      // back to the pool.
+      Block result = CompactFromDense(std::move(acc), kDensityThreshold);
+      if (result.IsSparse()) {
+        buffers_->Release(std::move(acc));
+      } else {
+        buffers_->Disown(result.dense());
+      }
       sink(task.bi, task.bj, std::move(result));
     }
   }, TaskKind::kMultiply);

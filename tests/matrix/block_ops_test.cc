@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -281,14 +282,14 @@ TEST(ReductionTest, SumSquaresIsNonNegativeAndExact) {
 TEST(CompactTest, FromDenseKeepsValuesBothWays) {
   DenseBlock dense(4, 4);
   dense.Set(1, 2, 3.0f);
-  Block sparse_out = CompactFromDense(dense, 0.5);
+  Block sparse_out = CompactFromDense(DenseBlock(dense), 0.5);
   EXPECT_TRUE(sparse_out.IsSparse());
   EXPECT_FLOAT_EQ(sparse_out.At(1, 2), 3.0f);
 
   for (int64_t r = 0; r < 4; ++r) {
     for (int64_t c = 0; c < 4; ++c) dense.Set(r, c, 1.0f);
   }
-  Block dense_out = CompactFromDense(dense, 0.5);
+  Block dense_out = CompactFromDense(std::move(dense), 0.5);
   EXPECT_TRUE(dense_out.IsDense());
 }
 
@@ -691,6 +692,52 @@ TEST(OwnedCellMultiplyTest, DropsZeroProductsFromSparsePattern) {
       EXPECT_EQ(got->nnz(), 1);
       EXPECT_EQ(got->At(0, 0), 6.0f);
     }
+  }
+}
+
+// ---- CompactFromDense takes the accumulator -------------------------------
+
+/// An 8x8 accumulator with `nnz` non-zeros (NaN and +-inf among them) and
+/// -0.0 in every other element, which counts as zero.
+DenseBlock AccumulatorWithNonZeros(int64_t nnz) {
+  DenseBlock acc(8, 8);
+  Scalar* data = acc.data();
+  for (int64_t i = 0; i < 64; ++i) data[i] = -0.0f;
+  for (int64_t q = 0; q < nnz; ++q) {
+    const int64_t i = (q * 37) % 64;  // 37 is coprime to 64: distinct slots
+    data[i] = q == 0 ? kNaN : q == 1 ? kInf : q == 2 ? -kInf : 0.25f * q;
+  }
+  return acc;
+}
+
+TEST(CompactTest, DenseResultKeepsTheAccumulatorStorage) {
+  DenseBlock acc = AccumulatorWithNonZeros(40);
+  const Scalar* storage = acc.data();
+  const Block out = CompactFromDense(std::move(acc), kDensityThreshold);
+  ASSERT_TRUE(out.IsDense());
+  EXPECT_EQ(out.dense().data(), storage);
+}
+
+TEST(CompactTest, SparseResultLeavesTheAccumulatorInPlace) {
+  DenseBlock acc = AccumulatorWithNonZeros(5);
+  const Scalar* storage = acc.data();
+  const Block out = CompactFromDense(std::move(acc), kDensityThreshold);
+  ASSERT_TRUE(out.IsSparse());
+  // NOLINTNEXTLINE(bugprone-use-after-move): documented to keep storage
+  EXPECT_EQ(acc.data(), storage);
+  EXPECT_EQ(acc.rows(), 8);
+  EXPECT_EQ(acc.cols(), 8);
+}
+
+// Around the 0.5 threshold (32 of 64) the representation and every bit are
+// what compacting a copy of the accumulator gives.
+TEST(CompactTest, MatchesCompactedCopyAroundTheThreshold) {
+  for (int64_t nnz : {0, 1, 30, 31, 32, 33, 34, 64}) {
+    SCOPED_TRACE("nnz=" + std::to_string(nnz));
+    DenseBlock acc = AccumulatorWithNonZeros(nnz);
+    const Block want = Block(acc).Compacted(kDensityThreshold);
+    EXPECT_EQ(want.IsSparse(), nnz < 32);
+    ExpectSameBits(want, CompactFromDense(std::move(acc), kDensityThreshold));
   }
 }
 

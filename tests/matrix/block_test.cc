@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "matrix/block_ops.h"
 
 namespace dmac {
@@ -26,6 +28,28 @@ TEST(BlockTest, KindDiscrimination) {
   EXPECT_FALSE(SmallDense().IsSparse());
   EXPECT_TRUE(SmallSparse().IsSparse());
   EXPECT_EQ(SmallSparse().kind(), BlockKind::kSparse);
+}
+
+// HasNonZero() is nnz() > 0 for both representations: a dense block of
+// -0.0 has none, NaN is one, and a sparse block's stored entries count even
+// when they are explicit zeros.
+TEST(BlockTest, HasNonZeroAgreesWithNnz) {
+  DenseBlock d(3, 300);
+  for (int64_t c = 0; c < 300; ++c) {
+    for (int64_t r = 0; r < 3; ++r) d.Set(r, c, -0.0f);
+  }
+  Block dense(d);
+  EXPECT_EQ(dense.nnz(), 0);
+  EXPECT_FALSE(dense.HasNonZero());
+  dense.dense().Set(2, 299, std::numeric_limits<Scalar>::quiet_NaN());
+  EXPECT_EQ(dense.nnz(), 1);
+  EXPECT_TRUE(dense.HasNonZero());
+
+  EXPECT_FALSE(Block(CscBlock(3, 3)).HasNonZero());
+  const Block explicit_zero(CscBlock(3, 3, {0, 0, 1, 1}, {1}, {0.0f}));
+  EXPECT_EQ(explicit_zero.nnz(), 1);
+  EXPECT_TRUE(explicit_zero.HasNonZero());
+  EXPECT_TRUE(SmallSparse().HasNonZero());
 }
 
 TEST(BlockTest, GenericAccessorsAgreeAcrossFormats) {

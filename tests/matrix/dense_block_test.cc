@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace dmac {
 namespace {
 
@@ -51,6 +53,46 @@ TEST(DenseBlockTest, CountNonZeros) {
   b.Set(0, 0, 1.0f);
   b.Set(3, 3, -1.0f);
   EXPECT_EQ(b.CountNonZeros(), 2);
+}
+
+// Every length 0-67 covers each vector tail the compiled scan can take;
+// -0.0 counts as zero and NaN as non-zero, as `v != 0` says.
+TEST(DenseBlockTest, CountNonZerosOverEveryTailLength) {
+  const struct {
+    Scalar value;
+    bool counted;
+  } kPattern[] = {{0.0f, false},
+                  {-0.0f, false},
+                  {std::numeric_limits<Scalar>::quiet_NaN(), true},
+                  {1.5f, true},
+                  {-0.0f, false},
+                  {-std::numeric_limits<Scalar>::infinity(), true},
+                  {0.0f, false}};
+  for (int64_t n = 0; n <= 67; ++n) {
+    DenseBlock b(n, 1);
+    int64_t want = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      const auto& entry = kPattern[(i * 3 + n) % 7];
+      b.Set(i, 0, entry.value);
+      want += entry.counted ? 1 : 0;
+    }
+    EXPECT_EQ(b.CountNonZeros(), want) << "n=" << n;
+    EXPECT_EQ(b.AnyNonZero(), want > 0) << "n=" << n;
+  }
+}
+
+TEST(DenseBlockTest, AnyNonZeroSeesOneValueAnywhere) {
+  // Longer than one scan chunk; -0.0 everywhere else.
+  const int64_t n = 1000;
+  for (int64_t at : {int64_t{0}, int64_t{255}, int64_t{256}, n - 1}) {
+    for (Scalar v : {std::numeric_limits<Scalar>::quiet_NaN(), 1e-30f}) {
+      DenseBlock b(n, 1);
+      for (int64_t i = 0; i < n; ++i) b.Set(i, 0, -0.0f);
+      EXPECT_FALSE(b.AnyNonZero());
+      b.Set(at, 0, v);
+      EXPECT_TRUE(b.AnyNonZero()) << "at=" << at << " v=" << v;
+    }
+  }
 }
 
 TEST(DenseBlockTest, MemoryBytesIsFourMN) {

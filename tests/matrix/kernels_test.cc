@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -141,8 +144,10 @@ TEST(KernelDifferentialTest, AllFlavorsFlagsAndShapesMatchReference) {
   }
 }
 
-// The untransposed sparse-touching paths are the seed loops verbatim;
-// their results must be bit-identical, not merely close.
+// The untransposed sparse-touching paths add every product in the seed
+// loops' order (dense x sparse fuses up to four stored entries per pass
+// over C's column, without reordering); their results must be
+// bit-identical, not merely close.
 TEST(KernelDifferentialTest, UntransposedSparsePathsAreBitIdentical) {
   const Block sa = RandomSparseBlock(37, 29, 0.2, 1);
   const Block sb = RandomSparseBlock(29, 23, 0.25, 2);
@@ -166,6 +171,68 @@ TEST(KernelDifferentialTest, UntransposedSparsePathsAreBitIdentical) {
     ASSERT_TRUE(MultiplyAccumulate(sa, sb, false, false, &acc).ok());
     testref::GemmSparseSparse(sa.sparse(), sb.sparse(), &ref);
     ExpectBitIdentical(acc, ref, "sparse x sparse");
+  }
+}
+
+// Bitwise equality, except that any NaN matches any NaN (the payload of a
+// NaN sum depends on which operand the compiler puts first).
+void ExpectSameBits(const DenseBlock& got, const DenseBlock& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  for (int64_t i = 0; i < got.rows() * got.cols(); ++i) {
+    const Scalar g = got.data()[i];
+    const Scalar w = want.data()[i];
+    if (std::isnan(w)) {
+      ASSERT_TRUE(std::isnan(g)) << what << " at " << i << ": " << g;
+    } else {
+      ASSERT_EQ(std::memcmp(&g, &w, sizeof(Scalar)), 0)
+          << what << " at " << i << ": " << g << " vs " << w;
+    }
+  }
+}
+
+// The fused dense x sparse pass against the seed's one-axpy-per-entry loop:
+// B's columns hold 0-9 stored entries (every remainder of the four-entry
+// pass, with and without full passes), and both operands carry -0.0, NaN
+// and +-inf.
+TEST(KernelDifferentialTest, FusedDenseSparseMatchesSeedLoopBitForBit) {
+  const Scalar kSpecial[] = {-0.0f, std::numeric_limits<Scalar>::quiet_NaN(),
+                             std::numeric_limits<Scalar>::infinity(),
+                             -std::numeric_limits<Scalar>::infinity()};
+  const int64_t k = 23;
+  const int64_t n = 30;  // column j stores j % 10 entries
+  for (int64_t m : {1, 3, 17, 64}) {
+    Block a = RandomDenseBlock(m, k, 100 + m);
+    for (int64_t i = 0; i < m * k; i += 13) {
+      a.dense().data()[i] = kSpecial[(i / 13) % 4];
+    }
+    std::vector<int32_t> col_ptr{0};
+    std::vector<int32_t> row_idx;
+    std::vector<Scalar> values;
+    const Block vals = RandomDenseBlock(k, n, 200 + m);
+    for (int64_t j = 0; j < n; ++j) {
+      std::vector<int32_t> rows;
+      for (int64_t q = 0; q < j % 10; ++q) {
+        rows.push_back(static_cast<int32_t>((j + 2 * q) % k));  // distinct
+      }
+      std::sort(rows.begin(), rows.end());
+      for (int32_t r : rows) {
+        row_idx.push_back(r);
+        values.push_back((j + r) % 11 == 0 ? kSpecial[(j + r) % 4]
+                                           : vals.At(r, j) - 0.5f);
+      }
+      col_ptr.push_back(static_cast<int32_t>(row_idx.size()));
+    }
+    const CscBlock b(k, n, std::move(col_ptr), std::move(row_idx),
+                     std::move(values));
+    // A non-zero starting C, so the loaded value matters.
+    const Block c0 = RandomDenseBlock(m, n, 300 + m);
+    DenseBlock acc = c0.dense();
+    DenseBlock ref = c0.dense();
+    ASSERT_TRUE(MultiplyAccumulate(a, Block(b), false, false, &acc).ok());
+    testref::GemmDenseSparse(a.dense(), b, &ref);
+    ExpectSameBits(acc, ref, "m=" + std::to_string(m));
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -46,21 +47,36 @@ TEST(BufferPoolTest, CapacityBoundPerShape) {
 }
 
 TEST(BufferPoolTest, ConcurrentAcquireRelease) {
+  // Every block goes back fully dirtied; recycled blocks are zeroed outside
+  // the pool's lock, so each acquire must still come back clean.
   BufferPool pool(8);
+  std::atomic<int> dirty_acquires{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&pool] {
+    threads.emplace_back([&pool, &dirty_acquires, t] {
       for (int i = 0; i < 200; ++i) {
         DenseBlock b = pool.Acquire(16, 16);
-        b.Set(0, 0, 1.0f);
+        if (b.CountNonZeros() != 0) dirty_acquires.fetch_add(1);
+        for (int64_t k = 0; k < 16 * 16; ++k) b.data()[k] = 1.0f + t;
         pool.Release(std::move(b));
       }
     });
   }
   for (auto& t : threads) t.join();
+  EXPECT_EQ(dirty_acquires.load(), 0);
   EXPECT_LE(pool.IdleBlocks(), 8u);
-  // Blocks coming out are always clean.
   EXPECT_EQ(pool.Acquire(16, 16).CountNonZeros(), 0);
+}
+
+TEST(BufferPoolTest, DisownedBlockLeavesTheBooks) {
+  const int64_t before = BufferPool::GlobalOutstandingBlocks();
+  BufferPool pool;
+  DenseBlock kept = pool.Acquire(4, 4);
+  EXPECT_EQ(BufferPool::GlobalOutstandingBlocks(), before + 1);
+  pool.Disown(kept);
+  EXPECT_EQ(BufferPool::GlobalOutstandingBlocks(), before);
+  EXPECT_EQ(pool.IdleBlocks(), 0u);
+  EXPECT_EQ(kept.rows(), 4);  // the caller still owns the storage
 }
 
 TEST(BufferPoolTest, TracksGlobalOutstandingBlocks) {

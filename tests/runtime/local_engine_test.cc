@@ -268,6 +268,42 @@ TEST(LocalEngineMemoryTest, BufferModeUsesMoreMemoryThanInPlace) {
   EXPECT_GT(buffer_peak, inplace_peak);
 }
 
+TEST(LocalEngineMemoryTest, DenseResultIsItsAccumulatorNotACopy) {
+  // One 512x512 dense output block from a thin k = 4 product: the operands
+  // and GEMM scratch are small, so the peak is the accumulator itself. The
+  // result keeps the accumulator's storage; a copy would put two output
+  // blocks in memory at once.
+  const int64_t n = 512;
+  const LocalMatrix a = LocalMatrix::RandomDense({n, 4}, n, 7);
+  const LocalMatrix b = LocalMatrix::RandomDense({4, n}, n, 8);
+  const BlockGrid out_grid{{n, n}, n};
+  ThreadPool pool(2);
+  BufferPool buffers(4);
+  LocalEngine engine(&pool, &buffers, LocalMode::kInPlace);
+  auto source = [](const LocalMatrix& m) {
+    return [&m](int64_t bi, int64_t bj) {
+      return std::shared_ptr<const Block>(std::shared_ptr<void>(),
+                                          &m.BlockAt(bi, bj));
+    };
+  };
+  const int64_t outstanding = BufferPool::GlobalOutstandingBlocks();
+  MemTracker::Global().ResetPeak();
+  const int64_t before = MemTracker::Global().current_bytes();
+  Block result;
+  Status st = engine.MultiplyBlocks(
+      out_grid, {{0, 0, 0, 1}}, source(a), source(b),
+      [&](int64_t, int64_t, Block blk) { result = std::move(blk); });
+  ASSERT_TRUE(st.ok()) << st;
+  ASSERT_TRUE(result.IsDense());
+  const int64_t out_bytes = DenseBlock::MemoryBytesFor(n, n);
+  EXPECT_LT(MemTracker::Global().peak_bytes() - before, out_bytes * 3 / 2);
+  // The pool keeps no idle block of the output's size (only the small
+  // packing panels), and the accumulator is off the pool's books.
+  EXPECT_LT(MemTracker::Global().current_bytes() - before,
+            out_bytes + out_bytes / 4);
+  EXPECT_EQ(BufferPool::GlobalOutstandingBlocks(), outstanding);
+}
+
 // --- FIFO replay of a worker's batch (the worker-seconds model) -----------
 
 TEST(FifoMakespanTest, TasksTakeTheEarliestFreeLane) {
