@@ -71,7 +71,8 @@ class Block {
 
   /// nnz() > 0 without counting: a dense block stops scanning early.
   bool HasNonZero() const {
-    return IsDense() ? dense().AnyNonZero() : sparse().nnz() > 0;
+    return IsDense() ? AnyNonZero(dense().data(), rows() * cols())
+                     : sparse().nnz() > 0;
   }
 
   /// Payload bytes in the current representation.

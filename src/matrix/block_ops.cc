@@ -352,7 +352,7 @@ Result<Block> SumBlocks(const std::vector<const Block*>& blocks,
   for (const Block* b : blocks) {
     DMAC_RETURN_NOT_OK(AddAccumulate(*b, &acc));
   }
-  return CompactFromDense(std::move(acc), density_threshold);
+  return CompactFromDense(&acc, density_threshold);
 }
 
 Result<Block> Add(Block&& a, const Block& b) {
@@ -492,22 +492,22 @@ double SumSquares(const Block& a) {
   return VecSumSquares(values.data(), static_cast<int64_t>(values.size()));
 }
 
-Block CompactFromDense(DenseBlock&& acc, double density_threshold) {
-  const int64_t total = acc.rows() * acc.cols();
-  const int64_t nnz = acc.CountNonZeros();
+Block CompactFromDense(DenseBlock* acc, double density_threshold) {
+  const int64_t total = acc->rows() * acc->cols();
+  const int64_t nnz = acc->CountNonZeros();
   if (total > 0 &&
       static_cast<double>(nnz) < density_threshold * total) {
-    CscBuilder builder(acc.rows(), acc.cols());
+    CscBuilder builder(acc->rows(), acc->cols());
     builder.Reserve(static_cast<size_t>(nnz));
-    for (int64_t c = 0; c < acc.cols(); ++c) {
-      const Scalar* col = acc.col(c);
-      for (int64_t r = 0; r < acc.rows(); ++r) {
+    for (int64_t c = 0; c < acc->cols(); ++c) {
+      const Scalar* col = acc->col(c);
+      for (int64_t r = 0; r < acc->rows(); ++r) {
         if (col[r] != Scalar{0}) builder.Add(r, c, col[r]);
       }
     }
     return Block(builder.Build());
   }
-  return Block(std::move(acc));  // the accumulator becomes the result
+  return Block(std::move(*acc));  // the accumulator becomes the result
 }
 
 namespace {

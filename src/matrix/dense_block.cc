@@ -56,27 +56,25 @@ int64_t DenseBlock::CountNonZeros() const {
   return nnz;
 }
 
-bool DenseBlock::AnyNonZero() const {
-  // Branch-free within a chunk so the test vectorizes; one branch per
-  // chunk ends the scan early.
-  constexpr size_t kChunk = 256;
-  const Scalar* p = data_.data();
-  const size_t n = data_.size();
-  for (size_t begin = 0; begin < n; begin += kChunk) {
-    const size_t end = std::min(n, begin + kChunk);
-    int hit = 0;
-    for (size_t i = begin; i < end; ++i) hit |= p[i] != Scalar{0};
-    if (hit != 0) return true;
-  }
-  return false;
-}
-
 void DenseBlock::Track() {
   if (!data_.empty()) MemTracker::Global().Allocate(MemoryBytes());
 }
 
 void DenseBlock::Untrack() {
   if (!data_.empty()) MemTracker::Global().Release(MemoryBytes());
+}
+
+bool AnyNonZero(const Scalar* p, int64_t n) {
+  // Branch-free within a chunk so the test vectorizes; one branch per
+  // chunk ends the scan early.
+  constexpr int64_t kChunk = 256;
+  for (int64_t begin = 0; begin < n; begin += kChunk) {
+    const int64_t end = std::min(n, begin + kChunk);
+    int hit = 0;
+    for (int64_t i = begin; i < end; ++i) hit |= p[i] != Scalar{0};
+    if (hit != 0) return true;
+  }
+  return false;
 }
 
 }  // namespace dmac

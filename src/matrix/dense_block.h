@@ -54,9 +54,6 @@ class DenseBlock {
   /// as non-zero.
   int64_t CountNonZeros() const;
 
-  /// CountNonZeros() > 0, but stops at the first chunk holding a non-zero.
-  bool AnyNonZero() const;
-
   /// Payload bytes (4·m·n).
   int64_t MemoryBytes() const { return MemoryBytesFor(rows_, cols_); }
 
@@ -73,5 +70,9 @@ class DenseBlock {
   int64_t cols_ = 0;
   std::vector<Scalar> data_;
 };
+
+/// True when some p[i], i < n, is non-zero: -0.0 counts as zero and NaN as
+/// non-zero, as in CountNonZeros(). Stops at the first chunk holding one.
+bool AnyNonZero(const Scalar* p, int64_t n);
 
 }  // namespace dmac

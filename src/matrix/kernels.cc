@@ -25,17 +25,10 @@ namespace {
 // Ragged edges are zero-padded so the micro-kernel always runs full tiles;
 // the zero lanes fold into local accumulators that are never written back.
 //
-// Each packer returns true when the packed micro-panel contains at least
-// one non-zero — the cheap column/row-skip prefilter: an all-zero panel
-// contributes nothing, and skipping exact zeros never changes a finite sum.
-
-/// Any-nonzero scan over a packed panel (contiguous, vectorizes).
-bool AnyNonZero(const Scalar* p, int64_t n) {
-  // Branch-free accumulation of the "some bit set" predicate.
-  Scalar acc = 0;
-  for (int64_t i = 0; i < n; ++i) acc += p[i] != Scalar{0} ? Scalar{1} : Scalar{0};
-  return acc != Scalar{0};
-}
+// PackB flags each packed micro-panel that holds at least one non-zero
+// (AnyNonZero, dense_block.h) — the cheap column-skip prefilter: an
+// all-zero panel contributes nothing, and skipping exact zeros never
+// changes a finite sum.
 
 /// Packs rows [i0, i0+mc) x cols [l0, l0+kc) of the effective A (m x k)
 /// into `pack`. `a` is the stored block; when `trans` is set the effective

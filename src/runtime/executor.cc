@@ -884,7 +884,7 @@ class Executor::Impl final : public StepRunner {
       }
       for (auto& [idx, sum] : acc) {
         emit(rows ? idx : 0, rows ? 0 : idx,
-             CompactFromDense(std::move(sum), kDensityThreshold));
+             CompactFromDense(&sum, kDensityThreshold));
       }
     };
 

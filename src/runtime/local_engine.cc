@@ -244,7 +244,7 @@ Status LocalEngine::MultiplyInPlace(const BlockGrid& out_grid,
       // Emit in the cheaper representation: a dense result is the
       // accumulator itself, a sparse one is a copy and the accumulator goes
       // back to the pool.
-      Block result = CompactFromDense(std::move(acc), kDensityThreshold);
+      Block result = CompactFromDense(&acc, kDensityThreshold);
       if (result.IsSparse()) {
         buffers_->Release(std::move(acc));
       } else {

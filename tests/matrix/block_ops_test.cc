@@ -282,14 +282,14 @@ TEST(ReductionTest, SumSquaresIsNonNegativeAndExact) {
 TEST(CompactTest, FromDenseKeepsValuesBothWays) {
   DenseBlock dense(4, 4);
   dense.Set(1, 2, 3.0f);
-  Block sparse_out = CompactFromDense(DenseBlock(dense), 0.5);
+  Block sparse_out = CompactFromDense(&dense, 0.5);
   EXPECT_TRUE(sparse_out.IsSparse());
   EXPECT_FLOAT_EQ(sparse_out.At(1, 2), 3.0f);
 
   for (int64_t r = 0; r < 4; ++r) {
     for (int64_t c = 0; c < 4; ++c) dense.Set(r, c, 1.0f);
   }
-  Block dense_out = CompactFromDense(std::move(dense), 0.5);
+  Block dense_out = CompactFromDense(&dense, 0.5);
   EXPECT_TRUE(dense_out.IsDense());
 }
 
@@ -713,17 +713,17 @@ DenseBlock AccumulatorWithNonZeros(int64_t nnz) {
 TEST(CompactTest, DenseResultKeepsTheAccumulatorStorage) {
   DenseBlock acc = AccumulatorWithNonZeros(40);
   const Scalar* storage = acc.data();
-  const Block out = CompactFromDense(std::move(acc), kDensityThreshold);
+  const Block out = CompactFromDense(&acc, kDensityThreshold);
   ASSERT_TRUE(out.IsDense());
   EXPECT_EQ(out.dense().data(), storage);
+  EXPECT_EQ(acc.rows() * acc.cols(), 0);
 }
 
 TEST(CompactTest, SparseResultLeavesTheAccumulatorInPlace) {
   DenseBlock acc = AccumulatorWithNonZeros(5);
   const Scalar* storage = acc.data();
-  const Block out = CompactFromDense(std::move(acc), kDensityThreshold);
+  const Block out = CompactFromDense(&acc, kDensityThreshold);
   ASSERT_TRUE(out.IsSparse());
-  // NOLINTNEXTLINE(bugprone-use-after-move): documented to keep storage
   EXPECT_EQ(acc.data(), storage);
   EXPECT_EQ(acc.rows(), 8);
   EXPECT_EQ(acc.cols(), 8);
@@ -737,7 +737,7 @@ TEST(CompactTest, MatchesCompactedCopyAroundTheThreshold) {
     DenseBlock acc = AccumulatorWithNonZeros(nnz);
     const Block want = Block(acc).Compacted(kDensityThreshold);
     EXPECT_EQ(want.IsSparse(), nnz < 32);
-    ExpectSameBits(want, CompactFromDense(std::move(acc), kDensityThreshold));
+    ExpectSameBits(want, CompactFromDense(&acc, kDensityThreshold));
   }
 }
 

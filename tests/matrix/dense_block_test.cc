@@ -77,7 +77,7 @@ TEST(DenseBlockTest, CountNonZerosOverEveryTailLength) {
       want += entry.counted ? 1 : 0;
     }
     EXPECT_EQ(b.CountNonZeros(), want) << "n=" << n;
-    EXPECT_EQ(b.AnyNonZero(), want > 0) << "n=" << n;
+    EXPECT_EQ(AnyNonZero(b.data(), n), want > 0) << "n=" << n;
   }
 }
 
@@ -88,9 +88,9 @@ TEST(DenseBlockTest, AnyNonZeroSeesOneValueAnywhere) {
     for (Scalar v : {std::numeric_limits<Scalar>::quiet_NaN(), 1e-30f}) {
       DenseBlock b(n, 1);
       for (int64_t i = 0; i < n; ++i) b.Set(i, 0, -0.0f);
-      EXPECT_FALSE(b.AnyNonZero());
+      EXPECT_FALSE(AnyNonZero(b.data(), n));
       b.Set(at, 0, v);
-      EXPECT_TRUE(b.AnyNonZero()) << "at=" << at << " v=" << v;
+      EXPECT_TRUE(AnyNonZero(b.data(), n)) << "at=" << at << " v=" << v;
     }
   }
 }
