@@ -29,8 +29,7 @@ namespace {
 /// bytes above the input.
 double EnginePeak(const LocalMatrix& adj, LocalMode mode, int threads) {
   ThreadPool pool(static_cast<size_t>(threads));
-  BufferPool buffers(static_cast<size_t>(threads) * 2);
-  LocalEngine engine(&pool, &buffers, mode);
+  LocalEngine engine(&pool, mode);
 
   const BlockGrid& grid = adj.grid();
   const BlockGrid out_grid{{adj.rows(), adj.cols()}, adj.block_size()};

@@ -1,5 +1,7 @@
 #include "matrix/block.h"
 
+#include <utility>
+
 #include "common/rng.h"
 
 namespace dmac {
@@ -40,14 +42,26 @@ Block Block::Transposed() const {
   return Block(std::move(t));
 }
 
-Block Block::Compacted(double density_threshold) const {
-  const int64_t total = rows() * cols();
-  if (total == 0) return *this;
-  const double density = static_cast<double>(nnz()) / total;
-  if (density < density_threshold) {
-    return IsSparse() ? *this : Block(ToSparse());
-  }
-  return IsDense() ? *this : Block(ToDense());
+namespace {
+
+/// True when `b` keeps its representation under Compacted(threshold).
+bool KeepsRepresentation(const Block& b, double density_threshold) {
+  const int64_t total = b.rows() * b.cols();
+  if (total == 0) return true;
+  const double density = static_cast<double>(b.nnz()) / total;
+  return (density < density_threshold) == b.IsSparse();
+}
+
+}  // namespace
+
+Block Block::Compacted(double density_threshold) const& {
+  if (KeepsRepresentation(*this, density_threshold)) return *this;
+  return IsSparse() ? Block(ToDense()) : Block(ToSparse());
+}
+
+Block Block::Compacted(double density_threshold) && {
+  if (KeepsRepresentation(*this, density_threshold)) return std::move(*this);
+  return IsSparse() ? Block(ToDense()) : Block(ToSparse());
 }
 
 Block RandomDenseBlock(int64_t rows, int64_t cols, uint64_t seed) {

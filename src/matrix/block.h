@@ -91,7 +91,9 @@ class Block {
 
   /// Re-encodes in the cheaper representation: sparse when the density is
   /// below `density_threshold`, dense otherwise.
-  Block Compacted(double density_threshold = kDensityThreshold) const;
+  Block Compacted(double density_threshold = kDensityThreshold) const&;
+  /// As above; a block that keeps its representation is moved, not copied.
+  Block Compacted(double density_threshold = kDensityThreshold) &&;
 
  private:
   std::variant<DenseBlock, CscBlock> storage_;

@@ -283,7 +283,7 @@ Result<Block> SumBlocks(const std::vector<const Block*>& blocks,
   if (all_sparse && blocks.size() == 2) {
     // One union merge is already optimal for a pair.
     DMAC_ASSIGN_OR_RETURN(Block merged, Add(*blocks[0], *blocks[1]));
-    return merged.Compacted(density_threshold);
+    return std::move(merged).Compacted(density_threshold);
   }
 
   if (all_sparse && blocks.size() > 2) {

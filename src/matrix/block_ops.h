@@ -122,9 +122,9 @@ double SumSquares(const Block& a);
 bool ApproxEqual(const Block& a, const Block& b, double tol = 1e-4);
 
 /// Emits a dense accumulator in its cheaper representation. Below the
-/// density threshold the result is a CSC copy and `*acc` is left as it was
-/// (a pooled accumulator can go back to its pool); otherwise `*acc`'s
-/// storage becomes the dense result and `*acc` is left empty (Fig. 4 flow).
+/// density threshold the result is a CSC copy and `*acc` is left as it
+/// was; otherwise `*acc`'s storage becomes the dense result and `*acc` is
+/// left empty (Fig. 4 flow).
 Block CompactFromDense(DenseBlock* acc, double density_threshold);
 
 }  // namespace dmac

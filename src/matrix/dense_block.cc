@@ -48,8 +48,6 @@ DenseBlock& DenseBlock::operator=(DenseBlock&& other) noexcept {
   return *this;
 }
 
-void DenseBlock::Clear() { std::fill(data_.begin(), data_.end(), Scalar{0}); }
-
 int64_t DenseBlock::CountNonZeros() const {
   int64_t nnz = 0;
   for (Scalar v : data_) nnz += (v != Scalar{0});

@@ -46,10 +46,6 @@ class DenseBlock {
   const Scalar* col(int64_t c) const { return data_.data() + c * rows_; }
   Scalar* col(int64_t c) { return data_.data() + c * rows_; }
 
-  /// Sets every element to zero (keeps the allocation; used when a block is
-  /// recycled through the result buffer pool).
-  void Clear();
-
   /// Number of non-zero elements (exact scan). -0.0 counts as zero, NaN
   /// as non-zero.
   int64_t CountNonZeros() const;

@@ -164,38 +164,19 @@ const DenseBlock* StageTranspose(const DenseBlock& x, GemmScratch* scratch,
 
 // ---- GemmScratch ---------------------------------------------------------
 
-GemmScratch::~GemmScratch() {
-  Release(&panel_a_);
-  Release(&panel_b_);
-  Release(&staging_);
-}
-
-void GemmScratch::Release(DenseBlock* buf) {
-  if (release_ && buf->rows() * buf->cols() > 0) release_(std::move(*buf));
-}
-
-void GemmScratch::Reacquire(DenseBlock* buf, int64_t rows, int64_t cols) {
-  Release(buf);
-  *buf = acquire_ ? acquire_(rows, cols) : DenseBlock(rows, cols);
-}
-
 Scalar* GemmScratch::PanelA(int64_t elems) {
-  if (panel_a_.rows() * panel_a_.cols() < elems) {
-    Reacquire(&panel_a_, elems, 1);
-  }
+  if (panel_a_.rows() < elems) panel_a_ = DenseBlock(elems, 1);
   return panel_a_.data();
 }
 
 Scalar* GemmScratch::PanelB(int64_t elems) {
-  if (panel_b_.rows() * panel_b_.cols() < elems) {
-    Reacquire(&panel_b_, elems, 1);
-  }
+  if (panel_b_.rows() < elems) panel_b_ = DenseBlock(elems, 1);
   return panel_b_.data();
 }
 
 DenseBlock* GemmScratch::Staging(int64_t rows, int64_t cols) {
   if (staging_.rows() != rows || staging_.cols() != cols) {
-    Reacquire(&staging_, rows, cols);
+    staging_ = DenseBlock(rows, cols);
   }
   return &staging_;
 }

@@ -14,16 +14,11 @@
 // planner's fusion pass (plan/fusion.h) relies on this to delete
 // materialized kTranspose steps.
 //
-// Packing scratch comes from a caller-supplied allocator — the local engine
-// installs a BufferPool-backed one so packing buffers are recycled. Without
-// an allocator the scratch falls back to plain heap blocks (tests,
-// benchmarks).
+// Packing scratch is a GemmScratch: heap buffers that one task reuses across
+// its kernel calls and frees when it ends.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <utility>
-#include <vector>
 
 #include "matrix/csc_block.h"
 #include "matrix/dense_block.h"
@@ -51,27 +46,15 @@ struct GemmStats {
 
 /// Reusable packing/staging scratch for the multiply kernels. One instance
 /// serves one task (any number of sequential kernel calls); not
-/// thread-safe. Buffers are acquired lazily and returned on destruction.
+/// thread-safe. Three heap buffers, allocated lazily, grown on demand and
+/// freed with the scratch. They are DenseBlocks, so the memory tracker
+/// counts them like any other block.
 class GemmScratch {
  public:
-  using AcquireFn = std::function<DenseBlock(int64_t, int64_t)>;
-  using ReleaseFn = std::function<void(DenseBlock)>;
-
-  /// Heap-backed scratch (tests, benchmarks, standalone kernel use).
   GemmScratch() = default;
-
-  /// Scratch drawing from an external pool (the engine passes
-  /// BufferPool::Acquire/Release so packing buffers are recycled).
-  GemmScratch(AcquireFn acquire, ReleaseFn release)
-      : acquire_(std::move(acquire)), release_(std::move(release)) {}
-
-  ~GemmScratch();
 
   GemmScratch(const GemmScratch&) = delete;
   GemmScratch& operator=(const GemmScratch&) = delete;
-
-  /// Movable so factories can hand out configured scratches; the source's
-  /// buffers are left empty (its destructor releases nothing).
   GemmScratch(GemmScratch&& other) noexcept = default;
 
   /// Packed A panel of at least `elems` floats (≤ kGemmMc·kGemmKc; sized to
@@ -81,18 +64,11 @@ class GemmScratch {
   /// Packed B panel of at least `elems` floats (≤ kGemmKc·kGemmNc).
   Scalar* PanelB(int64_t elems);
   /// Transpose staging for mixed dense/sparse flagged multiplies: a dense
-  /// rows x cols buffer. Contents are overwritten by the caller; reacquired
-  /// when the requested shape grows.
+  /// rows x cols buffer. Contents are overwritten by the caller;
+  /// reallocated when the requested shape changes.
   DenseBlock* Staging(int64_t rows, int64_t cols);
 
  private:
-  /// Returns `*buf` to the pool unless it is empty (nothing acquired).
-  void Release(DenseBlock* buf);
-  /// Replaces `*buf` with a fresh rows x cols buffer.
-  void Reacquire(DenseBlock* buf, int64_t rows, int64_t cols);
-
-  AcquireFn acquire_;
-  ReleaseFn release_;
   DenseBlock panel_a_;
   DenseBlock panel_b_;
   DenseBlock staging_;

@@ -98,12 +98,6 @@ const std::vector<MetricSpec>& MetricCatalog() {
        "per-multiply-task time spent packing/staging GEMM operand panels "
        "and converting sparse formats (the pack-vs-compute split of "
        "docs/kernels.md)"},
-      {kMetricPoolAcquires, kCounter, "blocks",
-       "dense accumulator blocks acquired from the result buffer pool"},
-      {kMetricPoolReuses, kCounter, "blocks",
-       "acquires satisfied by a recycled block instead of an allocation"},
-      {kMetricPoolDiscards, kCounter, "blocks",
-       "released blocks dropped because the shape's idle slot was full"},
       {kMetricPlanDecomposeSeconds, kGauge, "seconds",
        "driver time of the last program decomposition"},
       {kMetricPlanGenerateSeconds, kGauge, "seconds",
@@ -173,12 +167,6 @@ const std::vector<MetricSpec>& MetricCatalog() {
        "disk faults drawn by the StorageIO layer (short writes, bit flips, "
        "ENOSPC, fsync failures)",
        [](const S& s) -> double { return s.disk_faults_injected; }},
-      {kMetricPoolOutstanding, kGauge, "blocks",
-       "buffer-pool blocks currently acquired and not yet released, across "
-       "all live pools (must drain to zero after every query)"},
-      {kMetricPoolPeakBytes, kGauge, "bytes",
-       "high-water mark of bytes held by buffer pools (outstanding plus "
-       "idle blocks) since the last reset"},
       {kMetricGovernorSpillBytes, kCounter, "bytes",
        "block payload bytes written to spill files under memory pressure"},
       {kMetricGovernorSpillBlocks, kCounter, "blocks",

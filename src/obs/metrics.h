@@ -187,11 +187,9 @@ inline constexpr const char* kMetricTaskSecondsAggregate =
 inline constexpr const char* kMetricGemmFlops = "engine.gemm_flops";
 inline constexpr const char* kMetricGemmPackSeconds =
     "engine.gemm.pack.seconds";
+// Not in the catalog, so never recorded; bench/e2e/dmac_e2e.cc names them.
 inline constexpr const char* kMetricPoolAcquires = "pool.acquires";
 inline constexpr const char* kMetricPoolReuses = "pool.reuses";
-inline constexpr const char* kMetricPoolDiscards = "pool.discards";
-inline constexpr const char* kMetricPoolOutstanding = "pool.outstanding";
-inline constexpr const char* kMetricPoolPeakBytes = "pool.peak.bytes";
 inline constexpr const char* kMetricPlanDecomposeSeconds =
     "plan.decompose.seconds";
 inline constexpr const char* kMetricPlanGenerateSeconds =

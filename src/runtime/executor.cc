@@ -15,7 +15,6 @@
 #include "matrix/mem_tracker.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/buffer_pool.h"
 #include "runtime/comm.h"
 #include "runtime/fault_layer.h"
 #include "runtime/governor_layer.h"
@@ -73,8 +72,7 @@ class Executor::Impl final : public StepRunner {
         bindings_(bindings),
         pool_(ComputePoolThreads(opts.num_workers, opts.threads_per_worker)),
         launch_pool_(static_cast<size_t>(opts.num_workers)),
-        buffers_(static_cast<size_t>(opts.threads_per_worker) * 2),
-        engine_(&pool_, &buffers_, opts.local_mode),
+        engine_(&pool_, opts.local_mode),
         node_data_(plan.nodes.size()),
         last_consumer_(LastConsumers(plan)),
         comm_(opts.num_workers, &stats_) {
@@ -878,8 +876,8 @@ class Executor::Impl final : public StepRunner {
                                : out_grid.BlockShape(0, idx);
           it = acc.emplace(idx, DenseBlock(s.rows, s.cols)).first;
         }
-        const DenseBlock partial = rows ? RowSums(*ptr) : ColSums(*ptr);
-        Status st = AddAccumulate(Block(partial), &it->second);
+        Status st = AddAccumulate(Block(rows ? RowSums(*ptr) : ColSums(*ptr)),
+                                  &it->second);
         DMAC_CHECK(st.ok()) << st;
       }
       for (auto& [idx, sum] : acc) {
@@ -974,7 +972,6 @@ class Executor::Impl final : public StepRunner {
   const Bindings& bindings_;
   ThreadPool pool_;         // compute: every worker's block tasks (Fig. 4)
   ThreadPool launch_pool_;  // one thread per worker: the gangs' launches
-  BufferPool buffers_;
   LocalEngine engine_;
   int64_t block_size_ = 0;
   std::vector<std::shared_ptr<DistMatrix>> node_data_;

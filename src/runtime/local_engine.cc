@@ -107,14 +107,6 @@ Status LocalEngine::MultiplyBlocks(const BlockGrid& out_grid,
                                 trans_b);
 }
 
-GemmScratch LocalEngine::PooledScratch() {
-  return GemmScratch(
-      [this](int64_t rows, int64_t cols) {
-        return buffers_->Acquire(rows, cols);
-      },
-      [this](DenseBlock block) { buffers_->Release(std::move(block)); });
-}
-
 void LocalEngine::Dispatch(size_t num_tasks,
                            const std::function<void(size_t)>& run_task,
                            TaskKind kind) {
@@ -224,33 +216,25 @@ Status LocalEngine::MultiplyInPlace(const BlockGrid& out_grid,
         return;
       }
 
-      DenseBlock acc = buffers_->Acquire(shape.rows, shape.cols);
+      DenseBlock acc(shape.rows, shape.cols);
       const bool observe = MetricRegistry::Global().enabled();
       GemmStats stats;
       {
-        GemmScratch scratch = PooledScratch();
+        GemmScratch scratch;
         for (size_t i = 0; i + 1 < keep_alive.size(); i += 2) {
           Status st = MultiplyAccumulate(*keep_alive[i], *keep_alive[i + 1],
                                          trans_a, trans_b, &acc, &scratch,
                                          observe ? &stats : nullptr);
           if (!st.ok()) {
             errors.Record(std::move(st));
-            buffers_->Release(std::move(acc));
             return;
           }
         }
       }
       if (observe) ObserveGemmStats(stats);
       // Emit in the cheaper representation: a dense result is the
-      // accumulator itself, a sparse one is a copy and the accumulator goes
-      // back to the pool.
-      Block result = CompactFromDense(&acc, kDensityThreshold);
-      if (result.IsSparse()) {
-        buffers_->Release(std::move(acc));
-      } else {
-        buffers_->Disown(result.dense());
-      }
-      sink(task.bi, task.bj, std::move(result));
+      // accumulator itself, a sparse one is a copy.
+      sink(task.bi, task.bj, CompactFromDense(&acc, kDensityThreshold));
     }
   }, TaskKind::kMultiply);
   DMAC_RETURN_NOT_OK(CancelStatus());
@@ -308,7 +292,7 @@ Status LocalEngine::MultiplyBuffered(const BlockGrid& out_grid,
     } else {
       const bool observe = MetricRegistry::Global().enabled();
       GemmStats stats;
-      GemmScratch scratch = PooledScratch();
+      GemmScratch scratch;
       auto res = Multiply(*a, *b, trans_a, trans_b, &scratch,
                           observe ? &stats : nullptr);
       if (!res.ok()) {

@@ -6,9 +6,10 @@
 // graphs) balance automatically. Two implementations of blocked
 // multiplication are provided:
 //
-//  * kInPlace (DMac's approach): each task acquires one dense accumulator
-//    from the result buffer pool and folds every contributing block product
-//    into it in place; no intermediate block is ever materialized.
+//  * kInPlace (DMac's approach): each task allocates one dense accumulator
+//    and folds every contributing block product into it in place; no
+//    intermediate block is ever materialized. A result dense enough to stay
+//    dense is the accumulator itself.
 //  * kBuffer (the traditional approach, the Fig. 7 ablation): all partial
 //    block products are materialized first and aggregated afterwards, so
 //    peak memory grows with the number of partials.
@@ -22,7 +23,6 @@
 #include "common/thread_pool.h"
 #include "governor/cancel_token.h"
 #include "matrix/block_ops.h"
-#include "runtime/buffer_pool.h"
 
 namespace dmac {
 
@@ -77,8 +77,7 @@ class LocalEngine {
   /// thread-safe.
   using SinkFn = std::function<void(int64_t, int64_t, Block)>;
 
-  LocalEngine(ThreadPool* pool, BufferPool* buffers, LocalMode mode)
-      : pool_(pool), buffers_(buffers), mode_(mode) {}
+  LocalEngine(ThreadPool* pool, LocalMode mode) : pool_(pool), mode_(mode) {}
 
   /// Computes C(bi,bj) = Σ_k op(A)(bi,k)·op(B)(k,bj) for every task. Block
   /// shapes come from the output grid. Blocks denser than
@@ -125,10 +124,6 @@ class LocalEngine {
                           const BlockFn& get_a, const BlockFn& get_b,
                           const SinkFn& sink, bool trans_a, bool trans_b);
 
-  /// Packing scratch drawing from the engine's buffer pool, so the
-  /// governor's accounting sees GEMM panels like any other pooled block.
-  GemmScratch PooledScratch();
-
   /// Submits one closure per task to the shared queue (Fig. 4), then waits
   /// for this batch's tasks — other threads' batches may still run. Under a
   /// bound WorkerContext each task's thread-CPU time is read for the
@@ -141,7 +136,6 @@ class LocalEngine {
   Status CancelStatus() const;
 
   ThreadPool* pool_;
-  BufferPool* buffers_;
   LocalMode mode_;
   const CancelToken* cancel_ = nullptr;
 };

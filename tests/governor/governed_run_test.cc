@@ -15,8 +15,8 @@
 #include "common/status.h"
 #include "fault/fault_spec.h"
 #include "governor/context.h"
+#include "matrix/mem_tracker.h"
 #include "obs/metrics.h"
-#include "runtime/buffer_pool.h"
 
 namespace dmac {
 namespace {
@@ -113,15 +113,16 @@ TEST(GovernedRunTest, ImpossibleBudgetFailsCleanWithNoLeaks) {
   RunConfig config = BaseConfig();
   GovernorContext gov = Governed(&config, 100);  // < one block
 
-  const int64_t before = BufferPool::GlobalOutstandingBlocks();
+  const int64_t before = MemTracker::Global().current_bytes();
   const auto outcome = RunProgram(app.program, app.MakeBindings(), config);
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kResourceExhausted)
       << outcome.status();
-  // Clean failure: no partial result, no leaked spill files or buffers,
-  // and every budget charge returned.
+  // Clean failure: no partial result, no leaked spill files or blocks
+  // (live block bytes back where they started), and every budget charge
+  // returned.
   EXPECT_EQ(gov.spill->live_files(), 0);
-  EXPECT_EQ(BufferPool::GlobalOutstandingBlocks(), before);
+  EXPECT_EQ(MemTracker::Global().current_bytes(), before);
   EXPECT_EQ(gov.budget->used_bytes(), 0);
 }
 

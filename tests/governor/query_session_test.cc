@@ -12,7 +12,7 @@
 #include "../fault/fault_test_util.h"
 #include "apps/gnmf.h"
 #include "common/status.h"
-#include "runtime/buffer_pool.h"
+#include "matrix/mem_tracker.h"
 
 namespace dmac {
 namespace {
@@ -125,15 +125,16 @@ TEST(QuerySessionTest, CancelWhileQueuedIsPrompt) {
 
 TEST(QuerySessionTest, DestructorCancelsInFlightQueries) {
   const FaultAppCase app = MakeLongGnmf();
-  const int64_t before = BufferPool::GlobalOutstandingBlocks();
+  const int64_t before = MemTracker::Global().current_bytes();
   {
     QuerySession session({2, 4, 0}, BaseConfig());
     session.Submit(app.program, app.MakeBindings(), {});
     session.Submit(app.program, app.MakeBindings(), {});
     // Drop the session without waiting: it must cancel and join cleanly.
   }
-  // Nothing may leak from torn-down queries.
-  EXPECT_EQ(BufferPool::GlobalOutstandingBlocks(), before);
+  // Nothing may leak from torn-down queries: every block they allocated
+  // is gone.
+  EXPECT_EQ(MemTracker::Global().current_bytes(), before);
 }
 
 TEST(QuerySessionTest, SubmitRacesSafelyWithImmediateWait) {

@@ -3,8 +3,8 @@
 // deadlines, tight memory budgets that force spilling, and asynchronous
 // cancels — with waiters racing the submitters. The sanitizer CI job runs
 // this under ThreadSanitizer, which is the real assertion: the admission
-// controller, per-query budgets, spill store, buffer pool, and the
-// session's own bookkeeping are exercised from many threads at once, so
+// controller, per-query budgets, spill store, the engine's task queue and
+// the session's own bookkeeping are exercised from many threads at once, so
 // any unguarded shared state surfaces as a TSan report. Functionally the
 // test checks the governance contract: every query terminates with exactly
 // one status from the terminal set, and nothing leaks once the session
@@ -18,7 +18,7 @@
 #include "../fault/fault_test_util.h"
 #include "common/status.h"
 #include "governor/query_session.h"
-#include "runtime/buffer_pool.h"
+#include "matrix/mem_tracker.h"
 
 namespace dmac {
 namespace {
@@ -40,7 +40,7 @@ bool IsTerminalGovernanceStatus(const Status& s) {
 
 TEST(SessionStressTest, ConcurrentAdmitCancelDeadlineUnderTightBudget) {
   const FaultAppCase app = MakeSmallGnmf();
-  const int64_t blocks_before = BufferPool::GlobalOutstandingBlocks();
+  const int64_t blocks_before = MemTracker::Global().current_bytes();
 
   RunConfig config;
   config.num_workers = 3;
@@ -119,10 +119,10 @@ TEST(SessionStressTest, ConcurrentAdmitCancelDeadlineUnderTightBudget) {
 
   // Whatever mix of exits the interleaving produced, at least the plain
   // queries (which nothing kills except queue overflow) account for some
-  // terminal outcome, and no kernel buffer leaked from any exit path.
+  // terminal outcome, and no block leaked from any exit path.
   EXPECT_EQ(ok + cancelled + deadline + exhausted, kQueries);
   EXPECT_GT(ok + exhausted, 0);
-  EXPECT_EQ(BufferPool::GlobalOutstandingBlocks(), blocks_before);
+  EXPECT_EQ(MemTracker::Global().current_bytes(), blocks_before);
 }
 
 }  // namespace

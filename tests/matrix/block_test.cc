@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "matrix/block_ops.h"
+#include "matrix/mem_tracker.h"
 
 namespace dmac {
 namespace {
@@ -112,6 +113,20 @@ TEST(BlockTest, CompactedPicksDenseForDenseData) {
   Block sparse(Block(std::move(d)).ToSparse());
   Block c = sparse.Compacted(0.5);
   EXPECT_TRUE(c.IsDense());
+}
+
+TEST(BlockTest, CompactedMovesAKeptSparseBlock) {
+  Block sparse = RandomSparseBlock(64, 64, 0.05, 3);
+  const CscBlock want = sparse.sparse();
+  MemTracker::Global().ResetPeak();
+  const int64_t before = MemTracker::Global().current_bytes();
+  const Block kept = std::move(sparse).Compacted(0.5);
+  ASSERT_TRUE(kept.IsSparse());
+  EXPECT_EQ(kept.sparse().col_ptr(), want.col_ptr());
+  EXPECT_EQ(kept.sparse().row_idx(), want.row_idx());
+  EXPECT_EQ(kept.sparse().values(), want.values());
+  // Moved, not copied: no second copy was ever live.
+  EXPECT_EQ(MemTracker::Global().peak_bytes(), before);
 }
 
 TEST(BlockTest, RandomDenseDeterministic) {

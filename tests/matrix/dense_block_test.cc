@@ -40,13 +40,6 @@ TEST(DenseBlockTest, AccumulateAdds) {
   EXPECT_FLOAT_EQ(b.At(1, 1), 5.0f);
 }
 
-TEST(DenseBlockTest, ClearZeroes) {
-  DenseBlock b(2, 3);
-  b.Set(1, 2, 9.0f);
-  b.Clear();
-  EXPECT_EQ(b.CountNonZeros(), 0);
-}
-
 TEST(DenseBlockTest, CountNonZeros) {
   DenseBlock b(4, 4);
   EXPECT_EQ(b.CountNonZeros(), 0);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "matrix/block_ops.h"
+#include "matrix/mem_tracker.h"
 #include "kernel_reference.h"
 
 namespace dmac {
@@ -269,41 +270,34 @@ TEST(KernelPropertyTest, DenseFlagCombinationsAreBitIdentical) {
   }
 }
 
-// ---- scratch: pool exhaustion propagates, never aborts -------------------
+// ---- scratch: buffers live exactly as long as the scratch ------------------
 
 TEST(KernelScratchTest, PooledBuffersAreReturnedOnDestruction) {
-  int64_t outstanding = 0;
+  const int64_t before = MemTracker::Global().current_bytes();
   {
-    GemmScratch scratch(
-        [&outstanding](int64_t rows, int64_t cols) -> DenseBlock {
-          ++outstanding;
-          return DenseBlock(rows, cols);
-        },
-        [&outstanding](DenseBlock) { --outstanding; });
+    GemmScratch scratch;
     const Block a = RandomDenseBlock(30, 40, 7);
     const Block b = RandomDenseBlock(40, 25, 8);
     DenseBlock acc(30, 25);
+    const int64_t operands = MemTracker::Global().current_bytes();
     ASSERT_TRUE(
         MultiplyAccumulate(a, b, false, false, &acc, &scratch, nullptr).ok());
-    EXPECT_GT(outstanding, 0);
+    EXPECT_GT(MemTracker::Global().current_bytes(), operands);
   }
-  EXPECT_EQ(outstanding, 0);
+  EXPECT_EQ(MemTracker::Global().current_bytes(), before);
 }
 
 TEST(KernelScratchTest, MoveTransfersOwnershipOfPooledBuffers) {
-  int64_t outstanding = 0;
+  const int64_t before = MemTracker::Global().current_bytes();
   {
-    GemmScratch a(
-        [&outstanding](int64_t rows, int64_t cols) -> DenseBlock {
-          ++outstanding;
-          return DenseBlock(rows, cols);
-        },
-        [&outstanding](DenseBlock) { --outstanding; });
+    GemmScratch a;
     ASSERT_NE(a.PanelA(64), nullptr);
     GemmScratch b = std::move(a);
-    // `a` must not double-release what `b` now owns.
+    // `a` must not double-free what `b` now owns.
+    EXPECT_EQ(MemTracker::Global().current_bytes(),
+              before + DenseBlock::MemoryBytesFor(64, 1));
   }
-  EXPECT_EQ(outstanding, 0);
+  EXPECT_EQ(MemTracker::Global().current_bytes(), before);
 }
 
 // ---- stats ---------------------------------------------------------------

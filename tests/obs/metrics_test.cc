@@ -91,7 +91,7 @@ TEST_F(MetricsTest, InstrumentPointersSurviveReset) {
 }
 
 TEST_F(MetricsTest, DisabledUpdatesAreDropped) {
-  Counter* c = MetricRegistry::Global().counter(kMetricPoolAcquires);
+  Counter* c = MetricRegistry::Global().counter(kMetricEngineTasks);
   Gauge* g = MetricRegistry::Global().gauge("exec.peak_memory.bytes");
   Histogram* h =
       MetricRegistry::Global().histogram(kMetricTaskSecondsMultiply);

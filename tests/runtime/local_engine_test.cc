@@ -16,15 +16,13 @@
 namespace dmac {
 namespace {
 
-/// Test fixture providing a worker environment (pool + buffers) and a block
+/// Test fixture providing a worker environment (thread pool) and a block
 /// source built from a LocalMatrix.
 class LocalEngineTest : public ::testing::TestWithParam<LocalMode> {
  protected:
-  LocalEngineTest() : pool_(2), buffers_(4) {}
+  LocalEngineTest() : pool_(2) {}
 
-  LocalEngine MakeEngine(LocalMode mode) {
-    return LocalEngine(&pool_, &buffers_, mode);
-  }
+  LocalEngine MakeEngine(LocalMode mode) { return LocalEngine(&pool_, mode); }
 
   /// One task per block of `grid`, each summing over k in [0, k_blocks).
   static std::vector<MultiplyTask> EveryBlock(const BlockGrid& grid,
@@ -46,7 +44,6 @@ class LocalEngineTest : public ::testing::TestWithParam<LocalMode> {
   }
 
   ThreadPool pool_;
-  BufferPool buffers_;
 };
 
 TEST_P(LocalEngineTest, BlockedMultiplyMatchesOracle) {
@@ -241,8 +238,7 @@ TEST(LocalEngineMemoryTest, BufferModeUsesMoreMemoryThanInPlace) {
 
   auto run = [&](LocalMode mode) {
     ThreadPool pool(2);
-    BufferPool buffers(4);
-    LocalEngine engine(&pool, &buffers, mode);
+    LocalEngine engine(&pool, mode);
     auto source = [](const LocalMatrix& m) {
       return [&m](int64_t bi, int64_t bj) {
         return std::shared_ptr<const Block>(std::shared_ptr<void>(),
@@ -272,21 +268,20 @@ TEST(LocalEngineMemoryTest, DenseResultIsItsAccumulatorNotACopy) {
   // One 512x512 dense output block from a thin k = 4 product: the operands
   // and GEMM scratch are small, so the peak is the accumulator itself. The
   // result keeps the accumulator's storage; a copy would put two output
-  // blocks in memory at once.
+  // blocks in memory at once. Once the task ends, the result is the only
+  // block it left alive.
   const int64_t n = 512;
   const LocalMatrix a = LocalMatrix::RandomDense({n, 4}, n, 7);
   const LocalMatrix b = LocalMatrix::RandomDense({4, n}, n, 8);
   const BlockGrid out_grid{{n, n}, n};
   ThreadPool pool(2);
-  BufferPool buffers(4);
-  LocalEngine engine(&pool, &buffers, LocalMode::kInPlace);
+  LocalEngine engine(&pool, LocalMode::kInPlace);
   auto source = [](const LocalMatrix& m) {
     return [&m](int64_t bi, int64_t bj) {
       return std::shared_ptr<const Block>(std::shared_ptr<void>(),
                                           &m.BlockAt(bi, bj));
     };
   };
-  const int64_t outstanding = BufferPool::GlobalOutstandingBlocks();
   MemTracker::Global().ResetPeak();
   const int64_t before = MemTracker::Global().current_bytes();
   Block result;
@@ -297,11 +292,45 @@ TEST(LocalEngineMemoryTest, DenseResultIsItsAccumulatorNotACopy) {
   ASSERT_TRUE(result.IsDense());
   const int64_t out_bytes = DenseBlock::MemoryBytesFor(n, n);
   EXPECT_LT(MemTracker::Global().peak_bytes() - before, out_bytes * 3 / 2);
-  // The pool keeps no idle block of the output's size (only the small
-  // packing panels), and the accumulator is off the pool's books.
-  EXPECT_LT(MemTracker::Global().current_bytes() - before,
-            out_bytes + out_bytes / 4);
-  EXPECT_EQ(BufferPool::GlobalOutstandingBlocks(), outstanding);
+  EXPECT_EQ(MemTracker::Global().current_bytes() - before, out_bytes);
+}
+
+TEST(LocalEngineMemoryTest, ConcurrentTasksLeaveOnlyTheirResultsLive) {
+  // Sixteen result blocks on four threads, dense and sparse operands mixed:
+  // every accumulator, partial and GEMM panel a task allocates is freed by
+  // the time the batch returns, so the live bytes are the results' bytes.
+  const LocalMatrix a = LocalMatrix::RandomDense({64, 64}, 16, 7);
+  const LocalMatrix b = LocalMatrix::RandomSparse({64, 64}, 16, 0.05, 8);
+  const BlockGrid out_grid{{64, 64}, 16};
+  auto source = [](const LocalMatrix& m) {
+    return [&m](int64_t bi, int64_t bj) {
+      return std::shared_ptr<const Block>(std::shared_ptr<void>(),
+                                          &m.BlockAt(bi, bj));
+    };
+  };
+  std::vector<MultiplyTask> tasks;
+  for (int64_t bi = 0; bi < 4; ++bi) {
+    for (int64_t bj = 0; bj < 4; ++bj) tasks.push_back({bi, bj, 0, 4});
+  }
+  for (LocalMode mode : {LocalMode::kInPlace, LocalMode::kBuffer}) {
+    ThreadPool pool(4);
+    LocalEngine engine(&pool, mode);
+    const int64_t before = MemTracker::Global().current_bytes();
+    Mutex mu;
+    std::vector<Block> results;
+    ASSERT_TRUE(engine
+                    .MultiplyBlocks(out_grid, tasks, source(a), source(b),
+                                    [&](int64_t, int64_t, Block blk) {
+                                      MutexLock lock(&mu);
+                                      results.push_back(std::move(blk));
+                                    })
+                    .ok());
+    int64_t result_bytes = 0;
+    for (const Block& r : results) result_bytes += r.MemoryBytes();
+    EXPECT_EQ(MemTracker::Global().current_bytes() - before, result_bytes);
+    results.clear();
+    EXPECT_EQ(MemTracker::Global().current_bytes(), before);
+  }
 }
 
 // --- FIFO replay of a worker's batch (the worker-seconds model) -----------
@@ -317,8 +346,7 @@ TEST(FifoMakespanTest, TasksTakeTheEarliestFreeLane) {
 
 TEST(LocalEngineBatchTest, BatchReturnsWhileAnotherThreadsTaskRuns) {
   ThreadPool pool(2);
-  BufferPool buffers(4);
-  LocalEngine engine(&pool, &buffers, LocalMode::kInPlace);
+  LocalEngine engine(&pool, LocalMode::kInPlace);
   std::atomic<bool> slow_started{false};
   std::atomic<bool> fast_returned{false};
   std::atomic<bool> slow_done{false};
@@ -360,8 +388,7 @@ TEST(LocalEngineBatchTest, AbandonedTasksStillCompleteTheirBatch) {
   // 31 tasks are still queued and are abandoned, never run. The batch must
   // count them as done and return the token's status.
   ThreadPool pool(1);
-  BufferPool buffers(4);
-  LocalEngine engine(&pool, &buffers, LocalMode::kInPlace);
+  LocalEngine engine(&pool, LocalMode::kInPlace);
   CancelToken token = CancelToken::Cancellable();
   engine.SetCancelToken(&token);
   std::atomic<int> ran{0};
@@ -382,8 +409,7 @@ TEST(LocalEngineBatchTest, AbandonedTasksStillCompleteTheirBatch) {
 
 TEST(LocalEngineBatchTest, BoundWorkerAccumulatesReplayedSeconds) {
   ThreadPool pool(2);
-  BufferPool buffers(4);
-  LocalEngine engine(&pool, &buffers, LocalMode::kInPlace);
+  LocalEngine engine(&pool, LocalMode::kInPlace);
   // Busy-work tasks (CPU time, not sleeps: the replay reads thread CPU).
   std::atomic<uint64_t> sink{0};
   std::vector<std::function<Status()>> work(4, [&sink] {

@@ -13,7 +13,8 @@
 //       kUnavailable, kDataLoss};
 //   2. every *successful* query's outputs are bit-identical to a clean
 //      (fault-free, ungoverned) run of the same workload;
-//   3. zero buffer-pool blocks remain outstanding after the session ends;
+//   3. once the session and every query result are gone, the live block
+//      bytes (MemTracker) are back where they were before the first query;
 //   4. zero spill files are left on disk.
 //
 // The randomization is fully determined by --seed: workload choice,
@@ -50,7 +51,7 @@
 #include "data/synthetic.h"
 #include "fault/checksum.h"
 #include "governor/query_session.h"
-#include "runtime/buffer_pool.h"
+#include "matrix/mem_tracker.h"
 
 using namespace dmac;
 
@@ -247,6 +248,7 @@ int main(int argc, char** argv) {
 
   int failures = 0;
   std::map<std::string, int> tally;
+  const int64_t live_bytes_before = MemTracker::Global().current_bytes();
   {
     AdmissionQuota quota;
     quota.max_concurrent = concurrency;
@@ -415,10 +417,11 @@ int main(int argc, char** argv) {
     for (std::thread& t : cancellers) t.join();
   }  // session destroyed: every query joined, every spill store gone
 
-  const int64_t outstanding = BufferPool::GlobalOutstandingBlocks();
-  if (outstanding != 0) {
-    std::fprintf(stderr, "FAIL: %lld buffer-pool blocks leaked\n",
-                 static_cast<long long>(outstanding));
+  const int64_t leaked_bytes =
+      MemTracker::Global().current_bytes() - live_bytes_before;
+  if (leaked_bytes != 0) {
+    std::fprintf(stderr, "FAIL: %lld block bytes leaked\n",
+                 static_cast<long long>(leaked_bytes));
     ++failures;
   }
   const int64_t leaked_spill = CountFilesUnder(spill_root);
