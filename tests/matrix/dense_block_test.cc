@@ -16,6 +16,19 @@ TEST(DenseBlockTest, ConstructsZeroed) {
   }
 }
 
+TEST(DenseBlockTest, ConstructsZeroedOverFreedStorage) {
+  // A task's accumulator is a freshly constructed block; the allocator may
+  // hand it storage a dirtied block of the same shape just gave back.
+  for (int round = 0; round < 8; ++round) {
+    {
+      DenseBlock dirty(16, 16);
+      for (int64_t k = 0; k < 16 * 16; ++k) dirty.data()[k] = 1.0f + round;
+    }
+    DenseBlock fresh(16, 16);
+    EXPECT_EQ(fresh.CountNonZeros(), 0) << "round " << round;
+  }
+}
+
 TEST(DenseBlockTest, SetAndGet) {
   DenseBlock b(2, 2);
   b.Set(0, 1, 3.5f);

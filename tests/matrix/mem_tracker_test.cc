@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "matrix/block.h"
 
 namespace dmac {
@@ -46,6 +48,27 @@ TEST(MemTrackerTest, CscBlockLifetimeIsTracked) {
     CscBlock b = builder.Build();
     EXPECT_EQ(t.current_bytes(), before + b.MemoryBytes());
   }
+  EXPECT_EQ(t.current_bytes(), before);
+}
+
+TEST(MemTrackerTest, LiveBytesReturnToBaselineAsBlocksDie) {
+  // The leak rule: live bytes count every outstanding block, dense or
+  // sparse, and read their starting value once the last one is gone.
+  MemTracker& t = MemTracker::Global();
+  const int64_t before = t.current_bytes();
+  auto a = std::make_unique<Block>(DenseBlock(4, 4));
+  auto b = std::make_unique<Block>(DenseBlock(8, 2));
+  CscBuilder builder(6, 6);
+  builder.Add(1, 2, 3.0f);
+  auto c = std::make_unique<Block>(builder.Build());
+  const int64_t a_bytes = a->MemoryBytes();
+  const int64_t c_bytes = c->MemoryBytes();
+  EXPECT_EQ(t.current_bytes(), before + a_bytes + b->MemoryBytes() + c_bytes);
+  b.reset();
+  EXPECT_EQ(t.current_bytes(), before + a_bytes + c_bytes);
+  a.reset();
+  EXPECT_EQ(t.current_bytes(), before + c_bytes);
+  c.reset();
   EXPECT_EQ(t.current_bytes(), before);
 }
 

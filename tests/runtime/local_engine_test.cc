@@ -295,6 +295,82 @@ TEST(LocalEngineMemoryTest, DenseResultIsItsAccumulatorNotACopy) {
   EXPECT_EQ(MemTracker::Global().current_bytes() - before, out_bytes);
 }
 
+TEST(LocalEngineMemoryTest, DenseResultOutlivesItsEngine) {
+  // The sink owns what it is given: a dense result stays valid and counted
+  // after its engine and thread pool are gone, and its bytes leave the books
+  // only when the caller drops it.
+  const LocalMatrix a = LocalMatrix::RandomDense({32, 8}, 32, 7);
+  const LocalMatrix b = LocalMatrix::RandomDense({8, 32}, 32, 8);
+  const auto expected = a.Multiply(b);
+  ASSERT_TRUE(expected.ok());
+  const int64_t before = MemTracker::Global().current_bytes();
+  Block result;
+  {
+    ThreadPool pool(2);
+    LocalEngine engine(&pool, LocalMode::kInPlace);
+    ASSERT_TRUE(engine
+                    .MultiplyBlocks(
+                        BlockGrid{{32, 32}, 32}, {{0, 0, 0, 1}},
+                        [&a](int64_t bi, int64_t bj) {
+                          return std::shared_ptr<const Block>(
+                              std::shared_ptr<void>(), &a.BlockAt(bi, bj));
+                        },
+                        [&b](int64_t bi, int64_t bj) {
+                          return std::shared_ptr<const Block>(
+                              std::shared_ptr<void>(), &b.BlockAt(bi, bj));
+                        },
+                        [&](int64_t, int64_t, Block blk) {
+                          result = std::move(blk);
+                        })
+                    .ok());
+  }
+  ASSERT_TRUE(result.IsDense());
+  EXPECT_EQ(MemTracker::Global().current_bytes() - before,
+            result.MemoryBytes());
+  EXPECT_TRUE(ApproxEqual(result, expected->BlockAt(0, 0), 1e-3));
+  result = Block();
+  EXPECT_EQ(MemTracker::Global().current_bytes(), before);
+}
+
+TEST(LocalEngineMemoryTest, EachAccumulatorStartsZeroed) {
+  // A product of zeros adds nothing to its accumulator (the GEMM skips
+  // all-zero panels), so any value left in the storage an earlier task's
+  // result gave back would surface in this result.
+  const LocalMatrix a = LocalMatrix::RandomDense({64, 64}, 16, 7);
+  const LocalMatrix b = LocalMatrix::RandomDense({64, 64}, 16, 8);
+  const LocalMatrix zeros = LocalMatrix::Zeros({64, 64}, 16);
+  const BlockGrid out_grid{{64, 64}, 16};
+  auto source = [](const LocalMatrix& m) {
+    return [&m](int64_t bi, int64_t bj) {
+      return std::shared_ptr<const Block>(std::shared_ptr<void>(),
+                                          &m.BlockAt(bi, bj));
+    };
+  };
+  std::vector<MultiplyTask> tasks;
+  for (int64_t bi = 0; bi < 4; ++bi) {
+    for (int64_t bj = 0; bj < 4; ++bj) tasks.push_back({bi, bj, 0, 4});
+  }
+  for (LocalMode mode : {LocalMode::kInPlace, LocalMode::kBuffer}) {
+    ThreadPool pool(2);
+    LocalEngine engine(&pool, mode);
+    for (int round = 0; round < 4; ++round) {
+      std::atomic<int> dirty_blocks{0};
+      ASSERT_TRUE(engine
+                      .MultiplyBlocks(out_grid, tasks, source(a), source(b),
+                                      [](int64_t, int64_t, Block) {})
+                      .ok());
+      ASSERT_TRUE(engine
+                      .MultiplyBlocks(out_grid, tasks, source(a),
+                                      source(zeros),
+                                      [&](int64_t, int64_t, Block blk) {
+                                        if (blk.HasNonZero()) ++dirty_blocks;
+                                      })
+                      .ok());
+      EXPECT_EQ(dirty_blocks.load(), 0) << "round " << round;
+    }
+  }
+}
+
 TEST(LocalEngineMemoryTest, ConcurrentTasksLeaveOnlyTheirResultsLive) {
   // Sixteen result blocks on four threads, dense and sparse operands mixed:
   // every accumulator, partial and GEMM panel a task allocates is freed by
