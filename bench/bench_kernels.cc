@@ -173,8 +173,9 @@ std::vector<Entry> BenchVecPrimitives(int64_t bs, double min_seconds) {
        [&] { DMAC_CHECK(AddAccumulate(dense, &acc).ok()); }},
       {"cell_unary_abs", 2 * block_bytes, 1.0 * bs * bs,
        [&] {
-         Block r = CellUnary(dense, UnaryFnKind::kAbs);
-         DMAC_CHECK(r.rows() == bs);
+         auto r = Cellwise({.kind = CellOp::kUnary, .fn = UnaryFnKind::kAbs},
+                           dense);
+         DMAC_CHECK(r.ok() && r->rows() == bs);
        }},
       {"sum", block_bytes, 1.0 * bs * bs,
        [&] { volatile double s = Sum(dense); (void)s; }},

@@ -68,6 +68,19 @@ class LineageCompletenessPass final : public AnalysisPass {
       }
     }
 
+    // 0c. Recovery re-runs plan.steps[producer_step], so a step's id must
+    //     be its position in the step table (plan.cc and the fault layer
+    //     index steps the same way).
+    for (size_t pos = 0; pos < plan.steps.size(); ++pos) {
+      const PlanStep& step = plan.steps[pos];
+      if (step.id != static_cast<int>(pos)) {
+        out->push_back({Severity::kError, kPass, step.id,
+                        StepLabel(step) + " sits at position " +
+                            std::to_string(pos) + " of the step table",
+                        "lineage recovery would re-run the wrong step"});
+      }
+    }
+
     // The actual producer of each node, from the step table.
     std::vector<int> producer(static_cast<size_t>(num_nodes), -1);
     for (const PlanStep& step : plan.steps) {
@@ -169,10 +182,17 @@ class LineageCompletenessPass final : public AnalysisPass {
       done->insert(id);
       return;
     }
-    const PlanStep& step = plan.steps[static_cast<size_t>(step_id)];
+    // A step whose id is not its position was reported above (0c); the
+    // walk stops there rather than read another step or past the table.
+    const bool at_its_position =
+        static_cast<size_t>(step_id) < plan.steps.size() &&
+        plan.steps[static_cast<size_t>(step_id)].id == step_id;
+    const PlanStep* step =
+        at_its_position ? &plan.steps[static_cast<size_t>(step_id)] : nullptr;
     // Load and random steps regenerate from bindings / seeds: lineage roots.
-    if (step.kind != StepKind::kLoad && step.kind != StepKind::kRandom) {
-      for (int input : step.inputs) {
+    if (step != nullptr && step->kind != StepKind::kLoad &&
+        step->kind != StepKind::kRandom) {
+      for (int input : step->inputs) {
         WalkLineage(plan, producer, input, output_var, on_path, done, out);
       }
     }

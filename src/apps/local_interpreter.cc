@@ -94,16 +94,7 @@ class Interpreter {
       }
       case MatrixExpr::Kind::kCellUnary: {
         DMAC_ASSIGN_OR_RETURN(LocalMatrix m, EvalMatrix(*e.lhs));
-        std::vector<Block> blocks;
-        blocks.reserve(
-            static_cast<size_t>(m.grid().num_blocks()));
-        for (int64_t bi = 0; bi < m.grid().block_rows(); ++bi) {
-          for (int64_t bj = 0; bj < m.grid().block_cols(); ++bj) {
-            blocks.push_back(CellUnary(m.BlockAt(bi, bj), e.unary_fn));
-          }
-        }
-        return LocalMatrix::FromBlocks(m.shape(), m.block_size(),
-                                       std::move(blocks));
+        return m.Cellwise({.kind = CellOp::kUnary, .fn = e.unary_fn});
       }
       case MatrixExpr::Kind::kBinary: {
         DMAC_ASSIGN_OR_RETURN(LocalMatrix l, EvalMatrix(*e.lhs));

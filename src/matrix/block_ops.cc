@@ -95,92 +95,93 @@ CscBlock MergeSparse(const CscBlock& a, const CscBlock& b, Fn fn) {
   return builder.Build();
 }
 
-// Add and Subtract: sparse over the union of the patterns when both
+// kAdd and kSubtract: sparse over the union of the patterns when both
 // operands are sparse, dense otherwise.
 template <typename A, typename Fn>
-Result<Block> UnionOp(A&& a, const Block& b, const char* op, Fn fn) {
-  DMAC_RETURN_NOT_OK(CheckSameShape(a, b, op));
+Block UnionOp(A&& a, const Block& b, Fn fn) {
   if (a.IsSparse() && b.IsSparse()) {
     return Block(MergeSparse(a.sparse(), b.sparse(), fn));
   }
   return ElementwiseDense(std::forward<A>(a), b, fn);
 }
 
-template <typename A>
-Result<Block> CellMultiplyImpl(A&& a, const Block& b) {
-  DMAC_RETURN_NOT_OK(CheckSameShape(a, b, "cell-multiply"));
-  // A sparse side dominates the result pattern: iterate its non-zeros only.
-  if (a.IsSparse() || b.IsSparse()) {
-    const CscBlock& pattern = a.IsSparse() ? a.sparse() : b.sparse();
-    const Block& other = a.IsSparse() ? b : a;
-    CscBuilder builder(pattern.rows(), pattern.cols());
-    builder.Reserve(static_cast<size_t>(pattern.nnz()));
-    for (int64_t c = 0; c < pattern.cols(); ++c) {
-      for (int32_t p = pattern.ColStart(c); p < pattern.ColEnd(c); ++p) {
-        const int32_t r = pattern.row_idx()[p];
-        builder.Add(r, c, pattern.values()[p] * other.At(r, c));
-      }
+// out(r,c) = fn(pattern(r,c), other(r,c)) over the stored entries of
+// `pattern` only: the sparse side of a product, or a sparse numerator.
+template <typename Fn>
+CscBlock PatternOp(const CscBlock& pattern, const Block& other, Fn fn) {
+  CscBuilder builder(pattern.rows(), pattern.cols());
+  builder.Reserve(static_cast<size_t>(pattern.nnz()));
+  for (int64_t c = 0; c < pattern.cols(); ++c) {
+    for (int32_t p = pattern.ColStart(c); p < pattern.ColEnd(c); ++p) {
+      const int32_t r = pattern.row_idx()[p];
+      builder.Add(r, c, fn(pattern.values()[p], other.At(r, c)));
     }
-    return Block(builder.Build());
   }
-  return ElementwiseDense(std::forward<A>(a), b,
-                          [](Scalar x, Scalar y) { return x * y; });
+  return builder.Build();
 }
 
-template <typename A>
-Result<Block> CellDivideImpl(A&& a, const Block& b) {
-  DMAC_RETURN_NOT_OK(CheckSameShape(a, b, "cell-divide"));
-  if (a.IsSparse()) {
-    const CscBlock& num = a.sparse();
-    CscBuilder builder(num.rows(), num.cols());
-    builder.Reserve(static_cast<size_t>(num.nnz()));
-    for (int64_t c = 0; c < num.cols(); ++c) {
-      for (int32_t p = num.ColStart(c); p < num.ColEnd(c); ++p) {
-        const int32_t r = num.row_idx()[p];
-        builder.Add(r, c, num.values()[p] / b.At(r, c));
-      }
-    }
-    return Block(builder.Build());
-  }
-  return ElementwiseDense(std::forward<A>(a), b,
-                          [](Scalar x, Scalar y) { return x / y; });
-}
-
-template <typename A>
-Block ScalarMultiplyImpl(A&& a, Scalar scalar) {
-  if (a.IsDense()) {
-    DenseBlock out = DenseResult(std::forward<A>(a));
-    Scalar* data = out.data();
-    const int64_t n = out.rows() * out.cols();
-    for (int64_t i = 0; i < n; ++i) data[i] *= scalar;
-    return Block(std::move(out));
-  }
-  CscBlock out = SparseResult(std::forward<A>(a));
-  Scalar* values = out.mutable_values();
-  for (int64_t i = 0; i < out.nnz(); ++i) values[i] *= scalar;
-  return Block(std::move(out));
-}
-
-template <typename A>
-Block ScalarAddImpl(A&& a, Scalar scalar) {
-  if (scalar == Scalar{0}) return Block(std::forward<A>(a));
-  DenseBlock out = DenseResult(std::forward<A>(a));
-  Scalar* data = out.data();
-  const int64_t n = out.rows() * out.cols();
-  for (int64_t i = 0; i < n; ++i) data[i] += scalar;
-  return Block(std::move(out));
-}
-
-template <typename A>
-Block CellUnaryImpl(A&& a, UnaryFnKind fn) {
-  if (a.IsSparse() && UnaryFnPreservesZero(fn)) {
+// Rewrites the first operand's stored values with fn(values, count): in
+// its own pattern when `keep_sparse` and it is sparse, densely otherwise.
+template <typename A, typename Fn>
+Block MapStored(A&& a, bool keep_sparse, Fn fn) {
+  if (keep_sparse && a.IsSparse()) {
     CscBlock out = SparseResult(std::forward<A>(a));
-    VecUnary(out.mutable_values(), out.nnz(), fn);
+    fn(out.mutable_values(), out.nnz());
     return Block(std::move(out));
   }
   DenseBlock out = DenseResult(std::forward<A>(a));
-  VecUnary(out.data(), out.rows() * out.cols(), fn);
+  fn(out.data(), out.rows() * out.cols());
   return Block(std::move(out));
+}
+
+// The one element-wise evaluator: picks the representation and the inner
+// loop once per block (see CellOp for the rules).
+template <typename A>
+Result<Block> CellwiseImpl(const CellOp& op, A&& a, const Block* b) {
+  if (op.binary() != (b != nullptr)) {
+    return Status::Invalid(std::string(op.name()) +
+                           (b == nullptr ? " needs" : " takes no") +
+                           " second operand");
+  }
+  if (b != nullptr) DMAC_RETURN_NOT_OK(CheckSameShape(a, *b, op.name()));
+  const Scalar s = op.scalar;
+  switch (op.kind) {
+    case CellOp::kAdd:
+      return UnionOp(std::forward<A>(a), *b, std::plus<Scalar>());
+    case CellOp::kSubtract:
+      return UnionOp(std::forward<A>(a), *b, std::minus<Scalar>());
+    case CellOp::kMultiply:
+      if (a.IsSparse()) {
+        return Block(PatternOp(a.sparse(), *b, std::multiplies<Scalar>()));
+      }
+      if (b->IsSparse()) {
+        return Block(PatternOp(b->sparse(), a, std::multiplies<Scalar>()));
+      }
+      return ElementwiseDense(std::forward<A>(a), *b,
+                              std::multiplies<Scalar>());
+    case CellOp::kDivide:
+      if (a.IsSparse()) {
+        return Block(PatternOp(a.sparse(), *b, std::divides<Scalar>()));
+      }
+      return ElementwiseDense(std::forward<A>(a), *b, std::divides<Scalar>());
+    case CellOp::kScale:
+      return MapStored(std::forward<A>(a), /*keep_sparse=*/true,
+                       [s](Scalar* v, int64_t n) {
+                         for (int64_t i = 0; i < n; ++i) v[i] *= s;
+                       });
+    case CellOp::kShift:
+      if (s == Scalar{0}) return Block(std::forward<A>(a));
+      return MapStored(std::forward<A>(a), /*keep_sparse=*/false,
+                       [s](Scalar* v, int64_t n) {
+                         for (int64_t i = 0; i < n; ++i) v[i] += s;
+                       });
+    case CellOp::kUnary:
+      return MapStored(std::forward<A>(a), UnaryFnPreservesZero(op.fn),
+                       [fn = op.fn](Scalar* v, int64_t n) {
+                         VecUnary(v, n, fn);
+                       });
+  }
+  return Status::Internal("unknown element-wise function");
 }
 
 }  // namespace
@@ -282,7 +283,8 @@ Result<Block> SumBlocks(const std::vector<const Block*>& blocks,
 
   if (all_sparse && blocks.size() == 2) {
     // One union merge is already optimal for a pair.
-    DMAC_ASSIGN_OR_RETURN(Block merged, Add(*blocks[0], *blocks[1]));
+    DMAC_ASSIGN_OR_RETURN(Block merged,
+                          Cellwise({CellOp::kAdd}, *blocks[0], blocks[1]));
     return std::move(merged).Compacted(density_threshold);
   }
 
@@ -355,53 +357,31 @@ Result<Block> SumBlocks(const std::vector<const Block*>& blocks,
   return CompactFromDense(&acc, density_threshold);
 }
 
-Result<Block> Add(Block&& a, const Block& b) {
-  return UnionOp(std::move(a), b, "add", std::plus<Scalar>());
-}
-Result<Block> Add(const Block& a, const Block& b) {
-  return UnionOp(a, b, "add", std::plus<Scalar>());
-}
-
-Result<Block> Subtract(Block&& a, const Block& b) {
-  return UnionOp(std::move(a), b, "subtract", std::minus<Scalar>());
-}
-Result<Block> Subtract(const Block& a, const Block& b) {
-  return UnionOp(a, b, "subtract", std::minus<Scalar>());
-}
-
-Result<Block> CellMultiply(Block&& a, const Block& b) {
-  return CellMultiplyImpl(std::move(a), b);
-}
-Result<Block> CellMultiply(const Block& a, const Block& b) {
-  return CellMultiplyImpl(a, b);
-}
-
-Result<Block> CellDivide(Block&& a, const Block& b) {
-  return CellDivideImpl(std::move(a), b);
-}
-Result<Block> CellDivide(const Block& a, const Block& b) {
-  return CellDivideImpl(a, b);
+const char* CellOp::name() const {
+  switch (kind) {
+    case kAdd:
+      return "add";
+    case kSubtract:
+      return "subtract";
+    case kMultiply:
+      return "cell-multiply";
+    case kDivide:
+      return "cell-divide";
+    case kScale:
+      return "scale";
+    case kShift:
+      return "shift";
+    case kUnary:
+      return UnaryFnName(fn);
+  }
+  return "?";
 }
 
-Block ScalarMultiply(Block&& a, Scalar scalar) {
-  return ScalarMultiplyImpl(std::move(a), scalar);
+Result<Block> Cellwise(const CellOp& op, Block&& a, const Block* b) {
+  return CellwiseImpl(op, std::move(a), b);
 }
-Block ScalarMultiply(const Block& a, Scalar scalar) {
-  return ScalarMultiplyImpl(a, scalar);
-}
-
-Block ScalarAdd(Block&& a, Scalar scalar) {
-  return ScalarAddImpl(std::move(a), scalar);
-}
-Block ScalarAdd(const Block& a, Scalar scalar) {
-  return ScalarAddImpl(a, scalar);
-}
-
-Block CellUnary(Block&& a, UnaryFnKind fn) {
-  return CellUnaryImpl(std::move(a), fn);
-}
-Block CellUnary(const Block& a, UnaryFnKind fn) {
-  return CellUnaryImpl(a, fn);
+Result<Block> Cellwise(const CellOp& op, const Block& a, const Block* b) {
+  return CellwiseImpl(op, a, b);
 }
 
 Status AddAccumulate(const Block& a, DenseBlock* acc) {

@@ -61,50 +61,51 @@ Result<CscBlock> MultiplySparseChain(
 Result<Block> SumBlocks(const std::vector<const Block*>& blocks,
                         double density_threshold);
 
-// Element-wise ops. Each takes its first operand either owned (an rvalue)
-// or borrowed. An owned operand whose representation the result keeps
-// becomes the result's storage: a dense operand of a dense result, or a
-// sparse operand whose pattern the result keeps (scalar multiply,
-// zero-preserving unary). This is the paper's in-place execution (§5.2,
-// Fig. 7): a step whose input dies there writes into it instead of
-// allocating. A borrowed operand is copied exactly when an owned one would
-// have been reused, and both forms give the same bits in the same
-// representation. The second operand must not alias an owned first one.
-
-/// Elementwise sum; sparse when both inputs are sparse.
-Result<Block> Add(Block&& a, const Block& b);
-Result<Block> Add(const Block& a, const Block& b);
-
-/// Elementwise difference; sparse when both inputs are sparse.
-Result<Block> Subtract(Block&& a, const Block& b);
-Result<Block> Subtract(const Block& a, const Block& b);
-
-/// Elementwise (Hadamard) product; sparse when either input is sparse.
-Result<Block> CellMultiply(Block&& a, const Block& b);
-Result<Block> CellMultiply(const Block& a, const Block& b);
-
-/// Elementwise quotient a/b; keeps a's sparsity pattern when a is sparse
-/// (0 / y == 0). Division by a zero denominator at a non-zero numerator
-/// yields IEEE inf, as in R.
-Result<Block> CellDivide(Block&& a, const Block& b);
-Result<Block> CellDivide(const Block& a, const Block& b);
-
 /// acc += a. `acc` must be dense and shape-compatible.
 Status AddAccumulate(const Block& a, DenseBlock* acc);
 
-/// a · scalar (same representation as a; a sparse a keeps its pattern,
-/// explicit zeros included).
-Block ScalarMultiply(Block&& a, Scalar scalar);
-Block ScalarMultiply(const Block& a, Scalar scalar);
+/// One element-wise function: what Cellwise() computes at every element,
+/// pairing a binary function's first operand with the aligned element of
+/// its second. Each function fixes the result's representation:
+///   * kAdd, kSubtract: sparse over the union of both patterns when both
+///     operands are sparse, dense otherwise;
+///   * kMultiply: the sparse operand's pattern (the first's when both
+///     are) when either is sparse; entries whose product is zero leave it;
+///   * kDivide: the numerator's pattern when it is sparse (0 / y == 0);
+///     a zero denominator at a non-zero numerator yields IEEE inf, as in R;
+///   * kScale (a · scalar): the operand's representation and pattern,
+///     explicit zeros included;
+///   * kShift (a + scalar): dense, except that a shift by 0 returns the
+///     operand itself;
+///   * kUnary: the operand's pattern for a zero-preserving `fn` (abs,
+///     square), dense otherwise.
+struct CellOp {
+  enum Kind { kAdd, kSubtract, kMultiply, kDivide, kScale, kShift, kUnary };
 
-/// a + scalar (densifies a sparse input when scalar != 0).
-Block ScalarAdd(Block&& a, Scalar scalar);
-Block ScalarAdd(const Block& a, Scalar scalar);
+  Kind kind = kAdd;
+  Scalar scalar = 0;                   // kScale, kShift
+  UnaryFnKind fn = UnaryFnKind::kExp;  // kUnary
 
-/// Element-wise unary function. Zero-preserving functions (abs, square)
-/// keep a sparse operand sparse; the others densify.
-Block CellUnary(Block&& a, UnaryFnKind fn);
-Block CellUnary(const Block& a, UnaryFnKind fn);
+  /// True for the functions of two operands (kAdd .. kDivide).
+  bool binary() const { return kind <= kDivide; }
+  /// "add", "subtract", "cell-multiply", "cell-divide", "scale", "shift"
+  /// or the unary function's name.
+  const char* name() const;
+};
+
+/// Applies `op` to `a` and, for a binary op, to `*b`, which must then be
+/// non-null and of a's shape; a unary op takes no `b`. The first operand
+/// is either owned (an rvalue) or borrowed. An owned operand whose
+/// representation the result keeps becomes the result's storage: a dense
+/// operand of a dense result, or a sparse operand whose pattern the result
+/// keeps. This is the paper's in-place execution (§5.2, Fig. 7): a step
+/// whose input dies there writes into it instead of allocating. A borrowed
+/// operand is copied exactly when an owned one would have been reused, and
+/// both forms give the same bits in the same representation. `b` must not
+/// alias an owned `a`.
+Result<Block> Cellwise(const CellOp& op, Block&& a, const Block* b = nullptr);
+Result<Block> Cellwise(const CellOp& op, const Block& a,
+                       const Block* b = nullptr);
 
 /// Column vector of row sums (m×1 dense).
 DenseBlock RowSums(const Block& a);

@@ -121,46 +121,24 @@ Result<LocalMatrix> LocalMatrix::Multiply(const LocalMatrix& other) const {
   return out;
 }
 
-template <typename Fn>
-Result<LocalMatrix> LocalMatrix::ZipBlocks(const LocalMatrix& other,
-                                           const char* op, Fn fn) const {
-  if (shape() != other.shape() || block_size() != other.block_size()) {
-    return Status::DimensionMismatch(std::string(op) + " " +
+Result<LocalMatrix> LocalMatrix::Cellwise(const CellOp& op,
+                                          const LocalMatrix* other) const {
+  if (other != nullptr && (shape() != other->shape() ||
+                           block_size() != other->block_size())) {
+    return Status::DimensionMismatch(std::string(op.name()) + " " +
                                      shape().ToString() + " with " +
-                                     other.shape().ToString());
+                                     other->shape().ToString());
   }
   std::vector<Block> out_blocks;
   out_blocks.reserve(blocks_.size());
   for (size_t i = 0; i < blocks_.size(); ++i) {
-    DMAC_ASSIGN_OR_RETURN(Block b, fn(blocks_[i], other.blocks_[i]));
+    DMAC_ASSIGN_OR_RETURN(
+        Block b, dmac::Cellwise(op, blocks_[i],
+                                other != nullptr ? &other->blocks_[i]
+                                                 : nullptr));
     out_blocks.push_back(std::move(b));
   }
   return FromBlocks(shape(), block_size(), std::move(out_blocks));
-}
-
-Result<LocalMatrix> LocalMatrix::Add(const LocalMatrix& other) const {
-  return ZipBlocks(other, "add", [](const Block& a, const Block& b) {
-    return dmac::Add(a, b);
-  });
-}
-
-Result<LocalMatrix> LocalMatrix::Subtract(const LocalMatrix& other) const {
-  return ZipBlocks(other, "subtract", [](const Block& a, const Block& b) {
-    return dmac::Subtract(a, b);
-  });
-}
-
-Result<LocalMatrix> LocalMatrix::CellMultiply(const LocalMatrix& other) const {
-  return ZipBlocks(other, "cell-multiply",
-                   [](const Block& a, const Block& b) {
-                     return dmac::CellMultiply(a, b);
-                   });
-}
-
-Result<LocalMatrix> LocalMatrix::CellDivide(const LocalMatrix& other) const {
-  return ZipBlocks(other, "cell-divide", [](const Block& a, const Block& b) {
-    return dmac::CellDivide(a, b);
-  });
 }
 
 LocalMatrix LocalMatrix::Transposed() const {
@@ -174,24 +152,6 @@ LocalMatrix LocalMatrix::Transposed() const {
     }
   }
   return out;
-}
-
-LocalMatrix LocalMatrix::ScalarMultiply(Scalar scalar) const {
-  std::vector<Block> out_blocks;
-  out_blocks.reserve(blocks_.size());
-  for (const Block& b : blocks_) {
-    out_blocks.push_back(dmac::ScalarMultiply(b, scalar));
-  }
-  return FromBlocks(shape(), block_size(), std::move(out_blocks));
-}
-
-LocalMatrix LocalMatrix::ScalarAdd(Scalar scalar) const {
-  std::vector<Block> out_blocks;
-  out_blocks.reserve(blocks_.size());
-  for (const Block& b : blocks_) {
-    out_blocks.push_back(dmac::ScalarAdd(b, scalar));
-  }
-  return FromBlocks(shape(), block_size(), std::move(out_blocks));
 }
 
 LocalMatrix LocalMatrix::RowSums() const {

@@ -59,14 +59,32 @@ class LocalMatrix {
   /// Matrix product; block sizes must match.
   Result<LocalMatrix> Multiply(const LocalMatrix& other) const;
 
-  Result<LocalMatrix> Add(const LocalMatrix& other) const;
-  Result<LocalMatrix> Subtract(const LocalMatrix& other) const;
-  Result<LocalMatrix> CellMultiply(const LocalMatrix& other) const;
-  Result<LocalMatrix> CellDivide(const LocalMatrix& other) const;
+  /// dmac::Cellwise(op, ·) on every block. A binary op pairs each block
+  /// with the aligned block of `*other`, which must have this matrix's
+  /// shape and block size; a unary op takes no `other`.
+  Result<LocalMatrix> Cellwise(const CellOp& op,
+                               const LocalMatrix* other = nullptr) const;
+
+  Result<LocalMatrix> Add(const LocalMatrix& other) const {
+    return Cellwise({CellOp::kAdd}, &other);
+  }
+  Result<LocalMatrix> Subtract(const LocalMatrix& other) const {
+    return Cellwise({CellOp::kSubtract}, &other);
+  }
+  Result<LocalMatrix> CellMultiply(const LocalMatrix& other) const {
+    return Cellwise({CellOp::kMultiply}, &other);
+  }
+  Result<LocalMatrix> CellDivide(const LocalMatrix& other) const {
+    return Cellwise({CellOp::kDivide}, &other);
+  }
+  LocalMatrix ScalarMultiply(Scalar scalar) const {
+    return *Cellwise({CellOp::kScale, scalar});
+  }
+  LocalMatrix ScalarAdd(Scalar scalar) const {
+    return *Cellwise({CellOp::kShift, scalar});
+  }
 
   LocalMatrix Transposed() const;
-  LocalMatrix ScalarMultiply(Scalar scalar) const;
-  LocalMatrix ScalarAdd(Scalar scalar) const;
 
   /// Column vector (m×1) of row sums.
   LocalMatrix RowSums() const;
@@ -85,10 +103,6 @@ class LocalMatrix {
   bool ApproxEqual(const LocalMatrix& other, double tol = 1e-3) const;
 
  private:
-  template <typename Fn>
-  Result<LocalMatrix> ZipBlocks(const LocalMatrix& other, const char* op,
-                                Fn fn) const;
-
   BlockGrid grid_;
   std::vector<Block> blocks_;  // row-major: [bi * block_cols + bj]
 };

@@ -531,21 +531,11 @@ class Executor::Impl final : public StepRunner {
     switch (step.op_kind) {
       case OpKind::kMultiply:
         return ExecMultiply(step);
-      case OpKind::kAdd:
-      case OpKind::kSubtract:
-      case OpKind::kCellMultiply:
-      case OpKind::kCellDivide:
-        return ExecCellwise(step);
-      case OpKind::kScalarMultiply:
-      case OpKind::kScalarAdd:
-        return ExecScalarOp(step);
       case OpKind::kRowSums:
       case OpKind::kColSums:
         return ExecAggregate(step);
-      case OpKind::kCellUnary:
-        return ExecCellUnary(step);
       default:
-        return Status::Internal("unexpected compute op kind");
+        return ExecCellwise(step);
     }
   }
 
@@ -726,7 +716,7 @@ class Executor::Impl final : public StepRunner {
     return Status::Ok();
   }
 
-  /// Block map behind the transpose, cell-wise, scalar and unary steps:
+  /// Block map behind the transpose and element-wise steps:
   /// every worker turns each block (bi, bj) of `src` it holds into block
   /// fn(worker, bi, bj, block) of `dst` (at (bj, bi) for a transpose), one
   /// engine task per block. A Broadcast input is mapped once, on worker 0,
@@ -789,67 +779,62 @@ class Executor::Impl final : public StepRunner {
                                               : Status::Ok();
   }
 
+  /// Every element-wise step: one CellOp applied block by block, a binary
+  /// op pairing each block of the first input with the aligned block of
+  /// the second.
   Status ExecCellwise(const PlanStep& step) {
-    DistMatrix& a = Data(step.inputs[0]);
-    const DistMatrix& b = Data(step.inputs[1]);
-    if (a.grid().matrix != b.grid().matrix) {
-      return Status::DimensionMismatch("distributed cell-wise op " +
-                                       a.grid().matrix.ToString() + " vs " +
-                                       b.grid().matrix.ToString());
+    CellOp op;
+    switch (step.op_kind) {
+      case OpKind::kAdd:
+        op.kind = CellOp::kAdd;
+        break;
+      case OpKind::kSubtract:
+        op.kind = CellOp::kSubtract;
+        break;
+      case OpKind::kCellMultiply:
+        op.kind = CellOp::kMultiply;
+        break;
+      case OpKind::kCellDivide:
+        op.kind = CellOp::kDivide;
+        break;
+      case OpKind::kScalarMultiply:
+      case OpKind::kScalarAdd: {
+        DMAC_ASSIGN_OR_RETURN(double scalar,
+                              EvalScalar(*step.scalar, scalars_, NoReduce));
+        op.kind = step.op_kind == OpKind::kScalarAdd ? CellOp::kShift
+                                                     : CellOp::kScale;
+        op.scalar = static_cast<Scalar>(scalar);
+        break;
+      }
+      case OpKind::kCellUnary:
+        op.kind = CellOp::kUnary;
+        op.fn = step.unary_fn;
+        break;
+      default:
+        return Status::Internal("unexpected compute op kind");
     }
-    DMAC_CHECK(a.scheme() == b.scheme());
+    DistMatrix& a = Data(step.inputs[0]);
+    const DistMatrix* b = op.binary() ? &Data(step.inputs[1]) : nullptr;
+    if (b != nullptr) {
+      if (a.grid().matrix != b->grid().matrix) {
+        return Status::DimensionMismatch("distributed cell-wise op " +
+                                         a.grid().matrix.ToString() + " vs " +
+                                         b->grid().matrix.ToString());
+      }
+      DMAC_CHECK(a.scheme() == b->scheme());
+    }
     auto c = NewData(step.output, a.grid().matrix);
-    const OpKind kind = step.op_kind;
     return MapBlocks(
         step, a, c.get(), TaskKind::kElementwise,
-        [&b, kind](int w, int64_t bi, int64_t bj,
-                   auto&& ablk) -> Result<Block> {
-          using A = decltype(ablk);
-          auto bptr = b.Get(w, bi, bj);
-          if (bptr == nullptr) {
+        [op, b](int w, int64_t bi, int64_t bj,
+                auto&& ablk) -> Result<Block> {
+          DistMatrix::BlockPtr bptr;
+          if (b != nullptr && (bptr = b->Get(w, bi, bj)) == nullptr) {
             return Status::Internal("cell-wise op: operand block missing");
           }
-          switch (kind) {
-            case OpKind::kAdd:
-              return Add(std::forward<A>(ablk), *bptr);
-            case OpKind::kSubtract:
-              return Subtract(std::forward<A>(ablk), *bptr);
-            case OpKind::kCellMultiply:
-              return CellMultiply(std::forward<A>(ablk), *bptr);
-            case OpKind::kCellDivide:
-              return CellDivide(std::forward<A>(ablk), *bptr);
-            default:
-              return Status::Internal("bad cell-wise kind");
-          }
+          return Cellwise(op, std::forward<decltype(ablk)>(ablk),
+                          bptr.get());
         });
-  }
-
-  Status ExecScalarOp(const PlanStep& step) {
-    DistMatrix& a = Data(step.inputs[0]);
-    DMAC_ASSIGN_OR_RETURN(double scalar,
-                          EvalScalar(*step.scalar, scalars_, NoReduce));
-    auto c = NewData(step.output, a.grid().matrix);
-    const bool add = step.op_kind == OpKind::kScalarAdd;
-    const Scalar s = static_cast<Scalar>(scalar);
-    return MapBlocks(step, a, c.get(), TaskKind::kElementwise,
-                     [add, s](int, int64_t, int64_t, auto&& block) {
-                       using B = decltype(block);
-                       return Result<Block>(
-                           add ? ScalarAdd(std::forward<B>(block), s)
-                               : ScalarMultiply(std::forward<B>(block), s));
-                     });
-  }
-
-  Status ExecCellUnary(const PlanStep& step) {
-    DistMatrix& a = Data(step.inputs[0]);
-    auto c = NewData(step.output, a.grid().matrix);
-    const UnaryFnKind fn = step.unary_fn;
-    return MapBlocks(step, a, c.get(), TaskKind::kElementwise,
-                     [fn](int, int64_t, int64_t, auto&& block) {
-                       using B = decltype(block);
-                       return Result<Block>(
-                           CellUnary(std::forward<B>(block), fn));
-                     });
   }
 
   /// Row/column sums. Summing along the partitioned axis is worker-local,

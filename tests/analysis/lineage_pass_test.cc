@@ -82,6 +82,17 @@ TEST(LineagePassTest, MissingProducerStepIsAnError) {
       << Dump(report);
 }
 
+TEST(LineagePassTest, StepIdOffItsPositionIsAnError) {
+  Plan plan = SmallPlan();
+  // Erasing the first step shifts every later step one position down, so
+  // each id now names the step after it in the table.
+  plan.steps.erase(plan.steps.begin());
+  const AnalysisReport report = RunPass(plan);
+  EXPECT_TRUE(HasDiag(report, kPass, Severity::kError,
+                      "sits at position 0 of the step table"))
+      << Dump(report);
+}
+
 TEST(LineagePassTest, LineageCycleIsAnError) {
   Plan plan = SmallPlan();
   // Rewire the output's producer to consume its own output node.

@@ -15,6 +15,10 @@ namespace {
 
 constexpr int64_t kBs = 16;
 
+Block CellUnary(const Block& a, UnaryFnKind fn) {
+  return *Cellwise({.kind = CellOp::kUnary, .fn = fn}, a);
+}
+
 TEST(CellUnaryKernelTest, AppliesFunctions) {
   Block a = RandomDenseBlock(6, 5, 3);
   Block e = CellUnary(a, UnaryFnKind::kExp);

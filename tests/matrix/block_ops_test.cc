@@ -136,7 +136,7 @@ class CellwiseFormatsTest
 };
 
 TEST_P(CellwiseFormatsTest, AddMatchesElementwise) {
-  auto c = Add(a_, b_);
+  auto c = Cellwise({CellOp::kAdd}, a_, &b_);
   ASSERT_TRUE(c.ok());
   for (int64_t r = 0; r < 8; ++r) {
     for (int64_t j = 0; j < 11; ++j) {
@@ -146,7 +146,7 @@ TEST_P(CellwiseFormatsTest, AddMatchesElementwise) {
 }
 
 TEST_P(CellwiseFormatsTest, SubtractMatchesElementwise) {
-  auto c = Subtract(a_, b_);
+  auto c = Cellwise({CellOp::kSubtract}, a_, &b_);
   ASSERT_TRUE(c.ok());
   for (int64_t r = 0; r < 8; ++r) {
     for (int64_t j = 0; j < 11; ++j) {
@@ -156,7 +156,7 @@ TEST_P(CellwiseFormatsTest, SubtractMatchesElementwise) {
 }
 
 TEST_P(CellwiseFormatsTest, CellMultiplyMatchesElementwise) {
-  auto c = CellMultiply(a_, b_);
+  auto c = Cellwise({CellOp::kMultiply}, a_, &b_);
   ASSERT_TRUE(c.ok());
   for (int64_t r = 0; r < 8; ++r) {
     for (int64_t j = 0; j < 11; ++j) {
@@ -166,7 +166,7 @@ TEST_P(CellwiseFormatsTest, CellMultiplyMatchesElementwise) {
 }
 
 TEST_P(CellwiseFormatsTest, SubtractSelfIsZero) {
-  auto c = Subtract(a_, a_);
+  auto c = Cellwise({CellOp::kSubtract}, a_, &a_);
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c->nnz(), 0);
 }
@@ -182,7 +182,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CellwiseTest, AddKeepsSparseWhenBothSparse) {
   Block a = RandomSparseBlock(10, 10, 0.1, 1);
   Block b = RandomSparseBlock(10, 10, 0.1, 2);
-  auto c = Add(a, b);
+  auto c = Cellwise({CellOp::kAdd}, a, &b);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->IsSparse());
 }
@@ -190,10 +190,10 @@ TEST(CellwiseTest, AddKeepsSparseWhenBothSparse) {
 TEST(CellwiseTest, CellMultiplyKeepsSparseWhenEitherSparse) {
   Block a = RandomSparseBlock(10, 10, 0.1, 1);
   Block b = RandomDenseBlock(10, 10, 2);
-  auto c = CellMultiply(a, b);
+  auto c = Cellwise({CellOp::kMultiply}, a, &b);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->IsSparse());
-  auto c2 = CellMultiply(b, a);
+  auto c2 = Cellwise({CellOp::kMultiply}, b, &a);
   ASSERT_TRUE(c2.ok());
   EXPECT_TRUE(c2->IsSparse());
 }
@@ -203,7 +203,7 @@ TEST(CellwiseTest, DivideSparseNumeratorKeepsPattern) {
   nb.Add(0, 0, 6.0f);
   Block num(nb.Build());
   Block den = RandomDenseBlock(2, 2, 3);
-  auto c = CellDivide(num, den);
+  auto c = Cellwise({CellOp::kDivide}, num, &den);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(c->IsSparse());
   EXPECT_EQ(c->nnz(), 1);
@@ -213,7 +213,8 @@ TEST(CellwiseTest, DivideSparseNumeratorKeepsPattern) {
 TEST(CellwiseTest, DivideByZeroYieldsInf) {
   DenseBlock n(1, 1), d(1, 1);
   n.Set(0, 0, 1.0f);
-  auto c = CellDivide(Block(std::move(n)), Block(std::move(d)));
+  const Block den(std::move(d));
+  auto c = Cellwise({CellOp::kDivide}, Block(std::move(n)), &den);
   ASSERT_TRUE(c.ok());
   EXPECT_TRUE(std::isinf(c->At(0, 0)));
 }
@@ -221,10 +222,10 @@ TEST(CellwiseTest, DivideByZeroYieldsInf) {
 TEST(CellwiseTest, ShapeMismatchRejected) {
   Block a = RandomDenseBlock(2, 3, 1);
   Block b = RandomDenseBlock(3, 2, 2);
-  EXPECT_FALSE(Add(a, b).ok());
-  EXPECT_FALSE(Subtract(a, b).ok());
-  EXPECT_FALSE(CellMultiply(a, b).ok());
-  EXPECT_FALSE(CellDivide(a, b).ok());
+  EXPECT_FALSE(Cellwise({CellOp::kAdd}, a, &b).ok());
+  EXPECT_FALSE(Cellwise({CellOp::kSubtract}, a, &b).ok());
+  EXPECT_FALSE(Cellwise({CellOp::kMultiply}, a, &b).ok());
+  EXPECT_FALSE(Cellwise({CellOp::kDivide}, a, &b).ok());
 }
 
 // ---- scalar ops, reductions, compaction ---------------------------------
@@ -232,7 +233,7 @@ TEST(CellwiseTest, ShapeMismatchRejected) {
 TEST(ScalarOpsTest, MultiplyScalesBothFormats) {
   for (bool sparse : {false, true}) {
     Block a = MakeOperand(sparse, 5, 5, 31);
-    Block c = ScalarMultiply(a, 2.0f);
+    Block c = *Cellwise({CellOp::kScale, 2.0f}, a);
     EXPECT_EQ(c.IsSparse(), sparse);
     for (int64_t r = 0; r < 5; ++r) {
       for (int64_t j = 0; j < 5; ++j) {
@@ -244,14 +245,14 @@ TEST(ScalarOpsTest, MultiplyScalesBothFormats) {
 
 TEST(ScalarOpsTest, AddZeroIsIdentity) {
   Block a = RandomSparseBlock(5, 5, 0.2, 31);
-  Block c = ScalarAdd(a, 0.0f);
+  Block c = *Cellwise({CellOp::kShift, 0.0f}, a);
   EXPECT_TRUE(c.IsSparse());
   EXPECT_TRUE(ApproxEqual(a, c, 0));
 }
 
 TEST(ScalarOpsTest, AddNonZeroDensifiesSparse) {
   Block a = RandomSparseBlock(5, 5, 0.2, 31);
-  Block c = ScalarAdd(a, 1.0f);
+  Block c = *Cellwise({CellOp::kShift, 1.0f}, a);
   EXPECT_TRUE(c.IsDense());
   EXPECT_NEAR(c.At(0, 0), a.At(0, 0) + 1.0f, 1e-5);
 }
@@ -329,13 +330,13 @@ TEST_P(AlgebraPropertyTest, DistributiveLaw) {
   Block a = MakeOperand(seed % 2 == 1, 5, 6, seed);
   Block b = MakeOperand(false, 6, 4, seed + 1);
   Block c = MakeOperand(true, 6, 4, seed + 2);
-  auto bc = Add(b, c);
+  auto bc = Cellwise({CellOp::kAdd}, b, &c);
   ASSERT_TRUE(bc.ok());
   auto lhs = Multiply(a, *bc);
   auto ab = Multiply(a, b);
   auto ac = Multiply(a, c);
   ASSERT_TRUE(lhs.ok() && ab.ok() && ac.ok());
-  auto rhs = Add(*ab, *ac);
+  auto rhs = Cellwise({CellOp::kAdd}, *ab, &*ac);
   ASSERT_TRUE(rhs.ok());
   EXPECT_TRUE(ApproxEqual(*lhs, *rhs, 1e-2));
 }
@@ -405,7 +406,7 @@ TEST(SumBlocksTest, ManySparsePartialsMatchPairwiseMergesExactly) {
 
   Block want = partials[0];
   for (size_t i = 1; i < partials.size(); ++i) {
-    auto sum = Add(want, partials[i]);
+    auto sum = Cellwise({CellOp::kAdd}, want, &partials[i]);
     ASSERT_TRUE(sum.ok());
     want = std::move(*sum);
   }
@@ -459,7 +460,7 @@ TEST(SumBlocksTest, MixedInputsAccumulateDensely) {
   const Block dn = RandomDenseBlock(10, 10, 5);
   auto got = SumBlocks({&sp, &dn}, 0.05);
   ASSERT_TRUE(got.ok());
-  auto want = Add(sp, dn);
+  auto want = Cellwise({CellOp::kAdd}, sp, &dn);
   ASSERT_TRUE(want.ok());
   EXPECT_TRUE(ApproxEqual(*got, *want, 0));
 }
@@ -576,18 +577,10 @@ TEST_P(OwnedCellwiseTest, SameBitsAndRepresentationAsBorrowed) {
   for (int k = 0; k < 4; ++k) {
     const Case& c = cases[k];
     SCOPED_TRACE(c.name);
-    const auto op = [&b, k](auto&& x) -> Result<Block> {
-      using X = decltype(x);
-      switch (k) {
-        case 0:
-          return Add(std::forward<X>(x), b);
-        case 1:
-          return Subtract(std::forward<X>(x), b);
-        case 2:
-          return CellMultiply(std::forward<X>(x), b);
-        default:
-          return CellDivide(std::forward<X>(x), b);
-      }
+    const CellOp::Kind kinds[] = {CellOp::kAdd, CellOp::kSubtract,
+                                  CellOp::kMultiply, CellOp::kDivide};
+    const auto op = [&b, k, &kinds](auto&& x) -> Result<Block> {
+      return Cellwise({kinds[k]}, std::forward<decltype(x)>(x), &b);
     };
     // Only a dense first operand of a dense result is written in place.
     ExpectOwnedMatchesBorrowed(a, !a_sparse && c.dense_out, op);
@@ -621,13 +614,13 @@ TEST(OwnedScalarOpsTest, SameBitsAndRepresentationAsBorrowed) {
     for (Scalar s : {2.5f, -0.0f, 0.0f, -kInf, kNaN}) {
       // Scaling keeps every representation and pattern.
       ExpectOwnedMatchesBorrowed(a, /*reuse=*/true, [s](auto&& x) {
-        return Result<Block>(
-            ScalarMultiply(std::forward<decltype(x)>(x), s));
+        return Cellwise({CellOp::kScale, s}, std::forward<decltype(x)>(x));
       });
       // Adding zero returns the operand; anything else densifies.
       ExpectOwnedMatchesBorrowed(
           a, /*reuse=*/!sparse || s == Scalar{0}, [s](auto&& x) {
-            return Result<Block>(ScalarAdd(std::forward<decltype(x)>(x), s));
+            return Cellwise({CellOp::kShift, s},
+                            std::forward<decltype(x)>(x));
           });
     }
     for (UnaryFnKind fn : {UnaryFnKind::kExp, UnaryFnKind::kLog,
@@ -636,7 +629,8 @@ TEST(OwnedScalarOpsTest, SameBitsAndRepresentationAsBorrowed) {
       SCOPED_TRACE(UnaryFnName(fn));
       ExpectOwnedMatchesBorrowed(
           a, /*reuse=*/!sparse || UnaryFnPreservesZero(fn), [fn](auto&& x) {
-            return Result<Block>(CellUnary(std::forward<decltype(x)>(x), fn));
+            return Cellwise({.kind = CellOp::kUnary, .fn = fn},
+                            std::forward<decltype(x)>(x));
           });
     }
   }
@@ -644,7 +638,8 @@ TEST(OwnedScalarOpsTest, SameBitsAndRepresentationAsBorrowed) {
 
 TEST(OwnedScalarOpsTest, SparseTimesZeroKeepsExplicitZeros) {
   const Block a = SpecialOperand(/*sparse=*/true);
-  for (Block got : {ScalarMultiply(a, 0.0f), ScalarMultiply(Block(a), 0.0f)}) {
+  for (Block got : {*Cellwise({CellOp::kScale, 0.0f}, a),
+                    *Cellwise({CellOp::kScale, 0.0f}, Block(a))}) {
     ASSERT_TRUE(got.IsSparse());
     EXPECT_EQ(got.sparse().col_ptr(), a.sparse().col_ptr());
     EXPECT_EQ(got.sparse().row_idx(), a.sparse().row_idx());
@@ -662,7 +657,7 @@ TEST(OwnedScalarOpsTest, AddZeroReturnsTheOperandItself) {
     Block a = SpecialOperand(sparse);
     const Block before = a;
     const Scalar* storage = Storage(a);
-    Block got = ScalarAdd(std::move(a), 0.0f);
+    Block got = *Cellwise({CellOp::kShift, 0.0f}, std::move(a));
     EXPECT_EQ(got.IsSparse(), sparse);
     EXPECT_EQ(Storage(got), storage);
     ExpectSameBits(before, got);
@@ -685,14 +680,166 @@ TEST(OwnedCellMultiplyTest, DropsZeroProductsFromSparsePattern) {
     for (int sparse_first = 0; sparse_first < 2; ++sparse_first) {
       const Block& first = sparse_first ? sparse : dense;
       const Block& second = sparse_first ? dense : sparse;
-      Result<Block> got = owned ? CellMultiply(Block(first), second)
-                                : CellMultiply(first, second);
+      Result<Block> got =
+          owned ? Cellwise({CellOp::kMultiply}, Block(first), &second)
+                : Cellwise({CellOp::kMultiply}, first, &second);
       ASSERT_TRUE(got.ok());
       ASSERT_TRUE(got->IsSparse());
       EXPECT_EQ(got->nnz(), 1);
       EXPECT_EQ(got->At(0, 0), 6.0f);
     }
   }
+}
+
+// ---- every element-wise function against a per-element reference --------
+
+/// What `op` computes at one element, as plain float arithmetic.
+Scalar ReferenceCell(const CellOp& op, Scalar x, Scalar y) {
+  const Scalar s = op.scalar;
+  switch (op.kind) {
+    case CellOp::kAdd:
+      return x + y;
+    case CellOp::kSubtract:
+      return x - y;
+    case CellOp::kMultiply:
+      return x * y;
+    case CellOp::kDivide:
+      return x / y;
+    case CellOp::kScale:
+      return x * s;
+    case CellOp::kShift:
+      return s == Scalar{0} ? x : x + s;  // a shift by 0 is the operand
+    case CellOp::kUnary:
+      switch (op.fn) {
+        case UnaryFnKind::kExp:
+          return std::exp(x);
+        case UnaryFnKind::kLog:
+          return std::log(x);
+        case UnaryFnKind::kAbs:
+          return std::abs(x);
+        case UnaryFnKind::kSigmoid:
+          return 1.0f / (1.0f + std::exp(-x));
+        case UnaryFnKind::kSquare:
+          return x * x;
+      }
+  }
+  ADD_FAILURE() << "unknown function";
+  return 0;
+}
+
+/// The representation rules of CellOp: whether the result is sparse and,
+/// if so, whether (r, c) lies in the pattern it is drawn from.
+bool SparseResultRule(const CellOp& op, const Block& a, const Block* b) {
+  switch (op.kind) {
+    case CellOp::kAdd:
+    case CellOp::kSubtract:
+      return a.IsSparse() && b->IsSparse();
+    case CellOp::kMultiply:
+      return a.IsSparse() || b->IsSparse();
+    case CellOp::kDivide:
+    case CellOp::kScale:
+      return a.IsSparse();
+    case CellOp::kShift:
+      return a.IsSparse() && op.scalar == Scalar{0};
+    case CellOp::kUnary:
+      return a.IsSparse() && UnaryFnPreservesZero(op.fn);
+  }
+  return false;
+}
+
+bool Stored(const Block& x, int64_t r, int64_t c) {
+  if (x.IsDense()) return true;
+  const CscBlock& s = x.sparse();
+  for (int32_t p = s.ColStart(c); p < s.ColEnd(c); ++p) {
+    if (s.row_idx()[p] == r) return true;
+  }
+  return false;
+}
+
+bool InPattern(const CellOp& op, const Block& a, const Block* b, int64_t r,
+               int64_t c) {
+  switch (op.kind) {
+    case CellOp::kAdd:
+    case CellOp::kSubtract:
+      return Stored(a, r, c) || Stored(*b, r, c);
+    case CellOp::kMultiply:  // the sparse side's pattern, a's if both are
+      return Stored(a.IsSparse() ? a : *b, r, c);
+    default:  // the numerator's or the operand's pattern
+      return Stored(a, r, c);
+  }
+}
+
+/// Checks `got` = op(a, b) element by element against ReferenceCell, and
+/// its representation and pattern against the rules.
+void ExpectCellwiseResult(const CellOp& op, const Block& a, const Block* b,
+                          const Block& got) {
+  const bool sparse = SparseResultRule(op, a, b);
+  ASSERT_EQ(got.IsSparse(), sparse);
+  // Scale, shift and unary rewrite the operand's stored values, explicit
+  // zeros included; the other functions drop zero results from a pattern.
+  const bool keeps_zeros = !op.binary();
+  for (int64_t r = 0; r < a.rows(); ++r) {
+    for (int64_t c = 0; c < a.cols(); ++c) {
+      SCOPED_TRACE("(" + std::to_string(r) + "," + std::to_string(c) + ")");
+      const bool in_pattern = !sparse || InPattern(op, a, b, r, c);
+      const Scalar want =
+          in_pattern ? ReferenceCell(op, a.At(r, c),
+                                     b != nullptr ? b->At(r, c) : Scalar{0})
+                     : Scalar{0};
+      const bool stored =
+          !sparse || (in_pattern && (keeps_zeros || want != Scalar{0}));
+      EXPECT_EQ(Stored(got, r, c), stored);
+      if (stored) {
+        EXPECT_TRUE(SameScalarBits(got.At(r, c), want))
+            << got.At(r, c) << " vs " << want;
+      } else {
+        EXPECT_EQ(want, Scalar{0});
+        EXPECT_TRUE(SameScalarBits(got.At(r, c), Scalar{0}));
+      }
+    }
+  }
+}
+
+TEST(CellwiseValueTest, EveryFunctionMatchesItsScalarReference) {
+  std::vector<CellOp> ops = {{CellOp::kAdd},
+                             {CellOp::kSubtract},
+                             {CellOp::kMultiply},
+                             {CellOp::kDivide}};
+  for (Scalar s : {2.5f, 0.0f, -0.0f, -kInf, kNaN}) {
+    ops.push_back({CellOp::kScale, s});
+    ops.push_back({CellOp::kShift, s});
+  }
+  for (UnaryFnKind fn : {UnaryFnKind::kExp, UnaryFnKind::kLog,
+                         UnaryFnKind::kAbs, UnaryFnKind::kSigmoid,
+                         UnaryFnKind::kSquare}) {
+    ops.push_back({.kind = CellOp::kUnary, .fn = fn});
+  }
+  for (const CellOp& op : ops) {
+    for (bool a_sparse : {false, true}) {
+      for (bool b_sparse : {false, true}) {
+        if (!op.binary() && b_sparse) continue;
+        const Block a = SpecialOperand(a_sparse);
+        const Block b_block = OtherOperand(b_sparse);
+        const Block* b = op.binary() ? &b_block : nullptr;
+        SCOPED_TRACE(std::string(op.name()) + " " + std::to_string(op.scalar) +
+                     (a_sparse ? " sparse" : " dense") +
+                     (op.binary() ? (b_sparse ? " x sparse" : " x dense")
+                                  : ""));
+        const Result<Block> borrowed = Cellwise(op, a, b);
+        ASSERT_TRUE(borrowed.ok()) << borrowed.status();
+        ExpectCellwiseResult(op, a, b, *borrowed);
+        const Result<Block> owned = Cellwise(op, Block(a), b);
+        ASSERT_TRUE(owned.ok()) << owned.status();
+        ExpectCellwiseResult(op, a, b, *owned);
+      }
+    }
+  }
+}
+
+TEST(CellwiseValueTest, OperandCountMustMatchTheFunction) {
+  const Block a = SpecialOperand(false);
+  EXPECT_FALSE(Cellwise({CellOp::kAdd}, a).ok());
+  EXPECT_FALSE(Cellwise({CellOp::kScale, 2.0f}, a, &a).ok());
 }
 
 // ---- CompactFromDense takes the accumulator -------------------------------
