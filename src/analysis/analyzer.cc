@@ -14,19 +14,8 @@ bool ValidNode(const Plan& plan, int id) {
 }
 
 std::string StepLabel(const PlanStep& step) {
-  std::string out = "step s" + std::to_string(step.id) + " (";
-  out += StepKindName(step.kind);
-  if (step.kind == StepKind::kCompute) {
-    out += "[";
-    out += OpKindName(step.op_kind);
-    if (step.mult_algo != MultAlgo::kNone) {
-      out += ":";
-      out += MultAlgoName(step.mult_algo);
-    }
-    out += "]";
-  }
-  out += ")";
-  return out;
+  return "step s" + std::to_string(step.id) + " (" +
+         StepKindLabel(step, /*brief=*/true) + ")";
 }
 
 std::string NodeLabel(const Plan& plan, int id) {
@@ -36,25 +25,20 @@ std::string NodeLabel(const Plan& plan, int id) {
   return plan.nodes[static_cast<size_t>(id)].ToString();
 }
 
-int ExpectedOperandCount(OpKind kind) {
-  switch (kind) {
+int ExpectedOperandCount(const Operator& op) {
+  switch (op.kind) {
     case OpKind::kLoad:
     case OpKind::kRandom:
     case OpKind::kScalarAssign:
       return 0;
-    case OpKind::kScalarMultiply:
-    case OpKind::kScalarAdd:
     case OpKind::kRowSums:
     case OpKind::kColSums:
-    case OpKind::kCellUnary:
     case OpKind::kReduce:
       return 1;
     case OpKind::kMultiply:
-    case OpKind::kAdd:
-    case OpKind::kSubtract:
-    case OpKind::kCellMultiply:
-    case OpKind::kCellDivide:
       return 2;
+    case OpKind::kCellwise:
+      return op.cell.binary() ? 2 : 1;
   }
   return 0;
 }
@@ -98,8 +82,7 @@ AnalysisReport AnalyzeProgram(const OperatorList* ops, const Plan* plan,
     // EstimateSizes indexes operand arrays without arity guards.
     bool arity_ok = true;
     for (const Operator& op : ops->ops) {
-      if (static_cast<int>(op.inputs.size()) !=
-          ExpectedOperandCount(op.kind)) {
+      if (static_cast<int>(op.inputs.size()) != ExpectedOperandCount(op)) {
         arity_ok = false;
       }
     }

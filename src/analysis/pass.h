@@ -73,7 +73,7 @@ std::string StepLabel(const PlanStep& step);
 /// "W#1(r)" — node rendering guarded against out-of-range ids.
 std::string NodeLabel(const Plan& plan, int id);
 
-/// Number of matrix operands an operator of `kind` must carry.
-int ExpectedOperandCount(OpKind kind);
+/// Number of matrix operands `op` must carry.
+int ExpectedOperandCount(const Operator& op);
 
 }  // namespace dmac

@@ -201,14 +201,12 @@ class SchemeConsistencyPass final : public AnalysisPass {
         return;
       }
 
-      case OpKind::kAdd:
-      case OpKind::kSubtract:
-      case OpKind::kCellMultiply:
-      case OpKind::kCellDivide: {
-        if (step.inputs.size() != 2) return;
+      case OpKind::kCellwise: {
+        if (step.cell.binary() && step.inputs.size() != 2) return;
         bool ok0 = false, ok1 = false;
         const Scheme a = InputScheme(plan, step, 0, &ok0);
-        const Scheme b = InputScheme(plan, step, 1, &ok1);
+        const Scheme b =
+            step.cell.binary() ? InputScheme(plan, step, 1, &ok1) : a;
         if (ok0 && ok1 && a != b) {
           out->push_back(
               {Severity::kError, kPass, step.id,
@@ -219,15 +217,6 @@ class SchemeConsistencyPass final : public AnalysisPass {
         } else if (ok0) {
           RequireOut(plan, step, SchemeBit(a), out);
         }
-        return;
-      }
-
-      case OpKind::kScalarMultiply:
-      case OpKind::kScalarAdd:
-      case OpKind::kCellUnary: {
-        bool ok = false;
-        const Scheme in = InputScheme(plan, step, 0, &ok);
-        if (ok) RequireOut(plan, step, SchemeBit(in), out);
         return;
       }
 

@@ -43,10 +43,10 @@ class ShapeInferencePass final : public AnalysisPass {
     std::unordered_map<std::string, Shape> shapes;
 
     for (const Operator& op : ops.ops) {
-      const int arity = ExpectedOperandCount(op.kind);
+      const int arity = ExpectedOperandCount(op);
       if (static_cast<int>(op.inputs.size()) != arity) {
         Report(out, Severity::kError, op.id,
-               std::string(OpKindName(op.kind)) + " operator has " +
+               std::string(OpName(op.kind, op.cell)) + " operator has " +
                    std::to_string(op.inputs.size()) + " inputs, expected " +
                    std::to_string(arity),
                "re-run the decomposer; the operator list is corrupted");
@@ -92,11 +92,8 @@ class ShapeInferencePass final : public AnalysisPass {
             result = {in[0].rows, in[1].cols};
           }
           break;
-        case OpKind::kAdd:
-        case OpKind::kSubtract:
-        case OpKind::kCellMultiply:
-        case OpKind::kCellDivide:
-          if (in[0] != in[1]) {
+        case OpKind::kCellwise:
+          if (in.size() == 2 && in[0] != in[1]) {
             Report(out, Severity::kError, op.id,
                    op.ToString() + ": operand shapes differ, " +
                        in[0].ToString() + " vs " + in[1].ToString(),
@@ -105,11 +102,6 @@ class ShapeInferencePass final : public AnalysisPass {
           } else {
             result = in[0];
           }
-          break;
-        case OpKind::kScalarMultiply:
-        case OpKind::kScalarAdd:
-        case OpKind::kCellUnary:
-          result = in[0];
           break;
         case OpKind::kRowSums:
           result = {in[0].rows, 1};
@@ -197,12 +189,9 @@ class ShapeInferencePass final : public AnalysisPass {
               expected = {eff_a.rows, eff_b.cols};
               break;
             }
-            case OpKind::kAdd:
-            case OpKind::kSubtract:
-            case OpKind::kCellMultiply:
-            case OpKind::kCellDivide:
-              if (in.size() != 2) continue;
-              if (in[0] != in[1]) {
+            case OpKind::kCellwise:
+              if (in.size() != (step.cell.binary() ? 2u : 1u)) continue;
+              if (in.size() == 2 && in[0] != in[1]) {
                 Report(out, Severity::kError, step.id,
                        StepLabel(step) + ": operand shapes differ, " +
                            in[0].ToString() + " vs " + in[1].ToString(),

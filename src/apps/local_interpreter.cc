@@ -92,34 +92,21 @@ class Interpreter {
         DMAC_ASSIGN_OR_RETURN(LocalMatrix m, EvalMatrix(*e.lhs));
         return m.ColSums();
       }
-      case MatrixExpr::Kind::kCellUnary: {
-        DMAC_ASSIGN_OR_RETURN(LocalMatrix m, EvalMatrix(*e.lhs));
-        return m.Cellwise({.kind = CellOp::kUnary, .fn = e.unary_fn});
-      }
-      case MatrixExpr::Kind::kBinary: {
+      case MatrixExpr::Kind::kMultiply: {
         DMAC_ASSIGN_OR_RETURN(LocalMatrix l, EvalMatrix(*e.lhs));
         DMAC_ASSIGN_OR_RETURN(LocalMatrix r, EvalMatrix(*e.rhs));
-        switch (e.bin_op) {
-          case BinOpKind::kMultiply:
-            return l.Multiply(r);
-          case BinOpKind::kAdd:
-            return l.Add(r);
-          case BinOpKind::kSubtract:
-            return l.Subtract(r);
-          case BinOpKind::kCellMultiply:
-            return l.CellMultiply(r);
-          case BinOpKind::kCellDivide:
-            return l.CellDivide(r);
-        }
-        return Status::Internal("unreachable binary op");
+        return l.Multiply(r);
       }
-      case MatrixExpr::Kind::kScalarMul:
-      case MatrixExpr::Kind::kScalarAdd: {
-        DMAC_ASSIGN_OR_RETURN(LocalMatrix m, EvalMatrix(*e.lhs));
-        DMAC_ASSIGN_OR_RETURN(double s, EvalScalar(*e.scalar));
-        return e.kind == MatrixExpr::Kind::kScalarMul
-                   ? m.ScalarMultiply(static_cast<Scalar>(s))
-                   : m.ScalarAdd(static_cast<Scalar>(s));
+      case MatrixExpr::Kind::kCellwise: {
+        DMAC_ASSIGN_OR_RETURN(LocalMatrix l, EvalMatrix(*e.lhs));
+        CellOp op = e.cell;
+        if (e.scalar != nullptr) {
+          DMAC_ASSIGN_OR_RETURN(double s, EvalScalar(*e.scalar));
+          op.scalar = static_cast<Scalar>(s);
+        }
+        if (!op.binary()) return l.Cellwise(op);
+        DMAC_ASSIGN_OR_RETURN(LocalMatrix r, EvalMatrix(*e.rhs));
+        return l.Cellwise(op, &r);
       }
     }
     return Status::Internal("unreachable MatrixExpr kind");

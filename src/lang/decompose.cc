@@ -16,24 +16,12 @@ const char* OpKindName(OpKind k) {
       return "random";
     case OpKind::kMultiply:
       return "multiply";
-    case OpKind::kAdd:
-      return "add";
-    case OpKind::kSubtract:
-      return "subtract";
-    case OpKind::kCellMultiply:
-      return "cell-multiply";
-    case OpKind::kCellDivide:
-      return "cell-divide";
-    case OpKind::kScalarMultiply:
-      return "scalar-multiply";
-    case OpKind::kScalarAdd:
-      return "scalar-add";
+    case OpKind::kCellwise:
+      return "cellwise";
     case OpKind::kRowSums:
       return "row-sums";
     case OpKind::kColSums:
       return "col-sums";
-    case OpKind::kCellUnary:
-      return "cell-unary";
     case OpKind::kReduce:
       return "reduce";
     case OpKind::kScalarAssign:
@@ -42,11 +30,15 @@ const char* OpKindName(OpKind k) {
   return "?";
 }
 
+const char* OpName(OpKind kind, const CellOp& cell) {
+  return kind == OpKind::kCellwise ? cell.name() : OpKindName(kind);
+}
+
 std::string Operator::ToString() const {
   std::string s = "op" + std::to_string(id) + ": ";
   if (!output.empty()) s += output + " = ";
   if (!scalar_out.empty()) s += scalar_out + " = ";
-  s += OpKindName(kind);
+  s += OpName(kind, cell);
   if (kind == OpKind::kReduce) {
     s += std::string("(") + ReduceName(reduce) + ")";
   }
@@ -69,22 +61,6 @@ std::string OperatorList::ToString() const {
 }
 
 namespace {
-
-OpKind BinOpToOpKind(BinOpKind op) {
-  switch (op) {
-    case BinOpKind::kMultiply:
-      return OpKind::kMultiply;
-    case BinOpKind::kAdd:
-      return OpKind::kAdd;
-    case BinOpKind::kSubtract:
-      return OpKind::kSubtract;
-    case BinOpKind::kCellMultiply:
-      return OpKind::kCellMultiply;
-    case BinOpKind::kCellDivide:
-      return OpKind::kCellDivide;
-  }
-  return OpKind::kAdd;
-}
 
 /// Decomposition context: variable environments and emission buffers.
 class Decomposer {
@@ -207,29 +183,22 @@ class Decomposer {
         stmt_ops_.push_back(std::move(op));
         return Status::Ok();
       }
-      case MatrixExpr::Kind::kBinary: {
-        if (e.bin_op == BinOpKind::kMultiply) return EmitMultiplyChain(e, out);
-        MatrixRef l, r;
-        DMAC_RETURN_NOT_OK(EmitMatrix(*e.lhs, &l));
-        DMAC_RETURN_NOT_OK(EmitMatrix(*e.rhs, &r));
+      case MatrixExpr::Kind::kMultiply:
+        return EmitMultiplyChain(e, out);
+      case MatrixExpr::Kind::kCellwise: {
         Operator op;
-        op.kind = BinOpToOpKind(e.bin_op);
-        op.inputs = {l, r};
+        op.kind = OpKind::kCellwise;
+        op.cell = e.cell;
+        op.inputs.resize(e.cell.binary() ? 2 : 1);
+        DMAC_RETURN_NOT_OK(EmitMatrix(*e.lhs, &op.inputs[0]));
+        if (e.cell.binary()) {
+          DMAC_RETURN_NOT_OK(EmitMatrix(*e.rhs, &op.inputs[1]));
+        }
+        if (e.scalar != nullptr) {
+          DMAC_RETURN_NOT_OK(EmitScalar(e.scalar, &op.scalar));
+        }
         op.output = NewTemp();
-        RecordShape(op.output, ShapeOf(l));
-        *out = MatrixRef{op.output, false};
-        stmt_ops_.push_back(std::move(op));
-        return Status::Ok();
-      }
-      case MatrixExpr::Kind::kCellUnary: {
-        MatrixRef operand;
-        DMAC_RETURN_NOT_OK(EmitMatrix(*e.lhs, &operand));
-        Operator op;
-        op.kind = OpKind::kCellUnary;
-        op.unary_fn = e.unary_fn;
-        op.inputs = {operand};
-        op.output = NewTemp();
-        RecordShape(op.output, ShapeOf(operand));
+        RecordShape(op.output, ShapeOf(op.inputs[0]));
         *out = MatrixRef{op.output, false};
         stmt_ops_.push_back(std::move(op));
         return Status::Ok();
@@ -246,24 +215,6 @@ class Decomposer {
         const Shape in_shape = ShapeOf(operand);
         RecordShape(op.output, rows ? Shape{in_shape.rows, 1}
                                     : Shape{1, in_shape.cols});
-        *out = MatrixRef{op.output, false};
-        stmt_ops_.push_back(std::move(op));
-        return Status::Ok();
-      }
-      case MatrixExpr::Kind::kScalarMul:
-      case MatrixExpr::Kind::kScalarAdd: {
-        MatrixRef operand;
-        DMAC_RETURN_NOT_OK(EmitMatrix(*e.lhs, &operand));
-        ScalarExprPtr resolved;
-        DMAC_RETURN_NOT_OK(EmitScalar(e.scalar, &resolved));
-        Operator op;
-        op.kind = e.kind == MatrixExpr::Kind::kScalarMul
-                      ? OpKind::kScalarMultiply
-                      : OpKind::kScalarAdd;
-        op.inputs = {operand};
-        op.scalar = std::move(resolved);
-        op.output = NewTemp();
-        RecordShape(op.output, ShapeOf(operand));
         *out = MatrixRef{op.output, false};
         stmt_ops_.push_back(std::move(op));
         return Status::Ok();
@@ -320,8 +271,7 @@ class Decomposer {
   /// Flattens a tree of nested %*% nodes into its in-order factor list.
   static void FlattenMultiplyChain(const MatrixExpr& e,
                                    std::vector<const MatrixExpr*>* chain) {
-    if (e.kind == MatrixExpr::Kind::kBinary &&
-        e.bin_op == BinOpKind::kMultiply) {
+    if (e.kind == MatrixExpr::Kind::kMultiply) {
       FlattenMultiplyChain(*e.lhs, chain);
       FlattenMultiplyChain(*e.rhs, chain);
     } else {

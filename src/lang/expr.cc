@@ -119,28 +119,21 @@ MatrixExprPtr MatrixExpr::VarRef(std::string name) {
   return e;
 }
 
-MatrixExprPtr MatrixExpr::Binary(BinOpKind op, MatrixExprPtr l,
-                                 MatrixExprPtr r) {
+MatrixExprPtr MatrixExpr::Multiply(MatrixExprPtr l, MatrixExprPtr r) {
   auto e = std::make_shared<MatrixExpr>();
-  e->kind = Kind::kBinary;
-  e->bin_op = op;
+  e->kind = Kind::kMultiply;
   e->lhs = std::move(l);
   e->rhs = std::move(r);
   return e;
 }
 
-MatrixExprPtr MatrixExpr::ScalarMul(MatrixExprPtr m, ScalarExprPtr s) {
+MatrixExprPtr MatrixExpr::Cellwise(CellOp cell, MatrixExprPtr l,
+                                   MatrixExprPtr r, ScalarExprPtr s) {
   auto e = std::make_shared<MatrixExpr>();
-  e->kind = Kind::kScalarMul;
-  e->lhs = std::move(m);
-  e->scalar = std::move(s);
-  return e;
-}
-
-MatrixExprPtr MatrixExpr::ScalarAdd(MatrixExprPtr m, ScalarExprPtr s) {
-  auto e = std::make_shared<MatrixExpr>();
-  e->kind = Kind::kScalarAdd;
-  e->lhs = std::move(m);
+  e->kind = Kind::kCellwise;
+  e->cell = cell;
+  e->lhs = std::move(l);
+  e->rhs = std::move(r);
   e->scalar = std::move(s);
   return e;
 }
@@ -165,14 +158,5 @@ MatrixExprPtr MatrixExpr::ColSums(MatrixExprPtr m) {
   e->lhs = std::move(m);
   return e;
 }
-
-MatrixExprPtr MatrixExpr::CellUnary(UnaryFnKind fn, MatrixExprPtr m) {
-  auto e = std::make_shared<MatrixExpr>();
-  e->kind = Kind::kCellUnary;
-  e->unary_fn = fn;
-  e->lhs = std::move(m);
-  return e;
-}
-
 
 }  // namespace dmac

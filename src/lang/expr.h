@@ -3,9 +3,9 @@
 // A matrix program is a sequence of assignments whose right-hand sides are
 // trees of MatrixExpr / ScalarExpr. Loops in the source program are unrolled
 // by the builder (the paper likewise decomposes the whole program into one
-// operator sequence). The IR is deliberately small: the five binary
-// operators DMac supports, scalar ops, transpose, leaves, and scalar
-// reductions.
+// operator sequence). The IR is deliberately small: matrix multiplication,
+// one element-wise node for every function of CellOp, transpose, row and
+// column sums, leaves, and scalar reductions.
 #pragma once
 
 #include <cstdint>
@@ -15,20 +15,10 @@
 #include <unordered_map>
 
 #include "common/result.h"
+#include "matrix/cell_op.h"
 #include "matrix/shape.h"
-#include "matrix/unary_fn.h"
 
 namespace dmac {
-
-/// The five binary matrix operators supported by DMac (paper §3.1).
-enum class BinOpKind {
-  kMultiply,      // %*%
-  kAdd,           // +
-  kSubtract,      // -
-  kCellMultiply,  // *
-  kCellDivide,    // /
-};
-
 
 /// Scalar reductions of a matrix.
 enum class ReduceKind {
@@ -77,13 +67,11 @@ struct MatrixExpr {
     kLoad,       // named input matrix
     kRandom,     // random dense matrix (generated in place on workers)
     kVarRef,     // reference to a program variable
-    kBinary,     // one of the five binary operators
-    kScalarMul,  // matrix * scalar-expression
-    kScalarAdd,  // matrix + scalar-expression
+    kMultiply,   // lhs %*% rhs
+    kCellwise,   // element-wise function `cell` (paper §3.1)
     kTranspose,  // matrix transpose
     kRowSums,    // m×n → m×1 row aggregation
     kColSums,    // m×n → 1×n column aggregation
-    kCellUnary,  // element-wise unary function
   };
 
   Kind kind;
@@ -92,24 +80,27 @@ struct MatrixExpr {
   // kLoad / kRandom: declared shape and sparsity (1.0 = dense).
   Shape shape;
   double sparsity = 1.0;
-  // kBinary
-  BinOpKind bin_op = BinOpKind::kAdd;
+  // kCellwise: the function; its scalar operand is `scalar`, not
+  // cell.scalar, which is filled in when the program runs.
+  CellOp cell;
+  // Operands: lhs for every operator, rhs for kMultiply and a binary
+  // kCellwise.
   MatrixExprPtr lhs, rhs;
-  // kScalarMul / kScalarAdd: lhs is the matrix operand.
+  // kCellwise kScale / kShift: the scalar operand.
   ScalarExprPtr scalar;
-  // kCellUnary
-  UnaryFnKind unary_fn = UnaryFnKind::kAbs;
 
   static MatrixExprPtr Load(std::string name, Shape shape, double sparsity);
   static MatrixExprPtr Random(std::string name, Shape shape);
   static MatrixExprPtr VarRef(std::string name);
-  static MatrixExprPtr Binary(BinOpKind op, MatrixExprPtr l, MatrixExprPtr r);
-  static MatrixExprPtr ScalarMul(MatrixExprPtr m, ScalarExprPtr s);
-  static MatrixExprPtr ScalarAdd(MatrixExprPtr m, ScalarExprPtr s);
+  static MatrixExprPtr Multiply(MatrixExprPtr l, MatrixExprPtr r);
+  /// `cell` applied to `l` and, for a binary function, `r`; kScale and
+  /// kShift take their scalar operand `s`.
+  static MatrixExprPtr Cellwise(CellOp cell, MatrixExprPtr l,
+                                MatrixExprPtr r = nullptr,
+                                ScalarExprPtr s = nullptr);
   static MatrixExprPtr Transpose(MatrixExprPtr m);
   static MatrixExprPtr RowSums(MatrixExprPtr m);
   static MatrixExprPtr ColSums(MatrixExprPtr m);
-  static MatrixExprPtr CellUnary(UnaryFnKind fn, MatrixExprPtr m);
 };
 
 }  // namespace dmac

@@ -29,20 +29,18 @@ enum class OpKind {
   kLoad,            // read an input matrix from storage
   kRandom,          // generate a random dense matrix in place
   kMultiply,        // %*%
-  kAdd,             // +
-  kSubtract,        // -
-  kCellMultiply,    // *
-  kCellDivide,      // /
-  kScalarMultiply,  // matrix · scalar
-  kScalarAdd,       // matrix + scalar
+  kCellwise,        // element-wise function (Operator::cell)
   kRowSums,         // m×n → m×1
   kColSums,         // m×n → 1×n
-  kCellUnary,       // element-wise unary function
   kReduce,          // matrix → scalar (sum / norm2 / value)
   kScalarAssign,    // driver-side scalar assignment (no matrix events)
 };
 
 const char* OpKindName(OpKind k);
+
+/// An operator's name in plans and messages: the element-wise function's
+/// (CellOp::name()) for kCellwise, OpKindName(kind) otherwise.
+const char* OpName(OpKind kind, const CellOp& cell);
 
 /// One decomposed operator.
 struct Operator {
@@ -58,16 +56,16 @@ struct Operator {
   double decl_sparsity = 1.0;
   std::string source;
 
-  // kScalarMultiply / kScalarAdd / kScalarAssign: scalar operand with all
+  // kCellwise: the function applied (its scalar operand is `scalar`).
+  CellOp cell;
+
+  // kCellwise kScale / kShift, kScalarAssign: scalar operand with all
   // variable references resolved to SSA scalar names.
   ScalarExprPtr scalar;
 
   // kReduce / kScalarAssign: SSA name of the produced scalar.
   ReduceKind reduce = ReduceKind::kSum;
   std::string scalar_out;
-
-  // kCellUnary: the function applied.
-  UnaryFnKind unary_fn = UnaryFnKind::kAbs;
 
   std::string ToString() const;
 };

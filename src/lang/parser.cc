@@ -395,23 +395,17 @@ class Parser {
       if (!lhs.is_matrix || !rhs.is_matrix) {
         return ErrorAt(op, "%*% requires matrix operands");
       }
-      lhs = Value::Matrix(MatrixExpr::Binary(BinOpKind::kMultiply,
-                                             std::move(lhs.matrix),
-                                             std::move(rhs.matrix)));
+      lhs = Value::Matrix(
+          MatrixExpr::Multiply(std::move(lhs.matrix), std::move(rhs.matrix)));
     }
     return lhs;
   }
 
   Result<Value> ParseUnary() {
     if (Peek().kind == TokKind::kMinus) {
-      const Token& op = Next();
+      Next();
       DMAC_ASSIGN_OR_RETURN(Value v, ParseUnary());
-      if (v.is_matrix) {
-        return Value::Matrix(
-            MatrixExpr::ScalarMul(std::move(v.matrix),
-                                  ScalarExpr::Literal(-1.0)));
-      }
-      (void)op;
+      if (v.is_matrix) return Value::Matrix(Negate(std::move(v.matrix)));
       return Value::Scalar(ScalarExpr::Binary('-', ScalarExpr::Literal(0.0),
                                               std::move(v.scalar)));
     }
@@ -525,7 +519,8 @@ class Parser {
                              : name.text == "sigmoid"
                                  ? UnaryFnKind::kSigmoid
                                  : UnaryFnKind::kSquare;
-      return Value::Matrix(MatrixExpr::CellUnary(fn, std::move(m)));
+      return Value::Matrix(MatrixExpr::Cellwise(
+          {.kind = CellOp::kUnary, .fn = fn}, std::move(m)));
     }
     if (name.text == "rowsums" || name.text == "colsums") {
       DMAC_ASSIGN_OR_RETURN(MatrixExprPtr m, matrix_arg(0));
@@ -558,23 +553,12 @@ class Parser {
   /// Combines two values under + - * /, resolving matrix/scalar typing.
   Result<Value> Combine(Value lhs, Value rhs, char op) {
     if (lhs.is_matrix && rhs.is_matrix) {
-      BinOpKind kind;
-      switch (op) {
-        case '+':
-          kind = BinOpKind::kAdd;
-          break;
-        case '-':
-          kind = BinOpKind::kSubtract;
-          break;
-        case '*':
-          kind = BinOpKind::kCellMultiply;
-          break;
-        default:
-          kind = BinOpKind::kCellDivide;
-          break;
-      }
-      return Value::Matrix(MatrixExpr::Binary(kind, std::move(lhs.matrix),
-                                              std::move(rhs.matrix)));
+      const CellOp::Kind kind = op == '+'   ? CellOp::kAdd
+                                : op == '-' ? CellOp::kSubtract
+                                : op == '*' ? CellOp::kMultiply
+                                            : CellOp::kDivide;
+      return Value::Matrix(MatrixExpr::Cellwise(
+          {kind}, std::move(lhs.matrix), std::move(rhs.matrix)));
     }
     if (!lhs.is_matrix && !rhs.is_matrix) {
       return Value::Scalar(ScalarExpr::Binary(op, std::move(lhs.scalar),
@@ -588,31 +572,43 @@ class Parser {
                                   : std::move(lhs.scalar);
     switch (op) {
       case '*':
-        return Value::Matrix(MatrixExpr::ScalarMul(std::move(m),
-                                                   std::move(s)));
+        return Value::Matrix(WithScalar(CellOp::kScale, std::move(m),
+                                        std::move(s)));
       case '+':
-        return Value::Matrix(MatrixExpr::ScalarAdd(std::move(m),
-                                                   std::move(s)));
+        return Value::Matrix(WithScalar(CellOp::kShift, std::move(m),
+                                        std::move(s)));
       case '-':
         if (matrix_left) {  // X - s == X + (-s)
-          return Value::Matrix(MatrixExpr::ScalarAdd(
-              std::move(m), ScalarExpr::Binary('-', ScalarExpr::Literal(0.0),
-                                               std::move(s))));
+          return Value::Matrix(WithScalar(
+              CellOp::kShift, std::move(m),
+              ScalarExpr::Binary('-', ScalarExpr::Literal(0.0),
+                                 std::move(s))));
         }
         // s - X == (X * -1) + s
-        return Value::Matrix(MatrixExpr::ScalarAdd(
-            MatrixExpr::ScalarMul(std::move(m), ScalarExpr::Literal(-1.0)),
-            std::move(s)));
+        return Value::Matrix(
+            WithScalar(CellOp::kShift, Negate(std::move(m)), std::move(s)));
       case '/':
         if (matrix_left) {  // X / s == X * (1/s)
-          return Value::Matrix(MatrixExpr::ScalarMul(
-              std::move(m), ScalarExpr::Binary('/', ScalarExpr::Literal(1.0),
-                                               std::move(s))));
+          return Value::Matrix(WithScalar(
+              CellOp::kScale, std::move(m),
+              ScalarExpr::Binary('/', ScalarExpr::Literal(1.0),
+                                 std::move(s))));
         }
         return Status::Unsupported("scalar / matrix is not supported");
       default:
         return Status::Internal("bad operator");
     }
+  }
+
+  /// `m` scaled (kScale) or shifted (kShift) by `s`.
+  static MatrixExprPtr WithScalar(CellOp::Kind kind, MatrixExprPtr m,
+                                  ScalarExprPtr s) {
+    return MatrixExpr::Cellwise({kind}, std::move(m), nullptr, std::move(s));
+  }
+
+  /// -m, as m scaled by -1.
+  static MatrixExprPtr Negate(MatrixExprPtr m) {
+    return WithScalar(CellOp::kScale, std::move(m), ScalarExpr::Literal(-1.0));
   }
 
   std::vector<Token> tokens_;

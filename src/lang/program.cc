@@ -5,7 +5,7 @@
 namespace dmac {
 
 Mat Mat::mm(const Mat& other) const {
-  return Mat(MatrixExpr::Binary(BinOpKind::kMultiply, expr_, other.expr_));
+  return Mat(MatrixExpr::Multiply(expr_, other.expr_));
 }
 
 Mat Mat::t() const { return Mat(MatrixExpr::Transpose(expr_)); }
@@ -14,49 +14,31 @@ Mat Mat::RowSums() const { return Mat(MatrixExpr::RowSums(expr_)); }
 
 Mat Mat::ColSums() const { return Mat(MatrixExpr::ColSums(expr_)); }
 
-Mat Mat::Exp() const {
-  return Mat(MatrixExpr::CellUnary(UnaryFnKind::kExp, expr_));
+Mat Mat::Unary(UnaryFnKind fn) const {
+  return Mat(MatrixExpr::Cellwise({.kind = CellOp::kUnary, .fn = fn}, expr_));
 }
-Mat Mat::Log() const {
-  return Mat(MatrixExpr::CellUnary(UnaryFnKind::kLog, expr_));
-}
-Mat Mat::Abs() const {
-  return Mat(MatrixExpr::CellUnary(UnaryFnKind::kAbs, expr_));
-}
-Mat Mat::Sigmoid() const {
-  return Mat(MatrixExpr::CellUnary(UnaryFnKind::kSigmoid, expr_));
-}
-Mat Mat::Square() const {
-  return Mat(MatrixExpr::CellUnary(UnaryFnKind::kSquare, expr_));
-}
+Mat Mat::Exp() const { return Unary(UnaryFnKind::kExp); }
+Mat Mat::Log() const { return Unary(UnaryFnKind::kLog); }
+Mat Mat::Abs() const { return Unary(UnaryFnKind::kAbs); }
+Mat Mat::Sigmoid() const { return Unary(UnaryFnKind::kSigmoid); }
+Mat Mat::Square() const { return Unary(UnaryFnKind::kSquare); }
 
-Mat Mat::operator+(const Mat& other) const {
-  return Mat(MatrixExpr::Binary(BinOpKind::kAdd, expr_, other.expr_));
+Mat Mat::Binary(CellOp::Kind kind, const Mat& other) const {
+  return Mat(MatrixExpr::Cellwise({kind}, expr_, other.expr_));
 }
+Mat Mat::operator+(const Mat& o) const { return Binary(CellOp::kAdd, o); }
+Mat Mat::operator-(const Mat& o) const { return Binary(CellOp::kSubtract, o); }
+Mat Mat::operator*(const Mat& o) const { return Binary(CellOp::kMultiply, o); }
+Mat Mat::operator/(const Mat& o) const { return Binary(CellOp::kDivide, o); }
 
-Mat Mat::operator-(const Mat& other) const {
-  return Mat(MatrixExpr::Binary(BinOpKind::kSubtract, expr_, other.expr_));
-}
-
-Mat Mat::operator*(const Mat& other) const {
-  return Mat(MatrixExpr::Binary(BinOpKind::kCellMultiply, expr_, other.expr_));
-}
-
-Mat Mat::operator/(const Mat& other) const {
-  return Mat(MatrixExpr::Binary(BinOpKind::kCellDivide, expr_, other.expr_));
-}
-
-Mat Mat::operator*(double scalar) const {
-  return Mat(MatrixExpr::ScalarMul(expr_, ScalarExpr::Literal(scalar)));
-}
+Mat Mat::operator*(double scalar) const { return Scl(scalar) * *this; }
 
 Mat Mat::operator+(double scalar) const {
-  return Mat(MatrixExpr::ScalarAdd(expr_, ScalarExpr::Literal(scalar)));
+  return Mat(MatrixExpr::Cellwise({CellOp::kShift}, expr_, nullptr,
+                                  ScalarExpr::Literal(scalar)));
 }
 
-Mat Mat::operator-(double scalar) const {
-  return Mat(MatrixExpr::ScalarAdd(expr_, ScalarExpr::Literal(-scalar)));
-}
+Mat Mat::operator-(double scalar) const { return *this + -scalar; }
 
 Scl Mat::Sum() const { return Scl(ScalarExpr::Reduce(ReduceKind::kSum, expr_)); }
 
@@ -85,7 +67,7 @@ Scl Scl::operator/(const Scl& o) const {
 Scl Scl::Sqrt() const { return Scl(ScalarExpr::Sqrt(expr_)); }
 
 Mat Scl::operator*(const Mat& m) const {
-  return Mat(MatrixExpr::ScalarMul(m.expr(), expr_));
+  return Mat(MatrixExpr::Cellwise({CellOp::kScale}, m.expr(), nullptr, expr_));
 }
 
 Mat ProgramBuilder::Load(const std::string& name, Shape shape,

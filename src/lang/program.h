@@ -66,6 +66,8 @@ class Mat {
   friend class ProgramBuilder;
   friend class Scl;
   explicit Mat(MatrixExprPtr expr) : expr_(std::move(expr)) {}
+  Mat Unary(UnaryFnKind fn) const;
+  Mat Binary(CellOp::Kind kind, const Mat& other) const;
   MatrixExprPtr expr_;
 };
 

@@ -95,6 +95,32 @@ CscBlock MergeSparse(const CscBlock& a, const CscBlock& b, Fn fn) {
   return builder.Build();
 }
 
+// out(i,j) = fn(a(i,j), b(i,j)) over the intersection of two CSC patterns:
+// the product of two sparse operands, symmetric in their order.
+template <typename Fn>
+CscBlock IntersectSparse(const CscBlock& a, const CscBlock& b, Fn fn) {
+  CscBuilder builder(a.rows(), a.cols());
+  builder.Reserve(static_cast<size_t>(std::min(a.nnz(), b.nnz())));
+  for (int64_t c = 0; c < a.cols(); ++c) {
+    int32_t pa = a.ColStart(c);
+    int32_t pb = b.ColStart(c);
+    const int32_t ea = a.ColEnd(c);
+    const int32_t eb = b.ColEnd(c);
+    while (pa < ea && pb < eb) {
+      const int32_t ra = a.row_idx()[pa];
+      const int32_t rb = b.row_idx()[pb];
+      if (ra < rb) {
+        ++pa;
+      } else if (rb < ra) {
+        ++pb;
+      } else {
+        builder.Add(ra, c, fn(a.values()[pa++], b.values()[pb++]));
+      }
+    }
+  }
+  return builder.Build();
+}
+
 // kAdd and kSubtract: sparse over the union of the patterns when both
 // operands are sparse, dense otherwise.
 template <typename A, typename Fn>
@@ -106,7 +132,8 @@ Block UnionOp(A&& a, const Block& b, Fn fn) {
 }
 
 // out(r,c) = fn(pattern(r,c), other(r,c)) over the stored entries of
-// `pattern` only: the sparse side of a product, or a sparse numerator.
+// `pattern` only: the sparse side of a product with a dense operand, or a
+// sparse numerator.
 template <typename Fn>
 CscBlock PatternOp(const CscBlock& pattern, const Block& other, Fn fn) {
   CscBuilder builder(pattern.rows(), pattern.cols());
@@ -151,6 +178,10 @@ Result<Block> CellwiseImpl(const CellOp& op, A&& a, const Block* b) {
     case CellOp::kSubtract:
       return UnionOp(std::forward<A>(a), *b, std::minus<Scalar>());
     case CellOp::kMultiply:
+      if (a.IsSparse() && b->IsSparse()) {
+        return Block(IntersectSparse(a.sparse(), b->sparse(),
+                                     std::multiplies<Scalar>()));
+      }
       if (a.IsSparse()) {
         return Block(PatternOp(a.sparse(), *b, std::multiplies<Scalar>()));
       }
@@ -357,26 +388,6 @@ Result<Block> SumBlocks(const std::vector<const Block*>& blocks,
   return CompactFromDense(&acc, density_threshold);
 }
 
-const char* CellOp::name() const {
-  switch (kind) {
-    case kAdd:
-      return "add";
-    case kSubtract:
-      return "subtract";
-    case kMultiply:
-      return "cell-multiply";
-    case kDivide:
-      return "cell-divide";
-    case kScale:
-      return "scale";
-    case kShift:
-      return "shift";
-    case kUnary:
-      return UnaryFnName(fn);
-  }
-  return "?";
-}
-
 Result<Block> Cellwise(const CellOp& op, Block&& a, const Block* b) {
   return CellwiseImpl(op, std::move(a), b);
 }
@@ -400,22 +411,6 @@ Status AddAccumulate(const Block& a, DenseBlock* acc) {
     }
   }
   return Status::Ok();
-}
-
-const char* UnaryFnName(UnaryFnKind f) {
-  switch (f) {
-    case UnaryFnKind::kExp:
-      return "exp";
-    case UnaryFnKind::kLog:
-      return "log";
-    case UnaryFnKind::kAbs:
-      return "abs";
-    case UnaryFnKind::kSigmoid:
-      return "sigmoid";
-    case UnaryFnKind::kSquare:
-      return "square";
-  }
-  return "?";
 }
 
 DenseBlock RowSums(const Block& a) {

@@ -24,8 +24,8 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "matrix/block.h"
+#include "matrix/cell_op.h"
 #include "matrix/kernels.h"
-#include "matrix/unary_fn.h"
 
 namespace dmac {
 
@@ -63,35 +63,6 @@ Result<Block> SumBlocks(const std::vector<const Block*>& blocks,
 
 /// acc += a. `acc` must be dense and shape-compatible.
 Status AddAccumulate(const Block& a, DenseBlock* acc);
-
-/// One element-wise function: what Cellwise() computes at every element,
-/// pairing a binary function's first operand with the aligned element of
-/// its second. Each function fixes the result's representation:
-///   * kAdd, kSubtract: sparse over the union of both patterns when both
-///     operands are sparse, dense otherwise;
-///   * kMultiply: the sparse operand's pattern (the first's when both
-///     are) when either is sparse; entries whose product is zero leave it;
-///   * kDivide: the numerator's pattern when it is sparse (0 / y == 0);
-///     a zero denominator at a non-zero numerator yields IEEE inf, as in R;
-///   * kScale (a · scalar): the operand's representation and pattern,
-///     explicit zeros included;
-///   * kShift (a + scalar): dense, except that a shift by 0 returns the
-///     operand itself;
-///   * kUnary: the operand's pattern for a zero-preserving `fn` (abs,
-///     square), dense otherwise.
-struct CellOp {
-  enum Kind { kAdd, kSubtract, kMultiply, kDivide, kScale, kShift, kUnary };
-
-  Kind kind = kAdd;
-  Scalar scalar = 0;                   // kScale, kShift
-  UnaryFnKind fn = UnaryFnKind::kExp;  // kUnary
-
-  /// True for the functions of two operands (kAdd .. kDivide).
-  bool binary() const { return kind <= kDivide; }
-  /// "add", "subtract", "cell-multiply", "cell-divide", "scale", "shift"
-  /// or the unary function's name.
-  const char* name() const;
-};
 
 /// Applies `op` to `a` and, for a binary op, to `*b`, which must then be
 /// non-null and of a's shape; a unary op takes no `b`. The first operand

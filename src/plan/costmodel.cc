@@ -238,13 +238,12 @@ StepCost CostModel::EstimateStep(const Plan& plan,
         case OpKind::kColSums:
           cost.compute_seconds = StreamSeconds("col_sums", inputs_bytes());
           break;
-        case OpKind::kCellUnary:
+        default:  // element-wise: one streaming pass
           cost.compute_seconds =
-              StreamSeconds("cell_unary_abs", inputs_bytes());
-          break;
-        default:  // cell-wise binary and scalar ops: one streaming pass
-          cost.compute_seconds = StreamSeconds(
-              "add_accumulate", inputs_bytes() + node_bytes(step.output));
+              step.cell.kind == CellOp::kUnary
+                  ? StreamSeconds("cell_unary_abs", inputs_bytes())
+                  : StreamSeconds("add_accumulate",
+                                  inputs_bytes() + node_bytes(step.output));
           break;
       }
       break;

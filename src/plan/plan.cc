@@ -165,23 +165,7 @@ std::string Plan::ToString() const {
     } else if (!step.scalar_out.empty()) {
       out += step.scalar_out + " <- ";
     }
-    out += StepKindName(step.kind);
-    if (step.kind == StepKind::kCompute) {
-      out += "[";
-      out += OpKindName(step.op_kind);
-      if (step.mult_algo != MultAlgo::kNone) {
-        out += ":";
-        out += MultAlgoName(step.mult_algo);
-      }
-      if (step.trans_a) out += ":Ta";
-      if (step.trans_b) out += ":Tb";
-      out += "]";
-    }
-    if (step.kind == StepKind::kReduce) {
-      out += "[";
-      out += ReduceName(step.reduce);
-      out += "]";
-    }
+    out += StepKindLabel(step);
     for (size_t i = 0; i < step.inputs.size(); ++i) {
       out += (i == 0 ? " " : ", ");
       out += nodes[static_cast<size_t>(step.inputs[i])].ToString();
@@ -195,6 +179,27 @@ std::string Plan::ToString() const {
   out += "total_comm_bytes=" +
          std::to_string(static_cast<int64_t>(total_comm_bytes)) +
          " stages=" + std::to_string(num_stages) + "\n";
+  return out;
+}
+
+std::string StepKindLabel(const PlanStep& step, bool brief) {
+  std::string out = StepKindName(step.kind);
+  if (step.kind == StepKind::kCompute) {
+    out += "[";
+    out += OpName(step.op_kind, step.cell);
+    if (step.mult_algo != MultAlgo::kNone) {
+      out += ":";
+      out += MultAlgoName(step.mult_algo);
+    }
+    if (!brief && step.trans_a) out += ":Ta";
+    if (!brief && step.trans_b) out += ":Tb";
+    out += "]";
+  }
+  if (!brief && step.kind == StepKind::kReduce) {
+    out += "[";
+    out += ReduceName(step.reduce);
+    out += "]";
+  }
   return out;
 }
 
@@ -216,14 +221,9 @@ std::vector<int> LastConsumers(const Plan& plan) {
 
 int InPlaceInput(const Plan& plan, const PlanStep& step,
                  const std::vector<int>& last_consumers) {
-  if (step.kind != StepKind::kCompute || step.inputs.empty()) return -1;
-  switch (step.op_kind) {
-    case OpKind::kMultiply:
-    case OpKind::kRowSums:
-    case OpKind::kColSums:
-      return -1;
-    default:
-      break;
+  if (step.kind != StepKind::kCompute || step.op_kind != OpKind::kCellwise ||
+      step.inputs.empty()) {
+    return -1;
   }
   const int in = step.inputs[0];
   const PlanNode& node = plan.nodes[static_cast<size_t>(in)];

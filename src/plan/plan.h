@@ -26,7 +26,7 @@ namespace dmac {
 enum class StepKind : uint8_t {
   kLoad,       // read + distribute an input matrix
   kRandom,     // generate a random matrix in place
-  kCompute,    // one of the five binary operators or a scalar op
+  kCompute,    // a multiply, an element-wise function or a row/column sum
   kPartition,  // extended: repartition to Row/Col        (communicates)
   kBroadcast,  // extended: replicate to all workers      (communicates)
   kTranspose,  // extended: local transpose
@@ -94,14 +94,14 @@ struct PlanStep {
   Shape decl_shape;
   double decl_sparsity = 1.0;
 
-  /// kCompute scalar ops / kScalarAssign: resolved scalar expression.
+  /// kCompute with op_kind kCellwise: the function applied.
+  CellOp cell;
+
+  /// kCompute kScale / kShift, kScalarAssign: resolved scalar expression.
   ScalarExprPtr scalar;
   /// kReduce / kScalarAssign: produced SSA scalar.
   ReduceKind reduce = ReduceKind::kSum;
   std::string scalar_out;
-
-  /// kCompute with op_kind kCellUnary: the function applied.
-  UnaryFnKind unary_fn = UnaryFnKind::kAbs;
 
   /// True when this step moves data between workers.
   bool Communicates() const {
@@ -135,6 +135,12 @@ struct Plan {
   /// (the textual analogue of Fig. 3).
   std::string ToString() const;
 };
+
+/// A step's kind and what it computes, as plan text prints it:
+/// "compute[multiply:RMM2:Ta]", "compute[add]", "reduce[sum]" or a bare
+/// kind ("partition"). `brief` leaves out the transpose flags and the
+/// reduce kind, as trace span names and analyzer diagnostics do.
+std::string StepKindLabel(const PlanStep& step, bool brief = false);
 
 /// For every node of `plan`, the id of the last step that reads it (-1
 /// when none does); plan outputs map past the last step, since they live

@@ -47,7 +47,7 @@ std::string PlanToDot(const Plan& plan) {
     std::string attrs;
     std::string label = StepKindName(step.kind);
     if (step.kind == StepKind::kCompute) {
-      label = OpKindName(step.op_kind);
+      label = OpName(step.op_kind, step.cell);
       if (step.mult_algo != MultAlgo::kNone) {
         label += std::string(":") + MultAlgoName(step.mult_algo);
       }

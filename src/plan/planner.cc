@@ -558,7 +558,7 @@ class Planner {
         return Status::Ok();
       }
 
-      default: {  // the five binary operators and scalar ops
+      default: {  // multiply, element-wise functions, row/column sums
         DMAC_ASSIGN_OR_RETURN(MatrixStats out_stats, BaseStats(op.output));
         const int out =
             NewNode(op.output, false, best->out_schemes, out_stats);
@@ -568,7 +568,7 @@ class Planner {
         step.inputs = input_nodes;
         step.output = out;
         step.scalar = op.scalar;
-        step.unary_fn = op.unary_fn;
+        step.cell = op.cell;
         step.output_comm = best->output_comm;
         if (best->output_comm) {
           step.comm_bytes = static_cast<double>(opts_.num_workers) *

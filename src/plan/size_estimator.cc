@@ -40,33 +40,27 @@ Result<StatsMap> EstimateSizes(const OperatorList& ops) {
         stats[op.output] = {{a.shape.rows, b.shape.cols}, 1.0};
         break;
       }
-      case OpKind::kAdd:
-      case OpKind::kSubtract:
-      case OpKind::kCellMultiply:
-      case OpKind::kCellDivide: {
+      case OpKind::kCellwise: {
         DMAC_ASSIGN_OR_RETURN(MatrixStats a, StatsForRef(stats, op.inputs[0]));
-        DMAC_ASSIGN_OR_RETURN(MatrixStats b, StatsForRef(stats, op.inputs[1]));
-        if (a.shape != b.shape) {
-          return Status::DimensionMismatch(
-              op.ToString() + ": " + a.shape.ToString() + " vs " +
-              b.shape.ToString());
+        // A scale and a zero-preserving unary function keep the operand's
+        // sparsity (paper §5.1); a shift and any other unary function fill
+        // every structural zero; a binary function is bounded by the sum.
+        double sparsity = a.sparsity;
+        if (op.cell.binary()) {
+          DMAC_ASSIGN_OR_RETURN(MatrixStats b,
+                                StatsForRef(stats, op.inputs[1]));
+          if (a.shape != b.shape) {
+            return Status::DimensionMismatch(
+                op.ToString() + ": " + a.shape.ToString() + " vs " +
+                b.shape.ToString());
+          }
+          sparsity = std::min(a.sparsity + b.sparsity, 1.0);
+        } else if (op.cell.kind == CellOp::kShift ||
+                   (op.cell.kind == CellOp::kUnary &&
+                    !UnaryFnPreservesZero(op.cell.fn))) {
+          sparsity = 1.0;
         }
-        stats[op.output] = {a.shape, std::min(a.sparsity + b.sparsity, 1.0)};
-        break;
-      }
-      case OpKind::kScalarMultiply:
-      case OpKind::kScalarAdd: {
-        DMAC_ASSIGN_OR_RETURN(MatrixStats a, StatsForRef(stats, op.inputs[0]));
-        // Unary operators preserve sparsity (paper §5.1).
-        stats[op.output] = a;
-        break;
-      }
-      case OpKind::kCellUnary: {
-        DMAC_ASSIGN_OR_RETURN(MatrixStats a, StatsForRef(stats, op.inputs[0]));
-        // Zero-preserving functions keep the sparsity; others densify.
-        stats[op.output] = {a.shape, UnaryFnPreservesZero(op.unary_fn)
-                                         ? a.sparsity
-                                         : 1.0};
+        stats[op.output] = {a.shape, sparsity};
         break;
       }
       case OpKind::kRowSums:

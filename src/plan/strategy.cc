@@ -58,24 +58,11 @@ std::vector<Strategy> CandidateStrategies(const Operator& op) {
       out.push_back(cpmm);
       break;
     }
-    case OpKind::kAdd:
-    case OpKind::kSubtract:
-    case OpKind::kCellMultiply:
-    case OpKind::kCellDivide: {
+    case OpKind::kCellwise: {
+      // Every operand aligned; the output takes their scheme.
       for (Scheme s : {Scheme::kRow, Scheme::kCol, Scheme::kBroadcast}) {
         Strategy st;
-        st.input_schemes = {s, s};
-        st.out_schemes = SchemeBit(s);
-        out.push_back(st);
-      }
-      break;
-    }
-    case OpKind::kScalarMultiply:
-    case OpKind::kScalarAdd:
-    case OpKind::kCellUnary: {
-      for (Scheme s : {Scheme::kRow, Scheme::kCol, Scheme::kBroadcast}) {
-        Strategy st;
-        st.input_schemes = {s};
+        st.input_schemes.assign(op.cell.binary() ? 2 : 1, s);
         st.out_schemes = SchemeBit(s);
         out.push_back(st);
       }

@@ -50,16 +50,7 @@ class StoreSink {
 }  // namespace
 
 std::string StepSpanName(const PlanStep& step) {
-  std::string name = StepKindName(step.kind);
-  if (step.kind == StepKind::kCompute) {
-    name += "[";
-    name += OpKindName(step.op_kind);
-    if (step.mult_algo != MultAlgo::kNone) {
-      name += ":";
-      name += MultAlgoName(step.mult_algo);
-    }
-    name += "]";
-  }
+  std::string name = StepKindLabel(step, /*brief=*/true);
   if (!step.source.empty()) name += " " + step.source;
   return name;
 }
@@ -534,8 +525,10 @@ class Executor::Impl final : public StepRunner {
       case OpKind::kRowSums:
       case OpKind::kColSums:
         return ExecAggregate(step);
-      default:
+      case OpKind::kCellwise:
         return ExecCellwise(step);
+      default:
+        return Status::Internal("unexpected compute op kind");
     }
   }
 
@@ -783,35 +776,11 @@ class Executor::Impl final : public StepRunner {
   /// op pairing each block of the first input with the aligned block of
   /// the second.
   Status ExecCellwise(const PlanStep& step) {
-    CellOp op;
-    switch (step.op_kind) {
-      case OpKind::kAdd:
-        op.kind = CellOp::kAdd;
-        break;
-      case OpKind::kSubtract:
-        op.kind = CellOp::kSubtract;
-        break;
-      case OpKind::kCellMultiply:
-        op.kind = CellOp::kMultiply;
-        break;
-      case OpKind::kCellDivide:
-        op.kind = CellOp::kDivide;
-        break;
-      case OpKind::kScalarMultiply:
-      case OpKind::kScalarAdd: {
-        DMAC_ASSIGN_OR_RETURN(double scalar,
-                              EvalScalar(*step.scalar, scalars_, NoReduce));
-        op.kind = step.op_kind == OpKind::kScalarAdd ? CellOp::kShift
-                                                     : CellOp::kScale;
-        op.scalar = static_cast<Scalar>(scalar);
-        break;
-      }
-      case OpKind::kCellUnary:
-        op.kind = CellOp::kUnary;
-        op.fn = step.unary_fn;
-        break;
-      default:
-        return Status::Internal("unexpected compute op kind");
+    CellOp op = step.cell;
+    if (step.scalar != nullptr) {
+      DMAC_ASSIGN_OR_RETURN(double scalar,
+                            EvalScalar(*step.scalar, scalars_, NoReduce));
+      op.scalar = static_cast<Scalar>(scalar);
     }
     DistMatrix& a = Data(step.inputs[0]);
     const DistMatrix* b = op.binary() ? &Data(step.inputs[1]) : nullptr;

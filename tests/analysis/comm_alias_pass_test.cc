@@ -87,7 +87,7 @@ TEST(AliasPassTest, SelfReadingUpdateIsDiagnosed) {
 
   Operator update;  // A#1 = A#1 + A#1 — an in-place self update
   update.id = 1;
-  update.kind = OpKind::kAdd;
+  update.kind = OpKind::kCellwise;  // CellOp::kAdd
   update.inputs = {{"A#1", false}, {"A#1", false}};
   update.output = "A#1";
   ops.ops.push_back(update);

@@ -69,7 +69,7 @@ TEST(ShapePassTest, CellwiseShapeMismatchIsDiagnosed) {
   OperatorList ops;
   ops.ops.push_back(Load(0, "A#1", 10, 10));
   ops.ops.push_back(Load(1, "B#1", 10, 11));
-  ops.ops.push_back(Binary(2, OpKind::kAdd, "A#1", "B#1", "C#1"));
+  ops.ops.push_back(Binary(2, OpKind::kCellwise, "A#1", "B#1", "C#1"));
   ops.output_bindings["C"] = {"C#1", false};
 
   const AnalysisReport report = AnalyzeProgram(&ops, nullptr, 4);

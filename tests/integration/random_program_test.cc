@@ -3,12 +3,15 @@
 // single-machine interpreter, for every seed.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <vector>
 
 #include "apps/local_interpreter.h"
 #include "apps/runner.h"
 #include "common/rng.h"
 #include "data/synthetic.h"
+#include "lang/decompose.h"
 
 namespace dmac {
 namespace {
@@ -52,7 +55,7 @@ Program GenerateProgram(uint64_t seed, int num_ops) {
 
   int produced = 0;
   for (int i = 0; i < num_ops; ++i) {
-    const uint64_t choice = rng.NextBounded(8);
+    const uint64_t choice = rng.NextBounded(10);
     Mat expr;
     Shape out_shape;
     switch (choice) {
@@ -111,6 +114,23 @@ Program GenerateProgram(uint64_t seed, int num_ops) {
         Var& a = pick();
         expr = a.handle.ColSums() * (1.0 / a.shape.rows);
         out_shape = {1, a.shape.cols};
+        break;
+      }
+      case 7: {  // scalar shift
+        Var& a = pick();
+        expr = a.handle + (rng.NextDouble() - 0.5);
+        out_shape = a.shape;
+        break;
+      }
+      case 8: {  // unary function, on values kept finite and near 1
+        Var& a = pick();
+        const uint64_t fn = rng.NextBounded(5);
+        expr = fn == 0   ? a.handle.Abs()
+               : fn == 1 ? a.handle.Square()
+               : fn == 2 ? a.handle.Sigmoid()
+               : fn == 3 ? a.handle.Sigmoid().Exp()
+                         : (a.handle.Abs() + 0.5).Log();
+        out_shape = a.shape;
         break;
       }
       default: {  // scalar round trip: scale a matrix by a reduction
@@ -198,6 +218,23 @@ TEST_P(RandomProgramTest, DmacPlanNeverCostsMore) {
 
 INSTANTIATE_TEST_SUITE_P(TwentySeeds, RandomProgramTest,
                          ::testing::Range(1, 21));
+
+TEST(RandomProgramCoverageTest, TwentySeedsRunEveryElementwiseFunction) {
+  std::set<std::string> seen;
+  for (int seed = 1; seed <= 20; ++seed) {
+    auto ops = Decompose(GenerateProgram(static_cast<uint64_t>(seed), 8));
+    ASSERT_TRUE(ops.ok()) << ops.status();
+    for (const Operator& op : ops->ops) {
+      if (op.kind != OpKind::kCellwise) continue;
+      seen.insert(op.cell.kind == CellOp::kUnary ? UnaryFnName(op.cell.fn)
+                                                 : op.cell.name());
+    }
+  }
+  EXPECT_EQ(seen, (std::set<std::string>{"add", "subtract", "cell-multiply",
+                                         "cell-divide", "scalar-multiply",
+                                         "scalar-add", "abs", "square",
+                                         "sigmoid", "exp", "log"}));
+}
 
 }  // namespace
 }  // namespace dmac

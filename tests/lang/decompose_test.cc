@@ -85,7 +85,8 @@ TEST(DecomposeTest, MultiplicationsOrderedFirstWithinStatement) {
   OperatorList ops = MustDecompose(pb.Build());
   bool seen_cellwise = false;
   for (const Operator& op : ops.ops) {
-    if (op.kind == OpKind::kCellMultiply || op.kind == OpKind::kCellDivide) {
+    if (op.kind == OpKind::kCellwise && (op.cell.kind == CellOp::kMultiply ||
+                                         op.cell.kind == CellOp::kDivide)) {
       seen_cellwise = true;
     }
     if (op.kind == OpKind::kMultiply) {
@@ -173,7 +174,7 @@ TEST(DecomposeTest, ScalarVarResolvedToLatestVersion) {
   // Two scalar-multiply ops must reference different scalar versions.
   std::vector<std::string> refs;
   for (const Operator& op : ops.ops) {
-    if (op.kind == OpKind::kScalarMultiply) {
+    if (op.kind == OpKind::kCellwise && op.cell.kind == CellOp::kScale) {
       refs.push_back(op.scalar->name);
     }
   }
@@ -207,7 +208,8 @@ TEST(DecomposeTest, DeadComputationEliminated) {
   // Only the load and the add survive.
   ASSERT_EQ(ops.ops.size(), 2u);
   EXPECT_EQ(ops.ops[0].kind, OpKind::kLoad);
-  EXPECT_EQ(ops.ops[1].kind, OpKind::kAdd);
+  EXPECT_EQ(ops.ops[1].kind, OpKind::kCellwise);
+  EXPECT_EQ(ops.ops[1].cell.kind, CellOp::kAdd);
 }
 
 TEST(DecomposeTest, DeadLoadEliminated) {

@@ -5,6 +5,12 @@
 namespace dmac {
 namespace {
 
+/// The element-wise function of `e`, which must be a kCellwise node.
+CellOp::Kind CellKind(const MatrixExprPtr& e) {
+  EXPECT_EQ(e->kind, MatrixExpr::Kind::kCellwise);
+  return e->cell.kind;
+}
+
 TEST(DslTest, LoadDeclaresStatementAndReturnsVarRef) {
   ProgramBuilder pb;
   Mat v = pb.Load("V", {10, 20}, 0.5);
@@ -24,13 +30,12 @@ TEST(DslTest, OperatorsBuildExpectedTrees) {
   Mat b = pb.Load("B", {2, 2}, 1.0);
 
   Mat mm = a.mm(b);
-  EXPECT_EQ(mm.expr()->kind, MatrixExpr::Kind::kBinary);
-  EXPECT_EQ(mm.expr()->bin_op, BinOpKind::kMultiply);
+  EXPECT_EQ(mm.expr()->kind, MatrixExpr::Kind::kMultiply);
 
-  EXPECT_EQ((a + b).expr()->bin_op, BinOpKind::kAdd);
-  EXPECT_EQ((a - b).expr()->bin_op, BinOpKind::kSubtract);
-  EXPECT_EQ((a * b).expr()->bin_op, BinOpKind::kCellMultiply);
-  EXPECT_EQ((a / b).expr()->bin_op, BinOpKind::kCellDivide);
+  EXPECT_EQ(CellKind((a + b).expr()), CellOp::kAdd);
+  EXPECT_EQ(CellKind((a - b).expr()), CellOp::kSubtract);
+  EXPECT_EQ(CellKind((a * b).expr()), CellOp::kMultiply);
+  EXPECT_EQ(CellKind((a / b).expr()), CellOp::kDivide);
   EXPECT_EQ(a.t().expr()->kind, MatrixExpr::Kind::kTranspose);
 }
 
@@ -38,18 +43,18 @@ TEST(DslTest, ScalarOperatorsOnMatrices) {
   ProgramBuilder pb;
   Mat a = pb.Load("A", {2, 2}, 1.0);
   Mat scaled = a * 0.85;
-  EXPECT_EQ(scaled.expr()->kind, MatrixExpr::Kind::kScalarMul);
+  EXPECT_EQ(CellKind(scaled.expr()), CellOp::kScale);
   EXPECT_EQ(scaled.expr()->scalar->kind, ScalarExpr::Kind::kLiteral);
   EXPECT_DOUBLE_EQ(scaled.expr()->scalar->literal, 0.85);
 
   Mat shifted = a + 1.5;
-  EXPECT_EQ(shifted.expr()->kind, MatrixExpr::Kind::kScalarAdd);
+  EXPECT_EQ(CellKind(shifted.expr()), CellOp::kShift);
   Mat shifted_down = a - 1.5;
-  EXPECT_EQ(shifted_down.expr()->kind, MatrixExpr::Kind::kScalarAdd);
+  EXPECT_EQ(CellKind(shifted_down.expr()), CellOp::kShift);
   EXPECT_DOUBLE_EQ(shifted_down.expr()->scalar->literal, -1.5);
 
   Mat left = 2.0 * a;
-  EXPECT_EQ(left.expr()->kind, MatrixExpr::Kind::kScalarMul);
+  EXPECT_EQ(CellKind(left.expr()), CellOp::kScale);
 }
 
 TEST(DslTest, ReductionsProduceScalarExprs) {

@@ -16,6 +16,12 @@ Program MustParse(const std::string& src) {
   return p.ok() ? *p : Program{};
 }
 
+/// The element-wise function of `e`, which must be a kCellwise node.
+CellOp::Kind CellKind(const MatrixExprPtr& e) {
+  EXPECT_EQ(e->kind, MatrixExpr::Kind::kCellwise);
+  return e->cell.kind;
+}
+
 TEST(ParserTest, LoadAssignOutput) {
   Program p = MustParse(
       "V = load(\"V\", 10, 20, 0.5)\n"
@@ -36,11 +42,11 @@ TEST(ParserTest, OperatorPrecedence) {
       "B = A + A * A %*% A\n"
       "output(B)\n");
   const MatrixExprPtr& root = p.statements[1].matrix;
-  ASSERT_EQ(root->kind, MatrixExpr::Kind::kBinary);
-  EXPECT_EQ(root->bin_op, BinOpKind::kAdd);
-  ASSERT_EQ(root->rhs->kind, MatrixExpr::Kind::kBinary);
-  EXPECT_EQ(root->rhs->bin_op, BinOpKind::kCellMultiply);
-  EXPECT_EQ(root->rhs->rhs->bin_op, BinOpKind::kMultiply);
+  ASSERT_EQ(root->kind, MatrixExpr::Kind::kCellwise);
+  EXPECT_EQ(root->cell.kind, CellOp::kAdd);
+  ASSERT_EQ(root->rhs->kind, MatrixExpr::Kind::kCellwise);
+  EXPECT_EQ(root->rhs->cell.kind, CellOp::kMultiply);
+  EXPECT_EQ(root->rhs->rhs->kind, MatrixExpr::Kind::kMultiply);
 }
 
 TEST(ParserTest, ParenthesesOverridePrecedence) {
@@ -49,8 +55,8 @@ TEST(ParserTest, ParenthesesOverridePrecedence) {
       "B = (A + A) * A\n"
       "output(B)\n");
   const MatrixExprPtr& root = p.statements[1].matrix;
-  EXPECT_EQ(root->bin_op, BinOpKind::kCellMultiply);
-  EXPECT_EQ(root->lhs->bin_op, BinOpKind::kAdd);
+  EXPECT_EQ(CellKind(root), CellOp::kMultiply);
+  EXPECT_EQ(CellKind(root->lhs), CellOp::kAdd);
 }
 
 TEST(ParserTest, TransposeAndReductions) {
@@ -75,10 +81,10 @@ TEST(ParserTest, MatrixScalarMixing) {
       "C = A / 2\n"
       "D = 3 * A\n"
       "output(B)\noutput(C)\noutput(D)\n");
-  EXPECT_EQ(p.statements[1].matrix->kind, MatrixExpr::Kind::kScalarAdd);
-  EXPECT_EQ(p.statements[1].matrix->lhs->kind, MatrixExpr::Kind::kScalarMul);
-  EXPECT_EQ(p.statements[2].matrix->kind, MatrixExpr::Kind::kScalarMul);
-  EXPECT_EQ(p.statements[3].matrix->kind, MatrixExpr::Kind::kScalarMul);
+  EXPECT_EQ(CellKind(p.statements[1].matrix), CellOp::kShift);
+  EXPECT_EQ(CellKind(p.statements[1].matrix->lhs), CellOp::kScale);
+  EXPECT_EQ(CellKind(p.statements[2].matrix), CellOp::kScale);
+  EXPECT_EQ(CellKind(p.statements[3].matrix), CellOp::kScale);
 }
 
 TEST(ParserTest, ForLoopUnrolls) {
@@ -131,7 +137,7 @@ TEST(ParserTest, UnaryMinus) {
       "B = -A\n"
       "s = -sum(A)\n"
       "output(B)\noutput_scalar(s)\n");
-  EXPECT_EQ(p.statements[1].matrix->kind, MatrixExpr::Kind::kScalarMul);
+  EXPECT_EQ(CellKind(p.statements[1].matrix), CellOp::kScale);
   EXPECT_DOUBLE_EQ(p.statements[1].matrix->scalar->literal, -1.0);
 }
 

@@ -691,6 +691,46 @@ TEST(OwnedCellMultiplyTest, DropsZeroProductsFromSparsePattern) {
   }
 }
 
+TEST(OwnedCellMultiplyTest, SparseProductIsSymmetricInItsOperands) {
+  // Each operand stores inf or NaN where the other holds a structural
+  // zero: the product covers only the entries both store, so a * b and
+  // b * a give the same bits, owned or borrowed.
+  CscBuilder ab(3, 3);
+  ab.Add(0, 0, kInf);
+  ab.Add(1, 1, 2.0f);
+  ab.Add(2, 1, kInf);
+  ab.Add(2, 2, kNaN);
+  CscBuilder bb(3, 3);
+  bb.Add(1, 0, -kInf);
+  bb.Add(1, 1, 3.0f);
+  bb.Add(2, 1, -2.0f);
+  bb.Add(0, 2, kNaN);
+  const Block a(ab.Build());
+  const Block b(bb.Build());
+  for (int owned = 0; owned < 2; ++owned) {
+    for (int swap = 0; swap < 2; ++swap) {
+      const Block& first = swap ? b : a;
+      const Block& second = swap ? a : b;
+      Result<Block> got =
+          owned ? Cellwise({CellOp::kMultiply}, Block(first), &second)
+                : Cellwise({CellOp::kMultiply}, first, &second);
+      ASSERT_TRUE(got.ok());
+      ASSERT_TRUE(got->IsSparse());
+      EXPECT_EQ(got->nnz(), 2);
+      for (int64_t r = 0; r < 3; ++r) {
+        for (int64_t c = 0; c < 3; ++c) {
+          const Scalar want = r == 1 && c == 1   ? 6.0f
+                              : r == 2 && c == 1 ? -kInf
+                                                 : 0.0f;
+          EXPECT_TRUE(SameScalarBits(got->At(r, c), want))
+              << "(" << r << "," << c << ") owned=" << owned
+              << " swap=" << swap << ": " << got->At(r, c);
+        }
+      }
+    }
+  }
+}
+
 // ---- every element-wise function against a per-element reference --------
 
 /// What `op` computes at one element, as plain float arithmetic.
@@ -762,8 +802,8 @@ bool InPattern(const CellOp& op, const Block& a, const Block* b, int64_t r,
     case CellOp::kAdd:
     case CellOp::kSubtract:
       return Stored(a, r, c) || Stored(*b, r, c);
-    case CellOp::kMultiply:  // the sparse side's pattern, a's if both are
-      return Stored(a.IsSparse() ? a : *b, r, c);
+    case CellOp::kMultiply:  // the sparse side's pattern, or both's overlap
+      return Stored(a, r, c) && Stored(*b, r, c);
     default:  // the numerator's or the operand's pattern
       return Stored(a, r, c);
   }

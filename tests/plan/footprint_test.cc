@@ -47,7 +47,9 @@ Program ScaledProduct(bool keep_product) {
 
 const PlanStep& ScaleStep(const Plan& plan) {
   for (const PlanStep& s : plan.steps) {
-    if (s.op_kind == OpKind::kScalarMultiply) return s;
+    if (s.op_kind == OpKind::kCellwise && s.cell.kind == CellOp::kScale) {
+      return s;
+    }
   }
   ADD_FAILURE() << "no scalar multiply in\n" << plan.ToString();
   return plan.steps.front();

@@ -94,8 +94,8 @@ TEST(GnmfGoldenTest, CellwiseOperatorsAreFullyLocal) {
   Plan plan = NetflixGnmfPlan(2);
   for (const PlanStep& s : plan.steps) {
     if (s.kind != StepKind::kCompute) continue;
-    if (s.op_kind == OpKind::kCellMultiply ||
-        s.op_kind == OpKind::kCellDivide) {
+    if (s.op_kind == OpKind::kCellwise &&
+        (s.cell.kind == CellOp::kMultiply || s.cell.kind == CellOp::kDivide)) {
       EXPECT_EQ(s.comm_bytes, 0);
       EXPECT_FALSE(s.Communicates());
     }

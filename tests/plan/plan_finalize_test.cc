@@ -39,7 +39,8 @@ TEST(PlanFinalizeTest, ReordersStepsTopologically) {
   const int c = AddNode(&plan, "C", SchemeBit(Scheme::kRow));
   // Steps inserted out of order: consumer before producer.
   PlanStep& mul = AddStep(&plan, StepKind::kCompute, {a, b}, c);
-  mul.op_kind = OpKind::kCellMultiply;
+  mul.op_kind = OpKind::kCellwise;
+  mul.cell.kind = CellOp::kMultiply;
   AddStep(&plan, StepKind::kLoad, {}, a);
   AddStep(&plan, StepKind::kLoad, {}, b);
 

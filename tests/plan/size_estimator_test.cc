@@ -54,6 +54,17 @@ TEST(SizeEstimatorTest, UnaryPreservesSparsity) {
   EXPECT_DOUBLE_EQ(stats.at("C#1").sparsity, 0.25);
 }
 
+TEST(SizeEstimatorTest, ShiftFillsStructuralZeros) {
+  // V + 1 stores 1 wherever V held a structural zero: the result is dense.
+  ProgramBuilder pb;
+  Mat v = pb.Load("V", {10, 10}, 0.25);
+  Mat c = pb.Var("C");
+  pb.Assign(c, v + 1.0);
+  pb.Output(c);
+  StatsMap stats = EstimateFor(pb.Build());
+  EXPECT_DOUBLE_EQ(stats.at("C#1").sparsity, 1.0);
+}
+
 TEST(SizeEstimatorTest, TransposedRefSwapsShape) {
   ProgramBuilder pb;
   Mat a = pb.Load("A", {100, 50}, 0.5);

@@ -41,9 +41,11 @@ TEST(StrategyTest, MultiplyHasThreeStrategies) {
 }
 
 TEST(StrategyTest, CellwiseRequiresAlignedSchemes) {
-  for (OpKind kind : {OpKind::kAdd, OpKind::kSubtract, OpKind::kCellMultiply,
-                      OpKind::kCellDivide}) {
-    auto strategies = CandidateStrategies(MakeOp(kind));
+  for (CellOp::Kind kind : {CellOp::kAdd, CellOp::kSubtract,
+                            CellOp::kMultiply, CellOp::kDivide}) {
+    Operator op = MakeOp(OpKind::kCellwise);
+    op.cell.kind = kind;
+    auto strategies = CandidateStrategies(op);
     ASSERT_EQ(strategies.size(), 3u);
     for (const Strategy& s : strategies) {
       ASSERT_EQ(s.input_schemes.size(), 2u);
@@ -55,8 +57,9 @@ TEST(StrategyTest, CellwiseRequiresAlignedSchemes) {
 }
 
 TEST(StrategyTest, ScalarOpsPreserveScheme) {
-  for (OpKind kind : {OpKind::kScalarMultiply, OpKind::kScalarAdd}) {
-    Operator op = MakeOp(kind);
+  for (CellOp::Kind kind : {CellOp::kScale, CellOp::kShift}) {
+    Operator op = MakeOp(OpKind::kCellwise);
+    op.cell.kind = kind;
     op.inputs = {{"A", false}};
     auto strategies = CandidateStrategies(op);
     ASSERT_EQ(strategies.size(), 3u);

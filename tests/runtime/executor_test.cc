@@ -24,26 +24,29 @@ namespace {
 
 constexpr int64_t kBs = 16;
 
-Program SingleOpProgram(BinOpKind op, Shape a_shape, Shape b_shape,
+/// The five binary operators of the DSL.
+enum class BinOp { kMultiply, kAdd, kSubtract, kCellMultiply, kCellDivide };
+
+Program SingleOpProgram(BinOp op, Shape a_shape, Shape b_shape,
                         double a_sparsity, double b_sparsity) {
   ProgramBuilder pb;
   Mat a = pb.Load("A", a_shape, a_sparsity);
   Mat b = pb.Load("B", b_shape, b_sparsity);
   Mat c = pb.Var("C");
   switch (op) {
-    case BinOpKind::kMultiply:
+    case BinOp::kMultiply:
       pb.Assign(c, a.mm(b));
       break;
-    case BinOpKind::kAdd:
+    case BinOp::kAdd:
       pb.Assign(c, a + b);
       break;
-    case BinOpKind::kSubtract:
+    case BinOp::kSubtract:
       pb.Assign(c, a - b);
       break;
-    case BinOpKind::kCellMultiply:
+    case BinOp::kCellMultiply:
       pb.Assign(c, a * b);
       break;
-    case BinOpKind::kCellDivide:
+    case BinOp::kCellDivide:
       pb.Assign(c, a / b);
       break;
   }
@@ -76,13 +79,13 @@ void ExpectDistributedMatchesLocal(const Program& p, const Bindings& bindings,
 // ---- every binary operator, every planner mode ---------------------------
 
 class OperatorExecutionTest
-    : public ::testing::TestWithParam<std::tuple<BinOpKind, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<BinOp, bool>> {};
 
 TEST_P(OperatorExecutionTest, DistributedMatchesLocal) {
   const auto [op, exploit] = GetParam();
-  const Shape a_shape = op == BinOpKind::kMultiply ? Shape{50, 40}
+  const Shape a_shape = op == BinOp::kMultiply ? Shape{50, 40}
                                                    : Shape{50, 40};
-  const Shape b_shape = op == BinOpKind::kMultiply ? Shape{40, 30}
+  const Shape b_shape = op == BinOp::kMultiply ? Shape{40, 30}
                                                    : Shape{50, 40};
   LocalMatrix a = SyntheticSparse(a_shape.rows, a_shape.cols, 0.3, kBs, 11);
   // Dense, strictly-positive B avoids division blowups.
@@ -99,22 +102,22 @@ TEST_P(OperatorExecutionTest, DistributedMatchesLocal) {
 }
 
 std::string OperatorCaseName(
-    const ::testing::TestParamInfo<std::tuple<BinOpKind, bool>>& info) {
+    const ::testing::TestParamInfo<std::tuple<BinOp, bool>>& info) {
   std::string name;
   switch (std::get<0>(info.param)) {
-    case BinOpKind::kMultiply:
+    case BinOp::kMultiply:
       name = "Multiply";
       break;
-    case BinOpKind::kAdd:
+    case BinOp::kAdd:
       name = "Add";
       break;
-    case BinOpKind::kSubtract:
+    case BinOp::kSubtract:
       name = "Subtract";
       break;
-    case BinOpKind::kCellMultiply:
+    case BinOp::kCellMultiply:
       name = "CellMultiply";
       break;
-    case BinOpKind::kCellDivide:
+    case BinOp::kCellDivide:
       name = "CellDivide";
       break;
   }
@@ -124,9 +127,9 @@ std::string OperatorCaseName(
 INSTANTIATE_TEST_SUITE_P(
     AllOps, OperatorExecutionTest,
     ::testing::Combine(
-        ::testing::Values(BinOpKind::kMultiply, BinOpKind::kAdd,
-                          BinOpKind::kSubtract, BinOpKind::kCellMultiply,
-                          BinOpKind::kCellDivide),
+        ::testing::Values(BinOp::kMultiply, BinOp::kAdd,
+                          BinOp::kSubtract, BinOp::kCellMultiply,
+                          BinOp::kCellDivide),
         ::testing::Bool()),
     OperatorCaseName);
 

@@ -105,7 +105,8 @@ TEST(InPlaceMapTest, NodeOnBothSidesOfAMapIsRead) {
   ASSERT_TRUE(plan.ok()) << plan.status();
   bool self_add = false;
   for (const PlanStep& s : plan->steps) {
-    self_add = self_add || (s.op_kind == OpKind::kAdd &&
+    self_add = self_add || (s.op_kind == OpKind::kCellwise &&
+                            s.cell.kind == CellOp::kAdd &&
                             s.inputs.size() == 2 && s.inputs[0] == s.inputs[1]);
   }
   ASSERT_TRUE(self_add) << plan->ToString();
@@ -143,7 +144,8 @@ TEST(InPlaceMapTest, BroadcastInputIsNotWrittenInto) {
     }
   }
   PlanStep& scale = plan->steps.back();
-  ASSERT_EQ(scale.op_kind, OpKind::kScalarMultiply) << plan->ToString();
+  ASSERT_EQ(scale.op_kind, OpKind::kCellwise) << plan->ToString();
+  ASSERT_EQ(scale.cell.kind, CellOp::kScale) << plan->ToString();
   ASSERT_GE(s_broadcast, 0) << plan->ToString();
   scale.inputs[0] = s_broadcast;
   plan->nodes[static_cast<size_t>(scale.output)].schemes =

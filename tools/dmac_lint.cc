@@ -112,28 +112,6 @@ void PrintJson(const std::string& file, const char* phase,
   std::fputs(out.c_str(), stdout);
 }
 
-/// Short human label of a plan step: "Compute[Multiply:RMM2:Ta]".
-std::string StepCostLabel(const PlanStep& step) {
-  std::string out = StepKindName(step.kind);
-  if (step.kind == StepKind::kCompute) {
-    out += "[";
-    out += OpKindName(step.op_kind);
-    if (step.mult_algo != MultAlgo::kNone) {
-      out += ":";
-      out += MultAlgoName(step.mult_algo);
-    }
-    if (step.trans_a) out += ":Ta";
-    if (step.trans_b) out += ":Tb";
-    out += "]";
-  }
-  if (step.kind == StepKind::kReduce) {
-    out += "[";
-    out += ReduceName(step.reduce);
-    out += "]";
-  }
-  return out;
-}
-
 /// --cost, text mode: a per-step estimate table plus a totals line.
 void PrintCostText(const Plan& plan, const CostModel& model,
                    const PlanCost& cost) {
@@ -146,7 +124,7 @@ void PrintCostText(const Plan& plan, const CostModel& model,
     const PlanStep& step = plan.steps[i];
     const StepCost& sc = cost.steps[i];
     std::printf("  s%-4d %-5d %14.0f %12.6f  %s\n", step.id, step.stage,
-                sc.comm_bytes, sc.seconds(), StepCostLabel(step).c_str());
+                sc.comm_bytes, sc.seconds(), StepKindLabel(step).c_str());
   }
   std::printf(
       "  total: %.2f MB comm, est %.3fs (compute %.3fs + comm %.3fs)\n",
@@ -177,7 +155,7 @@ std::string CostJson(const Plan& plan, const CostModel& model,
                   i == 0 ? "" : ",", plan.steps[i].id, plan.steps[i].stage,
                   sc.comm_bytes, sc.seconds());
     out += buf;
-    out += JsonQuote(StepCostLabel(plan.steps[i]));
+    out += JsonQuote(StepKindLabel(plan.steps[i]));
     out += "}";
   }
   out += "]}";
